@@ -189,9 +189,12 @@ def davidson(
     """Block Davidson with the diagonal (Jacobi) preconditioner.
 
     Expansion vector per unconverged root: w = psi + P r with
-    P_ll = 1/(H_ll - E), denominator clamped at 1e-6 in magnitude. The
-    search space restarts from the current Ritz vectors when it exceeds
-    8k columns.
+    P_ll = 1/(H_ll - E), denominator clamped at 1e-6 in magnitude. When the
+    search space would exceed 8k columns it restarts, within the space, to
+    its lowest 4k Ritz vectors plus the previous iteration's k Ritz vectors
+    (GD+k, Stathopoulos & Saad 1998). The previous vectors carry the
+    recurrence a plain restart throws away, which matters when the wanted
+    roots are poorly separated relative to the spectral spread.
     """
     sector = ints.sector
     dim = sector_dimension(*sector)
@@ -218,11 +221,12 @@ def davidson(
     max_cols = 8 * k
     trace = []
     best = None
+    previous = None  # last iteration's Ritz vectors, kept across a restart
     for it in range(max_iter):
         small = basis.conj().T @ images
         small = (small + small.conj().T) / 2
-        theta, y = np.linalg.eigh(small)
-        theta, y = theta[:k], y[:, :k]
+        theta, y_all = np.linalg.eigh(small)
+        theta, y = theta[:k], y_all[:, :k]
         ritz = basis @ y
         ritz_images = images @ y
         residuals = ritz_images - ritz * theta[None, :]
@@ -238,12 +242,18 @@ def davidson(
         if np.all(rnorms <= tol):
             return best
         if basis.shape[1] + k > max_cols:
-            basis = np.zeros((dim, 0), dtype=complex)
-            for i in range(k):
-                c = _orthonormalize_against(ritz[:, i], basis)
+            # coordinates in the current space, so the restart needs no
+            # products with H; the previous Ritz vectors lie in this space
+            keep = list(y_all[:, : 4 * k].T)
+            if previous is not None:
+                keep.extend((basis.conj().T @ previous).T)
+            coef = np.zeros((basis.shape[1], 0), dtype=complex)
+            for c in keep:
+                c = _orthonormalize_against(c, coef)
                 if c is not None:
-                    basis = np.column_stack([basis, c])
-            images = mat @ basis
+                    coef = np.column_stack([coef, c])
+            basis, images = basis @ coef, images @ coef
+        previous = ritz
         added = False
         for i in range(k):
             if rnorms[i] <= tol:

@@ -75,6 +75,7 @@ from .quantum import (
 from .qubits import jordan_wigner
 from .shots import (
     GENERATOR,
+    SEED_LIMIT,
     ShotPlan,
     measurement_groups,
     noisy_subspace,
@@ -409,8 +410,8 @@ def merge_config(args: argparse.Namespace, file_cfg: dict) -> tuple:
             raise ValidationError("config: give shots or eps_target, not both")
         if shots.shots is None and shots.eps_target is None:
             raise ValidationError("sampling enabled without shots or eps_target")
-        if shots.seed < 0:
-            raise ValidationError("seed must be non-negative")
+        if not 0 <= shots.seed < SEED_LIMIT:
+            raise ValidationError("seed must lie in [0, 2^64)")
         if shots.grouping not in ("qubitwise", "full"):
             raise ValidationError(f"unknown grouping {shots.grouping!r}")
 

@@ -327,21 +327,37 @@ class CommutingGroups:
 
 def group_commuting(h: PauliSum, mode: str = "qubitwise") -> CommutingGroups:
     """Greedy sorted insertion: visit terms by descending |coefficient| and
-    put each into the first group it is compatible with."""
-    if mode == "qubitwise":
-        compatible = qubitwise_commutes
-    elif mode == "full":
-        compatible = commutes
-    else:
+    put each into the first group it is compatible with.
+
+    A qubitwise group fixes one letter on every qubit its members touch, so
+    a term is checked against the group's merged (x, z, support) masks in
+    one test; full commutation is checked against every member.
+    """
+    if mode not in ("qubitwise", "full"):
         raise ValidationError(f"unknown grouping mode {mode!r}")
     order = sorted(range(len(h)), key=lambda i: (-abs(h.coeffs[i]), i))
     groups = []
-    for i in order:
-        s = h.strings[i]
-        for g in groups:
-            if all(compatible(s, h.strings[j]) for j in g):
-                g.append(i)
-                break
-        else:
-            groups.append([i])
+    if mode == "qubitwise":
+        masks = []  # per group: (x, z, support) merged over its members
+        for i in order:
+            s = h.strings[i]
+            sx, sz = s.x, s.z
+            ss = sx | sz
+            for g, (gx, gz, gs) in enumerate(masks):
+                if ((sx ^ gx) | (sz ^ gz)) & ss & gs == 0:
+                    groups[g].append(i)
+                    masks[g] = (gx | sx, gz | sz, gs | ss)
+                    break
+            else:
+                groups.append([i])
+                masks.append((sx, sz, ss))
+    else:
+        for i in order:
+            s = h.strings[i]
+            for g in groups:
+                if all(commutes(s, h.strings[j]) for j in g):
+                    g.append(i)
+                    break
+            else:
+                groups.append([i])
     return CommutingGroups(mode, len(h), tuple(tuple(g) for g in groups))

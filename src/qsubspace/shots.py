@@ -8,6 +8,14 @@ estimators the module allocates shots across groups against a precision
 target and assembles noise-tagged subspace problems from measurement
 recipes emitted by the subspace builders.
 
+A recipe is frozen.  Everything about it that does not depend on the seed
+(the grouping, each group's entry coefficients, its outcome probabilities
+and its +-1 value table) is computed once per grouping mode, the first
+time it is needed, and kept on the recipe, so it is freed with the recipe.
+A seeded estimate then costs one multinomial draw and a few small matrix
+products per group.  A target-driven plan gives the same count to every
+group that some matrix entry reads.
+
 Sample streams use the Philox counter-based generator keyed by
 (seed, group index), so every estimate is bit-reproducible from the
 recorded plan.
@@ -16,7 +24,8 @@ recorded plan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,6 +35,9 @@ from .geev import SubspaceProblem
 from .qubits import PauliString, commutes, group_commuting, pauli_sum, qubitwise_commutes
 
 GENERATOR = "philox"
+
+# Philox keys are two unsigned 64-bit words: (seed, stream index)
+SEED_LIMIT = 1 << 64
 
 # dense joint-eigenbasis cap; beyond this the diagonalization would need
 # the Clifford machinery this package deliberately avoids
@@ -41,11 +53,36 @@ _ONE_QUBIT = {
 }
 
 
-def _rng(seed: int, group_index: int) -> np.random.Generator:
-    if seed < 0 or group_index < 0:
-        raise ValidationError("seed and group index must be nonnegative")
-    key = np.array([seed, group_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _streams(seed: int):
+    """stream(f) -> the generator of Philox keyed (seed, f).
+
+    One bit generator is re-keyed per stream, with its counter reset and
+    its buffer empty, so the draws equal those of a fresh
+    `Philox(key=(seed, f))`; building that would also draw OS entropy the
+    key then overrides, at four times the cost.  A returned generator is
+    valid until the next stream is taken.
+    """
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValidationError("seed must lie in [0, 2^64)")
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+
+    def stream(index: int) -> np.random.Generator:
+        if not 0 <= index < SEED_LIMIT:
+            raise ValidationError("stream index must lie in [0, 2^64)")
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([seed, index], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return np.random.Generator(bits)
+
+    return stream
 
 
 @dataclass(frozen=True)
@@ -68,8 +105,8 @@ class ShotPlan:
     generator: str = GENERATOR
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValidationError("seed must lie in [0, 2^64)")
         counts = tuple(int(c) for c in self.counts)
         if not counts or any(c < 1 for c in counts):
             raise ValidationError("every group needs at least one shot")
@@ -215,7 +252,7 @@ def sample_group(state, group, n_shots: int, seed: int, group_index: int = 0):
         raise ValidationError("need at least one shot")
     strings = _strip_coefficients(group)
     probs, values = _group_model(state, strings)
-    counts = _rng(seed, group_index).multinomial(n_shots, _normalized_probs(probs))
+    counts = _streams(seed)(group_index).multinomial(n_shots, _normalized_probs(probs))
     out = []
     for row in values:
         mean = float(row @ counts) / n_shots
@@ -231,19 +268,27 @@ def sample_group(state, group, n_shots: int, seed: int, group_index: int = 0):
 # measurement recipes: matrix entries as linear combinations of expectations
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MeasurementJob:
-    """One preparable state and the strings measured on it."""
+    """One preparable state and the strings measured on it.
+
+    The job keeps a read-only copy of the amplitudes, so nothing computed
+    from it can go stale.
+    """
 
     state: Statevector
     strings: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "strings", tuple(self.strings))
         for p in self.strings:
             if p.num_qubits != self.state.num_qubits:
                 raise ValidationError("string width does not match the register")
             if p.x == 0 and p.z == 0:
                 raise ValidationError("identity belongs in the constant part")
+        amps = self.state.amplitudes.copy()
+        amps.setflags(write=False)
+        object.__setattr__(self, "state", Statevector(self.state.num_qubits, amps))
 
 
 @dataclass(frozen=True)
@@ -254,20 +299,28 @@ class EntryPlan:
     terms: tuple  # ((job, string index, coeff), ...)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ExpectationRecipe:
     """Measurement plan for a subspace pair (H, S).
 
     entries maps ("h" | "s", i, j) with i <= j to an EntryPlan; the lower
     triangle is the conjugate by construction and is never measured twice.
+    The recipe is frozen and `entries` is a read-only mapping, so the
+    per-mode sampling data compiled from it stays valid for its lifetime.
     """
 
     size: int
     jobs: tuple
     entries: dict
     provenance: dict = field(default_factory=dict)
+    # kind -> (entry positions, rows, columns), for assembling matrices
+    _layout: dict = field(default_factory=dict, init=False, repr=False)
+    # grouping mode -> _Compiled, filled on first use
+    _compiled: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "jobs", tuple(self.jobs))
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         if self.size < 1:
             raise ValidationError("need at least a 1x1 subspace")
         for (kind, i, j), plan in self.entries.items():
@@ -278,6 +331,9 @@ class ExpectationRecipe:
                     raise ValidationError("entry references a missing job")
                 if not 0 <= k < len(self.jobs[job].strings):
                     raise ValidationError("entry references a missing string")
+        for kind in ("h", "s"):
+            picked = [(d, i, j) for d, (k, i, j) in enumerate(self.entries) if k == kind]
+            self._layout[kind] = tuple(np.array(picked, dtype=int).reshape(-1, 3).T)
 
 
 @dataclass(frozen=True)
@@ -288,18 +344,48 @@ class MeasurementGroup:
     members: tuple
 
 
-def measurement_groups(recipe: ExpectationRecipe, mode: str = "qubitwise"):
-    """Deterministic partition of every job's strings into commuting groups."""
+@dataclass(frozen=True, eq=False)
+class _GroupTable:
+    """Seed-independent sampling data of one group that entries read."""
+
+    rows: np.ndarray  # indices of the entries that read the group
+    cmat: np.ndarray  # (rows, members) complex coefficients
+    probs: np.ndarray  # normalized outcome probabilities
+    values: np.ndarray  # (members, outcomes) int8 +-1 value table
+
+
+@dataclass(eq=False)
+class _Compiled:
+    """One recipe under one grouping mode: the groups, then on first
+    sampling one _GroupTable per group (None where no entry reads it)."""
+
+    groups: tuple
+    tables: tuple | None = None
+
+
+def _partition(recipe: ExpectationRecipe, mode: str) -> tuple:
     groups = []
     for j, job in enumerate(recipe.jobs):
         if not job.strings:
             continue
         unit = pauli_sum(job.state.num_qubits, [(1.0, s) for s in job.strings])
-        if unit.strings != tuple(job.strings):
+        if unit.strings != job.strings:
             raise ValidationError("job strings must be distinct and letter-sorted")
         for members in group_commuting(unit, mode).groups:
             groups.append(MeasurementGroup(j, tuple(sorted(members))))
     return tuple(groups)
+
+
+def _compile(recipe: ExpectationRecipe, mode: str) -> _Compiled:
+    compiled = recipe._compiled.get(mode)
+    if compiled is None:
+        compiled = recipe._compiled[mode] = _Compiled(_partition(recipe, mode))
+    return compiled
+
+
+def measurement_groups(recipe: ExpectationRecipe, mode: str = "qubitwise"):
+    """Deterministic partition of every job's strings into commuting groups."""
+    return _compile(recipe, mode).groups
 
 
 def _entry_blocks(recipe: ExpectationRecipe, groups):
@@ -327,13 +413,46 @@ def _entry_blocks(recipe: ExpectationRecipe, groups):
     ]
 
 
+def _group_tables(recipe: ExpectationRecipe, mode: str) -> tuple:
+    compiled = _compile(recipe, mode)
+    if compiled.tables is None:
+        tables = []
+        for group, (rows, cmat) in zip(
+            compiled.groups, _entry_blocks(recipe, compiled.groups)
+        ):
+            if rows.size == 0:
+                tables.append(None)
+                continue
+            job = recipe.jobs[group.job]
+            probs, values = _group_model(job.state, [job.strings[k] for k in group.members])
+            tables.append(
+                _GroupTable(rows, cmat, _normalized_probs(probs), values.astype(np.int8))
+            )
+        compiled.tables = tuple(tables)
+    return compiled.tables
+
+
+def _sample_moments(table: _GroupTable, n: int, rng: np.random.Generator):
+    """Mean of each read entry's contribution over n shots, and its
+    single-shot variance (None for a single shot)."""
+    counts = rng.multinomial(n, table.probs)
+    per_shot = table.cmat @ table.values.astype(complex)  # (rows, outcomes)
+    mean = per_shot @ counts / n
+    if n == 1:
+        return mean, None
+    second = (np.abs(per_shot) ** 2) @ counts / n
+    var1 = (second - np.abs(mean) ** 2) * n / (n - 1)
+    return mean, np.maximum(var1.real, 0.0)
+
+
 def _assemble(recipe: ExpectationRecipe, values, stds=None):
     n = recipe.size
-    mats = {"h": np.zeros((n, n), dtype=complex), "s": np.zeros((n, n), dtype=complex)}
-    smats = {"h": np.zeros((n, n)), "s": np.zeros((n, n))}
-    for d, (kind, i, j) in enumerate(recipe.entries.keys()):
+    mats, smats = {}, {}
+    for kind, (d, i, j) in recipe._layout.items():
+        mats[kind] = np.zeros((n, n), dtype=complex)
         mats[kind][i, j] = values[d]
         mats[kind][j, i] = np.conj(values[d])
+        smats[kind] = np.zeros((n, n))
         if stds is not None:
             smats[kind][i, j] = smats[kind][j, i] = stds[d]
     if stds is None:
@@ -372,28 +491,22 @@ def pilot_variances(
 ) -> np.ndarray:
     """Single-shot variance of each entry's contribution from each group.
 
-    Pilot streams are keyed (seed, len(groups) + f) so they never collide
-    with the production streams of the same seed.
+    groups must be `measurement_groups(recipe, mode)` for some mode.  Pilot
+    streams are keyed (seed, len(groups) + f) so they never collide with
+    the production streams of the same seed.
     """
     if pilot_shots < 2:
         raise ValidationError("pilot needs at least two shots")
-    blocks = _entry_blocks(recipe, groups)
+    groups = tuple(groups)
+    mode = next((m for m, c in recipe._compiled.items() if c.groups == groups), None)
+    if mode is None:
+        raise ValidationError("groups must come from measurement_groups on this recipe")
+    stream = _streams(seed)
     out = np.zeros((len(recipe.entries), len(groups)))
-    for f, group in enumerate(groups):
-        rows, cmat = blocks[f]
-        if rows.size == 0:
-            continue
-        job = recipe.jobs[group.job]
-        strings = [job.strings[k] for k in group.members]
-        probs, values = _group_model(job.state, strings)
-        counts = _rng(seed, len(groups) + f).multinomial(
-            pilot_shots, _normalized_probs(probs)
-        )
-        per_shot = cmat @ values.astype(complex)  # (rows, outcomes)
-        mean = per_shot @ counts / pilot_shots
-        second = (np.abs(per_shot) ** 2) @ counts / pilot_shots
-        var1 = (second - np.abs(mean) ** 2) * pilot_shots / (pilot_shots - 1)
-        out[rows, f] = np.maximum(var1.real, 0.0)
+    for f, table in enumerate(_group_tables(recipe, mode)):
+        if table is not None:
+            _, var1 = _sample_moments(table, pilot_shots, stream(len(groups) + f))
+            out[table.rows, f] = var1
     return out
 
 
@@ -429,10 +542,19 @@ def plan_from_target(
     mode: str = "qubitwise",
     pilot_shots: int = 100,
 ) -> ShotPlan:
-    """Pilot round plus allocation in one step."""
+    """Pilot round plus allocation in one step.
+
+    Every group that some entry reads gets the uniform count M, also when
+    its pilot saw no variance: a finite pilot can miss a rare outcome, and
+    a single shot would leave that group's error out of every entry std.
+    Groups that no entry reads keep one shot.
+    """
     groups = measurement_groups(recipe, mode)
     v = pilot_variances(recipe, groups, seed, pilot_shots)
-    return allocate_shots(groups, v, eps_target, seed=seed, mode=mode)
+    plan = allocate_shots(groups, v, eps_target, seed=seed, mode=mode)
+    m = max(plan.counts)
+    read = _group_tables(recipe, mode)
+    return replace(plan, counts=tuple(1 if t is None else m for t in read))
 
 
 def noisy_subspace(recipe: ExpectationRecipe, plan: ShotPlan) -> SubspaceProblem:
@@ -442,30 +564,22 @@ def noisy_subspace(recipe: ExpectationRecipe, plan: ShotPlan) -> SubspaceProblem
     the SubspaceProblem constructor applies the documented quadrature
     combination on the mirrored stds.
     """
-    groups = measurement_groups(recipe, plan.mode)
-    if len(groups) != len(plan.counts):
+    tables = _group_tables(recipe, plan.mode)
+    if len(tables) != len(plan.counts):
         raise ValidationError(
-            f"plan has {len(plan.counts)} counts for {len(groups)} groups"
+            f"plan has {len(plan.counts)} counts for {len(tables)} groups"
         )
-    blocks = _entry_blocks(recipe, groups)
+    stream = _streams(plan.seed)
     values = np.array([e.const for e in recipe.entries.values()], dtype=complex)
     var_mean = np.zeros(len(recipe.entries))
-    for f, group in enumerate(groups):
-        rows, cmat = blocks[f]
-        if rows.size == 0:
+    for f, table in enumerate(tables):
+        if table is None:
             continue
-        job = recipe.jobs[group.job]
-        strings = [job.strings[k] for k in group.members]
-        probs, table = _group_model(job.state, strings)
         n = plan.counts[f]
-        counts = _rng(plan.seed, f).multinomial(n, _normalized_probs(probs))
-        per_shot = cmat @ table.astype(complex)
-        mean = per_shot @ counts / n
-        values[rows] += mean
-        if n > 1:
-            second = (np.abs(per_shot) ** 2) @ counts / n
-            var1 = (second - np.abs(mean) ** 2) * n / (n - 1)
-            var_mean[rows] += np.maximum(var1.real, 0.0) / n
+        mean, var1 = _sample_moments(table, n, stream(f))
+        values[table.rows] += mean
+        if var1 is not None:
+            var_mean[table.rows] += var1 / n
     prob = _assemble(recipe, values, np.sqrt(var_mean))
     prob.provenance["shots"] = plan.to_dict()
     return prob

@@ -59,6 +59,17 @@ class TestReports:
         assert code == 0
         assert report["result"]["eigenvalues"] == golden["eigenvalues"]
 
+    def test_sampled_runs_match_committed_golden_bit_for_bit(self, tmp_path):
+        golden = json.loads(
+            (pathlib.Path(__file__).resolve().parent / "golden" / "sampled_h2_sto3g.json").read_text()
+        )
+        assert len(golden["runs"]) == 2
+        for k, run in enumerate(golden["runs"]):
+            code, report, _ = run_cli(tmp_path / str(k), *run["args"], "--input", H2)
+            assert code == 0
+            assert report["result"] == run["result"]
+            assert report["shots"] == run["shots"]
+
     def test_report_validates_against_shipped_schema(self, tmp_path):
         code, report, _ = run_cli(tmp_path, "fci", "--input", H2)
         assert code == 0
@@ -311,6 +322,22 @@ class TestExitCodes:
     def test_shots_and_eps_target_conflict(self, capsys):
         code = main(["qse", "--input", H2, "--shots", "10", "--eps-target", "0.1"])
         assert code == 2
+
+    @pytest.mark.parametrize("budget", [["--shots", "100"], ["--eps-target", "0.1"]])
+    def test_seed_beyond_64_bits_is_validation(self, tmp_path, capsys, budget):
+        code, _, _ = run_cli(tmp_path, "qse", "--input", H2, *budget,
+                             "--seed", str(2**64))
+        assert code == 2
+        err = error_payload(capsys)
+        assert err["exit_code"] == 2
+        assert "seed" in err["message"]
+
+    def test_largest_64_bit_seed_runs(self, tmp_path):
+        code, report, _ = run_cli(tmp_path, "qse", "--input", H2, "--shots", "100",
+                                  "--seed", str(2**64 - 1))
+        assert code == 0
+        assert report["seed"] == report["shots"]["seed"] == 2**64 - 1
+        VALIDATOR.validate(report)
 
     def test_capacity_cap_is_exit_3(self, capsys):
         assert main(["power-krylov", "--input", H2, "--n", "50"]) == 3

@@ -198,6 +198,31 @@ def test_grouping_partitions_and_commutes(h2):
     assert coarse <= fine
 
 
+def _pairwise_insertion(h, compatible):
+    """Reference greedy sorted insertion that checks every group member."""
+    order = sorted(range(len(h)), key=lambda i: (-abs(h.coeffs[i]), i))
+    groups = []
+    for i in order:
+        for g in groups:
+            if all(compatible(h.strings[i], h.strings[j]) for j in g):
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    return tuple(tuple(g) for g in groups)
+
+
+def test_qubitwise_grouping_matches_pairwise_insertion(h4_toy):
+    rng = np.random.default_rng(5)
+    sums = [jordan_wigner(h4_toy)]
+    for nq in (3, 6):
+        words = ["".join(rng.choice(list("IXYZ"), nq)) for _ in range(150)]
+        sums.append(pauli_sum(nq, [(rng.normal(), w) for w in words]))
+    for h in sums:
+        want = _pairwise_insertion(h, qubitwise_commutes)
+        assert group_commuting(h, mode="qubitwise").groups == want
+
+
 def test_grouping_visits_largest_first():
     h = pauli_sum(2, [(0.1, "XX"), (3.0, "ZZ"), (0.5, "ZI")])
     grouping = group_commuting(h, mode="qubitwise")

@@ -1,5 +1,6 @@
 """Sampling noise model: group measurement, shot allocation, noisy subspaces."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,8 @@ from qsubspace.fock import (
 )
 from qsubspace.geev import default_threshold, eigenvalue_std, solve
 from qsubspace.quantum import QfdGrid, qfd_build, qfd_recipe, qse_build, qse_recipe
-from qsubspace.qubits import PauliString, jordan_wigner, pauli_sum
+from qsubspace import shots
+from qsubspace.qubits import PauliString, group_commuting, jordan_wigner, pauli_sum
 from qsubspace.shots import (
     GENERATOR,
     ShotPlan,
@@ -157,6 +159,24 @@ class TestSampleGroup:
         ratio = np.mean(reported) / np.std(means)
         assert 0.8 <= ratio <= 1.2
 
+    def test_rekeyed_streams_match_fresh_philox(self):
+        # each stream starts from a clean state, whatever the last one drew
+        seed = 2**64 - 1
+        stream = shots._streams(seed)
+        for index in (0, 7, 3, 2**64 - 1):
+            key = np.array([seed, index], dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            got = stream(index)
+            assert got.random() == fresh.random()
+            assert np.array_equal(
+                got.multinomial(1000, [0.2, 0.3, 0.5]),
+                fresh.multinomial(1000, [0.2, 0.3, 0.5]),
+            )
+            # leaves half a 64-bit word buffered for the next stream to drop
+            assert got.integers(2**32, dtype=np.uint32) == fresh.integers(2**32, dtype=np.uint32)
+        with pytest.raises(ValidationError):
+            stream(2**64)
+
     def test_non_commuting_group_rejected(self):
         with pytest.raises(ValidationError):
             sample_group(PLUS, [pstr("X"), pstr("Z")], 10, seed=0)
@@ -211,6 +231,9 @@ class TestShotAllocation:
         with pytest.raises(ValidationError):
             ShotPlan(-1, (5,))
         with pytest.raises(ValidationError):
+            ShotPlan(2**64, (5,))
+        assert ShotPlan(2**64 - 1, (5,)).seed == 2**64 - 1
+        with pytest.raises(ValidationError):
             ShotPlan(0, (5,), generator="mersenne")
         plan = ShotPlan(3, (5, 7), eps_target=0.1)
         assert plan.total_shots == 12
@@ -234,6 +257,30 @@ class TestShotAllocation:
             for seed in range(100)
         ]
         assert np.var(energies) <= 2.0 * eps**2
+
+    def test_target_plan_gives_every_read_group_the_uniform_count(self, h4_toy):
+        # the 100-shot pilot sees no variance in groups 0 and 465, which
+        # entries read; a single shot there would leave their error out of
+        # every entry std
+        v0 = basis_vector(h4_toy.sector, reference_configuration(h4_toy))
+        recipe = qfd_recipe(v0, h4_toy, QfdGrid(dt=0.4, n=4))
+        plan = plan_from_target(recipe, 1e-3, seed=0)
+        groups = measurement_groups(recipe)
+        pilot = pilot_variances(recipe, groups, seed=0)
+        assert not pilot[:, 0].any() and not pilot[:, 465].any()
+        read = {(job, k) for e in recipe.entries.values() for job, k, _ in e.terms}
+        m = 9_015_160
+        assert max(plan.counts) == m
+        for f, g in enumerate(groups):
+            is_read = any((g.job, k) in read for k in g.members)
+            assert plan.counts[f] == (m if is_read else 1)
+        assert plan.counts[0] == plan.counts[465] == m
+
+    def test_pilot_needs_the_recipes_own_groups(self, h2):
+        recipe = operator_recipe(hf_statevector(h2), jordan_wigner(h2))
+        groups = measurement_groups(recipe)
+        with pytest.raises(ValidationError):
+            pilot_variances(recipe, groups[::-1], seed=2)
 
     def test_pilot_variances_are_deterministic(self, h2):
         recipe = operator_recipe(hf_statevector(h2), jordan_wigner(h2))
@@ -294,6 +341,38 @@ class TestRecipes:
             assert members == list(range(len(job.strings)))
         full = measurement_groups(recipe, mode="full")
         assert len(full) <= len(groups)
+
+    def test_recipe_is_frozen(self, h2):
+        recipe = qse_recipe(hf_statevector(h2), h2, level="S")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            recipe.size = 2
+        with pytest.raises(TypeError):
+            recipe.entries[("h", 0, 0)] = recipe.entries[("s", 0, 0)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            recipe.jobs[0].strings = ()
+        with pytest.raises(ValueError):
+            recipe.jobs[0].state.amplitudes[0] = 0.0
+
+    def test_grouping_runs_once_per_recipe_and_mode(self, h2, monkeypatch):
+        calls = []
+
+        def counted(h, mode="qubitwise"):
+            calls.append(mode)
+            return group_commuting(h, mode)
+
+        monkeypatch.setattr(shots, "group_commuting", counted)
+        recipe = qse_recipe(hf_statevector(h2), h2, level="SD")
+        groups = measurement_groups(recipe)
+        assert measurement_groups(recipe) is groups
+        plan = plan_from_target(recipe, 0.05, seed=1)
+        first = noisy_subspace(recipe, plan)
+        again = noisy_subspace(recipe, plan)
+        assert np.array_equal(first.hmat, again.hmat)
+        assert np.array_equal(first.smat_std, again.smat_std)
+        assert calls == ["qubitwise"] * len(recipe.jobs)
+        full = measurement_groups(recipe, mode="full")
+        noisy_subspace(recipe, ShotPlan(1, (10,) * len(full), mode="full"))
+        assert calls.count("full") == len(recipe.jobs)
 
     def test_operator_recipe_exact_value(self, h3_plus):
         state = hf_statevector(h3_plus)
