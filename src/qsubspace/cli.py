@@ -525,7 +525,10 @@ def _build_problem(cfg: RunConfig, ints: MolecularIntegrals):
 
 
 def _bound_value(cfg: RunConfig, ints: MolecularIntegrals, prob, report: dict):
-    """The sweep bound column; None when no bound applies."""
+    """The sweep bound column; None when no bound applies. Sampled rows get
+    the arctangent perturbation bound, whatever the method."""
+    if prob.noisy:
+        return report["bounds"].get("arctangent_bound")
     if cfg.method == "lanczos":
         spectrum = exact_eigenpairs(ints, k=ints.sector_dimension)
         return kaniel_paige_saad(ints, spectrum, _reference(ints), cfg.params["n"], mu=0).bound
@@ -533,8 +536,6 @@ def _bound_value(cfg: RunConfig, ints: MolecularIntegrals, prob, report: dict):
         return report["bounds"].get("power_basis_cond_lower_bound")
     if cfg.method == "qfd":
         return epperly_qfd_bound(ints, _reference(ints), cfg.params["n"])["bound"]
-    if prob.noisy:
-        return report["bounds"].get("arctangent_bound")
     return None
 
 

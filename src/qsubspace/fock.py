@@ -7,6 +7,9 @@ words are enumerated lexicographically in (occ_down, occ_up) as integers,
 so the basis index is rank(occ_down) * C(m, n_up) + rank(occ_up). With the
 ascending-product convention the ladder sign on a word is
 (-1)^popcount(word & (2^mode - 1)), for creation and annihilation alike.
+apply_ladders applies any ladder monomial with that rule to whole sector
+vectors (or stacked blocks of them) at once; it is the number-restricted
+counterpart of the Jordan-Wigner image on the full register.
 
 Matrix elements follow the usual excitation-degree rules; the assembled
 sparse matrix is checked against a dense ladder-algebra construction in the
@@ -25,7 +28,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import CapacityError, ValidationError
-from .integrals import MolecularIntegrals
+from .integrals import MolecularIntegrals, cached_per_integrals
 
 _DENSE_CAP = 4096
 _SPARSE_CAP = 65536
@@ -166,7 +169,46 @@ def _bits(word: int, m: int) -> list:
     return [p for p in range(m) if word & (1 << p)]
 
 
-@lru_cache(maxsize=None)
+def apply_ladders(ladders, sector: tuple, amplitudes: np.ndarray):
+    """Apply the ladder monomial L_1 L_2 ... L_k to sector amplitudes.
+
+    ladders holds (mode, create) pairs in product order, so the last pair
+    acts first; create=True is adag_mode and False is a_mode. amplitudes
+    has the sector basis on its last axis: one vector or a stacked block.
+    A component whose occupation forbids a step is killed; the others pick
+    up (-1)^popcount(word & (2^mode - 1)) per step, as in _create and
+    _destroy. The adjoint monomial is the reversed tuple with every create
+    flipped. Returns the target sector and the amplitudes over it.
+    """
+    m, n_up, n_down = sector
+    amplitudes = np.asarray(amplitudes)
+    if amplitudes.shape[-1:] != (sector_dimension(*sector),):
+        raise ValidationError("amplitude length does not match sector")
+    words = sector_word_indices(sector)
+    live = np.ones(words.size, dtype=bool)
+    sign = np.ones(words.size)
+    counts = [n_up, n_down]
+    for mode, create in reversed(ladders):
+        if not 0 <= mode < 2 * m:
+            raise ValidationError("ladder mode outside register")
+        bit = 1 << mode
+        live &= ((words & bit) == 0) == create
+        sign *= 1.0 - 2.0 * (np.bitwise_count(words & (bit - 1)) & 1)
+        words = words ^ bit
+        counts[mode >= m] += 1 if create else -1
+    if not all(0 <= n <= m for n in counts):
+        raise ValidationError(f"ladders take sector {sector} outside 0..{m} per spin")
+    target = (m, *counts)
+    out = np.zeros(
+        amplitudes.shape[:-1] + (sector_dimension(*target),),
+        dtype=np.result_type(amplitudes, float),
+    )
+    dest = np.searchsorted(sector_word_indices(target), words[live])
+    out[..., dest] = amplitudes[..., live] * sign[live]
+    return target, out
+
+
+@cached_per_integrals
 def _sector_matrix(ints: MolecularIntegrals, sector: tuple):
     """Sparse CSR Hamiltonian on the sector basis (real symmetric)."""
     m, n_up, n_down = sector
@@ -292,7 +334,7 @@ def apply_hamiltonian(ints: MolecularIntegrals, v: FockVector) -> FockVector:
     return FockVector(v.sector, mat @ v.amplitudes)
 
 
-@lru_cache(maxsize=None)
+@cached_per_integrals
 def _eigensystem(ints: MolecularIntegrals):
     dim = ints.sector_dimension
     if dim > _DENSE_CAP:
@@ -341,11 +383,3 @@ def evolve_imag(ints: MolecularIntegrals, v: FockVector, tau: float):
         raise ValidationError("propagated vector vanished")
     return FockVector(v.sector, raw / norm), norm
 
-
-def sector_hamiltonian_bytes(ints: MolecularIntegrals) -> bytes:
-    """Row-major complex128 dump of the dense sector Hamiltonian."""
-    dim = ints.sector_dimension
-    if dim > _DENSE_CAP:
-        raise CapacityError(f"dense dump needs dimension <= {_DENSE_CAP}")
-    dense = _sector_matrix(ints, ints.sector).toarray().astype(complex)
-    return np.ascontiguousarray(dense).tobytes()

@@ -14,8 +14,10 @@ nuclear repulsion). The same spatial integrals serve both spins.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +84,27 @@ class MolecularIntegrals:
         return math.comb(self.num_orbitals, self.num_up) * math.comb(
             self.num_orbitals, self.num_down
         )
+
+
+def cached_per_integrals(fn):
+    """Memoize fn(ints, *args) for as long as the integral set lives.
+
+    Results sit in a table keyed weakly by the MolecularIntegrals instance,
+    so dropping the last reference to an integral set frees everything
+    cached for it. Cached values must not refer back to the integrals.
+    """
+    table = weakref.WeakKeyDictionary()
+
+    @functools.wraps(fn)
+    def cached(ints, *args):
+        slot = table.setdefault(ints, {})
+        if args in slot:
+            return slot[args]
+        # threads racing on a first call may each compute; setdefault is
+        # atomic, so they all get the one value stored first
+        return slot.setdefault(args, fn(ints, *args))
+
+    return cached
 
 
 def _assign_eri(g: np.ndarray, p: int, r: int, q: int, s: int, value: float):
@@ -192,18 +215,6 @@ def serialize_fcidump(ints: MolecularIntegrals) -> str:
                 out.append(fmt(ints.one_body[p, r], p + 1, r + 1, 0, 0))
     out.append(fmt(ints.e_nuc, 0, 0, 0, 0))
     return "\n".join(out) + "\n"
-
-
-def integrals_to_json(ints: MolecularIntegrals) -> dict:
-    """Plain-type dump with a stable layout, for golden-file comparisons."""
-    return {
-        "num_orbitals": ints.num_orbitals,
-        "num_up": ints.num_up,
-        "num_down": ints.num_down,
-        "e_nuc": ints.e_nuc,
-        "one_body": ints.one_body.tolist(),
-        "two_body": ints.two_body.tolist(),
-    }
 
 
 def restrict_active_space(ints, core, active) -> MolecularIntegrals:

@@ -1,14 +1,20 @@
 """Measurement-driven subspace builders.
 
-Each builder prepares a family of states by statevector simulation (operator
-pools applied to a reference, real- or imaginary-time snapshots, filtered
-power bases), evaluates overlap and Hamiltonian matrix elements exactly, and
-packages them as a SubspaceProblem for the thresholded eigensolver. Derived
+Each builder prepares a family of states (operator pools applied to a
+reference, real- or imaginary-time snapshots, filtered power bases),
+evaluates overlap and Hamiltonian matrix elements exactly, and packages
+them as a SubspaceProblem for the thresholded eigensolver. Derived
 quantities (excitation energies, convergence bounds, response spectra,
 fast-forwarded states) reuse the same machinery.
 
-All expectation values here use the exact statevector backend, which is the
-correctness reference; the shots module layers a sampling model on top.
+Exact matrix elements are evaluated in the particle-number sector basis:
+pool operators act as ladder monomials on determinant words
+(fock.apply_ladders) and H as the cached sparse sector matrix, so qse_build
+and qeom_build never touch the 2^(2m) register. The statevector backend,
+with Jordan-Wigner images, serves what the qubit picture needs: the
+measurement recipes the shots module samples, the Hadamard-test ancilla of
+qfd_recipe, Trotter steps, QITE rotations and spectral weights of Pauli
+probes.
 """
 
 from __future__ import annotations
@@ -29,10 +35,12 @@ from .errors import (
 from .fock import (
     FockVector,
     apply_hamiltonian,
+    apply_ladders,
     evolve_imag,
     evolve_real,
     exact_eigenpairs,
     sector_dimension,
+    sector_matrix,
 )
 from .fock import inner as fock_inner
 from .geev import GEEVSolution, SubspaceProblem
@@ -50,7 +58,8 @@ from .engine import (
     trotter_step,
 )
 from .shots import EntryPlan, ExpectationRecipe, MeasurementJob
-# pool_size^2 * Pauli terms of H; expansion-based builders refuse past this
+# qse work cap: pool_size^2 * sector dimension for qse_build (its Gram
+# matrices), pool_size^2 * Pauli terms of H for qse_recipe
 _QSE_BUDGET = 50_000_000
 
 # pool vectors with smaller norm on the reference are metric null directions
@@ -99,24 +108,36 @@ class ExcitationOperator:
             if s != t and (s, t) != (0, 1):
                 raise ValidationError("opposite-spin double fixes spins (0, 1)")
 
-    def to_pauli(self) -> PauliSum:
-        """Qubit image on 2m qubits (up modes 0..m-1, down modes m..2m-1)."""
+    @property
+    def ladders(self) -> tuple:
+        """(mode, create) factors in product order; up modes are 0..m-1 and
+        down modes m..2m-1."""
         m = self.num_orbitals
-        nq = 2 * m
         if self.kind == "identity":
-            return identity_sum(nq)
+            return ()
         if self.kind == "single":
             a, i = self.orbitals
             (s,) = self.spins
-            return jw_ladder(a + s * m, nq, True) * jw_ladder(i + s * m, nq, False)
+            return ((a + s * m, True), (i + s * m, False))
         a, b, i, j = self.orbitals
         s, t = self.spins
-        return (
-            jw_ladder(a + s * m, nq, True)
-            * jw_ladder(b + t * m, nq, True)
-            * jw_ladder(j + t * m, nq, False)
-            * jw_ladder(i + s * m, nq, False)
-        )
+        return ((a + s * m, True), (b + t * m, True), (j + t * m, False), (i + s * m, False))
+
+    def to_pauli(self) -> PauliSum:
+        """Qubit image on 2m qubits: the product of the ladders' images."""
+        nq = 2 * self.num_orbitals
+        factors = [jw_ladder(mode, nq, create) for mode, create in self.ladders]
+        if not factors:
+            return identity_sum(nq)
+        image = factors[0]
+        for factor in factors[1:]:
+            image = image * factor
+        return image
+
+
+def _adjoint(ladders: tuple) -> tuple:
+    """Ladders of the adjoint monomial."""
+    return tuple((mode, not create) for mode, create in reversed(ladders))
 
 
 def single_excitations(num_orbitals: int, include_diagonal: bool = True) -> list:
@@ -177,11 +198,12 @@ def qeom_pool(num_orbitals: int) -> list:
 # expansion subspaces on a reference state
 
 
-def _sector_reference(state: Statevector, ints: MolecularIntegrals) -> Statevector:
+def _sector_reference(state: Statevector, ints: MolecularIntegrals) -> FockVector:
+    """The reference's normalized amplitudes on the sector basis; raises on
+    sector leakage."""
     if state.num_qubits != 2 * ints.num_orbitals:
         raise ValidationError("state register does not match the orbital count")
-    fock_from_statevector(state, ints.sector)  # raises on sector leakage
-    return state.normalized()
+    return fock_from_statevector(state, ints.sector).normalized()
 
 
 def qse_build(
@@ -193,22 +215,23 @@ def qse_build(
     """Subspace over pool states O_a |Phi>.
 
     S_ab = <Phi| O_a^+ O_b |Phi> and H_ab = <Phi| O_a^+ H O_b |Phi>,
-    evaluated by applying the qubit images of the pool operators and the
-    Hamiltonian to the reference statevector.
+    evaluated on the sector basis: the pool operators act as ladder
+    monomials on the reference's determinant amplitudes and H as the sparse
+    sector matrix. The budget caps the Gram work, pool size^2 x sector
+    dimension.
     """
     phi = _sector_reference(state, ints)
     pool = qse_pool(ints.num_orbitals, level)
-    ham = jordan_wigner(ints)
-    cost = len(pool) ** 2 * len(ham)
+    cost = len(pool) ** 2 * ints.sector_dimension
     if cost > budget:
         raise CapacityError(
-            f"pool^2 x Pauli terms = {cost} exceeds the budget {budget}"
+            f"pool^2 x sector dimension = {cost} exceeds the budget {budget}"
         )
-    states = [apply_pauli_sum(op.to_pauli(), phi) for op in pool]
-    basis = np.stack([s.amplitudes for s in states])
-    images = np.stack([apply_pauli_sum(ham, s).amplitudes for s in states])
+    basis = np.stack(
+        [apply_ladders(op.ladders, phi.sector, phi.amplitudes)[1] for op in pool]
+    )
     smat = basis.conj() @ basis.T
-    hmat = basis.conj() @ images.T
+    hmat = basis.conj() @ (sector_matrix(ints) @ basis.T)
     provenance = {
         "method": "qse",
         "level": str(level).upper(),
@@ -229,7 +252,8 @@ def qse_recipe(
     reference state; conjugate entries share the same estimates, so only
     the i <= j triangle is planned.
     """
-    phi = _sector_reference(state, ints)
+    _sector_reference(state, ints)  # register and sector checks
+    phi = state.normalized()
     pool = qse_pool(ints.num_orbitals, level)
     ham = jordan_wigner(ints)
     cost = len(pool) ** 2 * len(ham)
@@ -387,35 +411,33 @@ def qeom_build(
     dropped before solving.
 
     Returns (EomBlocks, excitation energies); diagnostics (pairing, metric
-    conditioning, imaginary residue) land in blocks.report.
+    conditioning, imaginary residue) land in blocks.report. All states are
+    evaluated on the sector basis, as in qse_build.
     """
     phi = _sector_reference(state, ints)
     if pool is None:
         pool = qeom_pool(ints.num_orbitals)
     if not pool:
         raise ValidationError("empty excitation pool")
-    ham = jordan_wigner(ints)
-    kept, paulis, excite, deexcite = [], [], [], []
+    ham = sector_matrix(ints)
+    # rows: Phi and H Phi, so each monomial gives F Phi and F H Phi at once
+    pair = np.stack([phi.amplitudes, ham @ phi.amplitudes])
+    kept, up, down = [], [], []
     for op in pool:
-        f = op.to_pauli()
-        a = apply_pauli_sum(f, phi)
-        if a.norm() < _NULL_OP:
+        f_pair = apply_ladders(op.ladders, phi.sector, pair)[1]
+        if np.linalg.norm(f_pair[0]) < _NULL_OP:
             continue
         kept.append(op)
-        paulis.append(f)
-        excite.append(a)
-        deexcite.append(apply_pauli_sum(f.dagger(), phi))
+        up.append(f_pair)
+        down.append(apply_ladders(_adjoint(op.ladders), phi.sector, pair)[1])
     dropped = len(pool) - len(kept)
     if not kept:
         raise DataError("every pool operator annihilates the reference")
 
-    hphi = apply_pauli_sum(ham, phi)
-    amat = np.stack([s.amplitudes for s in excite])
-    cmat = np.stack([s.amplitudes for s in deexcite])
-    hamat = np.stack([apply_pauli_sum(ham, s).amplitudes for s in excite])
-    hcmat = np.stack([apply_pauli_sum(ham, s).amplitudes for s in deexcite])
-    fhmat = np.stack([apply_pauli_sum(f, hphi).amplitudes for f in paulis])
-    fdhmat = np.stack([apply_pauli_sum(f.dagger(), hphi).amplitudes for f in paulis])
+    amat, fhmat = np.stack(up, axis=1)
+    cmat, fdhmat = np.stack(down, axis=1)
+    hamat = (ham @ amat.T).T
+    hcmat = (ham @ cmat.T).T
 
     def gram(x, y):
         return x.conj() @ y.T

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapacityError, ParseError, ValidationError
-from .integrals import MolecularIntegrals
+from .integrals import MolecularIntegrals, cached_per_integrals
 
 _PRUNE = 1e-14
 _DENSE_QUBITS = 12
@@ -257,7 +256,7 @@ def _ladder_terms(mode: int, num_qubits: int, create: bool):
     return list(jw_ladder(mode, num_qubits, create).terms())
 
 
-@lru_cache(maxsize=None)
+@cached_per_integrals
 def jordan_wigner(ints: MolecularIntegrals) -> PauliSum:
     """Qubit image of the full electronic Hamiltonian on 2m qubits."""
     m = ints.num_orbitals

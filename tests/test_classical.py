@@ -231,12 +231,15 @@ def test_davidson_multiple_roots(h3_plus):
         assert np.isclose(rq, evals[i], atol=1e-7)
 
 
-def test_davidson_restart_path(h4_toy):
-    # k=1 caps the search space at 8 columns; convergence needs more
-    # expansions than that, so at least one restart happens.
-    result = davidson(h4_toy, k=1, tol=1e-9, max_iter=100)
+def test_davidson_restart_path():
+    # k=1 caps the search space at 8 columns: iteration i holds i + 1 of
+    # them, and an unconverged iteration 7 restarts. Converging at iteration
+    # 8 or later therefore passes through at least one restart.
+    ints = stretched_molecule(1.0)
+    result = davidson(ints, k=1, tol=1e-9, max_iter=100)
+    assert result.num_iterations >= 8
     assert result.eigenvalues.size == 1
-    assert abs(result.eigenvalues[0] - exact_eigenpairs(h4_toy).eigenvalues[0]) < 1e-7
+    assert abs(result.eigenvalues[0] - exact_eigenpairs(ints).eigenvalues[0]) < 1e-7
 
 
 def stretched_molecule(stretch, m=7, n_up=3, n_down=3):

@@ -417,3 +417,26 @@ class TestSweeps:
         assert code == 0
         VALIDATOR.validate(report)
         assert report["result"]["axis"] == "eps"
+
+    def test_sampled_qfd_sweep_bound_is_the_arctangent_bound(self, tmp_path):
+        # a sampled row's bound column describes that noisy run: the
+        # arctangent bound of the same point run alone, not the exact-path
+        # filter bound
+        shots = ("200", "5000")
+        code, _, out = run_cli(
+            tmp_path / "sweep", "qfd", "--input", H2, "--n", "3", "--seed", "3",
+            "--sweep", "shots=" + ",".join(shots),
+        )
+        assert code == 0
+        rows = read_rows(out / "sweep.csv")
+        assert len(rows) == len(shots)
+        for count, row in zip(shots, rows):
+            code, report, _ = run_cli(
+                tmp_path / count, "qfd", "--input", H2, "--n", "3", "--seed", "3",
+                "--shots", count,
+            )
+            assert code == 0
+            alone = report["result"]["bounds"]["arctangent_bound"]
+            assert alone is not None
+            assert float(row["bound"]) == alone
+            assert float(row["energy"]) == report["result"]["ground_energy"]

@@ -1,5 +1,8 @@
 """Configuration bases and sparse sector Hamiltonians vs dense ladder algebra."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from qsubspace.fock import (
     Configuration,
     FockVector,
     apply_hamiltonian,
+    apply_ladders,
     basis_vector,
     configuration_index,
     enumerate_configurations,
@@ -23,6 +27,7 @@ from qsubspace.fock import (
     sector_matrix,
 )
 from qsubspace.integrals import MolecularIntegrals
+from qsubspace.qubits import jordan_wigner
 
 
 def test_enumeration_order_two_orbitals():
@@ -177,3 +182,52 @@ def test_inner_product_and_sector_guard(h2):
 def test_configuration_validation():
     with pytest.raises(ValidationError):
         Configuration(2, 4, 0)
+
+
+@pytest.mark.parametrize(
+    "sector,ladders",
+    [
+        ((3, 1, 1), ((2, True), (0, False))),  # hop within the up spin
+        ((3, 1, 1), ((4, False),)),  # removes a down electron
+        ((3, 2, 1), ((1, True), (5, True), (3, False), (0, False))),
+        ((3, 1, 2), ((0, True), (0, False), (4, True))),  # kills most words
+        ((3, 1, 1), ((1, True), (1, True))),  # adag adag = 0
+    ],
+)
+def test_apply_ladders_matches_dense_ladder_products(sector, ladders):
+    m = sector[0]
+    rng = np.random.default_rng(11)
+    dim = sector_dimension(*sector)
+    block = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+    target, got = apply_ladders(ladders, sector, block)
+    dense = np.eye(1 << (2 * m))
+    for mode, create in ladders:
+        cre = oracles.ladder_matrix(mode, 2 * m)
+        dense = dense @ (cre if create else cre.T)
+    rows = oracles.sector_words(*target)
+    cols = oracles.sector_words(*sector)
+    want = block @ dense[np.ix_(rows, cols)].T
+    assert got.shape == (2, len(rows))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_apply_ladders_rejects_empty_targets():
+    amp = np.ones(sector_dimension(2, 2, 0))
+    with pytest.raises(ValidationError):
+        apply_ladders(((0, True),), (2, 2, 0), amp)
+    with pytest.raises(ValidationError):
+        apply_ladders(((4, True),), (2, 1, 0), np.ones(2))
+    with pytest.raises(ValidationError):
+        apply_ladders((), (2, 1, 0), np.ones(3))
+
+
+def test_caches_die_with_their_integrals():
+    ints = load_integrals("h2_sto3g")
+    mat = sector_matrix(ints)
+    assert sector_matrix(ints) is mat
+    exact_eigenpairs(ints, k=1)
+    assert jordan_wigner(ints) is jordan_wigner(ints)
+    alive = weakref.ref(ints)
+    del ints
+    gc.collect()
+    assert alive() is None

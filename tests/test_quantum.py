@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import qsubspace.quantum as quantum_module
 from conftest import load_integrals
-from oracles import dense_pauli_sum, imaginary_evolve_dense, sector_hamiltonian
+from oracles import (
+    dense_pauli_sum,
+    full_hamiltonian,
+    imaginary_evolve_dense,
+    ladder_matrix,
+    sector_hamiltonian,
+    sector_words,
+)
 from qsubspace.classical import power_krylov
 from qsubspace.engine import (
     Statevector,
@@ -23,12 +31,14 @@ from qsubspace.errors import (
 )
 from qsubspace.fock import (
     FockVector,
+    apply_ladders,
     basis_vector,
     evolve_imag,
     evolve_real,
     exact_eigenpairs,
     reference_configuration,
     sector_dimension,
+    sector_word_indices,
 )
 from qsubspace.geev import SubspaceProblem, solve
 from qsubspace.integrals import MolecularIntegrals
@@ -144,6 +154,84 @@ class TestQse:
         assert prob.provenance["method"] == "qse"
         sol = solve(prob, eps=1e-10)
         assert np.all(np.isfinite(sol.eigenvalues))
+
+
+def dense_monomial(op, num_modes):
+    """Dense matrix of an excitation operator, from its kind, orbitals and
+    spins: adag_{a s} a_{i s}, or adag_{a s} adag_{b t} a_{j t} a_{i s}."""
+    m = op.num_orbitals
+    cre = lambda p, s: ladder_matrix(p + s * m, num_modes)  # noqa: E731
+    if op.kind == "identity":
+        return np.eye(1 << num_modes)
+    if op.kind == "single":
+        (a, i), (s,) = op.orbitals, op.spins
+        return cre(a, s) @ cre(i, s).T
+    (a, b, i, j), (s, t) = op.orbitals, op.spins
+    return cre(a, s) @ cre(b, t) @ cre(j, t).T @ cre(i, s).T
+
+
+class TestSectorPath:
+    @pytest.mark.parametrize("name", ["h2_sto3g", "h3_plus", "h4_toy"])
+    def test_ladders_match_pauli_images_on_the_sector(self, name):
+        ints = load_integrals(name)
+        sector = ints.sector
+        states = [random_vector(ints, seed, offset=0.0) for seed in (1, 2)]
+        inside = sector_word_indices(sector)
+        full = np.arange(1 << (2 * ints.num_orbitals))
+        for op in qse_pool(ints.num_orbitals, "SD"):
+            image = op.to_pauli()
+            adjoint = tuple((mode, not create) for mode, create in reversed(op.ladders))
+            for ladders, pauli in ((op.ladders, image), (adjoint, image.dagger())):
+                for v in states:
+                    out_sector, got = apply_ladders(ladders, sector, v.amplitudes)
+                    assert out_sector == sector
+                    want = apply_pauli_sum(pauli, statevector_from_fock(v)).amplitudes
+                    assert np.max(np.abs(got - want[inside])) <= 1e-14
+                    # what the Pauli image puts outside the sector is roundoff
+                    assert np.max(np.abs(want[~np.isin(full, inside)])) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["h3_plus", "heh_like"])
+    def test_qeom_blocks_match_dense_commutators(self, name):
+        ints = load_integrals(name)
+        m = ints.num_orbitals
+        nmodes = 2 * m
+        ham = full_hamiltonian(ints.e_nuc, ints.one_body, ints.two_body)
+        words = sector_words(m, ints.num_up, ints.num_down)
+        _, vecs = np.linalg.eigh(ham[np.ix_(words, words)])
+        ref = np.zeros(1 << nmodes, dtype=complex)
+        ref[words] = vecs[:, 0]
+        blocks, _ = qeom_build(Statevector(nmodes, ref), ints)
+        assert blocks.dropped == 0
+        ops = [dense_monomial(op, nmodes) for op in blocks.pool]
+
+        def bracket(a, b):
+            return a @ b - b @ a
+
+        def mean(mat):
+            return complex(np.vdot(ref, mat @ ref))
+
+        want = {name: np.empty((len(ops), len(ops)), dtype=complex) for name in "MQVW"}
+        for i, fi in enumerate(ops):
+            for j, fj in enumerate(ops):
+                want["V"][i, j] = mean(bracket(fi.T, fj))
+                want["W"][i, j] = -mean(bracket(fi.T, fj.T))
+                want["M"][i, j] = mean(bracket(fi.T, bracket(ham, fj)))
+                want["Q"][i, j] = -mean(bracket(fi.T, bracket(ham, fj.T)))
+        for key, got in (
+            ("M", blocks.mmat), ("Q", blocks.qmat), ("V", blocks.vmat), ("W", blocks.wmat)
+        ):
+            assert np.max(np.abs(got - want[key])) <= 1e-12, key
+
+    def test_expansion_builders_stay_off_the_qubit_register(self, h3_plus, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("qubit-register path used")
+
+        monkeypatch.setattr(quantum_module, "jordan_wigner", refuse)
+        monkeypatch.setattr(quantum_module, "apply_pauli_sum", refuse)
+        state = statevector_from_fock(exact_eigenpairs(h3_plus, k=1).eigenvectors[0])
+        qse_build(state, h3_plus, level="SD")
+        qeom_build(state, h3_plus)
+        qeom_build(state, h3_plus, tda=True)
 
 
 class TestQeom:
