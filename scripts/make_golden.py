@@ -5,8 +5,11 @@ stores the eigenvalue list, after checking it against the independent
 dense-algebra oracle used by the test suite. It also runs two seeded
 sampled methods on the same fixture and stores the `result` and `shots`
 sections of their reports (the config echo holds the output path, which
-varies between runs). The committed files pin the exact floating-point
-output, so any platform or code drift shows up as a bit-level mismatch.
+varies between runs). Finally it runs every method once with its defaults,
+two non-default variants and one sweep per axis, and stores their `result`
+sections and sweep.csv rows. The committed files pin the exact
+floating-point output, so any platform or code drift shows up as a
+bit-level mismatch.
 Run from the repository root:
 
     python scripts/make_golden.py
@@ -14,6 +17,7 @@ Run from the repository root:
 
 from __future__ import annotations
 
+import csv
 import json
 import pathlib
 import sys
@@ -36,18 +40,49 @@ SAMPLED_RUNS = (
     ("qfd", "--shots", "2048", "--seed", "7"),
     ("qse", "--level", "S", "--shots", "10000", "--seed", "7"),
 )
+METHODS_OUT = ROOT / "tests" / "golden" / "methods_h2_sto3g.json"
+# qeom --tda is not pinned here; tests/test_cli.py checks its gaps against
+# the full pencil. qlanczos --mode qite runs at n=2: at the default n=4 its
+# overlap is indefinite on this fixture (exit 5)
+METHOD_RUNS = (
+    ("fci",),
+    ("lanczos",),
+    ("davidson",),
+    ("power-krylov",),
+    ("chebyshev",),
+    ("gaussian-power",),
+    ("qse",),
+    ("qeom",),
+    ("qfd",),
+    ("qlanczos",),
+    ("spectrum",),
+    ("fastforward",),
+    ("qlanczos", "--mode", "qite", "--n", "2"),
+    ("spectrum", "--op", "ham", "--omega-points", "5"),
+    ("lanczos", "--sweep", "n=1,2,3"),
+    ("qfd", "--sweep", "dt=0.2,0.4,0.8"),
+    ("power-krylov", "--sweep", "eps=1e-12,1e-6,1e-2"),
+    ("qfd", "--sweep", "shots=500,2000", "--seed", "3"),
+)
 
 
 def run_report(args):
+    """The parsed result.json of one run, and its sweep.csv rows or None."""
     with tempfile.TemporaryDirectory() as tmp:
         code = main([*args, "--input", str(FIXTURE), "--out", tmp])
         if code != 0:
             raise SystemExit(f"{args[0]} run failed with exit code {code}")
-        return json.loads((pathlib.Path(tmp) / "result.json").read_text())
+        out = pathlib.Path(tmp)
+        report = json.loads((out / "result.json").read_text())
+        rows = None
+        if (out / "sweep.csv").exists():
+            with (out / "sweep.csv").open(newline="") as handle:
+                rows = list(csv.reader(handle))
+        return report, rows
 
 
 def build():
-    eigenvalues = run_report(["fci"])["result"]["eigenvalues"]
+    eigenvalues = run_report(["fci"])[0]["result"]["eigenvalues"]
 
     ints = parse_fcidump(FIXTURE.read_text())
     want, _ = sector_fci(
@@ -67,12 +102,21 @@ def build():
 
     runs = []
     for args in SAMPLED_RUNS:
-        report = run_report(list(args))
+        report, _ = run_report(list(args))
         runs.append({"args": list(args), "result": report["result"], "shots": report["shots"]})
     SAMPLED_OUT.write_text(
         json.dumps({"input": FIXTURE.name, "runs": runs}, indent=2) + "\n"
     )
     print(f"wrote {SAMPLED_OUT} ({len(runs)} sampled runs)")
+
+    runs = []
+    for args in METHOD_RUNS:
+        report, rows = run_report(list(args))
+        runs.append({"args": list(args), "result": report["result"], "sweep_csv": rows})
+    METHODS_OUT.write_text(
+        json.dumps({"input": FIXTURE.name, "runs": runs}, indent=2) + "\n"
+    )
+    print(f"wrote {METHODS_OUT} ({len(runs)} runs)")
 
 
 if __name__ == "__main__":

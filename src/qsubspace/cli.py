@@ -5,7 +5,11 @@ Usage::
     qsubspace <method> --input <fcidump> [--config <file>] [flags]
 
 Methods: fci, lanczos, davidson, power-krylov, chebyshev, gaussian-power,
-qse, qeom, qfd, qlanczos, spectrum, fastforward.
+qse, qeom, qfd, qlanczos, spectrum, fastforward. Each is one MethodSpec
+entry of the `_SPECS` table: the parameters it accepts, how it runs, and,
+for the pencils solved by geev.solve, how the pair is built, its
+measurement recipe and its sweep bound. METHODS, the sampled methods and each method's sweep
+axes are read off that table.
 
 Configuration comes from an INI file (sections [run], [params], [shots],
 [sweep]) plus flags; flags win over file values. Unknown keys, unknown
@@ -32,7 +36,8 @@ import json
 import math
 import pathlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -84,21 +89,6 @@ from .shots import (
 
 SCHEMA_VERSION = "qsubspace-result-v1"
 
-METHODS = (
-    "fci",
-    "lanczos",
-    "davidson",
-    "power-krylov",
-    "chebyshev",
-    "gaussian-power",
-    "qse",
-    "qeom",
-    "qfd",
-    "qlanczos",
-    "spectrum",
-    "fastforward",
-)
-
 EXIT_CODES = {
     0: "success",
     1: "input/output failure",
@@ -109,40 +99,7 @@ EXIT_CODES = {
     6: "internal error",
 }
 
-# parameters each method accepts beyond input/out/jobs; strays are rejected
-_METHOD_PARAMS = {
-    "fci": ("k",),
-    "lanczos": ("n", "eps"),
-    "davidson": ("k",),
-    "power-krylov": ("n", "eps"),
-    "chebyshev": ("n", "eps", "bounds"),
-    "gaussian-power": ("n", "eps", "tau"),
-    "qse": ("eps", "level"),
-    "qeom": ("tda",),
-    "qfd": ("n", "dt", "eps", "backend", "substeps"),
-    "qlanczos": ("n", "dtau", "eps", "mode"),
-    "spectrum": ("n", "dt", "eps", "op", "omega_min", "omega_max", "omega_points", "eta"),
-    "fastforward": ("n", "dt", "eps", "time"),
-}
-
-_SHOT_METHODS = ("qse", "qfd")
-
-_GEEV_METHODS = (
-    "lanczos",
-    "power-krylov",
-    "chebyshev",
-    "gaussian-power",
-    "qse",
-    "qfd",
-    "qlanczos",
-)
-
-_SWEEP_AXES = {
-    "n": ("lanczos", "power-krylov", "chebyshev", "gaussian-power", "qfd", "qlanczos"),
-    "dt": ("qfd",),
-    "shots": _SHOT_METHODS,
-    "eps": _GEEV_METHODS,
-}
+_SWEEP_AXES = ("n", "dt", "shots", "eps")
 
 _PARAM_DEFAULTS = {
     "n": 4,
@@ -192,13 +149,7 @@ class ShotsSection:
     grouping: str = "qubitwise"
 
     def echo(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "seed": self.seed,
-            "shots": self.shots,
-            "eps_target": self.eps_target,
-            "grouping": self.grouping,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -440,17 +391,16 @@ def merge_config(args: argparse.Namespace, file_cfg: dict) -> tuple:
 
 def resolve_config(cfg: RunConfig, ints: MolecularIntegrals, explicit: frozenset) -> RunConfig:
     """Reject inapplicable parameters, then fill method defaults."""
-    allowed = _METHOD_PARAMS[cfg.method]
+    spec = _SPECS[cfg.method]
     for name in sorted(explicit):
-        if name not in allowed:
+        if name not in spec.params:
             raise ValidationError(
                 f"parameter {name!r} does not apply to method {cfg.method!r}"
             )
-    if cfg.shots.enabled and cfg.method not in _SHOT_METHODS:
-        raise ValidationError(
-            f"sampling applies to {', '.join(_SHOT_METHODS)}, not {cfg.method!r}"
-        )
-    if cfg.sweep_axis is not None and cfg.method not in _SWEEP_AXES[cfg.sweep_axis]:
+    if cfg.shots.enabled and spec.recipe is None:
+        sampled = ", ".join(name for name, other in _SPECS.items() if other.recipe)
+        raise ValidationError(f"sampling applies to {sampled}, not {cfg.method!r}")
+    if cfg.sweep_axis is not None and cfg.sweep_axis not in spec.sweep_axes:
         raise ValidationError(
             f"sweep axis {cfg.sweep_axis!r} does not apply to method {cfg.method!r}"
         )
@@ -459,7 +409,7 @@ def resolve_config(cfg: RunConfig, ints: MolecularIntegrals, explicit: frozenset
         cfg = replace(cfg, shots=replace(cfg.shots, enabled=True, shots=1))
 
     params = dict(cfg.params)
-    for key in allowed:
+    for key in spec.params:
         if key in params:
             continue
         if key == "k":
@@ -487,66 +437,33 @@ def _fci_ground(ints: MolecularIntegrals) -> float:
     return float(exact_eigenpairs(ints, k=1).eigenvalues[0])
 
 
-def _sampled_problem(recipe, shots: ShotsSection):
-    if shots.eps_target is not None:
-        plan = plan_from_target(recipe, shots.eps_target, shots.seed, mode=shots.grouping)
+def _grid(p: dict) -> QfdGrid:
+    return QfdGrid(p["dt"], p["n"], backend=p["backend"], substeps=p["substeps"])
+
+
+def _solved(cfg: RunConfig, ints: MolecularIntegrals, v0):
+    """Build the method's pair on v0 (from its recipe when sampling), solve
+    and summarise it: (problem, solution, report, ShotPlan or None)."""
+    spec, shots, plan = _SPECS[cfg.method], cfg.shots, None
+    if not shots.enabled:
+        prob = spec.build(ints, v0, cfg.params)
     else:
-        groups = measurement_groups(recipe, mode=shots.grouping)
-        plan = ShotPlan(shots.seed, (shots.shots,) * len(groups), mode=shots.grouping)
-    return noisy_subspace(recipe, plan), plan
-
-
-def _build_problem(cfg: RunConfig, ints: MolecularIntegrals):
-    """SubspaceProblem plus the ShotPlan used, or None for exact runs."""
-    p = cfg.params
-    v0 = _reference(ints)
-    if cfg.method == "lanczos":
-        _, prob = lanczos(ints, v0, p["n"])
-        return prob, None
-    if cfg.method == "power-krylov":
-        return power_krylov(ints, v0, p["n"]), None
-    if cfg.method == "chebyshev":
-        return chebyshev_krylov_build(v0, ints, p["n"], p["bounds"]), None
-    if cfg.method == "gaussian-power":
-        return gaussian_power_build(v0, ints, p["n"], p["tau"]), None
-    if cfg.method == "qlanczos":
-        return qlanczos_build(v0, ints, p["dtau"], p["n"], mode=p["mode"]), None
-    if cfg.method == "qse":
-        state = statevector_from_fock(v0)
-        if cfg.shots.enabled:
-            return _sampled_problem(qse_recipe(state, ints, level=p["level"]), cfg.shots)
-        return qse_build(state, ints, level=p["level"]), None
-    if cfg.method == "qfd":
-        grid = QfdGrid(p["dt"], p["n"], backend=p["backend"], substeps=p["substeps"])
-        if cfg.shots.enabled:
-            return _sampled_problem(qfd_recipe(v0, ints, grid), cfg.shots)
-        return qfd_build(v0, ints, grid), None
-    raise ValidationError(f"method {cfg.method!r} does not build a subspace pair")
-
-
-def _bound_value(cfg: RunConfig, ints: MolecularIntegrals, prob, report: dict):
-    """The sweep bound column; None when no bound applies. Sampled rows get
-    the arctangent perturbation bound, whatever the method."""
-    if prob.noisy:
-        return report["bounds"].get("arctangent_bound")
-    if cfg.method == "lanczos":
-        spectrum = exact_eigenpairs(ints, k=ints.sector_dimension)
-        return kaniel_paige_saad(ints, spectrum, _reference(ints), cfg.params["n"], mu=0).bound
-    if cfg.method == "power-krylov":
-        return report["bounds"].get("power_basis_cond_lower_bound")
-    if cfg.method == "qfd":
-        return epperly_qfd_bound(ints, _reference(ints), cfg.params["n"])["bound"]
-    return None
-
-
-def _run_subspace(cfg: RunConfig, ints: MolecularIntegrals):
-    prob, plan = _build_problem(cfg, ints)
+        recipe = spec.recipe(ints, v0, cfg.params)
+        if shots.eps_target is not None:
+            plan = plan_from_target(recipe, shots.eps_target, shots.seed, mode=shots.grouping)
+        else:
+            groups = measurement_groups(recipe, mode=shots.grouping)
+            plan = ShotPlan(shots.seed, (shots.shots,) * len(groups), mode=shots.grouping)
+        prob = noisy_subspace(recipe, plan)
     sol = solve(prob, cfg.params.get("eps"))
-    report = solution_report(prob, sol)
+    return prob, sol, solution_report(prob, sol), plan
+
+
+def _run_subspace(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
+    v0 = _reference(ints)
+    prob, sol, report, plan = _solved(cfg, ints, v0)
     if cfg.method == "qfd":
-        report["bounds"]["qfd_error_bound"] = epperly_qfd_bound(
-            ints, _reference(ints), cfg.params["n"]
-        )
+        report["bounds"]["qfd_error_bound"] = epperly_qfd_bound(ints, v0, cfg.params["n"])
     energy = float(sol.eigenvalues[0])
     result = {
         "kind": "subspace_solution",
@@ -558,10 +475,10 @@ def _run_subspace(cfg: RunConfig, ints: MolecularIntegrals):
         f"{cfg.method}: ground energy {energy:+.10f} hartree "
         f"(kept {sol.retained_dim} of {prob.n}, eps {sol.eps:.3e})"
     )
-    return result, plan, summary
+    return result, plan, summary, {}
 
 
-def _run_fci(cfg: RunConfig, ints: MolecularIntegrals):
+def _run_fci(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
     slc = exact_eigenpairs(ints, k=cfg.params["k"])
     result = {
         "kind": "spectrum_slice",
@@ -573,10 +490,10 @@ def _run_fci(cfg: RunConfig, ints: MolecularIntegrals):
         f"fci: ground energy {result['eigenvalues'][0]:+.10f} hartree "
         f"({result['k']} of {result['dim']} states)"
     )
-    return result, None, summary
+    return result, None, summary, {}
 
 
-def _run_davidson(cfg: RunConfig, ints: MolecularIntegrals):
+def _run_davidson(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
     got = davidson(ints, k=cfg.params["k"])
     result = {
         "kind": "spectrum_slice",
@@ -590,10 +507,10 @@ def _run_davidson(cfg: RunConfig, ints: MolecularIntegrals):
         f"davidson: ground energy {result['eigenvalues'][0]:+.10f} hartree "
         f"({got.num_iterations} iterations)"
     )
-    return result, None, summary
+    return result, None, summary, {}
 
 
-def _run_qeom(cfg: RunConfig, ints: MolecularIntegrals):
+def _run_qeom(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
     # gaps are exact when the reference is the exact ground state, which is
     # available at desk scale
     ground = exact_eigenpairs(ints, k=1).eigenvectors[0]
@@ -608,7 +525,7 @@ def _run_qeom(cfg: RunConfig, ints: MolecularIntegrals):
     }
     lowest = result["excitation_energies"][0] if energies.size else math.nan
     summary = f"qeom: lowest gap {lowest:.10f} hartree ({energies.size} finite)"
-    return result, None, summary
+    return result, None, summary, {}
 
 
 def _probe_operator(spec: str, ints: MolecularIntegrals):
@@ -683,7 +600,7 @@ def _run_spectrum(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path
     return result, None, summary, {"spectrum": path.name}
 
 
-def _run_fastforward(cfg: RunConfig, ints: MolecularIntegrals):
+def _run_fastforward(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
     p = cfg.params
     prob, sol, basis, v0 = _qfd_solution(cfg, ints)
     res = fast_forward(sol, basis, v0, p["time"])
@@ -703,7 +620,87 @@ def _run_fastforward(cfg: RunConfig, ints: MolecularIntegrals):
         f"fastforward: t={p['time']:g}, fidelity {fidelity:.12f}, "
         f"projection weight {res.projection_weight:.12f}"
     )
-    return result, None, summary
+    return result, None, summary, {}
+
+
+# ---------------------------------------------------------------------------
+# the method table
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """Everything the command line knows about one method.
+
+    params: the parameters it accepts beyond input/out/jobs; strays are
+    rejected. run(cfg, ints, outdir) -> (result, plan, summary, extra
+    files). For the pencils solved by geev.solve, with v0 the reference
+    determinant and p the resolved parameters: build(ints, v0, p) gives the
+    exact SubspaceProblem, recipe(ints, v0, p) the ExpectationRecipe where
+    the method can be sampled, and bound(ints, v0, p, report) the sweep
+    bound column of an exact run. The callables look the library functions
+    up as module globals when called, so rebinding those names reaches them.
+    """
+
+    params: tuple
+    run: Callable
+    build: Callable | None = None
+    recipe: Callable | None = None
+    bound: Callable | None = None
+
+    @property
+    def sweep_axes(self) -> tuple:
+        """n, dt and eps where the pair is built and the parameter applies;
+        shots where it can be sampled."""
+        axes = tuple(a for a in ("n", "dt", "eps") if self.build and a in self.params)
+        return axes + ("shots",) if self.recipe else axes
+
+
+_SPECS = {
+    "fci": MethodSpec(("k",), _run_fci),
+    "lanczos": MethodSpec(
+        ("n", "eps"), _run_subspace,
+        build=lambda ints, v0, p: lanczos(ints, v0, p["n"])[1],
+        bound=lambda ints, v0, p, report: kaniel_paige_saad(
+            ints, exact_eigenpairs(ints, k=ints.sector_dimension), v0, p["n"], mu=0
+        ).bound,
+    ),
+    "davidson": MethodSpec(("k",), _run_davidson),
+    "power-krylov": MethodSpec(
+        ("n", "eps"), _run_subspace,
+        build=lambda ints, v0, p: power_krylov(ints, v0, p["n"]),
+        bound=lambda ints, v0, p, report: report["bounds"].get("power_basis_cond_lower_bound"),
+    ),
+    "chebyshev": MethodSpec(
+        ("n", "eps", "bounds"), _run_subspace,
+        build=lambda ints, v0, p: chebyshev_krylov_build(v0, ints, p["n"], p["bounds"]),
+    ),
+    "gaussian-power": MethodSpec(
+        ("n", "eps", "tau"), _run_subspace,
+        build=lambda ints, v0, p: gaussian_power_build(v0, ints, p["n"], p["tau"]),
+    ),
+    "qse": MethodSpec(
+        ("eps", "level"), _run_subspace,
+        build=lambda ints, v0, p: qse_build(statevector_from_fock(v0), ints, level=p["level"]),
+        recipe=lambda ints, v0, p: qse_recipe(statevector_from_fock(v0), ints, level=p["level"]),
+    ),
+    "qeom": MethodSpec(("tda",), _run_qeom),
+    "qfd": MethodSpec(
+        ("n", "dt", "eps", "backend", "substeps"), _run_subspace,
+        build=lambda ints, v0, p: qfd_build(v0, ints, _grid(p)),
+        recipe=lambda ints, v0, p: qfd_recipe(v0, ints, _grid(p)),
+        bound=lambda ints, v0, p, report: epperly_qfd_bound(ints, v0, p["n"])["bound"],
+    ),
+    "qlanczos": MethodSpec(
+        ("n", "dtau", "eps", "mode"), _run_subspace,
+        build=lambda ints, v0, p: qlanczos_build(v0, ints, p["dtau"], p["n"], mode=p["mode"]),
+    ),
+    "spectrum": MethodSpec(
+        ("n", "dt", "eps", "op", "omega_min", "omega_max", "omega_points", "eta"), _run_spectrum
+    ),
+    "fastforward": MethodSpec(("n", "dt", "eps", "time"), _run_fastforward),
+}
+
+METHODS = tuple(_SPECS)
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +718,15 @@ def _point_config(cfg: RunConfig, value) -> RunConfig:
 
 def _sweep_point(cfg: RunConfig, ints: MolecularIntegrals, exact0: float, value):
     pcfg = _point_config(cfg, value)
-    prob, _ = _build_problem(pcfg, ints)
-    sol = solve(prob, pcfg.params.get("eps"))
-    report = solution_report(prob, sol)
+    v0 = _reference(ints)
+    prob, sol, report, _ = _solved(pcfg, ints, v0)
+    # the bound column; a sampled row gets the arctangent perturbation bound
+    # of its own run, whatever the method
+    spec = _SPECS[cfg.method]
+    if prob.noisy:
+        bound = report["bounds"].get("arctangent_bound")
+    else:
+        bound = None if spec.bound is None else spec.bound(ints, v0, pcfg.params, report)
     energy = float(sol.eigenvalues[0])
     return {
         "value": value,
@@ -731,7 +734,7 @@ def _sweep_point(cfg: RunConfig, ints: MolecularIntegrals, exact0: float, value)
         "error_vs_fci": energy - exact0,
         "cond_smat": sol.cond_smat_before,
         "n_eps": sol.retained_dim,
-        "bound": _bound_value(pcfg, ints, prob, report),
+        "bound": bound,
     }
 
 
@@ -808,23 +811,9 @@ def _envelope(cfg: RunConfig, ints: MolecularIntegrals, result: dict,
 
 def run(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path) -> tuple:
     """Dispatch one resolved config; returns (envelope, summary line)."""
-    files = {"result": "result.json"}
-    if cfg.sweep_axis is not None:
-        result, plan, summary, extra = _run_sweep(cfg, ints, outdir)
-        files.update(extra)
-    elif cfg.method == "fci":
-        result, plan, summary = _run_fci(cfg, ints)
-    elif cfg.method == "davidson":
-        result, plan, summary = _run_davidson(cfg, ints)
-    elif cfg.method == "qeom":
-        result, plan, summary = _run_qeom(cfg, ints)
-    elif cfg.method == "spectrum":
-        result, plan, summary, extra = _run_spectrum(cfg, ints, outdir)
-        files.update(extra)
-    elif cfg.method == "fastforward":
-        result, plan, summary = _run_fastforward(cfg, ints)
-    else:
-        result, plan, summary = _run_subspace(cfg, ints)
+    runner = _run_sweep if cfg.sweep_axis is not None else _SPECS[cfg.method].run
+    result, plan, summary, extra = runner(cfg, ints, outdir)
+    files = {"result": "result.json", **extra}
     return _envelope(cfg, ints, result, plan, files), summary
 
 

@@ -168,11 +168,6 @@ class RotationNetwork:
     phases: np.ndarray
     eigenvalues: np.ndarray | None = None
 
-    @property
-    def num_elements(self) -> int:
-        """Two-mode elements counting both spin blocks."""
-        return 2 * len(self.rotations)
-
 
 def _givens_synthesis(u: np.ndarray):
     """u = R_1^T ... R_K^T D with adjacent-row rotations; returns the

@@ -222,7 +222,16 @@ def perturbation_bound(
     preconditions are checked; `applicable` is False when either fails or
     the arcsine argument leaves [0, 1].
     """
-    sol = solve(prob, eps=eps)
+    return _perturbation_record(prob, solve(prob, eps=eps), eta, alpha)
+
+
+def _perturbation_record(
+    prob: SubspaceProblem,
+    sol: GEEVSolution,
+    eta: float | None = None,
+    alpha: float = 0.0,
+) -> PerturbationRecord:
+    """perturbation_bound on an already thresholded solve of prob."""
     n_eps = sol.retained_dim
     reasons = []
     if prob.noisy:
@@ -321,7 +330,7 @@ def solution_report(prob: SubspaceProblem, sol: GEEVSolution) -> dict:
         if key in cond:
             bounds[key] = cond[key]
     if prob.noisy:
-        record = perturbation_bound(prob, eps=sol.eps)
+        record = _perturbation_record(prob, sol)
         bounds["arctangent_bound"] = record.bound
         bounds["arctangent_applicable"] = record.applicable
         bounds["chi"] = record.chi

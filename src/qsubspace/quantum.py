@@ -59,7 +59,7 @@ from .engine import (
 )
 from .shots import EntryPlan, ExpectationRecipe, MeasurementJob
 # qse work cap: pool_size^2 * sector dimension for qse_build (its Gram
-# matrices), pool_size^2 * Pauli terms of H for qse_recipe
+# matrices), the Pauli string products of the expansion for qse_recipe
 _QSE_BUDGET = 50_000_000
 
 # pool vectors with smaller norm on the reference are metric null directions
@@ -206,6 +206,15 @@ def _sector_reference(state: Statevector, ints: MolecularIntegrals) -> FockVecto
     return fock_from_statevector(state, ints.sector).normalized()
 
 
+def _qse_setup(state: Statevector, ints: MolecularIntegrals, level: str):
+    """Sector reference, pool and provenance shared by qse_build and
+    qse_recipe."""
+    phi = _sector_reference(state, ints)
+    pool = qse_pool(ints.num_orbitals, level)
+    provenance = {"method": "qse", "level": str(level).upper(), "pool_size": len(pool)}
+    return phi, pool, provenance
+
+
 def qse_build(
     state: Statevector,
     ints: MolecularIntegrals,
@@ -220,8 +229,7 @@ def qse_build(
     sector matrix. The budget caps the Gram work, pool size^2 x sector
     dimension.
     """
-    phi = _sector_reference(state, ints)
-    pool = qse_pool(ints.num_orbitals, level)
+    phi, pool, provenance = _qse_setup(state, ints, level)
     cost = len(pool) ** 2 * ints.sector_dimension
     if cost > budget:
         raise CapacityError(
@@ -232,11 +240,6 @@ def qse_build(
     )
     smat = basis.conj() @ basis.T
     hmat = basis.conj() @ (sector_matrix(ints) @ basis.T)
-    provenance = {
-        "method": "qse",
-        "level": str(level).upper(),
-        "pool_size": len(pool),
-    }
     return SubspaceProblem(hmat, smat, provenance)
 
 
@@ -250,18 +253,21 @@ def qse_recipe(
 
     Expands O_a^+ O_b and O_a^+ H O_b into Pauli sums measured on the one
     reference state; conjugate entries share the same estimates, so only
-    the i <= j triangle is planned.
+    the i <= j triangle is planned. The budget caps the Pauli string
+    products this performs, |H| sum_b |P_b| for the images H P_b plus
+    (1 + |H|) sum_{a<=b} |P_a||P_b| for the entries, with |.| the term
+    count of a Pauli sum.
     """
-    _sector_reference(state, ints)  # register and sector checks
-    phi = state.normalized()
-    pool = qse_pool(ints.num_orbitals, level)
+    _, pool, provenance = _qse_setup(state, ints, level)  # also checks the sector
+    paulis = [op.to_pauli() for op in pool]
     ham = jordan_wigner(ints)
-    cost = len(pool) ** 2 * len(ham)
+    sizes = np.array([len(p) for p in paulis])
+    pairs = (int(sizes.sum()) ** 2 + int(sizes @ sizes)) // 2
+    cost = len(ham) * int(sizes.sum()) + (1 + len(ham)) * pairs
     if cost > budget:
         raise CapacityError(
-            f"pool^2 x Pauli terms = {cost} exceeds the budget {budget}"
+            f"qse recipe Pauli string products = {cost} exceeds the budget {budget}"
         )
-    paulis = [op.to_pauli() for op in pool]
     dags = [p.dagger() for p in paulis]
     h_images = [ham * p for p in paulis]
     raw = {}
@@ -284,14 +290,8 @@ def qse_recipe(
             else:
                 terms.append((0, index[s], c))
         entries[key] = EntryPlan(complex(const), tuple(terms))
-    provenance = {
-        "method": "qse",
-        "level": str(level).upper(),
-        "pool_size": len(pool),
-    }
-    return ExpectationRecipe(
-        len(pool), (MeasurementJob(phi, tuple(order)),), entries, provenance
-    )
+    job = MeasurementJob(state.normalized(), tuple(order))
+    return ExpectationRecipe(len(pool), (job,), entries, provenance)
 
 
 @dataclass(eq=False)
@@ -345,13 +345,14 @@ def _eom_energies(blocks: EomBlocks, tda: bool) -> np.ndarray:
         if not np.any(keep):
             raise DataError("excitation metric has no significant directions")
         ub = u[:, keep]
-        vals = scipy.linalg.eig(
-            ub.conj().T @ blocks.mmat @ ub, np.diag(w[keep]), right=False
-        )
-        finite = vals[np.isfinite(vals)]
-        report["num_finite"] = int(finite.size)
-        report["max_imag"] = float(np.max(np.abs(finite.imag), initial=0.0))
-        return np.sort(finite.real)
+        vals, vecs = scipy.linalg.eig(ub.conj().T @ blocks.mmat @ ub, np.diag(w[keep]))
+        finite = np.isfinite(vals)
+        report["num_finite"] = int(np.sum(finite))
+        report["max_imag"] = float(np.max(np.abs(vals[finite].imag), initial=0.0))
+        # as in the full pencil, only eigenvectors of positive norm give
+        # gaps; x = ub y has x^+ V x = sum_k w_k |y_k|^2
+        positive = finite & (w[keep] @ np.abs(vecs) ** 2 > 0)
+        return np.sort(vals[positive].real)
 
     lhs = np.block([[blocks.mmat, blocks.qmat], [blocks.qmat.conj(), blocks.mmat.conj()]])
     rhs = np.block([[blocks.vmat, blocks.wmat], [-blocks.wmat.conj(), -blocks.vmat.conj()]])
@@ -406,9 +407,10 @@ def qeom_build(
 
     The full pencil [[M, Q], [Q*, M*]] z = dE [[V, W], [-W*, -V*]] z has
     paired +/- eigenvalues; the upper half is returned, ascending. With
-    tda=True the reduced problem M x = dE V x is solved instead and every
-    finite eigenvalue is returned. Operators annihilating the reference are
-    dropped before solving.
+    tda=True the reduced problem M x = dE V x is solved instead and the
+    finite eigenvalues whose eigenvectors have positive norm x^+ V x are
+    returned, ascending. Operators annihilating the reference are dropped
+    before solving.
 
     Returns (EomBlocks, excitation energies); diagnostics (pairing, metric
     conditioning, imaginary residue) land in blocks.report. All states are
@@ -493,9 +495,24 @@ class QfdGrid:
             alpha -= (self.n - 1) / 2.0
         return alpha * self.dt
 
+    def provenance(self) -> dict:
+        return {
+            "method": "qfd",
+            "dt": float(self.dt),
+            "n": int(self.n),
+            "backend": self.backend,
+            "substeps": int(self.substeps),
+            "symmetric": bool(self.symmetric),
+        }
 
-def _trotter_snapshots(v0: FockVector, ints, times, substeps: int) -> list:
-    """Product-formula snapshots at the grid times, stepped outward from 0."""
+
+def _snapshots(state0: FockVector, ints, grid: QfdGrid) -> list:
+    """The normalized state0 propagated to the grid times: exactly, or by
+    product-formula steps taken outward from 0."""
+    v0 = state0.normalized()
+    times = grid.times()
+    if grid.backend == "exact":
+        return [evolve_real(ints, v0, float(t)) for t in times]
     factors = cholesky_decompose_eri(ints)
     plan = trotter_plan(effective_one_body(ints, factors), factors, ints.e_nuc)
     start = statevector_from_fock(v0)
@@ -505,8 +522,8 @@ def _trotter_snapshots(v0: FockVector, ints, times, substeps: int) -> list:
         t_prev, cur = 0.0, start
         for t in targets:
             if t not in cache:
-                hop = (t - t_prev) / substeps
-                for _ in range(substeps):
+                hop = (t - t_prev) / grid.substeps
+                for _ in range(grid.substeps):
                     cur = trotter_step(plan, hop, cur)
                 cache[t] = cur
             t_prev, cur = t, cache[t]
@@ -525,25 +542,12 @@ def qfd_build(state0: FockVector, ints: MolecularIntegrals, grid: QfdGrid) -> Su
     depend only on b - a (Toeplitz); the trotter backend breaks that
     structure by product-formula error.
     """
-    v0 = state0.normalized()
-    times = grid.times()
-    if grid.backend == "exact":
-        snaps = [evolve_real(ints, v0, float(t)) for t in times]
-    else:
-        snaps = _trotter_snapshots(v0, ints, times, grid.substeps)
+    snaps = _snapshots(state0, ints, grid)
     basis = np.stack([s.amplitudes for s in snaps])
     images = np.stack([apply_hamiltonian(ints, s).amplitudes for s in snaps])
     smat = basis.conj() @ basis.T
     hmat = basis.conj() @ images.T
-    provenance = {
-        "method": "qfd",
-        "dt": float(grid.dt),
-        "n": int(grid.n),
-        "backend": grid.backend,
-        "substeps": int(grid.substeps),
-        "symmetric": bool(grid.symmetric),
-    }
-    return SubspaceProblem(hmat, smat, provenance)
+    return SubspaceProblem(hmat, smat, grid.provenance())
 
 
 def qfd_recipe(
@@ -560,13 +564,7 @@ def qfd_recipe(
     and holds for H up to the product-formula error the builder already
     accepts.
     """
-    v0 = state0.normalized()
-    times = grid.times()
-    if grid.backend == "exact":
-        snaps = [evolve_real(ints, v0, float(t)) for t in times]
-    else:
-        snaps = _trotter_snapshots(v0, ints, times, grid.substeps)
-    psi = [statevector_from_fock(s).normalized() for s in snaps]
+    psi = [statevector_from_fock(s).normalized() for s in _snapshots(state0, ints, grid)]
     ham = jordan_wigner(ints)
     nq = 2 * ints.num_orbitals
     ham_terms = list(ham.terms())
@@ -612,15 +610,7 @@ def qfd_recipe(
         for b in range(a, grid.n):
             entries[("s", a, b)] = s_plans[b - a]
             entries[("h", a, b)] = h_plans[b - a]
-    provenance = {
-        "method": "qfd",
-        "dt": float(grid.dt),
-        "n": int(grid.n),
-        "backend": grid.backend,
-        "substeps": int(grid.substeps),
-        "symmetric": bool(grid.symmetric),
-    }
-    return ExpectationRecipe(grid.n, tuple(jobs), entries, provenance)
+    return ExpectationRecipe(grid.n, tuple(jobs), entries, grid.provenance())
 
 
 def epperly_qfd_bound(

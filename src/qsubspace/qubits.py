@@ -66,10 +66,6 @@ class PauliString:
     def weight(self) -> int:
         return self.support.bit_count()
 
-    @property
-    def is_identity(self) -> bool:
-        return self.support == 0
-
     def __str__(self):
         return self.letters
 

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import fixture_path, load_integrals
 
-from qsubspace.cli import EXIT_CODES, main
+from qsubspace.cli import EXIT_CODES, METHODS, main
 from qsubspace.fock import exact_eigenpairs
 
 H2 = str(fixture_path("h2_sto3g"))
@@ -69,6 +69,23 @@ class TestReports:
             assert code == 0
             assert report["result"] == run["result"]
             assert report["shots"] == run["shots"]
+
+    def test_every_method_matches_committed_golden_bit_for_bit(self, tmp_path):
+        # one default run of each method, two variants and one sweep per
+        # axis, pinned by scripts/make_golden.py
+        golden = json.loads(
+            (pathlib.Path(__file__).resolve().parent / "golden" / "methods_h2_sto3g.json").read_text()
+        )
+        assert len(golden["runs"]) == 18
+        for k, run in enumerate(golden["runs"]):
+            code, report, out = run_cli(tmp_path / str(k), *run["args"], "--input", H2)
+            assert code == 0, run["args"]
+            assert report["result"] == run["result"], run["args"]
+            if run["sweep_csv"] is None:
+                assert not (out / "sweep.csv").exists()
+            else:
+                with open(out / "sweep.csv", newline="") as handle:
+                    assert list(csv.reader(handle)) == run["sweep_csv"], run["args"]
 
     def test_report_validates_against_shipped_schema(self, tmp_path):
         code, report, _ = run_cli(tmp_path, "fci", "--input", H2)
@@ -192,6 +209,17 @@ class TestMethodResults:
         assert code == 0
         got = np.sort(report["result"]["excitation_energies"])
         np.testing.assert_allclose(got, want, atol=1e-7)
+
+    def test_qeom_tda_reports_positive_gaps_only(self, tmp_path):
+        h4 = str(fixture_path("h4_toy"))
+        code, full, _ = run_cli(tmp_path / "full", "qeom", "--input", h4)
+        assert code == 0
+        code, tda, _ = run_cli(tmp_path / "tda", "qeom", "--input", h4, "--tda")
+        assert code == 0
+        gaps = tda["result"]["excitation_energies"]
+        assert len(gaps) == 35
+        assert min(gaps) > 0
+        assert abs(gaps[0] - full["result"]["excitation_energies"][0]) < 1e-8
 
     def test_spectrum_sum_rule_and_csv(self, tmp_path):
         code, report, out = run_cli(
@@ -343,6 +371,16 @@ class TestExitCodes:
         assert main(["power-krylov", "--input", H2, "--n", "50"]) == 3
         assert error_payload(capsys)["exit_code"] == 3
 
+    @pytest.mark.parametrize("name", ["h3_plus", "h4_toy"])
+    def test_oversized_qse_recipe_is_exit_3(self, tmp_path, capsys, name):
+        # the default SD recipe expands past the Pauli string-product budget
+        code, _, _ = run_cli(tmp_path, "qse", "--input", str(fixture_path(name)),
+                             "--shots", "100")
+        assert code == 3
+        err = error_payload(capsys)
+        assert err["type"] == "CapacityError"
+        assert "Pauli string products" in err["message"]
+
     def test_degenerate_method_data_error_is_exit_5(self, capsys):
         # the stretched-dimer excitation metric has no significant directions
         stretched = str(fixture_path("h2_stretched"))
@@ -357,6 +395,103 @@ class TestExitCodes:
     def test_invalid_sweep_axis_for_method(self, capsys):
         assert main(["lanczos", "--input", H2, "--sweep", "dt=0.1,0.2"]) == 2
         assert "sweep" in error_payload(capsys)["message"]
+
+
+# The method table as the command line documents it: the parameters each
+# method accepts, the sweep axes it allows and the methods that can be
+# sampled. Written out here, not read from the cli module, so that a change
+# to the table shows up as a failure.
+ACCEPTED_PARAMS = {
+    "fci": ("k",),
+    "lanczos": ("n", "eps"),
+    "davidson": ("k",),
+    "power-krylov": ("n", "eps"),
+    "chebyshev": ("n", "eps", "bounds"),
+    "gaussian-power": ("n", "eps", "tau"),
+    "qse": ("eps", "level"),
+    "qeom": ("tda",),
+    "qfd": ("n", "dt", "eps", "backend", "substeps"),
+    "qlanczos": ("n", "dtau", "eps", "mode"),
+    "spectrum": ("n", "dt", "eps", "op", "omega_min", "omega_max", "omega_points", "eta"),
+    "fastforward": ("n", "dt", "eps", "time"),
+}
+SWEEP_AXES = {
+    "fci": (),
+    "lanczos": ("n", "eps"),
+    "davidson": (),
+    "power-krylov": ("n", "eps"),
+    "chebyshev": ("n", "eps"),
+    "gaussian-power": ("n", "eps"),
+    "qse": ("eps", "shots"),
+    "qeom": (),
+    "qfd": ("n", "dt", "eps", "shots"),
+    "qlanczos": ("n", "eps"),
+    "spectrum": (),
+    "fastforward": (),
+}
+SAMPLED = ("qse", "qfd")
+PARAM_FLAGS = {
+    "n": ("--n", "3"),
+    "k": ("--k", "1"),
+    "dt": ("--dt", "0.3"),
+    "dtau": ("--dtau", "0.3"),
+    "eps": ("--eps", "1e-6"),
+    "level": ("--level", "S"),
+    "tda": ("--tda",),
+    "tau": ("--tau", "0.5"),
+    "time": ("--time", "2"),
+    "bounds": ("--bounds=-2,1",),
+    "backend": ("--backend", "trotter"),
+    "substeps": ("--substeps", "2"),
+    "mode": ("--mode", "qite"),
+    "op": ("--op", "ham"),
+    "omega_min": ("--omega-min", "0.1"),
+    "omega_max": ("--omega-max", "1"),
+    "omega_points": ("--omega-points", "3"),
+    "eta": ("--eta", "0.1"),
+}
+SWEEP_VALUES = {"n": "n=2,3", "dt": "dt=0.2", "eps": "eps=1e-6", "shots": "shots=100"}
+
+
+class TestRejectionMatrix:
+    def rejected(self, capsys, tmp_path, argv, message):
+        assert main([*argv, "--input", H2, "--out", str(tmp_path)]) == 2, argv
+        err = error_payload(capsys)
+        assert err == {"exit_code": 2, "type": "ValidationError", "message": message}
+        assert not (tmp_path / "result.json").exists()
+
+    def test_tables_cover_every_method_and_flag(self):
+        assert tuple(ACCEPTED_PARAMS) == METHODS
+        assert set(SWEEP_AXES) == set(METHODS)
+        assert {p for params in ACCEPTED_PARAMS.values() for p in params} == set(PARAM_FLAGS)
+
+    @pytest.mark.parametrize("method", tuple(ACCEPTED_PARAMS))
+    def test_inapplicable_parameters(self, capsys, tmp_path, method):
+        for name, flag in PARAM_FLAGS.items():
+            if name in ACCEPTED_PARAMS[method]:
+                continue
+            self.rejected(
+                capsys, tmp_path, [method, *flag],
+                f"parameter {name!r} does not apply to method {method!r}",
+            )
+
+    @pytest.mark.parametrize("method", tuple(ACCEPTED_PARAMS))
+    def test_disallowed_sweep_axes(self, capsys, tmp_path, method):
+        for axis, spec in SWEEP_VALUES.items():
+            if axis in SWEEP_AXES[method]:
+                continue
+            self.rejected(
+                capsys, tmp_path, [method, "--sweep", spec],
+                f"sweep axis {axis!r} does not apply to method {method!r}",
+            )
+
+    @pytest.mark.parametrize("method", tuple(m for m in ACCEPTED_PARAMS if m not in SAMPLED))
+    @pytest.mark.parametrize("budget", [["--shots", "100"], ["--eps-target", "0.1"]])
+    def test_sampling_outside_qse_and_qfd(self, capsys, tmp_path, method, budget):
+        self.rejected(
+            capsys, tmp_path, [method, *budget],
+            f"sampling applies to qse, qfd, not {method!r}",
+        )
 
 
 class TestSweeps:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import qsubspace.geev as geev_module
 from qsubspace.errors import DataError, EmptySubspaceError, ValidationError
 from qsubspace.geev import (
     GEEVSolution,
@@ -275,3 +276,24 @@ def test_solution_report_schema():
     noisy_report = solution_report(noisy, solve(noisy))
     for key in ("arctangent_bound", "chi", "d0", "lowest_eigenvalue_std"):
         assert key in noisy_report["bounds"]
+
+
+def test_solution_report_bounds_the_given_solve(monkeypatch):
+    # the arctangent bound is read off the solution passed in, without a
+    # second solve, and equals perturbation_bound at the same threshold
+    rng = np.random.default_rng(20)
+    hmat, smat = random_pair(rng, 5)
+    smat += 0.2 * np.eye(5)
+    std = np.full((5, 5), 1e-6)
+    noisy = SubspaceProblem(hmat, smat, {"method": "qfd"}, hmat_std=std, smat_std=std)
+    sol = solve(noisy)
+    want = perturbation_bound(noisy, eps=sol.eps)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solution_report solved the pair again")
+
+    monkeypatch.setattr(geev_module, "solve", no_solve)
+    bounds = solution_report(noisy, sol)["bounds"]
+    assert bounds["arctangent_bound"] == want.bound
+    assert bounds["arctangent_applicable"] == want.applicable
+    assert bounds["chi"] == want.chi and bounds["d0"] == want.d0

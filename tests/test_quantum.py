@@ -58,6 +58,7 @@ from qsubspace.quantum import (
     qlanczos_build,
     qse_build,
     qse_pool,
+    qse_recipe,
     response_function,
     spectral_weights,
 )
@@ -147,6 +148,28 @@ class TestQse:
         state = hf_statevector(h2)
         with pytest.raises(CapacityError):
             qse_build(state, h2, level="SD", budget=10)
+
+    def test_recipe_budget_is_the_pauli_product_count(self, h2):
+        # |H| sum_b |P_b| products for the images H P_b, plus
+        # (1 + |H|) |P_a||P_b| for each entry pair a <= b
+        state = hf_statevector(h2)
+        sizes = [len(op.to_pauli()) for op in qse_pool(h2.num_orbitals, "SD")]
+        terms = len(jordan_wigner(h2))
+        pairs = sum(
+            sizes[a] * sizes[b] for a in range(len(sizes)) for b in range(a, len(sizes))
+        )
+        cost = terms * sum(sizes) + (1 + terms) * pairs
+        qse_recipe(state, h2, level="SD", budget=cost)
+        with pytest.raises(CapacityError, match=str(cost)):
+            qse_recipe(state, h2, level="SD", budget=cost - 1)
+
+    @pytest.mark.parametrize("name", ["h3_plus", "h4_toy"])
+    def test_sd_recipe_beyond_the_budget(self, name):
+        # 7.0e7 (h3_plus) and 2.7e9 (h4_toy) string products: refused before
+        # any product is taken
+        ints = load_integrals(name)
+        with pytest.raises(CapacityError, match="Pauli string products"):
+            qse_recipe(hf_statevector(ints), ints, level="SD")
 
     def test_problem_passes_geev_validation(self, h2):
         state = statevector_from_fock(random_vector(h2, 5))
@@ -293,6 +316,18 @@ class TestQeom:
         lowest_full = full[full > 1e-8][0]
         lowest_tda = tda[tda > 1e-8][0]
         assert abs(lowest_full - lowest_tda) < 1e-6
+
+    @pytest.mark.parametrize("name", ["h2_sto3g", "heh_like", "h3_plus", "h4_toy"])
+    def test_tda_keeps_the_positive_norm_half(self, name):
+        # at the exact ground state the reduced metric V is indefinite; the
+        # eigenvectors of negative norm x^+ V x mirror the gaps and are dropped
+        ints = load_integrals(name)
+        state = statevector_from_fock(exact_eigenpairs(ints, k=1).eigenvectors[0])
+        _, full = qeom_build(state, ints)
+        blocks, tda = qeom_build(state, ints, tda=True)
+        assert 2 * tda.size == blocks.report["num_finite"]
+        assert np.all(tda > 0)
+        np.testing.assert_allclose(tda[:3], full[:3], atol=1e-8)
 
     def test_entangled_reference_degenerate_metric(self, h2_stretched):
         # open-shell singlet: excitation and de-excitation overlaps cancel
