@@ -265,21 +265,34 @@ def _convert(key: str, raw: str):
         raise ValidationError(f"config: bad value {raw!r} for key {key!r}") from None
 
 
+def _read_text(path: str, what: str) -> str:
+    """A text file's contents; a NUL byte in the path or undecodable bytes
+    in the file are input errors."""
+    if "\x00" in path:
+        raise ValidationError(f"{what} path contains a NUL byte")
+    try:
+        return pathlib.Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_config_file(path: str) -> dict:
     """Parse the INI file into {section: {key: typed value}}; reject strays."""
     parser = configparser.ConfigParser()
-    text = pathlib.Path(path).read_text()
+    text = _read_text(path, "config")
     try:
         parser.read_string(text, source=path)
+        # values interpolate when read, so a stray '%' fails here
+        sections = {name: parser.items(name) for name in parser.sections()}
     except configparser.Error as exc:
         raise ParseError(f"config: {exc}") from None
     out: dict = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _FILE_SECTIONS:
             raise ValidationError(f"config: unknown section [{section}]")
         allowed = _FILE_SECTIONS[section]
         out[section] = {}
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in allowed:
                 raise ValidationError(
                     f"config: unknown key {key!r} in section [{section}]"
@@ -326,6 +339,8 @@ def merge_config(args: argparse.Namespace, file_cfg: dict) -> tuple:
     if not input_path:
         raise ValidationError("missing required field 'input'")
     out = args.out if args.out is not None else run_sec.get("out", ".")
+    if "\x00" in out:
+        raise ValidationError("out path contains a NUL byte")
     jobs = args.jobs if args.jobs is not None else run_sec.get("jobs", 1)
     if jobs < 1:
         raise ValidationError("jobs must be at least 1")
@@ -823,7 +838,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         file_cfg = load_config_file(args.config) if args.config else {}
         cfg, explicit = merge_config(args, file_cfg)
-        ints = parse_fcidump(pathlib.Path(cfg.input).read_text())
+        ints = parse_fcidump(_read_text(cfg.input, "input"))
         cfg = resolve_config(cfg, ints, explicit)
         outdir = pathlib.Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -35,6 +35,13 @@ from .qubits import PauliString, PauliSum
 _MAX_QUBITS = 24
 
 
+def _zeros(num_qubits: int) -> np.ndarray:
+    """Zero amplitudes; the qubit cap is checked before allocating."""
+    if num_qubits > _MAX_QUBITS:
+        raise CapacityError(f"statevector capped at {_MAX_QUBITS} qubits")
+    return np.zeros(1 << num_qubits, dtype=complex)
+
+
 @dataclass(eq=False)
 class Statevector:
     num_qubits: int
@@ -59,7 +66,7 @@ class Statevector:
 
 
 def zero_state(num_qubits: int) -> Statevector:
-    amp = np.zeros(1 << num_qubits, dtype=complex)
+    amp = _zeros(num_qubits)
     amp[0] = 1.0
     return Statevector(num_qubits, amp)
 
@@ -67,14 +74,14 @@ def zero_state(num_qubits: int) -> Statevector:
 def prepare_configuration(config: Configuration) -> Statevector:
     """Basis state |occ_up | occ_down << m> on 2m qubits."""
     nq = 2 * config.m
-    amp = np.zeros(1 << nq, dtype=complex)
+    amp = _zeros(nq)
     amp[config.word] = 1.0
     return Statevector(nq, amp)
 
 
 def statevector_from_fock(v: FockVector) -> Statevector:
     m = v.sector[0]
-    amp = np.zeros(1 << (2 * m), dtype=complex)
+    amp = _zeros(2 * m)
     amp[sector_word_indices(v.sector)] = v.amplitudes
     return Statevector(2 * m, amp)
 

@@ -22,9 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecompositionError, ParseError, ValidationError
+from .errors import CapacityError, DecompositionError, ParseError, ValidationError
 
 _SYM_TOL = 1e-10
+# orbital cap of parsed files, checked before the m^4 tensor is allocated
+_MAX_ORBITALS = 32
+# larger integrals overflow the sector matrix and its eigensolvers
+_MAX_ABS = 1e100
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +58,11 @@ class MolecularIntegrals:
             raise ValidationError(f"one_body shape {h.shape}, expected {(m, m)}")
         if g.shape != (m, m, m, m):
             raise ValidationError(f"two_body shape {g.shape}, expected 4x{m}")
+        values = (float(self.e_nuc), h, g)
+        if not all(np.all(np.isfinite(v)) for v in values):
+            raise ValidationError("integrals contain non-finite entries")
+        if any(np.max(np.abs(v), initial=0.0) > _MAX_ABS for v in values):
+            raise ValidationError(f"integrals exceed {_MAX_ABS:g} in magnitude")
         scale = max(1.0, float(np.max(np.abs(h)) if h.size else 0.0))
         if np.max(np.abs(h - h.T)) > _SYM_TOL * scale:
             raise ValidationError("one_body matrix is not symmetric")
@@ -62,8 +71,6 @@ class MolecularIntegrals:
         for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
             if np.max(np.abs(g - g.transpose(perm))) > _SYM_TOL * gscale:
                 raise ValidationError("two_body tensor lacks 8-fold symmetry")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(g))):
-            raise ValidationError("integrals contain non-finite entries")
         h.setflags(write=False)
         g.setflags(write=False)
         object.__setattr__(self, "one_body", h)
@@ -145,6 +152,8 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
     ms2 = header_int("MS2", default=0)
     if norb < 1:
         raise ParseError(f"NORB={norb} invalid", line_number=1)
+    if norb > _MAX_ORBITALS:
+        raise CapacityError(f"NORB={norb} exceeds the cap of {_MAX_ORBITALS} orbitals")
     if nelec < 0 or abs(ms2) > nelec or (nelec + ms2) % 2:
         raise ParseError(f"inconsistent NELEC={nelec}, MS2={ms2}", line_number=1)
     num_up = (nelec + ms2) // 2

@@ -45,7 +45,7 @@ from .fock import (
 from .fock import inner as fock_inner
 from .geev import GEEVSolution, SubspaceProblem
 from .integrals import MolecularIntegrals, cholesky_decompose_eri, effective_one_body
-from .qubits import PauliString, PauliSum, identity_sum, jordan_wigner, jw_ladder
+from .qubits import PauliSum, jordan_wigner, ladder_product, pauli_keys, string_table
 from .engine import (
     Statevector,
     apply_pauli,
@@ -125,14 +125,7 @@ class ExcitationOperator:
 
     def to_pauli(self) -> PauliSum:
         """Qubit image on 2m qubits: the product of the ladders' images."""
-        nq = 2 * self.num_orbitals
-        factors = [jw_ladder(mode, nq, create) for mode, create in self.ladders]
-        if not factors:
-            return identity_sum(nq)
-        image = factors[0]
-        for factor in factors[1:]:
-            image = image * factor
-        return image
+        return ladder_product(2 * self.num_orbitals, self.ladders)
 
 
 def _adjoint(ladders: tuple) -> tuple:
@@ -270,27 +263,18 @@ def qse_recipe(
         )
     dags = [p.dagger() for p in paulis]
     h_images = [ham * p for p in paulis]
-    raw = {}
-    seen = set()
+    split = {}
     for a in range(len(pool)):
         for b in range(a, len(pool)):
-            raw[("s", a, b)] = dags[a] * paulis[b]
-            raw[("h", a, b)] = dags[a] * h_images[b]
-    for sm in raw.values():
-        seen.update(s for s in sm.strings if s.x or s.z)
-    order = sorted(seen, key=lambda s: s.letters)
-    index = {s: k for k, s in enumerate(order)}
-    entries = {}
-    for key, sm in raw.items():
-        const = 0.0j
-        terms = []
-        for c, s in sm.terms():
-            if s.x == 0 and s.z == 0:
-                const += c
-            else:
-                terms.append((0, index[s], c))
-        entries[key] = EntryPlan(complex(const), tuple(terms))
-    job = MeasurementJob(state.normalized(), tuple(order))
+            split[("s", a, b)] = (dags[a] * paulis[b]).split_identity()
+            split[("h", a, b)] = (dags[a] * h_images[b]).split_identity()
+    masks = (np.concatenate([getattr(sm, a) for _, sm in split.values()]) for a in "xz")
+    keys, strings = string_table(ham.num_qubits, *masks)
+    entries = {
+        key: EntryPlan.reading(const, 0, np.searchsorted(keys, sm.keys), sm.coeffs)
+        for key, (const, sm) in split.items()
+    }
+    job = MeasurementJob(state.normalized(), strings)
     return ExpectationRecipe(len(pool), (job,), entries, provenance)
 
 
@@ -567,44 +551,27 @@ def qfd_recipe(
     psi = [statevector_from_fock(s).normalized() for s in _snapshots(state0, ints, grid)]
     ham = jordan_wigner(ints)
     nq = 2 * ints.num_orbitals
-    ham_terms = list(ham.terms())
-    const_h = sum(c for c, s in ham_terms if s.x == 0 and s.z == 0)
-    plain = sorted((s for _, s in ham_terms if s.x or s.z), key=lambda s: s.letters)
-    plain_index = {s: k for k, s in enumerate(plain)}
-    jobs = [MeasurementJob(psi[0], tuple(plain))]
-    diag_terms = tuple((0, plain_index[s], c) for c, s in ham_terms if s.x or s.z)
+    const_h, plain = ham.split_identity()
+    jobs = [MeasurementJob(psi[0], plain.strings)]
     s_plans = {0: EntryPlan(1.0 + 0.0j, ())}
-    h_plans = {0: EntryPlan(complex(const_h), diag_terms)}
-    anc = 1 << nq
-    identity = PauliString(nq, 0, 0)
+    h_plans = {0: EntryPlan.reading(const_h, 0, range(len(plain)), plain.coeffs)}
+    # ancilla-X and ancilla-Y copies of sigma in [identity, *plain]
+    anc = np.uint64(1 << nq)
+    sx, sz = (np.concatenate([np.zeros(1, np.uint64), getattr(plain, a)]) for a in "xz")
+    copies = ((sx | anc, sz), (sx | anc, sz | anc))
+    keys, strings = string_table(nq + 1, *map(np.concatenate, zip(*copies)))
+    x_at, y_at = (np.searchsorted(keys, pauli_keys(*copy)) for copy in copies)
+    # each term c sigma of H reads sigma's X copy with c and its Y copy with i c
+    rows = np.arange(len(ham)) + (len(ham) == len(plain))
+    reads = np.concatenate([x_at[rows], y_at[rows]])
+    order = np.argsort(reads)
+    weights = [*ham.coeffs, *(0.0j + 1.0j * c for c in ham.coeffs)]
     for k in range(1, grid.n):
         amps = np.concatenate([psi[0].amplitudes, psi[k].amplitudes]) / math.sqrt(2.0)
-        register = Statevector(nq + 1, amps)
-        pairs = {
-            sigma: (
-                PauliString(nq + 1, sigma.x | anc, sigma.z),
-                PauliString(nq + 1, sigma.x | anc, sigma.z | anc),
-            )
-            for sigma in [identity, *plain]
-        }
-        strings = sorted(
-            {p for two in pairs.values() for p in two}, key=lambda s: s.letters
-        )
-        index = {s: i for i, s in enumerate(strings)}
         job_id = len(jobs)
-        jobs.append(MeasurementJob(register, tuple(strings)))
-        x_id, y_id = pairs[identity]
-        s_plans[k] = EntryPlan(
-            0.0j, ((job_id, index[x_id], 1.0 + 0.0j), (job_id, index[y_id], 1.0j))
-        )
-        acc = {}
-        for c, s in ham_terms:
-            x_p, y_p = pairs[identity if (s.x == 0 and s.z == 0) else s]
-            acc[index[x_p]] = acc.get(index[x_p], 0.0j) + c
-            acc[index[y_p]] = acc.get(index[y_p], 0.0j) + 1.0j * c
-        h_plans[k] = EntryPlan(
-            0.0j, tuple((job_id, i, c) for i, c in sorted(acc.items()))
-        )
+        jobs.append(MeasurementJob(Statevector(nq + 1, amps), strings))
+        s_plans[k] = EntryPlan.reading(0.0j, job_id, (x_at[0], y_at[0]), (1.0 + 0.0j, 1.0j))
+        h_plans[k] = EntryPlan.reading(0.0j, job_id, reads[order], [weights[i] for i in order])
     entries = {}
     for a in range(grid.n):
         for b in range(a, grid.n):
@@ -674,13 +641,12 @@ def qite_pool(ints: MolecularIntegrals) -> tuple:
     imaginary combination of Hermitian strings; the distinct strings form
     the rotation pool.
     """
-    seen = set()
+    masks = [np.zeros((2, 0), dtype=np.uint64)]
     for op in qeom_pool(ints.num_orbitals):
         f = op.to_pauli()
-        for coeff, string in (f - f.dagger()).terms():
-            if abs(coeff) > _NULL_OP:
-                seen.add(string)
-    return tuple(sorted(seen, key=lambda s: s.letters))
+        g = f - f.dagger()
+        masks.append(np.stack([g.x, g.z])[:, np.abs(g.coeffs) > _NULL_OP])
+    return string_table(2 * ints.num_orbitals, *np.concatenate(masks, axis=1))[1]
 
 
 def qite_step(

@@ -3,8 +3,13 @@
 A Pauli string on n qubits is stored symplectically as two bit masks (x, z);
 qubit ell carries I, X, Y, Z for (x_ell, z_ell) = (0,0), (1,0), (1,1), (0,1),
 and the operator is i^{|x & z|} X^x Z^z, which makes every string Hermitian.
-Products, commutation checks, and basis-state actions are then integer
-arithmetic. Text form lists letters for qubits n-1 ... 0 left to right.
+Text form lists letters for qubits n-1 ... 0 left to right. A PauliSum holds
+read-only uint64 mask arrays x, z and its coefficients, so products (popcount
+phase rule of Aaronson & Gottesman, quant-ph/0406196), sums and images are
+array operations. Terms merge in term order, are pruned at 1e-14 and sorted
+by a 64-bit key interleaving, top qubit first, the bits (z, x xor z): letter
+order I < X < Y < Z. Other modules order strings only through `pauli_keys`
+and `string_table`; the key caps sums at 32 qubits (CapacityError).
 
 The fermion mapping sends mode j (orbital p spin-up -> j = p, spin-down ->
 j = p + m) to ladder operators (X_j -/+ i Y_j)/2 tensored with Z on all
@@ -14,18 +19,23 @@ amplitudes carry no extra signs (see fock module docstring).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy import bitwise_count as _popcount
 
 from .errors import CapacityError, ParseError, ValidationError
 from .integrals import MolecularIntegrals, cached_per_integrals
 
 _PRUNE = 1e-14
 _DENSE_QUBITS = 12
+_KEY_QUBITS = 32
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _MASKS = {v: k for k, v in _LETTERS.items()}
+_PHASES = np.array([1j**k for k in range(4)])
+# (shift s, mask of s-bit blocks 2s apart) steps moving bit i of a 32-bit word to bit 2i
+_SPREAD = [(np.uint64(s), np.uint64((2**64 - 1) // (2**s + 1))) for s in (16, 8, 4, 2, 1)]
 
 
 @dataclass(frozen=True, order=True)
@@ -35,8 +45,7 @@ class PauliString:
     z: int
 
     def __post_init__(self):
-        top = 1 << self.num_qubits
-        if not (0 <= self.x < top and 0 <= self.z < top):
+        if min(self.x, self.z) < 0 or max(self.x, self.z) >> self.num_qubits:
             raise ValidationError("mask outside qubit register")
 
     @classmethod
@@ -46,46 +55,26 @@ class PauliString:
             if ch not in _MASKS:
                 raise ValidationError(f"unknown Pauli letter {ch!r}")
             xb, zb = _MASKS[ch]
-            x = (x << 1) | xb
-            z = (z << 1) | zb
+            x, z = (x << 1) | xb, (z << 1) | zb
         return cls(len(letters), x, z)
 
     @property
     def letters(self) -> str:
-        out = []
-        for ell in reversed(range(self.num_qubits)):
-            out.append(_LETTERS[((self.x >> ell) & 1, (self.z >> ell) & 1)])
-        return "".join(out)
-
-    @property
-    def support(self) -> int:
-        """Mask of qubits carrying a non-identity letter."""
-        return self.x | self.z
+        bits = (((self.x >> ell) & 1, (self.z >> ell) & 1) for ell in range(self.num_qubits))
+        return "".join(_LETTERS[b] for b in bits)[::-1]
 
     @property
     def weight(self) -> int:
-        return self.support.bit_count()
-
-    def __str__(self):
-        return self.letters
-
-
-def identity_string(num_qubits: int) -> PauliString:
-    return PauliString(num_qubits, 0, 0)
+        return (self.x | self.z).bit_count()
 
 
 def pauli_product(a: PauliString, b: PauliString):
     """(phase, string) with a @ b = phase * string; phase is a power of i."""
     if a.num_qubits != b.num_qubits:
         raise ValidationError("qubit counts differ")
-    x = a.x ^ b.x
-    z = a.z ^ b.z
-    k = (
-        (a.x & a.z).bit_count()
-        + (b.x & b.z).bit_count()
-        - (x & z).bit_count()
-        + 2 * (a.z & b.x).bit_count()
-    ) % 4
+    x, z = a.x ^ b.x, a.z ^ b.z
+    k = ((a.x & a.z).bit_count() + (b.x & b.z).bit_count() - (x & z).bit_count()
+         + 2 * (a.z & b.x).bit_count()) % 4
     return 1j**k, PauliString(a.num_qubits, x, z)
 
 
@@ -97,36 +86,82 @@ def qubitwise_commutes(a: PauliString, b: PauliString) -> bool:
     return ((a.x & b.z) ^ (a.z & b.x)) == 0
 
 
+def _phase_exponent(ax, az, bx, bz, x, z) -> np.ndarray:
+    """`pauli_product`'s exponent on mask arrays (uint8 sums wrap mod 256)."""
+    return (_popcount(ax & az) + _popcount(bx & bz) - _popcount(x & z)
+            + 2 * _popcount(az & bx)) & 3
+
+
+def _cmul(a, b) -> np.ndarray:
+    """Complex product rounded like numpy scalars; array loops may fuse multiply-adds."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def pauli_keys(x, z) -> np.ndarray:
+    """Canonical sort keys of the strings with masks x, z (at most 32 qubits)."""
+    x, z = np.asarray(x, dtype=np.uint64), np.asarray(z, dtype=np.uint64)
+    v = np.stack([z, x ^ z])
+    for shift, mask in _SPREAD:
+        v = (v | (v << shift)) & mask
+    return (v[0] << 1) | v[1]
+
+
+def string_table(num_qubits: int, x, z):
+    """(keys, strings): the distinct strings among masks x, z, in key order."""
+    keys, first = np.unique(pauli_keys(x, z), return_index=True)
+    pairs = zip(x[first].tolist(), z[first].tolist())
+    return keys, tuple(PauliString(num_qubits, a, b) for a, b in pairs)
+
+
 @dataclass(frozen=True, eq=False)
 class PauliSum:
-    """Canonical linear combination: merged, pruned, sorted by string.
-
-    Equality is identity so instances can key caches; use `same_terms` for
-    structural comparison in tests.
-    """
+    """Canonical linear combination: merged, pruned, in key order; one
+    uint64 (x, z) mask pair per term. Built by `pauli_sum` and the algebra.
+    Equality is identity so instances can key caches."""
 
     num_qubits: int
-    strings: tuple
+    x: np.ndarray
+    z: np.ndarray
     coeffs: np.ndarray
+    keys: np.ndarray = field(default=None, repr=False)  # from x and z when None
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        if self.keys is None:
+            object.__setattr__(self, "keys", pauli_keys(self.x, self.z))
+        for name in ("x", "z", "keys", "coeffs"):
+            dtype = complex if name == "coeffs" else np.uint64
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            getattr(self, name).setflags(write=False)
 
     def __len__(self):
-        return len(self.strings)
+        return self.coeffs.size
+
+    @cached_property
+    def strings(self) -> tuple:
+        pairs = zip(self.x.tolist(), self.z.tolist())
+        return tuple(PauliString(self.num_qubits, a, b) for a, b in pairs)
 
     def terms(self):
         return zip(self.coeffs, self.strings)
 
+    def split_identity(self):
+        """(identity coefficient, other terms); the identity sorts first."""
+        if len(self) == 0 or self.x[0] | self.z[0]:
+            return 0j, self
+        rest = PauliSum(self.num_qubits, self.x[1:], self.z[1:], self.coeffs[1:], self.keys[1:])
+        return complex(self.coeffs[0]), rest
+
+    def _columns(self, other: "PauliSum") -> tuple:
+        if other.num_qubits != self.num_qubits:
+            raise ValidationError("qubit counts differ")
+        return zip((self.x, self.z, self.coeffs), (other.x, other.z, other.coeffs))
+
     def __add__(self, other):
         if isinstance(other, PauliSum):
-            if other.num_qubits != self.num_qubits:
-                raise ValidationError("qubit counts differ")
-            return pauli_sum(
-                self.num_qubits, list(self.terms()) + list(other.terms())
-            )
+            return _canonical(self.num_qubits, *map(np.concatenate, self._columns(other)))
         return NotImplemented
 
     def __sub__(self, other):
@@ -134,168 +169,146 @@ class PauliSum:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return pauli_sum(
-                self.num_qubits, [(c * other, s) for c, s in self.terms()]
-            )
+            coeffs = _cmul(self.coeffs, complex(other))
+            return _canonical(self.num_qubits, self.x, self.z, coeffs)
         if isinstance(other, PauliSum):
-            if other.num_qubits != self.num_qubits:
-                raise ValidationError("qubit counts differ")
-            acc = {}
-            for ca, sa in self.terms():
-                for cb, sb in other.terms():
-                    phase, s = pauli_product(sa, sb)
-                    acc[s] = acc.get(s, 0.0) + ca * cb * phase
-            return pauli_sum(self.num_qubits, list((c, s) for s, c in acc.items()))
+            (ax, bx), (az, bz), (ac, bc) = self._columns(other)
+            x, z = ax[:, None] ^ bx, az[:, None] ^ bz
+            k = _phase_exponent(ax[:, None], az[:, None], bx, bz, x, z)
+            coeffs = _cmul(ac[:, None], bc) * _PHASES[k]
+            return _canonical(self.num_qubits, x.ravel(), z.ravel(), coeffs.ravel())
         return NotImplemented
 
     __rmul__ = __mul__
 
     def dagger(self) -> "PauliSum":
-        return pauli_sum(self.num_qubits, [(c.conjugate(), s) for c, s in self.terms()])
+        return _canonical(self.num_qubits, self.x, self.z, self.coeffs.conj())
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.coeffs.imag), initial=0.0) <= tol)
 
-    def same_terms(self, other: "PauliSum", tol: float = 1e-12) -> bool:
-        return self.strings == other.strings and bool(
-            np.allclose(self.coeffs, other.coeffs, atol=tol)
-        )
-
     def to_dense(self) -> np.ndarray:
         if self.num_qubits > _DENSE_QUBITS:
             raise CapacityError(f"dense form capped at {_DENSE_QUBITS} qubits")
-        dim = 1 << self.num_qubits
-        idx = np.arange(dim)
-        out = np.zeros((dim, dim), dtype=complex)
-        for c, s in self.terms():
-            signs = 1.0 - 2.0 * (np.bitwise_count(idx & s.z) & 1)
-            out[idx ^ s.x, idx] += c * (1j ** (s.x & s.z).bit_count()) * signs
+        idx = np.arange(1 << self.num_qubits, dtype=np.uint64)
+        out = np.zeros((idx.size, idx.size), dtype=complex)
+        for c, x, z, k in zip(self.coeffs, self.x, self.z, _popcount(self.x & self.z)):
+            out[idx ^ x, idx] += c * _PHASES[k & 3] * (1.0 - 2.0 * (_popcount(idx & z) & 1))
         return out
+
+
+def _check_width(num_qubits: int) -> None:
+    if num_qubits > _KEY_QUBITS:
+        raise CapacityError(f"Pauli sums are capped at {_KEY_QUBITS} qubits")
+
+
+def _canonical(num_qubits: int, x, z, coeffs) -> PauliSum:
+    """Merge equal strings, adding coefficients in term order from zero,
+    drop sums of magnitude <= 1e-14 and order the rest by key."""
+    keys, inverse = np.unique(pauli_keys(x, z), return_inverse=True)
+    acc = np.zeros(keys.size, dtype=complex)
+    np.add.at(acc, inverse, coeffs)
+    ux, uz = np.zeros(keys.size, dtype=np.uint64), np.zeros(keys.size, dtype=np.uint64)
+    ux[inverse], uz[inverse] = x, z
+    keep = np.abs(acc) > _PRUNE
+    return PauliSum(num_qubits, ux[keep], uz[keep], acc[keep], keys[keep])
 
 
 def pauli_sum(num_qubits: int, terms) -> PauliSum:
     """Canonicalizing constructor; terms are (coeff, PauliString | letters)."""
-    acc = {}
-    for coeff, s in terms:
-        if isinstance(s, str):
-            s = PauliString.from_letters(s)
-        if s.num_qubits != num_qubits:
-            raise ValidationError("string width does not match register")
-        acc[s] = acc.get(s, 0.0) + complex(coeff)
-    kept = sorted(
-        ((s, c) for s, c in acc.items() if abs(c) > _PRUNE),
-        key=lambda item: item[0].letters,
-    )
-    return PauliSum(
-        num_qubits,
-        tuple(s for s, _ in kept),
-        np.array([c for _, c in kept], dtype=complex),
-    )
+    _check_width(num_qubits)
+    terms = [(complex(c), PauliString.from_letters(s) if isinstance(s, str) else s)
+             for c, s in terms]
+    if any(s.num_qubits != num_qubits for _, s in terms):
+        raise ValidationError("string width does not match register")
+    x, z = np.array([(s.x, s.z) for _, s in terms], dtype=np.uint64).reshape(-1, 2).T
+    return _canonical(num_qubits, x, z, np.array([c for c, _ in terms], dtype=complex))
 
 
 def identity_sum(num_qubits: int, coeff=1.0) -> PauliSum:
-    return pauli_sum(num_qubits, [(coeff, identity_string(num_qubits))])
+    return pauli_sum(num_qubits, [(coeff, PauliString(num_qubits, 0, 0))])
 
 
 def serialize_pauli_sum(h: PauliSum) -> str:
-    lines = [
-        f"{format(c.real, '.17g')} {format(c.imag, '.17g')} {s.letters}"
-        for c, s in h.terms()
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{c.real:.17g} {c.imag:.17g} {s.letters}\n" for c, s in h.terms()) or "\n"
 
 
 def parse_pauli_sum(text: str) -> PauliSum:
     terms = []
-    width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 3:
             raise ParseError("expected 're im LETTERS'", lineno)
         try:
             coeff = complex(float(parts[0]), float(parts[1]))
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
-        if width is None:
-            width = len(parts[2])
-        elif len(parts[2]) != width:
+        if terms and len(parts[2]) != len(terms[0][1]):
             raise ParseError("inconsistent string width", lineno)
         terms.append((coeff, parts[2]))
-    if width is None:
+    if not terms:
         raise ParseError("no terms found")
-    return pauli_sum(width, terms)
+    return pauli_sum(len(terms[0][1]), terms)
 
 
 # ---------------------------------------------------------------------------
 # fermionic images
 
 
+def _ladder_terms(scale, modes, create) -> tuple:
+    """(x, z, coeffs) of the products scale[r] * prod_j L(modes[r, j], create[j])
+    of ladder images, each expanded into its 2^factors strings in
+    itertools.product order over the factors' X and Y terms, coefficients
+    scale * (c_1 ph_1) * (c_2 ph_2) ..., ph_j the phase of factor j."""
+    nf = len(create)
+    x = z = np.zeros((len(scale), 1 << nf), dtype=np.uint64)
+    coeff = np.asarray(scale, dtype=float)[:, None]
+    for j, cr in enumerate(create):
+        y = ((np.arange(1 << nf) >> (nf - 1 - j)) & 1).astype(np.uint64)  # 1: the Y term
+        bit = np.uint64(1) << modes[:, j:j + 1].astype(np.uint64)
+        fx, fz = bit, bit - np.uint64(1) + bit * y
+        fc = np.where(y == 1, complex(0.0, -0.5 if cr else 0.5), complex(0.5, 0.0))
+        k = _phase_exponent(x, z, fx, fz, x ^ fx, z ^ fz)
+        x, z, coeff = x ^ fx, z ^ fz, _cmul(coeff, fc * _PHASES[k])
+    return x.ravel(), z.ravel(), coeff.ravel()
+
+
+def ladder_product(num_qubits: int, ladders) -> PauliSum:
+    """Qubit image of a product of ladder operators ((mode, create), ...),
+    leftmost first; create=True is adag_mode. No factors is the identity."""
+    _check_width(num_qubits)
+    modes = np.array([mode for mode, _ in ladders], dtype=np.intp)
+    if np.any((modes < 0) | (modes >= num_qubits)):
+        raise ValidationError("mode outside register")
+    return _canonical(num_qubits, *_ladder_terms(np.ones(1), modes[None], [c for _, c in ladders]))
+
+
 def jw_ladder(mode: int, num_qubits: int, create: bool) -> PauliSum:
     """Qubit image of adag_mode (create=True) or a_mode."""
-    if not 0 <= mode < num_qubits:
-        raise ValidationError("mode outside register")
-    bit = 1 << mode
-    below = bit - 1
-    sign = -1.0 if create else 1.0
-    return pauli_sum(
-        num_qubits,
-        [
-            (0.5, PauliString(num_qubits, bit, below)),
-            (sign * 0.5j, PauliString(num_qubits, bit, below | bit)),
-        ],
-    )
-
-
-def _ladder_terms(mode: int, num_qubits: int, create: bool):
-    return list(jw_ladder(mode, num_qubits, create).terms())
+    return ladder_product(num_qubits, [(mode, create)])
 
 
 @cached_per_integrals
 def jordan_wigner(ints: MolecularIntegrals) -> PauliSum:
-    """Qubit image of the full electronic Hamiltonian on 2m qubits."""
+    """Qubit image of the full electronic Hamiltonian on 2m qubits; terms merge
+    in the order e_nuc, one-body (p, r, spin), two-body (p, r, q, s, spins)."""
     m = ints.num_orbitals
     if m > 8:
         raise CapacityError("qubit image capped at 8 orbitals (16 qubits)")
-    nq = 2 * m
-    acc = {identity_string(nq): complex(ints.e_nuc)}
-
-    def add_product(scale, ops):
-        # ops: list of (mode, create); expand the product of ladder images
-        factors = [_ladder_terms(mode, nq, create) for mode, create in ops]
-        for combo in itertools.product(*factors):
-            coeff = scale
-            string = identity_string(nq)
-            for c, s in combo:
-                phase, string = pauli_product(string, s)
-                coeff *= c * phase
-            acc[string] = acc.get(string, 0.0) + coeff
-
-    h = ints.one_body
-    g = ints.two_body
-    offsets = (0, m)
-    for p in range(m):
-        for r in range(m):
-            if h[p, r] != 0.0:
-                for off in offsets:
-                    add_product(h[p, r], [(p + off, True), (r + off, False)])
-    for p, r, q, s in itertools.product(range(m), repeat=4):
-        val = g[p, r, q, s]
-        if val == 0.0:
-            continue
-        for off1 in offsets:
-            for off2 in offsets:
-                add_product(
-                    0.5 * val,
-                    [
-                        (p + off1, True),
-                        (q + off2, True),
-                        (s + off2, False),
-                        (r + off1, False),
-                    ],
-                )
-    return pauli_sum(nq, [(c, s) for s, c in acc.items()])
+    parts = [(np.zeros(1, np.uint64), np.zeros(1, np.uint64), np.array([complex(ints.e_nuc)]))]
+    # integrals, their factor, index order of the ladders, spin offsets, creators
+    for tensor, factor, order, offsets, create in (
+        (ints.one_body, 1.0, [0, 1], [[0, 0], [m, m]], (1, 0)),
+        (ints.two_body, 0.5, [0, 2, 3, 1], [[a, b, b, a] for a in (0, m) for b in (0, m)],
+         (1, 1, 0, 0)),
+    ):
+        idx = np.argwhere(tensor != 0.0)  # row-major: the order of nested loops
+        modes = (idx[:, None, order] + np.array(offsets)).reshape(-1, len(create))
+        scale = np.repeat(factor * tensor[tuple(idx.T)], len(offsets))
+        parts.append(_ladder_terms(scale, modes, create))
+    return _canonical(2 * m, *(np.concatenate(column) for column in zip(*parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,55 +317,42 @@ def jordan_wigner(ints: MolecularIntegrals) -> PauliSum:
 
 @dataclass(frozen=True)
 class CommutingGroups:
-    """Partition of a Pauli sum into mutually commuting groups.
-
-    `groups` holds index tuples into the parent sum's term list; every term
-    belongs to exactly one group.
-    """
+    """Partition of a Pauli sum into mutually commuting groups: index tuples
+    into the sum's term list, every term in exactly one group."""
 
     mode: str
-    num_terms: int
     groups: tuple
 
-    num_groups: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "num_groups", len(self.groups))
+    @property
+    def num_groups(self) -> int:
+        return len(self.groups)
 
 
 def group_commuting(h: PauliSum, mode: str = "qubitwise") -> CommutingGroups:
     """Greedy sorted insertion: visit terms by descending |coefficient| and
-    put each into the first group it is compatible with.
-
-    A qubitwise group fixes one letter on every qubit its members touch, so
-    a term is checked against the group's merged (x, z, support) masks in
-    one test; full commutation is checked against every member.
-    """
+    put each into the first group it is compatible with. A qubitwise group
+    fixes one letter on every qubit its members touch, so a term is tested
+    against all groups' merged (x, z, support) masks in one array operation;
+    full commutation is tested against every placed term."""
     if mode not in ("qubitwise", "full"):
         raise ValidationError(f"unknown grouping mode {mode!r}")
-    order = sorted(range(len(h)), key=lambda i: (-abs(h.coeffs[i]), i))
+    order = np.argsort(-np.abs(h.coeffs), kind="stable")
+    # merged (x, z, support) masks per group (qubitwise) or per placed term (full)
+    mx, mz, ms = (np.zeros(len(h), dtype=np.uint64) for _ in range(3))
+    owner = np.zeros(len(h), dtype=np.intp)  # group of each placed term
     groups = []
-    if mode == "qubitwise":
-        masks = []  # per group: (x, z, support) merged over its members
-        for i in order:
-            s = h.strings[i]
-            sx, sz = s.x, s.z
-            ss = sx | sz
-            for g, (gx, gz, gs) in enumerate(masks):
-                if ((sx ^ gx) | (sz ^ gz)) & ss & gs == 0:
-                    groups[g].append(i)
-                    masks[g] = (gx | sx, gz | sz, gs | ss)
-                    break
-            else:
-                groups.append([i])
-                masks.append((sx, sz, ss))
-    else:
-        for i in order:
-            s = h.strings[i]
-            for g in groups:
-                if all(commutes(s, h.strings[j]) for j in g):
-                    g.append(i)
-                    break
-            else:
-                groups.append([i])
-    return CommutingGroups(mode, len(h), tuple(tuple(g) for g in groups))
+    for placed, i in enumerate(order.tolist()):
+        sx, sz, n = h.x[i], h.z[i], len(groups)
+        if mode == "qubitwise":
+            fits = (((mx[:n] ^ sx) | (mz[:n] ^ sz)) & ms[:n] & (sx | sz)) == 0
+        else:
+            anti = _popcount(mx[:placed] & sz) + _popcount(mz[:placed] & sx)
+            fits = np.ones(n, dtype=bool)
+            fits[owner[:placed][anti & 1 == 1]] = False
+        g = int(fits.argmax()) if fits.any() else n
+        if g == n:
+            groups.append([])
+        groups[g].append(i)
+        row = g if mode == "qubitwise" else placed
+        mx[row], mz[row], ms[row], owner[placed] = mx[row] | sx, mz[row] | sz, ms[row] | sx | sz, g
+    return CommutingGroups(mode, tuple(tuple(g) for g in groups))

@@ -23,8 +23,10 @@ recorded plan.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -32,7 +34,14 @@ import numpy as np
 from .engine import Statevector, apply_pauli, inner
 from .errors import CapacityError, DataError, ValidationError
 from .geev import SubspaceProblem
-from .qubits import PauliString, commutes, group_commuting, pauli_sum, qubitwise_commutes
+from .qubits import (
+    PauliString,
+    commutes,
+    group_commuting,
+    pauli_keys,
+    pauli_sum,
+    qubitwise_commutes,
+)
 
 GENERATOR = "philox"
 
@@ -298,6 +307,11 @@ class EntryPlan:
     const: complex
     terms: tuple  # ((job, string index, coeff), ...)
 
+    @classmethod
+    def reading(cls, const, job: int, indices, coeffs) -> "EntryPlan":
+        """const + sum of coeffs[n] * <string indices[n] of job>."""
+        return cls(const, tuple(zip(itertools.repeat(job), np.asarray(indices).tolist(), coeffs)))
+
 
 @dataclass(frozen=True, eq=False)
 class ExpectationRecipe:
@@ -323,14 +337,18 @@ class ExpectationRecipe:
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         if self.size < 1:
             raise ValidationError("need at least a 1x1 subspace")
+        sizes = np.array([len(job.strings) for job in self.jobs], dtype=np.intp)
         for (kind, i, j), plan in self.entries.items():
             if kind not in ("h", "s") or not 0 <= i <= j < self.size:
                 raise ValidationError(f"bad entry key {(kind, i, j)!r}")
-            for job, k, _ in plan.terms:
-                if not 0 <= job < len(self.jobs):
-                    raise ValidationError("entry references a missing job")
-                if not 0 <= k < len(self.jobs[job].strings):
-                    raise ValidationError("entry references a missing string")
+            jobs, ks = (
+                np.fromiter(map(itemgetter(c), plan.terms), dtype=np.intp, count=len(plan.terms))
+                for c in (0, 1)
+            )
+            if np.any((jobs < 0) | (jobs >= len(self.jobs))):
+                raise ValidationError("entry references a missing job")
+            if np.any((ks < 0) | (ks >= sizes[jobs])):
+                raise ValidationError("entry references a missing string")
         for kind in ("h", "s"):
             picked = [(d, i, j) for d, (k, i, j) in enumerate(self.entries) if k == kind]
             self._layout[kind] = tuple(np.array(picked, dtype=int).reshape(-1, 3).T)
@@ -368,9 +386,10 @@ def _partition(recipe: ExpectationRecipe, mode: str) -> tuple:
     for j, job in enumerate(recipe.jobs):
         if not job.strings:
             continue
+        keys = pauli_keys([s.x for s in job.strings], [s.z for s in job.strings])
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValidationError("job strings must be distinct and in canonical order")
         unit = pauli_sum(job.state.num_qubits, [(1.0, s) for s in job.strings])
-        if unit.strings != job.strings:
-            raise ValidationError("job strings must be distinct and letter-sorted")
         for members in group_commuting(unit, mode).groups:
             groups.append(MeasurementGroup(j, tuple(sorted(members))))
     return tuple(groups)
@@ -587,21 +606,10 @@ def noisy_subspace(recipe: ExpectationRecipe, plan: ShotPlan) -> SubspaceProblem
 
 def operator_recipe(state: Statevector, h, provenance: dict | None = None):
     """1x1 recipe for a single operator expectation (S is the constant 1)."""
-    table = {}
-    const = 0.0j
-    terms = []
-    ordered = sorted(
-        ((s, c) for c, s in h.terms()), key=lambda item: item[0].letters
-    )
-    for s, c in ordered:
-        if s.x == 0 and s.z == 0:
-            const += c
-        else:
-            terms.append((0, len(table), c))
-            table[s] = len(table)
-    job = MeasurementJob(state.normalized(), tuple(table))
+    const, plain = h.split_identity()
+    job = MeasurementJob(state.normalized(), plain.strings)
     entries = {
-        ("h", 0, 0): EntryPlan(complex(const), tuple(terms)),
+        ("h", 0, 0): EntryPlan.reading(const, 0, range(len(plain)), plain.coeffs),
         ("s", 0, 0): EntryPlan(1.0 + 0.0j, ()),
     }
     return ExpectationRecipe(1, (job,), entries, provenance or {"method": "operator"})

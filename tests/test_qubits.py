@@ -1,5 +1,7 @@
 """Pauli algebra, fermionic qubit images, and commutation grouping."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -236,3 +238,60 @@ def test_grouping_visits_largest_first():
 def test_identity_sum():
     ident = identity_sum(3, 2.0)
     np.testing.assert_allclose(ident.to_dense(), 2.0 * np.eye(8), atol=1e-14)
+
+
+def test_sum_wider_than_the_key_is_a_capacity_error():
+    line = "1.0 0.0 " + "X" * 33 + "\n"
+    with pytest.raises(CapacityError):
+        parse_pauli_sum(line)
+    assert len(parse_pauli_sum("1.0 0.0 " + "Z" * 32 + "\n")) == 1
+    with pytest.raises(CapacityError):
+        jw_ladder(0, 33, create=True)
+
+
+def test_grouping_full_mode_matches_pairwise_insertion(h4_toy):
+    h = jordan_wigner(h4_toy)
+    assert group_commuting(h, mode="full").groups == _pairwise_insertion(h, commutes)
+
+
+def _per_pair_jordan_wigner(ints):
+    """Reference image: every ladder product expanded one string pair at a
+    time, coefficients scale * (c_1 ph_1) * (c_2 ph_2) ..., added from e_nuc
+    on in the order one-body, then two-body."""
+    m = ints.num_orbitals
+    nq = 2 * m
+    acc = {PauliString(nq, 0, 0): complex(ints.e_nuc)}
+
+    def add(scale, ops):
+        factors = [list(jw_ladder(mode, nq, create).terms()) for mode, create in ops]
+        for combo in itertools.product(*factors):
+            coeff, string = scale, PauliString(nq, 0, 0)
+            for c, s in combo:
+                phase, string = pauli_product(string, s)
+                coeff *= c * phase
+            acc[string] = acc.get(string, 0.0) + coeff
+
+    h, g = ints.one_body, ints.two_body
+    for p, r in itertools.product(range(m), repeat=2):
+        if h[p, r] != 0.0:
+            for off in (0, m):
+                add(h[p, r], [(p + off, True), (r + off, False)])
+    for p, r, q, s in itertools.product(range(m), repeat=4):
+        if g[p, r, q, s] != 0.0:
+            for o1, o2 in itertools.product((0, m), repeat=2):
+                ops = [(p + o1, True), (q + o2, True), (s + o2, False), (r + o1, False)]
+                add(0.5 * g[p, r, q, s], ops)
+    kept = sorted(
+        ((s, 0.0 + complex(c)) for s, c in acc.items() if abs(c) > 1e-14),
+        key=lambda t: t[0].letters,
+    )
+    return tuple(s for s, _ in kept), np.array([c for _, c in kept])
+
+
+@pytest.mark.parametrize("name", ["h2_sto3g", "heh_like", "h3_plus"])
+def test_hamiltonian_image_matches_per_pair_expansion_bit_for_bit(name):
+    ints = load_integrals(name)
+    strings, coeffs = _per_pair_jordan_wigner(ints)
+    image = jordan_wigner(ints)
+    assert image.strings == strings
+    assert np.array_equal(image.coeffs.view(np.float64), coeffs.view(np.float64))

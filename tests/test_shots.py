@@ -374,6 +374,29 @@ class TestRecipes:
         noisy_subspace(recipe, ShotPlan(1, (10,) * len(full), mode="full"))
         assert calls.count("full") == len(recipe.jobs)
 
+    def test_recipe_rejects_bad_references_and_job_order(self):
+        state = random_state(2, 3)
+        job = shots.MeasurementJob(state, (pstr("XI"), pstr("ZZ")))
+        s_plan = shots.EntryPlan(1.0 + 0.0j, ())
+
+        def recipe(*terms, jobs=(job,)):
+            entries = {("s", 0, 0): s_plan, ("h", 0, 0): shots.EntryPlan(0j, terms)}
+            return shots.ExpectationRecipe(1, jobs, entries)
+
+        assert recipe((0, 1, 1.0), (0, 0, 0.5)).entries[("h", 0, 0)].terms[0] == (0, 1, 1.0)
+        for terms, message in (
+            (((1, 0, 1.0),), "missing job"),
+            (((-1, 0, 1.0),), "missing job"),
+            (((0, 2, 1.0),), "missing string"),
+            (((0, 0, 1.0), (0, -1, 1.0)), "missing string"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                recipe(*terms)
+        # strings out of canonical order (Z sorts after X) are refused when grouping
+        swapped = shots.MeasurementJob(state, (pstr("ZZ"), pstr("XI")))
+        with pytest.raises(ValidationError, match="canonical order"):
+            measurement_groups(recipe((0, 0, 1.0), jobs=(swapped,)))
+
     def test_operator_recipe_exact_value(self, h3_plus):
         state = hf_statevector(h3_plus)
         ham = jordan_wigner(h3_plus)
