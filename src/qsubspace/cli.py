@@ -183,6 +183,14 @@ class RunConfig:
         }
 
 
+def finite_float(raw: str) -> float:
+    """float(raw) for the float flags and keys; nan and +-inf are refused."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse would sys.exit(2) with plain text; raise so main() can emit
     # the error JSON instead
@@ -216,26 +224,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, help="concurrent sweep points (default 1)")
     parser.add_argument("--n", type=int, help="subspace dimension / grid points")
     parser.add_argument("--k", type=int, help="eigenpairs to report (fci, davidson)")
-    parser.add_argument("--dt", type=float, help="real-time grid step (qfd, spectrum, fastforward)")
-    parser.add_argument("--dtau", type=float, help="imaginary-time step (qlanczos)")
-    parser.add_argument("--eps", type=float, help="overlap threshold (default: solver heuristic)")
+    parser.add_argument("--dt", type=finite_float,
+                        help="real-time grid step (qfd, spectrum, fastforward)")
+    parser.add_argument("--dtau", type=finite_float, help="imaginary-time step (qlanczos)")
+    parser.add_argument("--eps", type=finite_float,
+                        help="overlap threshold (default: solver heuristic)")
     parser.add_argument("--level", choices=("S", "SD"), help="qse excitation level")
     parser.add_argument("--tda", action=argparse.BooleanOptionalAction, default=None,
                         help="qeom: drop the de-excitation block")
-    parser.add_argument("--tau", type=float, help="gaussian-power filter width")
-    parser.add_argument("--time", type=float, help="fastforward target time")
+    parser.add_argument("--tau", type=finite_float, help="gaussian-power filter width")
+    parser.add_argument("--time", type=finite_float, help="fastforward target time")
     parser.add_argument("--bounds", help="chebyshev spectral bounds LO,HI")
     parser.add_argument("--backend", choices=("exact", "trotter"), help="qfd propagator")
     parser.add_argument("--substeps", type=int, help="trotter substeps per grid step")
     parser.add_argument("--mode", choices=("exact", "qite"), help="qlanczos propagation mode")
     parser.add_argument("--op", help="spectrum probe: occ:P or ham (default occ:0)")
-    parser.add_argument("--omega-min", type=float, help="response grid start")
-    parser.add_argument("--omega-max", type=float, help="response grid end")
+    parser.add_argument("--omega-min", type=finite_float, help="response grid start")
+    parser.add_argument("--omega-max", type=finite_float, help="response grid end")
     parser.add_argument("--omega-points", type=int,
                         help="response grid size; 0 = sticks only")
-    parser.add_argument("--eta", type=float, help="lorentzian broadening")
+    parser.add_argument("--eta", type=finite_float, help="lorentzian broadening")
     parser.add_argument("--shots", type=int, help="samples per measurement group")
-    parser.add_argument("--eps-target", type=float,
+    parser.add_argument("--eps-target", type=finite_float,
                         help="allocate shots for this eigenvalue precision")
     parser.add_argument("--no-sampling", action="store_true",
                         help="force the exact backend even if the config enables shots")
@@ -252,7 +262,7 @@ def _convert(key: str, raw: str):
         if key in _INT_KEYS:
             return int(raw)
         if key in _FLOAT_KEYS:
-            return float(raw)
+            return finite_float(raw)
         if key in _BOOL_KEYS:
             lowered = raw.strip().lower()
             if lowered in ("1", "true", "yes", "on"):
@@ -306,9 +316,9 @@ def _parse_bounds(raw: str) -> tuple:
     if len(parts) != 2:
         raise ValidationError(f"bounds must be LO,HI, got {raw!r}")
     try:
-        return (float(parts[0]), float(parts[1]))
+        return (finite_float(parts[0]), finite_float(parts[1]))
     except ValueError:
-        raise ValidationError(f"bounds must be numeric, got {raw!r}") from None
+        raise ValidationError(f"bounds must be finite numbers, got {raw!r}") from None
 
 
 def _parse_sweep(raw: str) -> tuple:
@@ -318,11 +328,11 @@ def _parse_sweep(raw: str) -> tuple:
         raise ValidationError(
             f"sweep must be AXIS=V1,V2,... with axis in {sorted(_SWEEP_AXES)}, got {raw!r}"
         )
-    cast = int if axis in ("n", "shots") else float
+    cast = int if axis in ("n", "shots") else finite_float
     try:
         values = tuple(cast(x) for x in tail.split(",") if x.strip())
     except ValueError:
-        raise ValidationError(f"sweep values must be numeric, got {raw!r}") from None
+        raise ValidationError(f"sweep values must be finite numbers, got {raw!r}") from None
     if not values:
         raise ValidationError("sweep needs at least one value")
     return axis, values

@@ -269,12 +269,12 @@ def qse_recipe(
             split[("s", a, b)] = (dags[a] * paulis[b]).split_identity()
             split[("h", a, b)] = (dags[a] * h_images[b]).split_identity()
     masks = (np.concatenate([getattr(sm, a) for _, sm in split.values()]) for a in "xz")
-    keys, strings = string_table(ham.num_qubits, *masks)
+    table = string_table(ham.num_qubits, *masks)
     entries = {
-        key: EntryPlan.reading(const, 0, np.searchsorted(keys, sm.keys), sm.coeffs)
+        key: EntryPlan(const, 0, np.searchsorted(table.keys, sm.keys), sm.coeffs)
         for key, (const, sm) in split.items()
     }
-    job = MeasurementJob(state.normalized(), strings)
+    job = MeasurementJob(state.normalized(), table)
     return ExpectationRecipe(len(pool), (job,), entries, provenance)
 
 
@@ -552,26 +552,24 @@ def qfd_recipe(
     ham = jordan_wigner(ints)
     nq = 2 * ints.num_orbitals
     const_h, plain = ham.split_identity()
-    jobs = [MeasurementJob(psi[0], plain.strings)]
-    s_plans = {0: EntryPlan(1.0 + 0.0j, ())}
-    h_plans = {0: EntryPlan.reading(const_h, 0, range(len(plain)), plain.coeffs)}
+    jobs = [MeasurementJob(psi[0], plain)]
+    s_plans = {0: EntryPlan(1.0 + 0.0j)}
+    h_plans = {0: EntryPlan(const_h, 0, np.arange(len(plain)), plain.coeffs)}
     # ancilla-X and ancilla-Y copies of sigma in [identity, *plain]
     anc = np.uint64(1 << nq)
     sx, sz = (np.concatenate([np.zeros(1, np.uint64), getattr(plain, a)]) for a in "xz")
     copies = ((sx | anc, sz), (sx | anc, sz | anc))
-    keys, strings = string_table(nq + 1, *map(np.concatenate, zip(*copies)))
-    x_at, y_at = (np.searchsorted(keys, pauli_keys(*copy)) for copy in copies)
+    table = string_table(nq + 1, *map(np.concatenate, zip(*copies)))
+    x_at, y_at = (np.searchsorted(table.keys, pauli_keys(*copy)) for copy in copies)
     # each term c sigma of H reads sigma's X copy with c and its Y copy with i c
     rows = np.arange(len(ham)) + (len(ham) == len(plain))
     reads = np.concatenate([x_at[rows], y_at[rows]])
-    order = np.argsort(reads)
-    weights = [*ham.coeffs, *(0.0j + 1.0j * c for c in ham.coeffs)]
+    weights = np.concatenate([ham.coeffs, 0.0j + 1.0j * ham.coeffs])
     for k in range(1, grid.n):
         amps = np.concatenate([psi[0].amplitudes, psi[k].amplitudes]) / math.sqrt(2.0)
-        job_id = len(jobs)
-        jobs.append(MeasurementJob(Statevector(nq + 1, amps), strings))
-        s_plans[k] = EntryPlan.reading(0.0j, job_id, (x_at[0], y_at[0]), (1.0 + 0.0j, 1.0j))
-        h_plans[k] = EntryPlan.reading(0.0j, job_id, reads[order], [weights[i] for i in order])
+        jobs.append(MeasurementJob(Statevector(nq + 1, amps), table))
+        s_plans[k] = EntryPlan(0.0j, k, (x_at[0], y_at[0]), (1.0 + 0.0j, 1.0j))
+        h_plans[k] = EntryPlan(0.0j, k, reads, weights)
     entries = {}
     for a in range(grid.n):
         for b in range(a, grid.n):
@@ -646,7 +644,7 @@ def qite_pool(ints: MolecularIntegrals) -> tuple:
         f = op.to_pauli()
         g = f - f.dagger()
         masks.append(np.stack([g.x, g.z])[:, np.abs(g.coeffs) > _NULL_OP])
-    return string_table(2 * ints.num_orbitals, *np.concatenate(masks, axis=1))[1]
+    return string_table(2 * ints.num_orbitals, *np.concatenate(masks, axis=1)).strings
 
 
 def qite_step(

@@ -109,11 +109,11 @@ def pauli_keys(x, z) -> np.ndarray:
     return (v[0] << 1) | v[1]
 
 
-def string_table(num_qubits: int, x, z):
-    """(keys, strings): the distinct strings among masks x, z, in key order."""
+def string_table(num_qubits: int, x, z) -> "PauliSum":
+    """The distinct strings among mask arrays x, z as a unit-coefficient
+    PauliSum in key order: a measurement job's string table."""
     keys, first = np.unique(pauli_keys(x, z), return_index=True)
-    pairs = zip(x[first].tolist(), z[first].tolist())
-    return keys, tuple(PauliString(num_qubits, a, b) for a, b in pairs)
+    return PauliSum(num_qubits, x[first], z[first], np.ones(keys.size), keys)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,10 @@ estimators the module allocates shots across groups against a precision
 target and assembles noise-tagged subspace problems from measurement
 recipes emitted by the subspace builders.
 
-A recipe is frozen.  Everything about it that does not depend on the seed
+Each entry of a recipe reads one job, a state and its string table.  The
+entries compile once into a const vector and one sparse matrix over all
+jobs' strings, so entry values are const + matrix @ expectations.  A
+recipe is frozen.  Everything about it that does not depend on the seed
 (the grouping, each group's entry coefficients, its outcome probabilities
 and its +-1 value table) is computed once per grouping mode, the first
 time it is needed, and kept on the recipe, so it is freed with the recipe.
@@ -23,25 +26,17 @@ recorded plan.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
+import scipy.sparse
 
 from .engine import Statevector, apply_pauli, inner
 from .errors import CapacityError, DataError, ValidationError
 from .geev import SubspaceProblem
-from .qubits import (
-    PauliString,
-    commutes,
-    group_commuting,
-    pauli_keys,
-    pauli_sum,
-    qubitwise_commutes,
-)
+from .qubits import PauliString, PauliSum, commutes, group_commuting, qubitwise_commutes
 
 GENERATOR = "philox"
 
@@ -142,13 +137,7 @@ class ShotPlan:
 
 
 def _strip_coefficients(group):
-    strings = []
-    for item in group:
-        if isinstance(item, PauliString):
-            strings.append(item)
-        else:
-            _, s = item
-            strings.append(s)
+    strings = [item if isinstance(item, PauliString) else item[1] for item in group]
     if not strings:
         raise ValidationError("empty measurement group")
     return strings
@@ -279,38 +268,49 @@ def sample_group(state, group, n_shots: int, seed: int, group_index: int = 0):
 
 @dataclass(frozen=True, eq=False)
 class MeasurementJob:
-    """One preparable state and the strings measured on it.
-
-    The job keeps a read-only copy of the amplitudes, so nothing computed
-    from it can go stale.
-    """
+    """One preparable state and its string table: distinct non-identity
+    strings in canonical order, kept as a unit-coefficient PauliSum (see
+    `qubits.string_table`) and a read-only copy of the amplitudes, so
+    nothing computed from the job can go stale."""
 
     state: Statevector
-    strings: tuple
+    strings: PauliSum
 
     def __post_init__(self):
-        object.__setattr__(self, "strings", tuple(self.strings))
-        for p in self.strings:
-            if p.num_qubits != self.state.num_qubits:
-                raise ValidationError("string width does not match the register")
-            if p.x == 0 and p.z == 0:
-                raise ValidationError("identity belongs in the constant part")
+        s = self.strings
+        if not isinstance(s, PauliSum):
+            raise ValidationError("job strings must be a PauliSum")
+        if s.num_qubits != self.state.num_qubits:
+            raise ValidationError("string width does not match the register")
+        if np.any((s.x | s.z) == 0):
+            raise ValidationError("identity belongs in the constant part")
+        if np.any(s.keys[1:] <= s.keys[:-1]):
+            raise ValidationError("job strings must be distinct and in canonical order")
+        unit = PauliSum(s.num_qubits, s.x, s.z, np.ones(len(s)), s.keys)
+        object.__setattr__(self, "strings", unit)
         amps = self.state.amplitudes.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "state", Statevector(self.state.num_qubits, amps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntryPlan:
-    """const + sum of coeff * <string k of job j> for one matrix entry."""
+    """const + sum of coeffs[n] * <string indices[n] of job> for one matrix
+    entry; kept as read-only copies of the two arrays."""
 
     const: complex
-    terms: tuple  # ((job, string index, coeff), ...)
+    job: int = 0
+    indices: np.ndarray = ()
+    coeffs: np.ndarray = ()
 
-    @classmethod
-    def reading(cls, const, job: int, indices, coeffs) -> "EntryPlan":
-        """const + sum of coeffs[n] * <string indices[n] of job>."""
-        return cls(const, tuple(zip(itertools.repeat(job), np.asarray(indices).tolist(), coeffs)))
+    def __post_init__(self):
+        indices = np.array(self.indices, dtype=np.intp)
+        coeffs = np.array(self.coeffs, dtype=complex)
+        if indices.ndim != 1 or indices.shape != coeffs.shape:
+            raise ValidationError("an entry needs one coefficient per string index")
+        for name, value in (("indices", indices), ("coeffs", coeffs)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,8 +319,11 @@ class ExpectationRecipe:
 
     entries maps ("h" | "s", i, j) with i <= j to an EntryPlan; the lower
     triangle is the conjugate by construction and is never measured twice.
-    The recipe is frozen and `entries` is a read-only mapping, so the
-    per-mode sampling data compiled from it stays valid for its lifetime.
+    The entries compile into a const vector and one CSR matrix of shape
+    (entries, all jobs' strings), whose columns are the jobs' string tables
+    end to end, job j's from column offsets[j].  The recipe is frozen and
+    `entries` is a read-only mapping, so these and the per-mode sampling
+    data compiled from them stay valid for its lifetime.
     """
 
     size: int
@@ -329,6 +332,9 @@ class ExpectationRecipe:
     provenance: dict = field(default_factory=dict)
     # kind -> (entry positions, rows, columns), for assembling matrices
     _layout: dict = field(default_factory=dict, init=False, repr=False)
+    _offsets: np.ndarray = field(default=None, init=False, repr=False)
+    _const: np.ndarray = field(default=None, init=False, repr=False)
+    _matrix: scipy.sparse.csr_array = field(default=None, init=False, repr=False)
     # grouping mode -> _Compiled, filled on first use
     _compiled: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -337,18 +343,24 @@ class ExpectationRecipe:
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         if self.size < 1:
             raise ValidationError("need at least a 1x1 subspace")
-        sizes = np.array([len(job.strings) for job in self.jobs], dtype=np.intp)
-        for (kind, i, j), plan in self.entries.items():
+        for kind, i, j in self.entries:
             if kind not in ("h", "s") or not 0 <= i <= j < self.size:
                 raise ValidationError(f"bad entry key {(kind, i, j)!r}")
-            jobs, ks = (
-                np.fromiter(map(itemgetter(c), plan.terms), dtype=np.intp, count=len(plan.terms))
-                for c in (0, 1)
-            )
-            if np.any((jobs < 0) | (jobs >= len(self.jobs))):
-                raise ValidationError("entry references a missing job")
-            if np.any((ks < 0) | (ks >= sizes[jobs])):
-                raise ValidationError("entry references a missing string")
+        plans = self.entries.values()
+        offsets = np.cumsum([0] + [len(job.strings) for job in self.jobs], dtype=np.intp)
+        counts = np.array([p.indices.size for p in plans], dtype=np.intp)
+        jobs = np.repeat(np.array([p.job for p in plans], dtype=np.intp), counts)
+        ks = np.concatenate([np.zeros(0, np.intp), *(p.indices for p in plans)])
+        if np.any((jobs < 0) | (jobs >= len(self.jobs))):
+            raise ValidationError("entry references a missing job")
+        if np.any((ks < 0) | (ks >= np.diff(offsets)[jobs])):
+            raise ValidationError("entry references a missing string")
+        data = np.concatenate([np.zeros(0, complex), *(p.coeffs for p in plans)])
+        const = np.array([p.const for p in plans], dtype=complex)
+        matrix = scipy.sparse.csr_array((data, offsets[jobs] + ks, np.cumsum([0, *counts])),
+                                        shape=(counts.size, offsets[-1]))
+        for name, value in (("_offsets", offsets), ("_const", const), ("_matrix", matrix)):
+            object.__setattr__(self, name, value)
         for kind in ("h", "s"):
             picked = [(d, i, j) for d, (k, i, j) in enumerate(self.entries) if k == kind]
             self._layout[kind] = tuple(np.array(picked, dtype=int).reshape(-1, 3).T)
@@ -382,17 +394,11 @@ class _Compiled:
 
 
 def _partition(recipe: ExpectationRecipe, mode: str) -> tuple:
-    groups = []
-    for j, job in enumerate(recipe.jobs):
-        if not job.strings:
-            continue
-        keys = pauli_keys([s.x for s in job.strings], [s.z for s in job.strings])
-        if np.any(keys[1:] <= keys[:-1]):
-            raise ValidationError("job strings must be distinct and in canonical order")
-        unit = pauli_sum(job.state.num_qubits, [(1.0, s) for s in job.strings])
-        for members in group_commuting(unit, mode).groups:
-            groups.append(MeasurementGroup(j, tuple(sorted(members))))
-    return tuple(groups)
+    return tuple(
+        MeasurementGroup(j, tuple(sorted(members)))
+        for j, job in enumerate(recipe.jobs)
+        for members in group_commuting(job.strings, mode).groups
+    )
 
 
 def _compile(recipe: ExpectationRecipe, mode: str) -> _Compiled:
@@ -408,47 +414,38 @@ def measurement_groups(recipe: ExpectationRecipe, mode: str = "qubitwise"):
 
 
 def _entry_blocks(recipe: ExpectationRecipe, groups):
-    """Per group: rows of touching entries and their coefficient matrix."""
-    lookup = {}
-    for f, g in enumerate(groups):
-        for col, k in enumerate(g.members):
-            lookup[(g.job, k)] = (f, col)
-    rows = [[] for _ in groups]
-    coeffs = [[] for _ in groups]
-    for d, plan in enumerate(recipe.entries.values()):
-        per_group = {}
-        for job, k, c in plan.terms:
-            f, col = lookup[(job, k)]
-            vec = per_group.get(f)
-            if vec is None:
-                vec = per_group[f] = np.zeros(len(groups[f].members), dtype=complex)
-            vec[col] += c
-        for f, vec in per_group.items():
-            rows[f].append(d)
-            coeffs[f].append(vec)
-    return [
-        (np.asarray(r, dtype=int), np.asarray(c, dtype=complex))
-        for r, c in zip(rows, coeffs)
-    ]
+    """Per group: rows of the entries that read it and their coefficient
+    matrix, scattered from its columns of the recipe matrix with the
+    columns permuted into group order."""
+    perm = [recipe._offsets[g.job] + np.array(g.members, dtype=np.intp) for g in groups]
+    cols = recipe._matrix[:, np.concatenate([np.zeros(0, np.intp), *perm])].tocsc()
+    blocks, start = [], 0
+    for g in groups:
+        stop = start + len(g.members)
+        span = slice(cols.indptr[start], cols.indptr[stop])
+        rows, at = np.unique(cols.indices[span], return_inverse=True)
+        members = np.repeat(np.arange(len(g.members)), np.diff(cols.indptr[start:stop + 1]))
+        cmat = np.zeros((rows.size, len(g.members)), dtype=complex)
+        np.add.at(cmat, (at, members), cols.data[span])
+        blocks.append((rows.astype(np.intp), cmat))
+        start = stop
+    return blocks
 
 
 def _group_tables(recipe: ExpectationRecipe, mode: str) -> tuple:
     compiled = _compile(recipe, mode)
     if compiled.tables is None:
-        tables = []
-        for group, (rows, cmat) in zip(
-            compiled.groups, _entry_blocks(recipe, compiled.groups)
-        ):
-            if rows.size == 0:
-                tables.append(None)
-                continue
-            job = recipe.jobs[group.job]
-            probs, values = _group_model(job.state, [job.strings[k] for k in group.members])
-            tables.append(
-                _GroupTable(rows, cmat, _normalized_probs(probs), values.astype(np.int8))
-            )
-        compiled.tables = tuple(tables)
+        blocks = _entry_blocks(recipe, compiled.groups)
+        compiled.tables = tuple(
+            _group_table(recipe.jobs[g.job], g.members, rows, cmat) if rows.size else None
+            for g, (rows, cmat) in zip(compiled.groups, blocks)
+        )
     return compiled.tables
+
+
+def _group_table(job: MeasurementJob, members, rows, cmat) -> _GroupTable:
+    probs, values = _group_model(job.state, [job.strings.strings[k] for k in members])
+    return _GroupTable(rows, cmat, _normalized_probs(probs), values.astype(np.int8))
 
 
 def _sample_moments(table: _GroupTable, n: int, rng: np.random.Generator):
@@ -486,20 +483,10 @@ def _assemble(recipe: ExpectationRecipe, values, stds=None):
 
 
 def exact_subspace(recipe: ExpectationRecipe) -> SubspaceProblem:
-    """Infinite-shot limit: evaluate every expectation on the statevector."""
-    exact = [
-        np.array([inner(job.state, apply_pauli(p, job.state)) for p in job.strings])
-        if job.strings
-        else np.zeros(0, dtype=complex)
-        for job in recipe.jobs
-    ]
-    values = np.empty(len(recipe.entries), dtype=complex)
-    for d, plan in enumerate(recipe.entries.values()):
-        acc = plan.const
-        for job, k, c in plan.terms:
-            acc += c * exact[job][k]
-        values[d] = acc
-    return _assemble(recipe, values)
+    """Infinite-shot limit: every expectation evaluated on the statevector."""
+    exact = [inner(job.state, apply_pauli(p, job.state))
+             for job in recipe.jobs for p in job.strings.strings]
+    return _assemble(recipe, recipe._const + recipe._matrix @ np.array(exact, dtype=complex))
 
 
 def pilot_variances(
@@ -589,7 +576,7 @@ def noisy_subspace(recipe: ExpectationRecipe, plan: ShotPlan) -> SubspaceProblem
             f"plan has {len(plan.counts)} counts for {len(tables)} groups"
         )
     stream = _streams(plan.seed)
-    values = np.array([e.const for e in recipe.entries.values()], dtype=complex)
+    values = recipe._const.copy()
     var_mean = np.zeros(len(recipe.entries))
     for f, table in enumerate(tables):
         if table is None:
@@ -607,10 +594,10 @@ def noisy_subspace(recipe: ExpectationRecipe, plan: ShotPlan) -> SubspaceProblem
 def operator_recipe(state: Statevector, h, provenance: dict | None = None):
     """1x1 recipe for a single operator expectation (S is the constant 1)."""
     const, plain = h.split_identity()
-    job = MeasurementJob(state.normalized(), plain.strings)
+    job = MeasurementJob(state.normalized(), plain)
     entries = {
-        ("h", 0, 0): EntryPlan.reading(const, 0, range(len(plain)), plain.coeffs),
-        ("s", 0, 0): EntryPlan(1.0 + 0.0j, ()),
+        ("h", 0, 0): EntryPlan(const, 0, np.arange(len(plain)), plain.coeffs),
+        ("s", 0, 0): EntryPlan(1.0 + 0.0j),
     }
     return ExpectationRecipe(1, (job,), entries, provenance or {"method": "operator"})
 

@@ -396,6 +396,34 @@ class TestExitCodes:
         assert main(["lanczos", "--input", H2, "--sweep", "dt=0.1,0.2"]) == 2
         assert "sweep" in error_payload(capsys)["message"]
 
+    @pytest.mark.parametrize(
+        "args, ini",
+        [
+            (["fastforward", "--time", "nan"], None),
+            (["spectrum", "--omega-points", "3", "--omega-min", "nan"], None),
+            (["lanczos", "--eps", "nan"], None),
+            (["gaussian-power", "--tau", "nan"], None),
+            (["qlanczos", "--dtau", "inf"], None),
+            (["qfd", "--eps-target", "inf"], None),
+            (["qfd", "--sweep", "dt=inf"], None),
+            (["chebyshev", "--bounds=-inf,1"], None),
+            (["qfd"], "[params]\ndt = -inf\n"),
+            (["qse"], "[shots]\neps_target = nan\n"),
+            (["qfd"], "[sweep]\naxis = dt\nvalues = 0.1,nan\n"),
+        ],
+        ids=["time", "omega-min", "eps", "tau", "dtau", "eps-target", "sweep", "bounds",
+             "ini-dt", "ini-eps-target", "ini-sweep"],
+    )
+    def test_non_finite_float_is_validation(self, tmp_path, capsys, args, ini):
+        # flags, INI keys, bounds and sweep values share one conversion
+        if ini is not None:
+            (tmp_path / "run.ini").write_text(ini)
+            args = [*args, "--config", str(tmp_path / "run.ini")]
+        code, report, out = run_cli(tmp_path, *args, "--input", H2)
+        assert code == 2
+        assert error_payload(capsys)["exit_code"] == 2
+        assert report is None and not out.exists()
+
 
 # The method table as the command line documents it: the parameters each
 # method accepts, the sweep axes it allows and the methods that can be

@@ -1,6 +1,7 @@
 """Sampling noise model: group measurement, shot allocation, noisy subspaces."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ from oracles import full_hamiltonian
 
 from qsubspace.engine import (
     Statevector,
+    apply_pauli,
     expectation,
+    inner,
     prepare_configuration,
     statevector_from_fock,
 )
@@ -27,7 +30,7 @@ from qsubspace.fock import (
 from qsubspace.geev import default_threshold, eigenvalue_std, solve
 from qsubspace.quantum import QfdGrid, qfd_build, qfd_recipe, qse_build, qse_recipe
 from qsubspace import shots
-from qsubspace.qubits import PauliString, group_commuting, jordan_wigner, pauli_sum
+from qsubspace.qubits import PauliString, PauliSum, group_commuting, jordan_wigner, pauli_sum
 from qsubspace.shots import (
     GENERATOR,
     ShotPlan,
@@ -268,7 +271,7 @@ class TestShotAllocation:
         groups = measurement_groups(recipe)
         pilot = pilot_variances(recipe, groups, seed=0)
         assert not pilot[:, 0].any() and not pilot[:, 465].any()
-        read = {(job, k) for e in recipe.entries.values() for job, k, _ in e.terms}
+        read = {(e.job, k) for e in recipe.entries.values() for k in e.indices.tolist()}
         m = 9_015_160
         assert max(plan.counts) == m
         for f, g in enumerate(groups):
@@ -376,26 +379,32 @@ class TestRecipes:
 
     def test_recipe_rejects_bad_references_and_job_order(self):
         state = random_state(2, 3)
-        job = shots.MeasurementJob(state, (pstr("XI"), pstr("ZZ")))
-        s_plan = shots.EntryPlan(1.0 + 0.0j, ())
+        job = shots.MeasurementJob(state, pauli_sum(2, [(1.0, "XI"), (1.0, "ZZ")]))
+        s_plan = shots.EntryPlan(1.0 + 0.0j)
 
-        def recipe(*terms, jobs=(job,)):
-            entries = {("s", 0, 0): s_plan, ("h", 0, 0): shots.EntryPlan(0j, terms)}
-            return shots.ExpectationRecipe(1, jobs, entries)
+        def recipe(job_index, indices, jobs=(job,)):
+            h_plan = shots.EntryPlan(0j, job_index, indices, np.ones(len(indices)))
+            return shots.ExpectationRecipe(1, jobs, {("s", 0, 0): s_plan, ("h", 0, 0): h_plan})
 
-        assert recipe((0, 1, 1.0), (0, 0, 0.5)).entries[("h", 0, 0)].terms[0] == (0, 1, 1.0)
-        for terms, message in (
-            (((1, 0, 1.0),), "missing job"),
-            (((-1, 0, 1.0),), "missing job"),
-            (((0, 2, 1.0),), "missing string"),
-            (((0, 0, 1.0), (0, -1, 1.0)), "missing string"),
+        assert recipe(0, [1, 0]).entries[("h", 0, 0)].indices.tolist() == [1, 0]
+        for job_index, indices, message in (
+            (1, [0], "missing job"),
+            (-1, [0], "missing job"),
+            (0, [2], "missing string"),
+            (0, [0, -1], "missing string"),
         ):
             with pytest.raises(ValidationError, match=message):
-                recipe(*terms)
-        # strings out of canonical order (Z sorts after X) are refused when grouping
-        swapped = shots.MeasurementJob(state, (pstr("ZZ"), pstr("XI")))
-        with pytest.raises(ValidationError, match="canonical order"):
-            measurement_groups(recipe((0, 0, 1.0), jobs=(swapped,)))
+                recipe(job_index, indices)
+        # strings out of canonical order (Z sorts after X), or repeated, are
+        # refused when the job is built
+        zz, xi = pstr("ZZ"), pstr("XI")
+        for x, z in (([zz.x, xi.x], [zz.z, xi.z]), ([xi.x, xi.x], [xi.z, xi.z])):
+            with pytest.raises(ValidationError, match="distinct and in canonical order"):
+                shots.MeasurementJob(state, PauliSum(2, x, z, [1.0, 1.0]))
+
+    def test_entry_needs_one_coefficient_per_index(self):
+        with pytest.raises(ValidationError, match="one coefficient per string index"):
+            shots.EntryPlan(0j, 0, [0, 1], [1.0])
 
     def test_operator_recipe_exact_value(self, h3_plus):
         state = hf_statevector(h3_plus)
@@ -404,6 +413,86 @@ class TestRecipes:
         assert prob.hmat.shape == (1, 1)
         assert prob.smat[0, 0] == 1.0
         assert abs(prob.hmat[0, 0] - expectation(ham, state)) < 1e-12
+
+
+@functools.cache
+def checked_recipe(name):
+    method, fixture = name.split()
+    ints = load_integrals(fixture)
+    if method == "qfd":
+        v0 = basis_vector(ints.sector, reference_configuration(ints))
+        return qfd_recipe(v0, ints, QfdGrid(dt=0.4, n=4))
+    return qse_recipe(hf_statevector(ints), ints, level=method.removeprefix("qse-"))
+
+
+def entry_blocks_by_term(recipe, groups):
+    """Per group: the rows and coefficient matrix of the entries reading it,
+    accumulated term by term in entry order."""
+    lookup = {}
+    for f, g in enumerate(groups):
+        for col, k in enumerate(g.members):
+            lookup[(g.job, k)] = (f, col)
+    rows = [[] for _ in groups]
+    coeffs = [[] for _ in groups]
+    for d, plan in enumerate(recipe.entries.values()):
+        per_group = {}
+        for k, c in zip(plan.indices.tolist(), plan.coeffs.tolist()):
+            f, col = lookup[(plan.job, k)]
+            vec = per_group.get(f)
+            if vec is None:
+                vec = per_group[f] = np.zeros(len(groups[f].members), dtype=complex)
+            vec[col] += c
+        for f, vec in per_group.items():
+            rows[f].append(d)
+            coeffs[f].append(vec)
+    return [(np.asarray(r, dtype=int), np.asarray(c, dtype=complex)) for r, c in zip(rows, coeffs)]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.size == b.size and a.tobytes() == b.tobytes()
+
+
+CHECKED = ["qfd h4_toy", "qse-S h3_plus", "qse-SD h2_sto3g", "qse-S h4_toy"]
+
+
+class TestCompiledRecipe:
+    """The sparse entry matrix against the per-term sums it replaces."""
+
+    @pytest.mark.parametrize(
+        "name, mode",
+        [
+            ("qfd h4_toy", "qubitwise"),
+            ("qse-S h3_plus", "qubitwise"),
+            ("qse-S h3_plus", "full"),
+            ("qse-SD h2_sto3g", "qubitwise"),
+            ("qse-SD h2_sto3g", "full"),
+            ("qse-S h4_toy", "qubitwise"),
+        ],
+    )
+    def test_entry_blocks_equal_the_per_term_loop(self, name, mode):
+        recipe = checked_recipe(name)
+        groups = measurement_groups(recipe, mode)
+        got = shots._entry_blocks(recipe, groups)
+        want = entry_blocks_by_term(recipe, groups)
+        assert len(got) == len(want) == len(groups)
+        for (rows, cmat), (ref_rows, ref_cmat) in zip(got, want):
+            assert same_bits(rows, ref_rows)
+            assert same_bits(cmat, ref_cmat)
+
+    @pytest.mark.parametrize("name", CHECKED)
+    def test_exact_limit_is_the_per_term_sum(self, name):
+        recipe = checked_recipe(name)
+        exact = [
+            [inner(job.state, apply_pauli(p, job.state)) for p in job.strings.strings]
+            for job in recipe.jobs
+        ]
+        prob = exact_subspace(recipe)
+        for (kind, i, j), plan in recipe.entries.items():
+            acc = plan.const
+            for k, c in zip(plan.indices.tolist(), plan.coeffs.tolist()):
+                acc += c * exact[plan.job][k]
+            got = (prob.hmat if kind == "h" else prob.smat)[i, j]
+            assert abs(got - acc) <= 1e-14
 
 
 class TestNoisySubspace:
