@@ -6,15 +6,24 @@ orbital j spin-up and mode j + m is orbital j - m spin-down. Occupation
 words are enumerated lexicographically in (occ_down, occ_up) as integers,
 so the basis index is rank(occ_down) * C(m, n_up) + rank(occ_up). With the
 ascending-product convention the ladder sign on a word is
-(-1)^popcount(word & (2^mode - 1)), for creation and annihilation alike.
-apply_ladders applies any ladder monomial with that rule to whole sector
-vectors (or stacked blocks of them) at once; it is the number-restricted
-counterpart of the Jordan-Wigner image on the full register.
+(-1)^popcount(word & (2^mode - 1)), for creation and annihilation alike
+(_ladder_sign). apply_ladders applies any ladder monomial with that rule to
+whole sector vectors (or stacked blocks of them) at once; it is the
+number-restricted counterpart of the Jordan-Wigner image on the full
+register.
 
-Matrix elements follow the usual excitation-degree rules; the assembled
-sparse matrix is checked against a dense ladder-algebra construction in the
-test suite. Dense spectra and propagators are capped at dimension 4096,
-iterative access (apply_hamiltonian) at 65536.
+The sparse sector Hamiltonian is built string-driven (Knowles & Handy 1984;
+Olsen et al. 1988). _replacements tabulates once per (m, k) every single
+replacement i -> a and same-spin double (i<j) -> (a<b) of every k-electron
+spin string: source and target ranks, orbitals and sign. The up-spin count
+cancels from every sign, so couplings take products of per-spin signs, and
+every block (diagonal, singles, same-spin doubles broadcast over the other
+spin, opposite-spin doubles as the outer product of the two single tables)
+is one array expression; no loop runs over determinants. Doubles that are
+exactly zero are dropped. The build is capped at 12,000,000 stored entries,
+counted from the table lengths before anything is allocated (m = 9 (4,4)
+stores 8.9M; m = 10 (4,4) would store 35.5M). Dense spectra and propagators
+are capped at dimension 4096.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -31,7 +41,7 @@ from .errors import CapacityError, ValidationError
 from .integrals import MolecularIntegrals, cached_per_integrals
 
 _DENSE_CAP = 4096
-_SPARSE_CAP = 65536
+_ENTRY_CAP = 12_000_000
 
 
 @dataclass(frozen=True)
@@ -91,17 +101,16 @@ def sector_dimension(m: int, n_up: int, n_down: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _spin_words(m: int, k: int) -> tuple:
-    """All m-bit words with k set bits, ascending as integers."""
-    words = sorted(
-        sum(1 << i for i in combo) for combo in itertools.combinations(range(m), k)
-    )
-    return tuple(words)
-
-
-@lru_cache(maxsize=None)
-def _spin_ranks(m: int, k: int) -> dict:
-    return {w: i for i, w in enumerate(_spin_words(m, k))}
+def _spin_words(m: int, k: int) -> np.ndarray:
+    """All m-bit words with k set bits, ascending as integers (read-only).
+    Adding orbital p appends words >= 2^p to words < 2^p, so order holds."""
+    by_count = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * k
+    for p in range(m):
+        for c in range(min(k, p + 1), 0, -1):
+            by_count[c] = np.concatenate([by_count[c], by_count[c - 1] | (1 << p)])
+    words = by_count[k]
+    words.setflags(write=False)
+    return words
 
 
 def enumerate_configurations(m: int, n_up: int, n_down: int) -> list:
@@ -110,15 +119,17 @@ def enumerate_configurations(m: int, n_up: int, n_down: int) -> list:
         raise ValidationError("electron counts outside 0..m")
     return [
         Configuration(m, up, down)
-        for down in _spin_words(m, n_down)
-        for up in _spin_words(m, n_up)
+        for down in _spin_words(m, n_down).tolist()
+        for up in _spin_words(m, n_up).tolist()
     ]
 
 
 def configuration_index(config: Configuration, n_up: int, n_down: int) -> int:
     m = config.m
-    up_rank = _spin_ranks(m, n_up)[config.occ_up]
-    down_rank = _spin_ranks(m, n_down)[config.occ_down]
+    if config.sector != (m, n_up, n_down):
+        raise ValidationError("configuration not in sector")
+    up_rank = int(np.searchsorted(_spin_words(m, n_up), config.occ_up))
+    down_rank = int(np.searchsorted(_spin_words(m, n_down), config.occ_down))
     return down_rank * math.comb(m, n_up) + up_rank
 
 
@@ -127,10 +138,8 @@ def sector_word_indices(sector: tuple) -> np.ndarray:
     """Combined mode words of the sector basis, in storage order. These are
     the basis-state indices the sector occupies on 2m qubits."""
     m, n_up, n_down = sector
-    words = np.array(
-        [u | (d << m) for d in _spin_words(m, n_down) for u in _spin_words(m, n_up)],
-        dtype=np.int64,
-    )
+    words = (_spin_words(m, n_down)[:, None] << m) | _spin_words(m, n_up)[None, :]
+    words = words.ravel()
     words.setflags(write=False)
     return words
 
@@ -152,21 +161,14 @@ def reference_configuration(ints: MolecularIntegrals) -> Configuration:
 
 
 # ---------------------------------------------------------------------------
-# ladder bookkeeping on combined mode words
+# ladder signs, replacement tables and the sector matrix
 
 
-def _destroy(word: int, mode: int):
-    sign = -1.0 if (word & ((1 << mode) - 1)).bit_count() & 1 else 1.0
-    return sign, word & ~(1 << mode)
-
-
-def _create(word: int, mode: int):
-    sign = -1.0 if (word & ((1 << mode) - 1)).bit_count() & 1 else 1.0
-    return sign, word | (1 << mode)
-
-
-def _bits(word: int, m: int) -> list:
-    return [p for p in range(m) if word & (1 << p)]
+def _ladder_sign(words: np.ndarray, mode) -> np.ndarray:
+    """(-1)^popcount(word & (2^mode - 1)) per word, as floats: the sign a
+    creation or annihilation on mode picks up. mode may be an array."""
+    below = (np.int64(1) << mode) - 1
+    return 1.0 - 2.0 * (np.bitwise_count(words & below) & 1)
 
 
 def apply_ladders(ladders, sector: tuple, amplitudes: np.ndarray):
@@ -176,9 +178,9 @@ def apply_ladders(ladders, sector: tuple, amplitudes: np.ndarray):
     acts first; create=True is adag_mode and False is a_mode. amplitudes
     has the sector basis on its last axis: one vector or a stacked block.
     A component whose occupation forbids a step is killed; the others pick
-    up (-1)^popcount(word & (2^mode - 1)) per step, as in _create and
-    _destroy. The adjoint monomial is the reversed tuple with every create
-    flipped. Returns the target sector and the amplitudes over it.
+    up the _ladder_sign of each step. The adjoint monomial is the reversed
+    tuple with every create flipped. Returns the target sector and the
+    amplitudes over it.
     """
     m, n_up, n_down = sector
     amplitudes = np.asarray(amplitudes)
@@ -193,7 +195,7 @@ def apply_ladders(ladders, sector: tuple, amplitudes: np.ndarray):
             raise ValidationError("ladder mode outside register")
         bit = 1 << mode
         live &= ((words & bit) == 0) == create
-        sign *= 1.0 - 2.0 * (np.bitwise_count(words & (bit - 1)) & 1)
+        sign *= _ladder_sign(words, mode)
         words = words ^ bit
         counts[mode >= m] += 1 if create else -1
     if not all(0 <= n <= m for n in counts):
@@ -208,112 +210,124 @@ def apply_ladders(ladders, sector: tuple, amplitudes: np.ndarray):
     return target, out
 
 
+class _Replacements(NamedTuple):
+    """Every replacement of `order` occupied orbitals of every k-electron
+    spin string, one row each: source and target string ranks, holes i < j,
+    particles a < b, and the sign of a_a^+ a_i or a_a^+ a_b^+ a_j a_i."""
+
+    src: np.ndarray
+    tgt: np.ndarray
+    holes: np.ndarray
+    particles: np.ndarray
+    sign: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _replacements(m: int, k: int, order: int) -> _Replacements:
+    words = _spin_words(m, k)
+    combos = np.array(list(itertools.combinations(range(m), order)), dtype=np.int64)
+    combos = combos.reshape(-1, order)
+    masks = np.bitwise_or.reduce(np.int64(1) << combos, axis=1)
+    hit = words[:, None] & masks
+    full, empty = hit == masks, hit == 0
+    src, hole, particle = np.nonzero(full[:, :, None] & empty[:, None, :])
+    holes, particles = combos[hole], combos[particle]
+    word = words[src]
+    sign = np.ones(src.size)
+    # a_i acts first, then a_j, a_b^+ and a_a^+
+    for mode in (*holes.T, *particles[:, ::-1].T):
+        sign *= _ladder_sign(word, mode)
+        word = word ^ (np.int64(1) << mode)
+    rank = np.searchsorted(words, word).astype(np.int32)  # < C(32, 16) < 2^31
+    table = _Replacements(src.astype(np.int32), rank, holes, particles, sign)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _entry_count(m: int, n_up: int, n_down: int) -> int:
+    """Entries the sector build stores before it drops zero doubles:
+    dim + n_down L_up + n_up L_down + n_down D_up + n_up D_down + L_up L_down,
+    where n counts a spin's strings, L its singles and D its doubles."""
+    n_u, n_d = math.comb(m, n_up), math.comb(m, n_down)
+    l_u, l_d = n_u * n_up * (m - n_up), n_d * n_down * (m - n_down)
+    d_u = n_u * math.comb(n_up, 2) * math.comb(m - n_up, 2)
+    d_d = n_d * math.comb(n_down, 2) * math.comb(m - n_down, 2)
+    return n_u * n_d + n_d * (l_u + d_u) + n_u * (l_d + d_d) + l_u * l_d
+
+
+def _sector_entries(ints: MolecularIntegrals, sector: tuple):
+    """The sector Hamiltonian's entries, one block per excitation class."""
+    m, *counts = sector
+    h, g = ints.one_body, ints.two_body
+    jmat, kmat = np.einsum("ppqq->pq", g), np.einsum("pqqp->pq", g)
+    gj, gk = np.einsum("aiqq->aiq", g), np.einsum("aqqi->aiq", g)
+    bits = np.arange(m)
+    occ = [((_spin_words(m, k)[:, None] >> bits) & 1).astype(float) for k in counts]
+    n_ups = len(occ[0])
+    rows, cols, vals = [], [], []
+
+    def spin_block(spin, src, tgt, values):
+        """One spin's replacements on every string of the other spin;
+        values has the other spin's strings on its first axis."""
+        other = np.arange(len(occ[1 - spin]), dtype=np.int32)[:, None]
+        if spin:
+            block = (tgt * n_ups + other, src * n_ups + other, values)
+        else:
+            block = (other * n_ups + tgt, other * n_ups + src, values)
+        for out, arr in zip((rows, cols, vals), np.broadcast_arrays(*block)):
+            out.append(arr.ravel())
+
+    # diagonal: index = down rank * n_ups + up rank
+    ntot = (occ[1][:, None, :] + occ[0][None, :, :]).reshape(-1, m)
+    spin_k = [((o @ kmat) * o).sum(1) for o in occ]
+    coulomb = ((ntot @ jmat) * ntot).sum(1).reshape(-1, n_ups)
+    diag = ints.e_nuc + ntot @ np.diag(h)
+    diag += 0.5 * (coulomb - spin_k[0][None, :] - spin_k[1][:, None]).ravel()
+    rows.append(np.arange(diag.size, dtype=np.int32))
+    cols.append(rows[0])
+    vals.append(diag)
+
+    singles = [_replacements(m, k, 1) for k in counts]
+    for spin, t in enumerate(singles):
+        # spectators: the source string minus the hole, plus the other spin;
+        # sums run in orbital order, like a per-determinant dot product
+        i, a = t.holes[:, 0], t.particles[:, 0]
+        spect = occ[spin][t.src] - (bits == i[:, None])
+        coul = exch = 0.0
+        for p in range(m):
+            coul = coul + gj[a, i, p] * (spect[:, p] + occ[1 - spin][:, p, None])
+            exch = exch + gk[a, i, p] * spect[:, p]
+        spin_block(spin, t.src, t.tgt, t.sign * (h[a, i] + (coul - exch)))
+
+        d = _replacements(m, counts[spin], 2)
+        (i, j), (a, b) = d.holes.T, d.particles.T
+        val = g[a, i, b, j] - g[a, j, b, i]
+        keep = val != 0.0
+        spin_block(spin, d.src[keep], d.tgt[keep], (d.sign * val)[keep])
+
+    # opposite-spin doubles: one up and one down single at once
+    up, down = singles
+    i, a, j, b = up.holes, up.particles, down.holes[:, 0], down.particles[:, 0]
+    val = g[a, i, b, j]
+    p, q = np.nonzero(val)
+    rows.append(down.tgt[q] * n_ups + up.tgt[p])
+    cols.append(down.src[q] * n_ups + up.src[p])
+    vals.append(up.sign[p] * down.sign[q] * val[p, q])
+
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(diag.size, diag.size),
+    )
+
+
 @cached_per_integrals
 def _sector_matrix(ints: MolecularIntegrals, sector: tuple):
     """Sparse CSR Hamiltonian on the sector basis (real symmetric)."""
-    m, n_up, n_down = sector
-    dim = sector_dimension(m, n_up, n_down)
-    if dim > _SPARSE_CAP:
-        raise CapacityError(f"sector dimension {dim} exceeds {_SPARSE_CAP}")
-    h = ints.one_body
-    g = ints.two_body
-    jmat = np.einsum("ppqq->pq", g)
-    kmat = np.einsum("pqqp->pq", g)
-    gj = np.ascontiguousarray(np.einsum("aiqq->aiq", g))
-    gk = np.ascontiguousarray(np.einsum("aqqi->aiq", g))
-    hdiag = np.diag(h)
-
-    ups = _spin_words(m, n_up)
-    downs = _spin_words(m, n_down)
-    up_rank = _spin_ranks(m, n_up)
-    down_rank = _spin_ranks(m, n_down)
-    n_up_words = len(ups)
-
-    rows, cols, vals = [], [], []
-
-    def push(row, col, val):
-        rows.append(row)
-        cols.append(col)
-        vals.append(val)
-
-    orbitals = range(m)
-    for down in downs:
-        base = down_rank[down] * n_up_words
-        occ_d = _bits(down, m)
-        emp_d = [p for p in orbitals if not (down & (1 << p))]
-        nd = np.array([(down >> p) & 1 for p in orbitals], dtype=float)
-        for up in ups:
-            col = base + up_rank[up]
-            word = up | (down << m)
-            occ_u = _bits(up, m)
-            emp_u = [p for p in orbitals if not (up & (1 << p))]
-            nu = np.array([(up >> p) & 1 for p in orbitals], dtype=float)
-            ntot = nu + nd
-
-            diag = ints.e_nuc + float(hdiag @ ntot)
-            diag += 0.5 * float(ntot @ jmat @ ntot - nu @ kmat @ nu - nd @ kmat @ nd)
-            push(col, col, diag)
-
-            # single excitations: spectators are occ(word) minus the hole
-            for occ, emp, spin_n, offset in (
-                (occ_u, emp_u, nu, 0),
-                (occ_d, emp_d, nd, m),
-            ):
-                for i in occ:
-                    s1, w1 = _destroy(word, i + offset)
-                    spect_tot = ntot.copy()
-                    spect_tot[i] -= 1.0
-                    spect_spin = spin_n.copy()
-                    spect_spin[i] -= 1.0
-                    for a in emp:
-                        s2, w2 = _create(w1, a + offset)
-                        val = h[a, i] + float(
-                            gj[a, i] @ spect_tot - gk[a, i] @ spect_spin
-                        )
-                        row = (
-                            down_rank[(w2 >> m)] * n_up_words
-                            + up_rank[w2 & ((1 << m) - 1)]
-                        )
-                        push(row, col, s1 * s2 * val)
-
-            # same-spin double excitations
-            for occ, emp, offset in ((occ_u, emp_u, 0), (occ_d, emp_d, m)):
-                for i, j in itertools.combinations(occ, 2):
-                    s1, w1 = _destroy(word, i + offset)
-                    s2, w2 = _destroy(w1, j + offset)
-                    for a, b in itertools.combinations(emp, 2):
-                        s3, w3 = _create(w2, b + offset)
-                        s4, w4 = _create(w3, a + offset)
-                        val = g[a, i, b, j] - g[a, j, b, i]
-                        if val == 0.0:
-                            continue
-                        row = (
-                            down_rank[(w4 >> m)] * n_up_words
-                            + up_rank[w4 & ((1 << m) - 1)]
-                        )
-                        push(row, col, s1 * s2 * s3 * s4 * val)
-
-            # opposite-spin double excitations
-            for i in occ_u:
-                s1, w1 = _destroy(word, i)
-                for j in occ_d:
-                    s2, w2 = _destroy(w1, j + m)
-                    for b in emp_d:
-                        s3, w3 = _create(w2, b + m)
-                        for a in emp_u:
-                            s4, w4 = _create(w3, a)
-                            val = g[a, i, b, j]
-                            if val == 0.0:
-                                continue
-                            row = (
-                                down_rank[(w4 >> m)] * n_up_words
-                                + up_rank[w4 & ((1 << m) - 1)]
-                            )
-                            push(row, col, s1 * s2 * s3 * s4 * val)
-
-    mat = scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(dim, dim)
-    ).tocsr()
+    entries = _entry_count(*sector)
+    if entries > _ENTRY_CAP:
+        raise CapacityError(f"sector {sector} stores {entries} entries > {_ENTRY_CAP}")
+    mat = _sector_entries(ints, sector).tocsr()
     # element formulas are symmetric; average away summation-order roundoff
     return (mat + mat.T) * 0.5
 

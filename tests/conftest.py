@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pathlib
 
+import numpy as np
 import pytest
 
-from qsubspace.integrals import parse_fcidump
+from qsubspace.integrals import MolecularIntegrals, parse_fcidump
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -30,6 +31,19 @@ def fixture_path(name: str) -> pathlib.Path:
 
 def load_integrals(name: str):
     return parse_fcidump(fixture_path(name).read_text())
+
+
+def random_integrals(m, n_up, n_down, seed, zero_share=0.0):
+    """Random integrals with 8-fold symmetry; a zero_share of the two-body
+    entries, drawn symmetrically, are exactly zero."""
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((m, m))
+    g = rng.standard_normal((m,) * 4)
+    keep = rng.random((m,) * 4) >= zero_share
+    for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+        g = g + g.transpose(perm)
+        keep = keep & keep.transpose(perm)
+    return MolecularIntegrals(m, n_up, n_down, 0.7, (h + h.T) / 2, 0.1 * g * keep)
 
 
 @pytest.fixture(scope="session")

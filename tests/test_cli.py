@@ -12,10 +12,11 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import fixture_path, load_integrals
+from conftest import fixture_path, load_integrals, random_integrals
 
 from qsubspace.cli import EXIT_CODES, METHODS, main
 from qsubspace.fock import exact_eigenpairs
+from qsubspace.integrals import serialize_fcidump
 
 H2 = str(fixture_path("h2_sto3g"))
 
@@ -370,6 +371,17 @@ class TestExitCodes:
     def test_capacity_cap_is_exit_3(self, capsys):
         assert main(["power-krylov", "--input", H2, "--n", "50"]) == 3
         assert error_payload(capsys)["exit_code"] == 3
+
+    def test_oversized_sector_is_exit_3(self, tmp_path, capsys):
+        # m=10 (5,5): dimension 63,504 but 55.6M stored matrix entries
+        path = tmp_path / "m10.fcidump"
+        path.write_text(serialize_fcidump(random_integrals(10, 5, 5, seed=10)))
+        code, report, _ = run_cli(tmp_path, "davidson", "--input", str(path))
+        assert code == 3 and report is None
+        err = error_payload(capsys)
+        assert err["exit_code"] == 3
+        assert err["type"] == "CapacityError"
+        assert "entries" in err["message"]
 
     @pytest.mark.parametrize("name", ["h3_plus", "h4_toy"])
     def test_oversized_qse_recipe_is_exit_3(self, tmp_path, capsys, name):

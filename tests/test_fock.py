@@ -1,15 +1,25 @@
-"""Configuration bases and sparse sector Hamiltonians vs dense ladder algebra."""
+"""Configuration bases and sparse sector Hamiltonians vs dense ladder algebra
+and a per-determinant loop build."""
 
 import gc
+import itertools
+import math
+import time
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import oracles
-from conftest import load_integrals
+from conftest import load_integrals, random_integrals
 from qsubspace.errors import CapacityError, ValidationError
 from qsubspace.fock import (
+    _ENTRY_CAP,
+    _entry_count,
+    _replacements,
+    _sector_entries,
+    _spin_words,
     Configuration,
     FockVector,
     apply_hamiltonian,
@@ -81,6 +91,181 @@ def test_sector_matrix_matches_ladder_algebra(name, sector):
     )
     assert np.max(np.abs(ours - ref)) < 1e-10
     np.testing.assert_allclose(hamiltonian_diagonal(ints), np.diag(ref), atol=1e-10)
+
+
+def sector_matrix_by_determinant(ints, sector):
+    """The sector matrix built one determinant and one excitation at a time
+    with Python integer ladder signs: the reference for the table build."""
+    m, n_up, n_down = sector
+
+    def words(k):
+        return sorted(sum(1 << i for i in c) for c in itertools.combinations(range(m), k))
+
+    def destroy(word, mode):
+        sign = -1.0 if (word & ((1 << mode) - 1)).bit_count() & 1 else 1.0
+        return sign, word & ~(1 << mode)
+
+    def create(word, mode):
+        sign = -1.0 if (word & ((1 << mode) - 1)).bit_count() & 1 else 1.0
+        return sign, word | (1 << mode)
+
+    def bits(word):
+        return [p for p in range(m) if word & (1 << p)]
+
+    h, g = ints.one_body, ints.two_body
+    jmat = np.einsum("ppqq->pq", g)
+    kmat = np.einsum("pqqp->pq", g)
+    gj = np.ascontiguousarray(np.einsum("aiqq->aiq", g))
+    gk = np.ascontiguousarray(np.einsum("aqqi->aiq", g))
+    hdiag = np.diag(h)
+    ups, downs = words(n_up), words(n_down)
+    up_rank = {w: i for i, w in enumerate(ups)}
+    down_rank = {w: i for i, w in enumerate(downs)}
+    n_up_words = len(ups)
+    rows, cols, vals = [], [], []
+
+    def push(word, col, val):
+        rows.append(down_rank[word >> m] * n_up_words + up_rank[word & ((1 << m) - 1)])
+        cols.append(col)
+        vals.append(val)
+
+    orbitals = range(m)
+    for down in downs:
+        occ_d = bits(down)
+        emp_d = [p for p in orbitals if not (down & (1 << p))]
+        nd = np.array([(down >> p) & 1 for p in orbitals], dtype=float)
+        for up in ups:
+            col = down_rank[down] * n_up_words + up_rank[up]
+            word = up | (down << m)
+            occ_u = bits(up)
+            emp_u = [p for p in orbitals if not (up & (1 << p))]
+            nu = np.array([(up >> p) & 1 for p in orbitals], dtype=float)
+            ntot = nu + nd
+
+            diag = ints.e_nuc + float(hdiag @ ntot)
+            diag += 0.5 * float(ntot @ jmat @ ntot - nu @ kmat @ nu - nd @ kmat @ nd)
+            push(word, col, diag)
+
+            # single excitations: spectators are occ(word) minus the hole
+            for occ, emp, spin_n, offset in ((occ_u, emp_u, nu, 0), (occ_d, emp_d, nd, m)):
+                for i in occ:
+                    s1, w1 = destroy(word, i + offset)
+                    spect_tot = ntot.copy()
+                    spect_tot[i] -= 1.0
+                    spect_spin = spin_n.copy()
+                    spect_spin[i] -= 1.0
+                    for a in emp:
+                        s2, w2 = create(w1, a + offset)
+                        val = h[a, i] + float(gj[a, i] @ spect_tot - gk[a, i] @ spect_spin)
+                        push(w2, col, s1 * s2 * val)
+
+            # same-spin double excitations
+            for occ, emp, offset in ((occ_u, emp_u, 0), (occ_d, emp_d, m)):
+                for i, j in itertools.combinations(occ, 2):
+                    s1, w1 = destroy(word, i + offset)
+                    s2, w2 = destroy(w1, j + offset)
+                    for a, b in itertools.combinations(emp, 2):
+                        s3, w3 = create(w2, b + offset)
+                        s4, w4 = create(w3, a + offset)
+                        val = g[a, i, b, j] - g[a, j, b, i]
+                        if val != 0.0:
+                            push(w4, col, s1 * s2 * s3 * s4 * val)
+
+            # opposite-spin double excitations
+            for i in occ_u:
+                s1, w1 = destroy(word, i)
+                for j in occ_d:
+                    s2, w2 = destroy(w1, j + m)
+                    for b in emp_d:
+                        s3, w3 = create(w2, b + m)
+                        for a in emp_u:
+                            s4, w4 = create(w3, a)
+                            val = g[a, i, b, j]
+                            if val != 0.0:
+                                push(w4, col, s1 * s2 * s3 * s4 * val)
+
+    dim = math.comb(m, n_up) * math.comb(m, n_down)
+    mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    return (mat + mat.T) * 0.5
+
+
+SYNTHETIC_SECTORS = [(4, 0, 2), (4, 4, 1), (5, 1, 4), (5, 2, 3), (6, 3, 2), (7, 3, 3)]
+
+
+def _case_integrals(case):
+    if isinstance(case[0], str):
+        name, sector = case
+        ints = load_integrals(name)
+        if sector is None:
+            return ints
+        return MolecularIntegrals(
+            ints.num_orbitals, *sector, ints.e_nuc, ints.one_body, ints.two_body
+        )
+    return random_integrals(*case, seed=sum(case))
+
+
+def _case_id(case):
+    if isinstance(case[0], str):
+        return case[0] + ("" if case[1] is None else "-{}-{}".format(*case[1]))
+    return "random-{}-{}-{}".format(*case)
+
+
+@pytest.mark.parametrize("case", SECTOR_CASES + SYNTHETIC_SECTORS, ids=_case_id)
+def test_sector_matrix_matches_determinant_loop(case):
+    ints = _case_integrals(case)
+    ours = sector_matrix(ints)
+    ref = sector_matrix_by_determinant(ints, ints.sector)
+    np.testing.assert_array_equal(ours.indptr, ref.indptr)
+    np.testing.assert_array_equal(ours.indices, ref.indices)
+    np.testing.assert_allclose(ours.data, ref.data, rtol=0, atol=1e-13)
+    if case in SYNTHETIC_SECTORS:  # dense random integrals: no entry is zero
+        assert ours.nnz == _entry_count(*ints.sector)
+
+
+def test_exact_zero_doubles_are_dropped():
+    ints = random_integrals(5, 2, 3, seed=3, zero_share=0.5)
+    ours = sector_matrix(ints)
+    ref = sector_matrix_by_determinant(ints, ints.sector)
+    np.testing.assert_array_equal(ours.indptr, ref.indptr)
+    np.testing.assert_array_equal(ours.indices, ref.indices)
+    np.testing.assert_allclose(ours.data, ref.data, rtol=0, atol=1e-13)
+    # the symmetrizing sum drops zeros anyway; the build must not store them
+    entries = _sector_entries(ints, ints.sector)
+    assert entries.nnz < _entry_count(*ints.sector)
+    assert not np.any(entries.data == 0.0)
+
+
+@pytest.mark.parametrize("name", ["h2_sto3g", "h2_stretched"])
+def test_sector_matrix_is_bit_identical_on_h2(name):
+    ints = load_integrals(name)
+    ours = sector_matrix(ints)
+    ref = sector_matrix_by_determinant(ints, ints.sector)
+    assert np.array_equal(ours.indptr, ref.indptr)
+    assert np.array_equal(ours.indices, ref.indices)
+    assert ours.data.tobytes() == ref.data.tobytes()
+
+
+def test_replacement_tables_are_read_only():
+    tables = [_replacements(5, 2, order) for order in (1, 2)]
+    arrays = [_spin_words(5, 2)] + [arr for t in tables for arr in t]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    assert _replacements(5, 2, 1) is tables[0]
+
+
+def test_entry_cap_admits_m9_and_refuses_m10():
+    assert _entry_count(7, 3, 3) == 251_125
+    assert _entry_count(9, 4, 4) == 8_906_436 <= _ENTRY_CAP
+    assert _entry_count(10, 4, 4) > _ENTRY_CAP
+
+
+def test_oversized_sector_build_is_refused_before_allocating():
+    ints = random_integrals(10, 5, 5, seed=10)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="55629504 entries"):
+        sector_matrix(ints)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_single_orbital_energy_is_closed_form():

@@ -191,6 +191,7 @@ def test_statevector_cap_is_checked_before_allocating():
         f"[run]\ninput = {H2}\n[params]\nk =% 2#\n",
         f"[run]\ninput = {H2[:5]}\x00{H2[5:]}\n",
     ],
+    ids=["percent-in-value", "nul-in-input-path"],
 )
 def test_ini_found_cases(text):
     assert run_ini("fci", text)[0] == 2
