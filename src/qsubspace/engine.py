@@ -135,11 +135,9 @@ def apply_pauli_sum(h: PauliSum, s: Statevector) -> Statevector:
         raise ValidationError("qubit counts differ")
     idx = np.arange(s.amplitudes.size)
     out = np.zeros_like(s.amplitudes)
-    for c, p in h.terms():
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & p.z) & 1)
-        np.add.at(
-            out, idx ^ p.x, c * (1j ** (p.x & p.z).bit_count()) * signs * s.amplitudes
-        )
+    for c, x, z in zip(h.coeffs, h.x.tolist(), h.z.tolist()):
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
+        np.add.at(out, idx ^ x, c * (1j ** (x & z).bit_count()) * signs * s.amplitudes)
     return Statevector(s.num_qubits, out)
 
 

@@ -53,6 +53,7 @@ from .engine import (
     apply_pauli_sum,
     expectation,
     fock_from_statevector,
+    inner,
     statevector_from_fock,
     trotter_plan,
     trotter_step,
@@ -675,10 +676,10 @@ def qite_step(
         raise ValidationError("empty rotation pool")
     ham = jordan_wigner(ints)
     phi = state.normalized()
-    e_old = float(expectation(ham, phi).real)
+    hphi = apply_pauli_sum(ham, phi)
+    e_old = float(inner(phi, hphi).real)
     rotated = np.stack([apply_pauli(p, phi).amplitudes for p in pool])
     amat = 2.0 * np.real(rotated.conj() @ rotated.T)
-    hphi = apply_pauli_sum(ham, phi)
     bvec = 2.0 * delta_tau * np.imag(rotated @ np.conj(hphi.amplitudes))
     try:
         theta = scipy.linalg.solve(
@@ -891,12 +892,10 @@ def spectral_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stick spectrum: gaps dE_u and weights <0|A|u><u|B|0>.
 
-    Basis states may be FockVectors (converted to the full register) or
-    Statevectors.  The u=0 term is included.
+    Basis states are FockVectors, embedded in the full register for the
+    Pauli probes.  The u=0 term is included.
     """
-    states = [
-        statevector_from_fock(x) if isinstance(x, FockVector) else x for x in basis
-    ]
+    states = [statevector_from_fock(x) for x in basis]
     eigen = _subspace_eigenstates(sol, states)
     nq = states[0].num_qubits
     ground = Statevector(nq, eigen[0])
@@ -935,12 +934,12 @@ def response_function(
 class FastForwardResult:
     """Propagated state plus how much of the input the subspace captured."""
 
-    state: object
+    state: FockVector
     projection_weight: float
     low_weight: bool
 
 
-def fast_forward(sol: GEEVSolution, basis: list, state, t: float) -> FastForwardResult:
+def fast_forward(sol: GEEVSolution, basis: list, state: FockVector, t: float) -> FastForwardResult:
     """Evolve by projecting onto subspace eigenpairs and rotating phases.
 
     out = sum_u exp(-i E_u t) <psi_u|state> |psi_u>. The projection weight
@@ -957,8 +956,4 @@ def fast_forward(sol: GEEVSolution, basis: list, state, t: float) -> FastForward
         raise ValidationError("cannot fast-forward the zero vector")
     weight = float(np.sum(np.abs(coeff) ** 2) / norm2)
     out = (np.exp(-1j * sol.eigenvalues * t) * coeff) @ eigen
-    if isinstance(state, FockVector):
-        evolved = FockVector(state.sector, out)
-    else:
-        evolved = Statevector(state.num_qubits, out)
-    return FastForwardResult(evolved, weight, weight < 0.5)
+    return FastForwardResult(FockVector(state.sector, out), weight, weight < 0.5)

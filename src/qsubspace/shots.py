@@ -1,10 +1,11 @@
 """Finite-sampling measurement model.
 
 Expectation values are estimated by drawing computational-basis samples
-after the diagonalizing rotation implied by a commuting group: qubitwise
-groups need only single-qubit basis changes, fully commuting groups are
-sampled in their densely computed joint eigenbasis.  On top of the raw
-estimators the module allocates shots across groups against a precision
+after the diagonalizing rotation implied by a commuting group.  A group is
+read only as the x and z mask arrays of its strings: qubitwise groups need
+single-qubit basis changes and read parities off the masks, fully
+commuting groups are sampled in their densely computed joint eigenbasis.
+On top of the estimators the module sets shot counts against a precision
 target and assembles noise-tagged subspace problems from measurement
 recipes emitted by the subspace builders.
 
@@ -16,8 +17,9 @@ recipe is frozen.  Everything about it that does not depend on the seed
 and its +-1 value table) is computed once per grouping mode, the first
 time it is needed, and kept on the recipe, so it is freed with the recipe.
 A seeded estimate then costs one multinomial draw and a few small matrix
-products per group.  A target-driven plan gives the same count to every
-group that some matrix entry reads.
+products per group; `sample_group` runs the same sampler on one group.  A
+target-driven plan gives the same count to every group that some matrix
+entry reads.
 
 Sample streams use the Philox counter-based generator keyed by
 (seed, group index), so every estimate is bit-reproducible from the
@@ -27,21 +29,26 @@ recorded plan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse
+from numpy import bitwise_count as _popcount
 
 from .engine import Statevector, apply_pauli, inner
 from .errors import CapacityError, DataError, ValidationError
 from .geev import SubspaceProblem
-from .qubits import PauliString, PauliSum, commutes, group_commuting, qubitwise_commutes
+from .qubits import PauliString, PauliSum, group_commuting
 
 GENERATOR = "philox"
 
 # Philox keys are two unsigned 64-bit words: (seed, stream index)
 SEED_LIMIT = 1 << 64
+
+# shots per group in the pilot round of a target-driven plan
+_PILOT_SHOTS = 100
 
 # dense joint-eigenbasis cap; beyond this the diagonalization would need
 # the Clifford machinery this package deliberately avoids
@@ -49,12 +56,6 @@ _FULL_GROUP_QUBIT_CAP = 12
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 _Y_TO_Z = np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / math.sqrt(2.0)
-_ONE_QUBIT = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 
 def _streams(seed: int):
@@ -106,7 +107,7 @@ class ShotPlan:
     counts: tuple
     eps_target: float | None = None
     mode: str = "qubitwise"
-    generator: str = GENERATOR
+    generator: ClassVar[str] = GENERATOR
 
     def __post_init__(self):
         if not 0 <= self.seed < SEED_LIMIT:
@@ -115,8 +116,6 @@ class ShotPlan:
         if not counts or any(c < 1 for c in counts):
             raise ValidationError("every group needs at least one shot")
         object.__setattr__(self, "counts", counts)
-        if self.generator != GENERATOR:
-            raise ValidationError(f"unsupported generator {self.generator!r}")
 
     @property
     def total_shots(self) -> int:
@@ -133,14 +132,7 @@ class ShotPlan:
 
 
 # ---------------------------------------------------------------------------
-# sampling a commuting group
-
-
-def _strip_coefficients(group):
-    strings = [item if isinstance(item, PauliString) else item[1] for item in group]
-    if not strings:
-        raise ValidationError("empty measurement group")
-    return strings
+# sampling a commuting group, given by its strings' x and z mask arrays
 
 
 def _apply_one_qubit(amps: np.ndarray, gate: np.ndarray, qubit: int, nq: int):
@@ -148,46 +140,42 @@ def _apply_one_qubit(amps: np.ndarray, gate: np.ndarray, qubit: int, nq: int):
     return np.einsum("ab,ibj->iaj", gate, t).reshape(amps.size)
 
 
-def _sign_table(dim: int, mask: int) -> np.ndarray:
-    idx = np.arange(dim)
-    return 1.0 - 2.0 * (np.bitwise_count(idx & mask) & 1)
-
-
-def _qubitwise_model(state: Statevector, strings):
-    """Rotate X/Y letters onto Z one qubit at a time, then read parities."""
+def _qubitwise_model(state: Statevector, x: np.ndarray, z: np.ndarray):
+    """Rotate X/Y letters onto Z one qubit at a time, qubits in order of
+    first appearance in the group and then by index, and read every
+    string's parity (-1)^popcount(outcome & (x | z))."""
     nq = state.num_qubits
-    gates = {}
-    for p in strings:
-        for q in range(nq):
-            xb, zb = (p.x >> q) & 1, (p.z >> q) & 1
-            if xb:
-                gates[q] = _HADAMARD if not zb else _Y_TO_Z
+    touched = (x[:, None] >> np.arange(nq, dtype=np.uint64)) & np.uint64(1)
+    first = touched.argmax(axis=0)
+    qubits = np.flatnonzero(touched.any(axis=0))
     amps = state.normalized().amplitudes
-    for q, gate in gates.items():
+    for q in qubits[np.argsort(first[qubits], kind="stable")].tolist():
+        gate = _Y_TO_Z if int(z[first[q]]) >> q & 1 else _HADAMARD
         amps = _apply_one_qubit(amps, gate, q, nq)
-    probs = np.abs(amps) ** 2
-    values = np.stack([_sign_table(amps.size, p.x | p.z) for p in strings])
-    return probs, values
+    odd = _popcount(np.arange(amps.size, dtype=np.uint64) & (x | z)[:, None]) & 1
+    return np.abs(amps) ** 2, 1 - 2 * odd.astype(np.int8)
 
 
-def _dense_string(p: PauliString) -> np.ndarray:
-    mat = np.ones((1, 1), dtype=complex)
-    for letter in p.letters:
-        mat = np.kron(mat, _ONE_QUBIT[letter])
-    return mat
+def _full_commuting_model(state: Statevector, x: np.ndarray, z: np.ndarray):
+    """Sample in the simultaneous eigenbasis of the group's strings.
 
-
-def _joint_eigenbasis(strings, nq: int) -> np.ndarray:
-    """Simultaneous eigenbasis of mutually commuting strings.
-
-    Refines eigenspace blocks one operator at a time; the +-1 spectrum of
-    a Pauli string makes the block split unambiguous.
+    The basis is refined one string at a time, from that string's dense
+    matrix (built once, by `PauliSum.to_dense`); the +-1 spectrum of a
+    Pauli string makes the block split unambiguous.  Each string's value
+    on a basis vector is read off <u|P|u>, with P applied as the signed
+    permutation P|r> = i^|x&z| (-1)^popcount(r & z) |r ^ x>.
     """
+    nq = state.num_qubits
+    if nq > _FULL_GROUP_QUBIT_CAP:
+        raise CapacityError(
+            f"joint eigenbasis of a fully commuting group is dense; "
+            f"capped at {_FULL_GROUP_QUBIT_CAP} qubits, got {nq}"
+        )
     dim = 1 << nq
     basis = np.eye(dim, dtype=complex)
     blocks = [np.arange(dim)]
-    for p in strings:
-        mat = _dense_string(p)
+    for k in range(x.size):
+        mat = PauliSum(nq, x[k:k + 1], z[k:k + 1], np.ones(1)).to_dense()
         refined = []
         for idx in blocks:
             if idx.size == 1:
@@ -198,45 +186,59 @@ def _joint_eigenbasis(strings, nq: int) -> np.ndarray:
             basis[:, idx] = sub @ vec
             refined.extend(part for part in (idx[w < 0.0], idx[w >= 0.0]) if part.size)
         blocks = refined
-    return basis
-
-
-def _full_commuting_model(state: Statevector, strings):
-    nq = state.num_qubits
-    if nq > _FULL_GROUP_QUBIT_CAP:
-        raise CapacityError(
-            f"joint eigenbasis of a fully commuting group is dense; "
-            f"capped at {_FULL_GROUP_QUBIT_CAP} qubits, got {nq}"
-        )
-    basis = _joint_eigenbasis(strings, nq)
     amps = basis.conj().T @ state.normalized().amplitudes
-    probs = np.abs(amps) ** 2
-    values = np.empty((len(strings), amps.size))
-    for k, p in enumerate(strings):
-        image = _dense_string(p) @ basis
-        diag = np.einsum("ij,ij->j", basis.conj(), image)
+    outcomes = np.arange(dim, dtype=np.uint64)
+    values = np.empty((x.size, dim), dtype=np.int8)
+    for k, (xk, zk) in enumerate(zip(x, z)):
+        src = outcomes ^ xk
+        factor = 1j ** int(_popcount(xk & zk)) * (1.0 - 2.0 * (_popcount(src & zk) & 1))
+        diag = np.einsum("ij,ij->j", basis.conj(), factor[:, None] * basis[src])
         if np.max(np.abs(np.abs(diag) - 1.0)) > 1e-8:
             raise DataError("group strings are not diagonal in the joint basis")
-        values[k] = np.where(diag.real > 0.0, 1.0, -1.0)
-    return probs, values
+        values[k] = np.where(diag.real > 0.0, 1, -1)
+    return np.abs(amps) ** 2, values
 
 
-def _group_model(state: Statevector, strings):
-    """Outcome distribution and the per-string +-1 value table."""
-    for p in strings:
-        if p.num_qubits != state.num_qubits:
-            raise ValidationError("string width does not match the register")
-    pairs = [(a, b) for i, a in enumerate(strings) for b in strings[i + 1 :]]
-    if all(qubitwise_commutes(a, b) for a, b in pairs):
-        return _qubitwise_model(state, strings)
-    if all(commutes(a, b) for a, b in pairs):
-        return _full_commuting_model(state, strings)
+def _group_model(state: Statevector, x: np.ndarray, z: np.ndarray):
+    """Outcome distribution and the (strings, outcomes) int8 +-1 value
+    table of the group with masks x, z: qubitwise when every pair of
+    letters agrees or meets an identity, else fully commuting when every
+    pair anticommutes on an even number of qubits."""
+    xa, za = x[:, None], z[:, None]
+    if not ((xa & z) ^ (za & x)).any():
+        return _qubitwise_model(state, x, z)
+    if not ((_popcount(xa & z) + _popcount(za & x)) & 1).any():
+        return _full_commuting_model(state, x, z)
     raise ValidationError("strings in one measurement group must commute")
 
 
-def _normalized_probs(probs: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class _GroupTable:
+    """Seed-independent sampling data of one group that entries read."""
+
+    rows: np.ndarray  # indices of the entries that read the group
+    cmat: np.ndarray  # (rows, members) complex coefficients
+    probs: np.ndarray  # normalized outcome probabilities
+    values: np.ndarray  # (members, outcomes) int8 +-1 value table
+
+
+def _group_table(state: Statevector, x, z, rows, cmat) -> _GroupTable:
+    probs, values = _group_model(state, x, z)
     p = np.clip(probs, 0.0, None)
-    return p / p.sum()
+    return _GroupTable(rows, cmat, p / p.sum(), values)
+
+
+def _sample_moments(table: _GroupTable, n: int, rng: np.random.Generator):
+    """Mean of each read entry's contribution over n shots, and its
+    single-shot variance (zero for a single shot)."""
+    counts = rng.multinomial(n, table.probs)
+    per_shot = table.cmat @ table.values.astype(complex)  # (rows, outcomes)
+    mean = per_shot @ counts / n
+    if n == 1:
+        return mean, np.zeros(mean.size)
+    second = (np.abs(per_shot) ** 2) @ counts / n
+    var1 = (second - np.abs(mean) ** 2) * n / (n - 1)
+    return mean, np.maximum(var1.real, 0.0)
 
 
 def sample_group(state, group, n_shots: int, seed: int, group_index: int = 0):
@@ -244,22 +246,24 @@ def sample_group(state, group, n_shots: int, seed: int, group_index: int = 0):
 
     All strings are read off the same n_shots samples, so the returned
     estimates are correlated exactly as they would be on hardware.
-    Accepts bare PauliStrings or (coefficient, PauliString) pairs.
+    Accepts bare PauliStrings or (coefficient, PauliString) pairs; the
+    coefficients are ignored.  The estimates are those of the recipe
+    sampler on one group whose entries are its strings, in stream
+    (seed, group_index).
     """
     if n_shots < 1:
         raise ValidationError("need at least one shot")
-    strings = _strip_coefficients(group)
-    probs, values = _group_model(state, strings)
-    counts = _streams(seed)(group_index).multinomial(n_shots, _normalized_probs(probs))
-    out = []
-    for row in values:
-        mean = float(row @ counts) / n_shots
-        if n_shots > 1:
-            var1 = float(((row - mean) ** 2) @ counts) / (n_shots - 1)
-        else:
-            var1 = 0.0
-        out.append(SampledEstimate(mean, math.sqrt(max(var1, 0.0) / n_shots), n_shots))
-    return tuple(out)
+    strings = [item if isinstance(item, PauliString) else item[1] for item in group]
+    if not strings:
+        raise ValidationError("empty measurement group")
+    if any(p.num_qubits != state.num_qubits for p in strings):
+        raise ValidationError("string width does not match the register")
+    x, z = np.array([(p.x, p.z) for p in strings], dtype=np.uint64).T
+    eye = np.eye(len(strings), dtype=complex)
+    table = _group_table(state, x, z, np.arange(len(strings)), eye)
+    mean, var1 = _sample_moments(table, n_shots, _streams(seed)(group_index))
+    return tuple(SampledEstimate(float(m.real), math.sqrt(v / n_shots), n_shots)
+                 for m, v in zip(mean, var1))
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +378,6 @@ class MeasurementGroup:
     members: tuple
 
 
-@dataclass(frozen=True, eq=False)
-class _GroupTable:
-    """Seed-independent sampling data of one group that entries read."""
-
-    rows: np.ndarray  # indices of the entries that read the group
-    cmat: np.ndarray  # (rows, members) complex coefficients
-    probs: np.ndarray  # normalized outcome probabilities
-    values: np.ndarray  # (members, outcomes) int8 +-1 value table
-
-
 @dataclass(eq=False)
 class _Compiled:
     """One recipe under one grouping mode: the groups, then on first
@@ -435,30 +429,13 @@ def _entry_blocks(recipe: ExpectationRecipe, groups):
 def _group_tables(recipe: ExpectationRecipe, mode: str) -> tuple:
     compiled = _compile(recipe, mode)
     if compiled.tables is None:
-        blocks = _entry_blocks(recipe, compiled.groups)
-        compiled.tables = tuple(
-            _group_table(recipe.jobs[g.job], g.members, rows, cmat) if rows.size else None
-            for g, (rows, cmat) in zip(compiled.groups, blocks)
-        )
+        tables = []
+        for g, (rows, cmat) in zip(compiled.groups, _entry_blocks(recipe, compiled.groups)):
+            job, m = recipe.jobs[g.job], list(g.members)
+            x, z = job.strings.x[m], job.strings.z[m]
+            tables.append(_group_table(job.state, x, z, rows, cmat) if rows.size else None)
+        compiled.tables = tuple(tables)
     return compiled.tables
-
-
-def _group_table(job: MeasurementJob, members, rows, cmat) -> _GroupTable:
-    probs, values = _group_model(job.state, [job.strings.strings[k] for k in members])
-    return _GroupTable(rows, cmat, _normalized_probs(probs), values.astype(np.int8))
-
-
-def _sample_moments(table: _GroupTable, n: int, rng: np.random.Generator):
-    """Mean of each read entry's contribution over n shots, and its
-    single-shot variance (None for a single shot)."""
-    counts = rng.multinomial(n, table.probs)
-    per_shot = table.cmat @ table.values.astype(complex)  # (rows, outcomes)
-    mean = per_shot @ counts / n
-    if n == 1:
-        return mean, None
-    second = (np.abs(per_shot) ** 2) @ counts / n
-    var1 = (second - np.abs(mean) ** 2) * n / (n - 1)
-    return mean, np.maximum(var1.real, 0.0)
 
 
 def _assemble(recipe: ExpectationRecipe, values, stds=None):
@@ -489,20 +466,14 @@ def exact_subspace(recipe: ExpectationRecipe) -> SubspaceProblem:
     return _assemble(recipe, recipe._const + recipe._matrix @ np.array(exact, dtype=complex))
 
 
-def pilot_variances(
-    recipe: ExpectationRecipe,
-    groups,
-    seed: int,
-    pilot_shots: int = 100,
-) -> np.ndarray:
-    """Single-shot variance of each entry's contribution from each group.
+def pilot_variances(recipe: ExpectationRecipe, groups, seed: int) -> np.ndarray:
+    """Single-shot variance of each entry's contribution from each group,
+    estimated from _PILOT_SHOTS shots per group.
 
     groups must be `measurement_groups(recipe, mode)` for some mode.  Pilot
     streams are keyed (seed, len(groups) + f) so they never collide with
     the production streams of the same seed.
     """
-    if pilot_shots < 2:
-        raise ValidationError("pilot needs at least two shots")
     groups = tuple(groups)
     mode = next((m for m, c in recipe._compiled.items() if c.groups == groups), None)
     if mode is None:
@@ -511,34 +482,9 @@ def pilot_variances(
     out = np.zeros((len(recipe.entries), len(groups)))
     for f, table in enumerate(_group_tables(recipe, mode)):
         if table is not None:
-            _, var1 = _sample_moments(table, pilot_shots, stream(len(groups) + f))
+            _, var1 = _sample_moments(table, _PILOT_SHOTS, stream(len(groups) + f))
             out[table.rows, f] = var1
     return out
-
-
-def allocate_shots(
-    groups,
-    variances,
-    eps_target: float,
-    seed: int = 0,
-    mode: str = "qubitwise",
-) -> ShotPlan:
-    """Uniform count M = eps^-2 max_d sum_f Var[A_d^(f)] per weighted group.
-
-    variances holds single-shot variance estimates, one row per target
-    observable and one column per group; groups with no weight anywhere
-    get the minimum single shot.
-    """
-    if not eps_target > 0.0:
-        raise ValidationError("eps_target must be positive")
-    v = np.atleast_2d(np.asarray(variances, dtype=float))
-    if v.shape[1] != len(groups):
-        raise ValidationError("one variance column per group required")
-    if np.any(v < 0.0) or not np.all(np.isfinite(v)):
-        raise ValidationError("variances must be finite and nonnegative")
-    m = max(1, math.ceil(float(v.sum(axis=1).max()) / eps_target**2))
-    counts = tuple(m if v[:, f].any() else 1 for f in range(len(groups)))
-    return ShotPlan(seed, counts, eps_target=eps_target, mode=mode)
 
 
 def plan_from_target(
@@ -546,21 +492,23 @@ def plan_from_target(
     eps_target: float,
     seed: int,
     mode: str = "qubitwise",
-    pilot_shots: int = 100,
 ) -> ShotPlan:
     """Pilot round plus allocation in one step.
 
-    Every group that some entry reads gets the uniform count M, also when
-    its pilot saw no variance: a finite pilot can miss a rare outcome, and
-    a single shot would leave that group's error out of every entry std.
-    Groups that no entry reads keep one shot.
+    Every group that some entry reads gets the uniform count
+    M = ceil(max_d sum_f Var[A_d^(f)] / eps^2), from the pilot's
+    single-shot variances, also when its pilot saw no variance: a finite
+    pilot can miss a rare outcome, and a single shot would leave that
+    group's error out of every entry std.  Groups that no entry reads keep
+    one shot.
     """
+    if not eps_target > 0.0:
+        raise ValidationError("eps_target must be positive")
     groups = measurement_groups(recipe, mode)
-    v = pilot_variances(recipe, groups, seed, pilot_shots)
-    plan = allocate_shots(groups, v, eps_target, seed=seed, mode=mode)
-    m = max(plan.counts)
-    read = _group_tables(recipe, mode)
-    return replace(plan, counts=tuple(1 if t is None else m for t in read))
+    v = pilot_variances(recipe, groups, seed)
+    m = max(1, math.ceil(float(v.sum(axis=1).max()) / eps_target**2))
+    counts = tuple(1 if t is None else m for t in _group_tables(recipe, mode))
+    return ShotPlan(seed, counts, eps_target=eps_target, mode=mode)
 
 
 def noisy_subspace(recipe: ExpectationRecipe, plan: ShotPlan) -> SubspaceProblem:
@@ -584,8 +532,7 @@ def noisy_subspace(recipe: ExpectationRecipe, plan: ShotPlan) -> SubspaceProblem
         n = plan.counts[f]
         mean, var1 = _sample_moments(table, n, stream(f))
         values[table.rows] += mean
-        if var1 is not None:
-            var_mean[table.rows] += var1 / n
+        var_mean[table.rows] += var1 / n
     prob = _assemble(recipe, values, np.sqrt(var_mean))
     prob.provenance["shots"] = plan.to_dict()
     return prob

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import qsubspace.engine as engine_module
 import qsubspace.quantum as quantum_module
 from conftest import load_integrals
 from oracles import (
@@ -531,6 +532,22 @@ class TestQite:
         letters = [s.letters for s in pool]
         assert letters == sorted(letters)
         assert len(set(letters)) == len(pool)
+
+    def test_step_applies_h_twice(self, h2, monkeypatch):
+        # H|phi> serves the old energy, the gradient and <H^2>; the second
+        # application is the new state's energy
+        calls = []
+        original = engine_module.apply_pauli_sum
+
+        def counted(h, s):
+            calls.append(len(h))
+            return original(h, s)
+
+        monkeypatch.setattr(engine_module, "apply_pauli_sum", counted)
+        monkeypatch.setattr(quantum_module, "apply_pauli_sum", counted)
+        state = statevector_from_fock(random_vector(h2, 7))
+        qite_step(state, h2, 0.05, halve_on_increase=False)
+        assert calls == [len(jordan_wigner(h2))] * 2
 
     def test_norm_factor_tracks_ite_norm(self, h2):
         v0 = random_vector(h2, 7)

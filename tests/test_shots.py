@@ -34,7 +34,6 @@ from qsubspace.qubits import PauliString, PauliSum, group_commuting, jordan_wign
 from qsubspace.shots import (
     GENERATOR,
     ShotPlan,
-    allocate_shots,
     exact_subspace,
     hadamard_free_overlap,
     measurement_groups,
@@ -194,6 +193,10 @@ class TestSampleGroup:
         with pytest.raises(ValidationError):
             sample_group(PLUS, [pstr("Z")], 10, seed=-1)
 
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="width"):
+            sample_group(PLUS, [pstr("ZZ")], 10, seed=0)
+
     def test_dense_path_is_capped(self):
         amp = np.zeros(1 << 13, dtype=complex)
         amp[0] = 1.0
@@ -203,29 +206,6 @@ class TestSampleGroup:
 
 
 class TestShotAllocation:
-    def test_single_group_formula(self):
-        plan = allocate_shots([("g",)], [[0.81]], eps_target=0.03, seed=4)
-        assert plan.counts == (math.ceil(0.81 / 0.03**2),)
-        assert plan.eps_target == 0.03
-        assert plan.generator == GENERATOR
-
-    def test_zero_variance_group_gets_one_shot(self):
-        plan = allocate_shots([0, 1], [[0.5, 0.0]], eps_target=0.1)
-        assert plan.counts == (50, 1)
-
-    def test_target_is_the_worst_observable(self):
-        # two observables: rows sum to 0.2 and 0.6, the larger one decides M
-        plan = allocate_shots([0, 1], [[0.1, 0.1], [0.5, 0.1]], eps_target=0.1)
-        assert plan.counts == (60, 60)
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValidationError):
-            allocate_shots([0], [[1.0]], eps_target=0.0)
-        with pytest.raises(ValidationError):
-            allocate_shots([0, 1], [[1.0]], eps_target=0.1)
-        with pytest.raises(ValidationError):
-            allocate_shots([0], [[-1.0]], eps_target=0.1)
-
     def test_plan_validation(self):
         with pytest.raises(ValidationError):
             ShotPlan(0, ())
@@ -236,8 +216,6 @@ class TestShotAllocation:
         with pytest.raises(ValidationError):
             ShotPlan(2**64, (5,))
         assert ShotPlan(2**64 - 1, (5,)).seed == 2**64 - 1
-        with pytest.raises(ValidationError):
-            ShotPlan(0, (5,), generator="mersenne")
         plan = ShotPlan(3, (5, 7), eps_target=0.1)
         assert plan.total_shots == 12
         assert plan.to_dict() == {
@@ -278,6 +256,12 @@ class TestShotAllocation:
             is_read = any((g.job, k) in read for k in g.members)
             assert plan.counts[f] == (m if is_read else 1)
         assert plan.counts[0] == plan.counts[465] == m
+
+    def test_target_must_be_positive(self, h2):
+        recipe = operator_recipe(hf_statevector(h2), jordan_wigner(h2))
+        for eps in (0.0, -1e-3):
+            with pytest.raises(ValidationError, match="eps_target"):
+                plan_from_target(recipe, eps, seed=1)
 
     def test_pilot_needs_the_recipes_own_groups(self, h2):
         recipe = operator_recipe(hf_statevector(h2), jordan_wigner(h2))
@@ -572,6 +556,45 @@ class TestNoisySubspace:
             sigma = eigenvalue_std(prob, sol, 0)
             hits += abs(sol.eigenvalues[0] - e_exact) <= 5.0 * sigma
         assert hits >= 95
+
+    @pytest.mark.parametrize(
+        "fixture, method, mode",
+        [
+            ("h3_plus", "qse-S", "qubitwise"),
+            ("h3_plus", "qse-S", "full"),
+            ("h4_toy", "qfd", "qubitwise"),
+        ],
+    )
+    def test_planning_and_sampling_read_only_masks(self, fixture, method, mode, monkeypatch):
+        # no PauliString is built between the builder and the sampled pair
+        def refuse(self):
+            raise AssertionError("PauliSum.strings read while planning or sampling")
+
+        ints = load_integrals(fixture)
+        monkeypatch.setattr(PauliSum, "strings", property(refuse))
+        if method == "qfd":
+            v0 = basis_vector(ints.sector, reference_configuration(ints))
+            recipe = qfd_recipe(v0, ints, QfdGrid(dt=0.4, n=4))
+        else:
+            recipe = qse_recipe(hf_statevector(ints), ints, level="S")
+        plan = plan_from_target(recipe, 1e-2, seed=3, mode=mode)
+        prob = noisy_subspace(recipe, plan)
+        assert prob.noisy and plan.mode == mode
+
+    def test_entry_is_the_coefficient_sum_of_group_estimates(self):
+        # one qubitwise group: the recipe sampler and sample_group draw the
+        # same stream and agree on every string's mean
+        h = pauli_sum(3, [(0.3, "III"), (0.5, "XIZ"), (-1.25, "XZI"), (0.75, "XZZ"),
+                          (2.0, "XII"), (-0.4, "IIZ")])
+        state = random_state(3, 19)
+        recipe = operator_recipe(state, h)
+        assert len(measurement_groups(recipe)) == 1
+        const, plain = h.split_identity()
+        prob = noisy_subspace(recipe, ShotPlan(8, (700,)))
+        group = list(zip(plain.coeffs, plain.strings))
+        ests = sample_group(recipe.jobs[0].state, group, 700, seed=8, group_index=0)
+        want = const + sum(c * est.mean for c, est in zip(plain.coeffs, ests))
+        assert abs(prob.hmat[0, 0] - want) <= 1e-12
 
     def test_plan_must_match_groups(self, h2):
         recipe = qse_recipe(hf_statevector(h2), h2, level="SD")
