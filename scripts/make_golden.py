@@ -12,11 +12,17 @@ floating-point output, so any platform or code drift shows up as a
 bit-level mismatch.
 Run from the repository root:
 
-    python scripts/make_golden.py
+    python scripts/make_golden.py           # rewrite the committed files
+    python scripts/make_golden.py --check   # report what a rewrite would change
+
+--check regenerates everything in memory, writes nothing, prints each
+field that differs from the committed files with its absolute and
+relative change, and exits 1 if any field differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import pathlib
@@ -30,7 +36,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from oracles import sector_fci  # noqa: E402
 
-from qsubspace.cli import main  # noqa: E402
+from qsubspace.cli import main as run_cli  # noqa: E402
 from qsubspace.integrals import parse_fcidump  # noqa: E402
 
 FIXTURE = ROOT / "tests" / "fixtures" / "h2_sto3g.fcidump"
@@ -69,7 +75,7 @@ METHOD_RUNS = (
 def run_report(args):
     """The parsed result.json of one run, and its sweep.csv rows or None."""
     with tempfile.TemporaryDirectory() as tmp:
-        code = main([*args, "--input", str(FIXTURE), "--out", tmp])
+        code = run_cli([*args, "--input", str(FIXTURE), "--out", tmp])
         if code != 0:
             raise SystemExit(f"{args[0]} run failed with exit code {code}")
         out = pathlib.Path(tmp)
@@ -81,7 +87,8 @@ def run_report(args):
         return report, rows
 
 
-def build():
+def build() -> dict:
+    """path -> the JSON text of each golden file."""
     eigenvalues = run_report(["fci"])[0]["result"]["eigenvalues"]
 
     ints = parse_fcidump(FIXTURE.read_text())
@@ -89,35 +96,79 @@ def build():
         ints.e_nuc, ints.one_body, ints.two_body, ints.num_up, ints.num_down
     )
     np.testing.assert_allclose(eigenvalues, want, atol=1e-9)
-
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(
-        json.dumps(
-            {"input": FIXTURE.name, "method": "fci", "eigenvalues": eigenvalues},
-            indent=2,
-        )
-        + "\n"
-    )
-    print(f"wrote {OUT} ({len(eigenvalues)} eigenvalues, oracle agreement <= 1e-9)")
+    files = {OUT: {"input": FIXTURE.name, "method": "fci", "eigenvalues": eigenvalues}}
 
     runs = []
     for args in SAMPLED_RUNS:
         report, _ = run_report(list(args))
         runs.append({"args": list(args), "result": report["result"], "shots": report["shots"]})
-    SAMPLED_OUT.write_text(
-        json.dumps({"input": FIXTURE.name, "runs": runs}, indent=2) + "\n"
-    )
-    print(f"wrote {SAMPLED_OUT} ({len(runs)} sampled runs)")
+    files[SAMPLED_OUT] = {"input": FIXTURE.name, "runs": runs}
 
     runs = []
     for args in METHOD_RUNS:
         report, rows = run_report(list(args))
         runs.append({"args": list(args), "result": report["result"], "sweep_csv": rows})
-    METHODS_OUT.write_text(
-        json.dumps({"input": FIXTURE.name, "runs": runs}, indent=2) + "\n"
-    )
-    print(f"wrote {METHODS_OUT} ({len(runs)} runs)")
+    files[METHODS_OUT] = {"input": FIXTURE.name, "runs": runs}
+    return {path: json.dumps(data, indent=2) + "\n" for path, data in files.items()}
+
+
+def _number(value):
+    """value as a float if it is a JSON number or a numeric CSV cell."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        return None
+
+
+def changes(old, new, path=""):
+    """Lines naming each leaf that differs between two JSON values."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        out = []
+        for key in sorted(old.keys() | new.keys()):
+            if key not in old or key not in new:
+                out.append(f"{path}/{key}: only in {'new' if key in new else 'committed'}")
+            else:
+                out += changes(old[key], new[key], f"{path}/{key}")
+        return out
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return [f"{path}: length {len(old)} -> {len(new)}"]
+        return [line for k, (a, b) in enumerate(zip(old, new))
+                for line in changes(a, b, f"{path}[{k}]")]
+    if old == new:
+        return []
+    a, b = _number(old), _number(new)
+    if a is None or b is None:
+        return [f"{path}: {old!r} -> {new!r}"]
+    diff = abs(b - a)
+    rel = diff / abs(a) if a else float("inf")
+    return [f"{path}: {old!r} -> {new!r} (abs {diff:.3e}, rel {rel:.3e})"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="report changed fields and exit 1 if any; write nothing")
+    args = parser.parse_args(argv)
+    files = build()
+    if not args.check:
+        for path, text in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+            print(f"wrote {path.relative_to(ROOT)}")
+        return 0
+    changed = 0
+    for path, text in files.items():
+        old = json.loads(path.read_text()) if path.exists() else None
+        lines = changes(old, json.loads(text))
+        changed += len(lines)
+        for line in lines:
+            print(f"{path.relative_to(ROOT)}{line}")
+    print(f"{changed} field(s) differ from the committed golden files")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    build()
+    sys.exit(main())

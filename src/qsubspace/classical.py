@@ -206,9 +206,9 @@ def davidson(
     if v0s is not None:
         cols = [_sector_array(ints, v) for v in v0s]
     else:
-        # Unit vectors on the k smallest diagonal entries.
-        order = np.argsort(diag)[:k]
-        cols = [np.eye(dim, dtype=complex)[:, i] for i in order]
+        # Unit vectors on the k smallest diagonal entries, each its own
+        # 1 x dim row (a column of eye(dim) would keep dim^2 alive).
+        cols = [np.eye(1, dim, i, dtype=complex)[0] for i in np.argsort(diag)[:k]]
     basis = np.zeros((dim, 0), dtype=complex)
     for c in cols:
         c = _orthonormalize_against(c.astype(complex), basis)

@@ -369,7 +369,7 @@ def merge_config(args: argparse.Namespace, file_cfg: dict) -> tuple:
         seed=shot_sec.get("seed", 0),
         shots=shot_sec.get("shots"),
         eps_target=shot_sec.get("eps_target"),
-        grouping=shot_sec.get("grouping", "qubitwise"),
+        grouping=args.grouping or shot_sec.get("grouping", "qubitwise"),
     )
     if args.shots is not None and args.eps_target is not None:
         raise ValidationError("give --shots or --eps-target, not both")

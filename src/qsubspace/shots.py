@@ -5,21 +5,21 @@ after the diagonalizing rotation implied by a commuting group.  A group is
 read only as the x and z mask arrays of its strings: qubitwise groups need
 single-qubit basis changes and read parities off the masks, fully
 commuting groups are sampled in their densely computed joint eigenbasis.
-On top of the estimators the module sets shot counts against a precision
-target and assembles noise-tagged subspace problems from measurement
-recipes emitted by the subspace builders.
+Either way a group of m strings on n qubits becomes an outcome
+distribution and an (m, 2^n) +-1 value table V.  On top of that the module
+sets shot counts against a precision target and assembles noise-tagged
+subspace problems from measurement recipes emitted by the subspace builders.
 
 Each entry of a recipe reads one job, a state and its string table.  The
 entries compile once into a const vector and one sparse matrix over all
 jobs' strings, so entry values are const + matrix @ expectations.  A
-recipe is frozen.  Everything about it that does not depend on the seed
-(the grouping, each group's entry coefficients, its outcome probabilities
-and its +-1 value table) is computed once per grouping mode, the first
-time it is needed, and kept on the recipe, so it is freed with the recipe.
-A seeded estimate then costs one multinomial draw and a few small matrix
-products per group; `sample_group` runs the same sampler on one group.  A
-target-driven plan gives the same count to every group that some matrix
-entry reads.
+recipe is frozen; per grouping mode its groups, their distributions and
+tables, and a sparse pair-weight matrix W (entries x the groups' m^2
+covariance slots) are computed on first use and kept on it.  A seed draws
+each group's outcome counts c once and forms the integer sums h = V c and
+G = V diag(c) V^T, O(m^2 2^n) per group, exact in float64 below the shot
+cap SHOT_LIMIT = 2^53; entry means and variances are then one sparse
+product each, the variances W @ (covariances from h and G) at nnz(W).
 
 Sample streams use the Philox counter-based generator keyed by
 (seed, group index), so every estimate is bit-reproducible from the
@@ -47,6 +47,9 @@ GENERATOR = "philox"
 # Philox keys are two unsigned 64-bit words: (seed, stream index)
 SEED_LIMIT = 1 << 64
 
+# largest shot count per group: histogram sums stay exact in float64
+SHOT_LIMIT = 1 << 53
+
 # shots per group in the pilot round of a target-driven plan
 _PILOT_SHOTS = 100
 
@@ -63,9 +66,8 @@ def _streams(seed: int):
 
     One bit generator is re-keyed per stream, with its counter reset and
     its buffer empty, so the draws equal those of a fresh
-    `Philox(key=(seed, f))`; building that would also draw OS entropy the
-    key then overrides, at four times the cost.  A returned generator is
-    valid until the next stream is taken.
+    `Philox(key=(seed, f))` at a quarter of its cost (that would also draw
+    OS entropy).  A returned generator is valid until the next stream.
     """
     if not 0 <= seed < SEED_LIMIT:
         raise ValidationError("seed must lie in [0, 2^64)")
@@ -74,17 +76,10 @@ def _streams(seed: int):
     def stream(index: int) -> np.random.Generator:
         if not 0 <= index < SEED_LIMIT:
             raise ValidationError("stream index must lie in [0, 2^64)")
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([seed, index], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        key = np.array([seed, index], dtype=np.uint64)
+        bits.state = {"bit_generator": "Philox", "buffer_pos": 4, "has_uint32": 0,
+                      "uinteger": 0, "buffer": np.zeros(4, dtype=np.uint64),
+                      "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key}}
         return np.random.Generator(bits)
 
     return stream
@@ -112,9 +107,9 @@ class ShotPlan:
     def __post_init__(self):
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValidationError("seed must lie in [0, 2^64)")
-        counts = tuple(int(c) for c in self.counts)
-        if not counts or any(c < 1 for c in counts):
-            raise ValidationError("every group needs at least one shot")
+        counts = tuple(map(int, self.counts))
+        if not counts or not 1 <= min(counts) <= max(counts) <= SHOT_LIMIT:
+            raise ValidationError("every group needs between 1 and 2^53 shots")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -122,13 +117,9 @@ class ShotPlan:
         return int(sum(self.counts))
 
     def to_dict(self) -> dict:
-        return {
-            "generator": self.generator,
-            "seed": int(self.seed),
-            "counts": list(self.counts),
-            "eps_target": None if self.eps_target is None else float(self.eps_target),
-            "mode": self.mode,
-        }
+        eps = None if self.eps_target is None else float(self.eps_target)
+        return {"generator": self.generator, "seed": int(self.seed),
+                "counts": list(self.counts), "eps_target": eps, "mode": self.mode}
 
 
 # ---------------------------------------------------------------------------
@@ -200,70 +191,52 @@ def _full_commuting_model(state: Statevector, x: np.ndarray, z: np.ndarray):
 
 
 def _group_model(state: Statevector, x: np.ndarray, z: np.ndarray):
-    """Outcome distribution and the (strings, outcomes) int8 +-1 value
-    table of the group with masks x, z: qubitwise when every pair of
+    """Normalized outcome distribution and the (strings, outcomes) int8 +-1
+    value table of the group with masks x, z: qubitwise when every pair of
     letters agrees or meets an identity, else fully commuting when every
     pair anticommutes on an even number of qubits."""
     xa, za = x[:, None], z[:, None]
     if not ((xa & z) ^ (za & x)).any():
-        return _qubitwise_model(state, x, z)
-    if not ((_popcount(xa & z) + _popcount(za & x)) & 1).any():
-        return _full_commuting_model(state, x, z)
-    raise ValidationError("strings in one measurement group must commute")
-
-
-@dataclass(frozen=True, eq=False)
-class _GroupTable:
-    """Seed-independent sampling data of one group that entries read."""
-
-    rows: np.ndarray  # indices of the entries that read the group
-    cmat: np.ndarray  # (rows, members) complex coefficients
-    probs: np.ndarray  # normalized outcome probabilities
-    values: np.ndarray  # (members, outcomes) int8 +-1 value table
-
-
-def _group_table(state: Statevector, x, z, rows, cmat) -> _GroupTable:
-    probs, values = _group_model(state, x, z)
+        probs, values = _qubitwise_model(state, x, z)
+    elif not ((_popcount(xa & z) + _popcount(za & x)) & 1).any():
+        probs, values = _full_commuting_model(state, x, z)
+    else:
+        raise ValidationError("strings in one measurement group must commute")
     p = np.clip(probs, 0.0, None)
-    return _GroupTable(rows, cmat, p / p.sum(), values)
+    return p / p.sum(), values
 
 
-def _sample_moments(table: _GroupTable, n: int, rng: np.random.Generator):
-    """Mean of each read entry's contribution over n shots, and its
-    single-shot variance (zero for a single shot)."""
-    counts = rng.multinomial(n, table.probs)
-    per_shot = table.cmat @ table.values.astype(complex)  # (rows, outcomes)
-    mean = per_shot @ counts / n
-    if n == 1:
-        return mean, np.zeros(mean.size)
-    second = (np.abs(per_shot) ** 2) @ counts / n
-    var1 = (second - np.abs(mean) ** 2) * n / (n - 1)
-    return mean, np.maximum(var1.real, 0.0)
+def _histogram(values: np.ndarray, counts: np.ndarray, n: int):
+    """h = V c and the unbiased single-shot covariance (G - h h^T/n)/(n - 1),
+    G = V diag(c) V^T, of the strings with value table V over outcome
+    counts c summing to n; exactly zero for one shot.  h and G are integers
+    below 2^53 (SHOT_LIMIT caps n), exact in float64 in any summation order."""
+    c = counts.astype(float)
+    v = values.astype(float)
+    h = v @ c
+    return h, ((v * c) @ v.T - h[:, None] * h / n) / max(n - 1, 1)
 
 
 def sample_group(state, group, n_shots: int, seed: int, group_index: int = 0):
-    """Joint measurement of one commuting group.
-
-    All strings are read off the same n_shots samples, so the returned
-    estimates are correlated exactly as they would be on hardware.
-    Accepts bare PauliStrings or (coefficient, PauliString) pairs; the
-    coefficients are ignored.  The estimates are those of the recipe
-    sampler on one group whose entries are its strings, in stream
-    (seed, group_index).
-    """
-    if n_shots < 1:
-        raise ValidationError("need at least one shot")
+    """Joint measurement of one commuting group.  All strings are read off
+    the same n_shots samples, so the estimates are correlated exactly as
+    they would be on hardware.  Accepts bare PauliStrings or (coefficient,
+    PauliString) pairs; the coefficients are ignored.  The draw and its
+    histogram sums are the recipe sampler's for one group, in stream
+    (seed, group_index)."""
+    if not 1 <= n_shots <= SHOT_LIMIT:
+        raise ValidationError("need between one shot and 2^53 shots")
     strings = [item if isinstance(item, PauliString) else item[1] for item in group]
     if not strings:
         raise ValidationError("empty measurement group")
     if any(p.num_qubits != state.num_qubits for p in strings):
         raise ValidationError("string width does not match the register")
     x, z = np.array([(p.x, p.z) for p in strings], dtype=np.uint64).T
-    eye = np.eye(len(strings), dtype=complex)
-    table = _group_table(state, x, z, np.arange(len(strings)), eye)
-    mean, var1 = _sample_moments(table, n_shots, _streams(seed)(group_index))
-    return tuple(SampledEstimate(float(m.real), math.sqrt(v / n_shots), n_shots)
-                 for m, v in zip(mean, var1))
+    probs, values = _group_model(state, x, z)
+    counts = _streams(seed)(group_index).multinomial(n_shots, probs)
+    sums, cov = _histogram(values, counts, n_shots)
+    return tuple(SampledEstimate(float(h / n_shots), math.sqrt(max(v, 0.0) / n_shots), n_shots)
+                 for h, v in zip(sums, np.diag(cov)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,82 +354,110 @@ class MeasurementGroup:
 @dataclass(eq=False)
 class _Compiled:
     """One recipe under one grouping mode: the groups, then on first
-    sampling one _GroupTable per group (None where no entry reads it)."""
+    sampling (recipe-matrix columns, outcome probabilities, int8 value
+    table) per group, None where no entry reads it, and W's row blocks.
+    Group f's covariance is row-major in slots[f]:slots[f + 1]."""
 
     groups: tuple
     tables: tuple | None = None
+    slots: np.ndarray | None = None
+    weights: tuple | None = None
 
 
-def _partition(recipe: ExpectationRecipe, mode: str) -> tuple:
-    return tuple(
-        MeasurementGroup(j, tuple(sorted(members)))
-        for j, job in enumerate(recipe.jobs)
-        for members in group_commuting(job.strings, mode).groups
-    )
-
-
-def _compile(recipe: ExpectationRecipe, mode: str) -> _Compiled:
+def _compile(recipe: ExpectationRecipe, mode: str, sampling: bool = True) -> _Compiled:
     compiled = recipe._compiled.get(mode)
     if compiled is None:
-        compiled = recipe._compiled[mode] = _Compiled(_partition(recipe, mode))
+        groups = tuple(MeasurementGroup(j, tuple(sorted(members)))
+                       for j, job in enumerate(recipe.jobs)
+                       for members in group_commuting(job.strings, mode).groups)
+        compiled = recipe._compiled[mode] = _Compiled(groups)
+    if sampling and compiled.tables is None:
+        cols = [recipe._offsets[g.job] + np.array(g.members, dtype=np.intp)
+                for g in compiled.groups]
+        read = np.bincount(recipe._matrix.indices, minlength=recipe._matrix.shape[1]) > 0
+        tables = []
+        for g, c in zip(compiled.groups, cols):
+            job, m = recipe.jobs[g.job], list(g.members)
+            tables.append((c, *_group_model(job.state, job.strings.x[m], job.strings.z[m]))
+                          if read[c].any() else None)
+        compiled.slots = np.cumsum([0] + [c.size**2 for c in cols], dtype=np.int64)
+        compiled.weights = _pair_weights(recipe._matrix, cols, compiled.slots)
+        compiled.tables = tuple(tables)
     return compiled
 
 
 def measurement_groups(recipe: ExpectationRecipe, mode: str = "qubitwise"):
     """Deterministic partition of every job's strings into commuting groups."""
-    return _compile(recipe, mode).groups
+    return _compile(recipe, mode, sampling=False).groups
 
 
-def _entry_blocks(recipe: ExpectationRecipe, groups):
-    """Per group: rows of the entries that read it and their coefficient
-    matrix, scattered from its columns of the recipe matrix with the
-    columns permuted into group order."""
-    perm = [recipe._offsets[g.job] + np.array(g.members, dtype=np.intp) for g in groups]
-    cols = recipe._matrix[:, np.concatenate([np.zeros(0, np.intp), *perm])].tocsc()
-    blocks, start = [], 0
-    for g in groups:
-        stop = start + len(g.members)
-        span = slice(cols.indptr[start], cols.indptr[stop])
-        rows, at = np.unique(cols.indices[span], return_inverse=True)
-        members = np.repeat(np.arange(len(g.members)), np.diff(cols.indptr[start:stop + 1]))
-        cmat = np.zeros((rows.size, len(g.members)), dtype=complex)
-        np.add.at(cmat, (at, members), cols.data[span])
-        blocks.append((rows.astype(np.intp), cmat))
-        start = stop
-    return blocks
+# W is built and kept in row blocks of about this many recipe-matrix
+# nonzeros, so it is never one large allocation
+_CHUNK = 1 << 12
 
 
-def _group_tables(recipe: ExpectationRecipe, mode: str) -> tuple:
-    compiled = _compile(recipe, mode)
-    if compiled.tables is None:
-        tables = []
-        for g, (rows, cmat) in zip(compiled.groups, _entry_blocks(recipe, compiled.groups)):
-            job, m = recipe.jobs[g.job], list(g.members)
-            x, z = job.strings.x[m], job.strings.z[m]
-            tables.append(_group_table(job.state, x, z, rows, cmat) if rows.size else None)
-        compiled.tables = tuple(tables)
-    return compiled.tables
+def _pair_weights(matrix: scipy.sparse.csr_array, cols: list, slots: np.ndarray) -> tuple:
+    """Row blocks of W: W[d, slots[f] + i m_f + j] = Re(conj a_di a_dj),
+    doubled for i < j, over the pairs i <= j of group f's members (columns
+    cols[f]) that row d of the matrix reads, so W @ (flattened group
+    covariances) is the entries' variance.  A column repeated in a row adds
+    its terms to the same slots, as its coefficients add in the product."""
+    sizes = np.array([c.size for c in cols], dtype=np.int64)
+    group = np.repeat(np.arange(sizes.size), sizes)
+    pos = np.arange(group.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    base = slots[group] + pos * sizes[group]  # slot of the pair (pos, 0)
+    rank = np.empty(group.size, np.int64)  # column -> place in group order
+    rank[np.concatenate([np.zeros(0, np.intp), *cols])] = np.arange(group.size)
+    itype = np.int32 if slots[-1] < 1 << 31 else np.int64
+    indptr, blocks, lo = matrix.indptr, [], 0
+    while lo < matrix.shape[0]:
+        hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + _CHUNK, "right")) - 1)
+        nz = slice(indptr[lo], indptr[hi])
+        row = np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
+        r = rank[matrix.indices[nz]]
+        at = np.argsort(row * group.size + r)
+        row, r, a = row[at], r[at], matrix.data[nz][at]
+        # each nonzero pairs with itself and the later ones of its (row, group) run
+        start = np.flatnonzero(np.diff(row * sizes.size + group[r], prepend=-1))
+        count = np.repeat(np.r_[start[1:], r.size], np.diff(np.r_[start, r.size]))
+        count -= np.arange(r.size)
+        first = np.cumsum(count) - count  # where each nonzero's pairs begin
+        p = np.repeat(np.arange(r.size), count)
+        q = np.arange(p.size) - np.repeat(first - np.arange(r.size), count)
+        data = 2.0 * (a.conj()[p] * a[q]).real
+        data[first] *= 0.5  # the pair i = j counts once
+        slot = (base[r][p] + pos[r][q]).astype(itype)
+        rows = np.r_[first, p.size][indptr[lo:hi + 1] - indptr[lo]]
+        blocks.append(scipy.sparse.csr_array((data, slot, rows), shape=(hi - lo, int(slots[-1]))))
+        lo = hi
+    return tuple(blocks)
+
+
+def _sample(recipe: ExpectationRecipe, compiled: _Compiled, counts, seed: int, first: int = 0):
+    """String means in recipe column order and the flat single-shot
+    covariances of the groups that entries read, group f from counts[f]
+    shots drawn in stream (seed, first + f)."""
+    stream, slots = _streams(seed), compiled.slots
+    means, cov = np.zeros(recipe._matrix.shape[1]), np.zeros(int(slots[-1]))
+    for f, (table, n) in enumerate(zip(compiled.tables, counts)):
+        if table is not None:
+            cols, probs, values = table
+            h, c = _histogram(values, stream(first + f).multinomial(n, probs), n)
+            means[cols] = h / n
+            cov[slots[f]:slots[f + 1]] = c.ravel()
+    return means, cov
 
 
 def _assemble(recipe: ExpectationRecipe, values, stds=None):
-    n = recipe.size
-    mats, smats = {}, {}
+    n, mats = recipe.size, {}
     for kind, (d, i, j) in recipe._layout.items():
-        mats[kind] = np.zeros((n, n), dtype=complex)
-        mats[kind][i, j] = values[d]
-        mats[kind][j, i] = np.conj(values[d])
-        smats[kind] = np.zeros((n, n))
+        mat, std = np.zeros((n, n), dtype=complex), np.zeros((n, n))
+        mat[i, j], mat[j, i] = values[d], np.conj(values[d])
         if stds is not None:
-            smats[kind][i, j] = smats[kind][j, i] = stds[d]
-    if stds is None:
-        return SubspaceProblem(mats["h"], mats["s"], dict(recipe.provenance))
-    return SubspaceProblem(
-        mats["h"],
-        mats["s"],
-        dict(recipe.provenance),
-        hmat_std=smats["h"],
-        smat_std=smats["s"],
-    )
+            std[i, j] = std[j, i] = stds[d]
+        mats[kind], mats[kind + "mat_std"] = mat, std
+    noise = {} if stds is None else {k: mats[k] for k in ("hmat_std", "smat_std")}
+    return SubspaceProblem(mats["h"], mats["s"], dict(recipe.provenance), **noise)
 
 
 def exact_subspace(recipe: ExpectationRecipe) -> SubspaceProblem:
@@ -466,74 +467,74 @@ def exact_subspace(recipe: ExpectationRecipe) -> SubspaceProblem:
     return _assemble(recipe, recipe._const + recipe._matrix @ np.array(exact, dtype=complex))
 
 
+def _pilot(recipe: ExpectationRecipe, compiled: _Compiled, seed: int):
+    """(lo, d, f, v) per row block of W from row lo, over the (d, f) it reads:
+    v is W summed over f's slots against f's pilot covariance, clipped."""
+    count = len(compiled.groups)
+    _, cov = _sample(recipe, compiled, (_PILOT_SHOTS,) * count, seed, first=count)
+    group_of_slot, lo = np.repeat(np.arange(count), np.diff(compiled.slots)), 0
+    for block in compiled.weights:
+        d = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+        f = group_of_slot[block.indices]
+        # slots ascend along a row, so each (d, f) is one run of nonzeros
+        start = np.flatnonzero(np.diff(d * count + f, prepend=-1))
+        v = np.add.reduceat(block.data * cov[block.indices], start)
+        yield lo, d[start], f[start], np.maximum(v, 0.0)
+        lo += block.shape[0]
+
+
 def pilot_variances(recipe: ExpectationRecipe, groups, seed: int) -> np.ndarray:
     """Single-shot variance of each entry's contribution from each group,
-    estimated from _PILOT_SHOTS shots per group.
-
-    groups must be `measurement_groups(recipe, mode)` for some mode.  Pilot
-    streams are keyed (seed, len(groups) + f) so they never collide with
-    the production streams of the same seed.
-    """
+    estimated from _PILOT_SHOTS shots per group.  groups must be
+    `measurement_groups(recipe, mode)` for some mode.  Pilot streams are
+    keyed (seed, len(groups) + f), apart from the production streams."""
     groups = tuple(groups)
     mode = next((m for m, c in recipe._compiled.items() if c.groups == groups), None)
     if mode is None:
         raise ValidationError("groups must come from measurement_groups on this recipe")
-    stream = _streams(seed)
     out = np.zeros((len(recipe.entries), len(groups)))
-    for f, table in enumerate(_group_tables(recipe, mode)):
-        if table is not None:
-            _, var1 = _sample_moments(table, _PILOT_SHOTS, stream(len(groups) + f))
-            out[table.rows, f] = var1
+    for lo, d, f, v in _pilot(recipe, _compile(recipe, mode), seed):
+        out[lo + d, f] = v
     return out
 
 
-def plan_from_target(
-    recipe: ExpectationRecipe,
-    eps_target: float,
-    seed: int,
-    mode: str = "qubitwise",
-) -> ShotPlan:
-    """Pilot round plus allocation in one step.
-
-    Every group that some entry reads gets the uniform count
-    M = ceil(max_d sum_f Var[A_d^(f)] / eps^2), from the pilot's
-    single-shot variances, also when its pilot saw no variance: a finite
-    pilot can miss a rare outcome, and a single shot would leave that
-    group's error out of every entry std.  Groups that no entry reads keep
-    one shot.
-    """
+def plan_from_target(recipe: ExpectationRecipe, eps_target: float, seed: int,
+                     mode: str = "qubitwise") -> ShotPlan:
+    """Pilot round plus allocation in one step: every group that some entry
+    reads gets the uniform count M = ceil(max_d sum_f Var[A_d^(f)] / eps^2),
+    from the pilot's single-shot variances, also when its pilot saw no
+    variance: a finite pilot can miss a rare outcome, and a single shot
+    would leave that group's error out of every entry std.  Groups that no
+    entry reads keep one shot.  An M above SHOT_LIMIT is a CapacityError."""
     if not eps_target > 0.0:
         raise ValidationError("eps_target must be positive")
-    groups = measurement_groups(recipe, mode)
-    v = pilot_variances(recipe, groups, seed)
-    m = max(1, math.ceil(float(v.sum(axis=1).max()) / eps_target**2))
-    counts = tuple(1 if t is None else m for t in _group_tables(recipe, mode))
+    compiled = _compile(recipe, mode)
+    # max_d sum_f, row block by row block, without the dense (d, f) table
+    total = max((float(np.bincount(d, v).max(initial=0.0))
+                 for _, d, _, v in _pilot(recipe, compiled, seed)), default=0.0)
+    # compared before dividing, since eps^2 may underflow to zero
+    if total > SHOT_LIMIT * eps_target**2:
+        raise CapacityError(f"eps_target {eps_target:g} needs more than 2^53 shots per group")
+    m = max(1, math.ceil(total / eps_target**2)) if total > 0.0 else 1
+    counts = tuple(1 if t is None else m for t in compiled.tables)
     return ShotPlan(seed, counts, eps_target=eps_target, mode=mode)
 
 
 def noisy_subspace(recipe: ExpectationRecipe, plan: ShotPlan) -> SubspaceProblem:
-    """Sample every entry of the pair per the plan and tag entrywise stds.
-
-    Hermiticity holds by construction (conjugate pairs share estimates);
-    the SubspaceProblem constructor applies the documented quadrature
-    combination on the mirrored stds.
-    """
-    tables = _group_tables(recipe, plan.mode)
-    if len(tables) != len(plan.counts):
+    """Sample every entry of the pair per the plan and tag entrywise stds:
+    values const + matrix @ (string means), variances W @ (covariances /
+    n_f).  Hermiticity holds by construction (conjugate pairs share
+    estimates); the SubspaceProblem constructor applies the documented
+    quadrature combination on the mirrored stds."""
+    compiled = _compile(recipe, plan.mode)
+    if len(compiled.tables) != len(plan.counts):
         raise ValidationError(
-            f"plan has {len(plan.counts)} counts for {len(tables)} groups"
-        )
-    stream = _streams(plan.seed)
-    values = recipe._const.copy()
-    var_mean = np.zeros(len(recipe.entries))
-    for f, table in enumerate(tables):
-        if table is None:
-            continue
-        n = plan.counts[f]
-        mean, var1 = _sample_moments(table, n, stream(f))
-        values[table.rows] += mean
-        var_mean[table.rows] += var1 / n
-    prob = _assemble(recipe, values, np.sqrt(var_mean))
+            f"plan has {len(plan.counts)} counts for {len(compiled.tables)} groups")
+    means, cov = _sample(recipe, compiled, plan.counts, plan.seed)
+    cov /= np.repeat(plan.counts, np.diff(compiled.slots))
+    values = recipe._const + recipe._matrix @ means
+    var = np.concatenate([np.zeros(0), *(block @ cov for block in compiled.weights)])
+    prob = _assemble(recipe, values, np.sqrt(np.maximum(var, 0.0)))
     prob.provenance["shots"] = plan.to_dict()
     return prob
 
@@ -542,10 +543,8 @@ def operator_recipe(state: Statevector, h, provenance: dict | None = None):
     """1x1 recipe for a single operator expectation (S is the constant 1)."""
     const, plain = h.split_identity()
     job = MeasurementJob(state.normalized(), plain)
-    entries = {
-        ("h", 0, 0): EntryPlan(const, 0, np.arange(len(plain)), plain.coeffs),
-        ("s", 0, 0): EntryPlan(1.0 + 0.0j),
-    }
+    entries = {("h", 0, 0): EntryPlan(const, 0, np.arange(len(plain)), plain.coeffs),
+               ("s", 0, 0): EntryPlan(1.0 + 0.0j)}
     return ExpectationRecipe(1, (job,), entries, provenance or {"method": "operator"})
 
 

@@ -17,7 +17,7 @@ from qsubspace.classical import (
     power_krylov,
 )
 from qsubspace.errors import CapacityError, ConvergenceError, ValidationError
-from qsubspace.fock import FockVector, exact_eigenpairs, sector_dimension
+from qsubspace.fock import FockVector, exact_eigenpairs, hamiltonian_diagonal, sector_dimension
 from qsubspace.geev import conditioning_report, solve
 from qsubspace.integrals import MolecularIntegrals
 
@@ -215,6 +215,26 @@ def test_davidson_eigenvector_start_converges_immediately(h2):
     v0 = FockVector(h2.sector, evecs[:, 0].astype(complex))
     result = davidson(h2, k=1, tol=1e-8, v0s=[v0])
     assert result.num_iterations == 0
+
+
+def test_davidson_default_start_is_the_unit_vectors_on_the_lowest_diagonal(h3_plus):
+    # the default start must equal passing those unit vectors explicitly,
+    # bit for bit, without building a dim x dim identity
+    diag = hamiltonian_diagonal(h3_plus)
+    dim = diag.size
+    starts = []
+    for i in np.argsort(diag)[:3]:
+        amp = np.zeros(dim, dtype=complex)
+        amp[i] = 1.0
+        starts.append(FockVector(h3_plus.sector, amp))
+    default = davidson(h3_plus, k=3, tol=1e-9, max_iter=100)
+    explicit = davidson(h3_plus, k=3, tol=1e-9, max_iter=100, v0s=starts)
+    assert np.array_equal(default.eigenvalues, explicit.eigenvalues)
+    assert np.array_equal(default.residual_norms, explicit.residual_norms)
+    assert default.num_iterations == explicit.num_iterations
+    assert default.trace == explicit.trace
+    for a, b in zip(default.eigenvectors, explicit.eigenvectors):
+        assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
 def test_davidson_multiple_roots(h3_plus):

@@ -296,6 +296,25 @@ class TestConfigFile:
         assert report["config"]["shots"]["enabled"] is False
         assert report["shots"] is None
 
+    def test_grouping_flag_selects_the_mode_and_beats_the_file(self, tmp_path):
+        code, report, _ = run_cli(
+            tmp_path, "qse", "--input", H2, "--shots", "2000", "--grouping", "full"
+        )
+        assert code == 0
+        assert report["config"]["shots"]["grouping"] == "full"
+        assert report["shots"]["mode"] == "full"
+        ini = self.write(tmp_path, "[shots]\ngrouping = qubitwise\n")
+        code, report, _ = run_cli(
+            tmp_path, "qse", "--config", ini, "--input", H2, "--shots", "2000",
+            "--grouping", "full",
+        )
+        assert code == 0
+        assert report["config"]["shots"]["grouping"] == "full"
+        assert report["shots"]["mode"] == "full"
+        code, report, _ = run_cli(tmp_path, "qse", "--config", ini, "--input", H2,
+                                  "--shots", "2000")
+        assert code == 0 and report["shots"]["mode"] == "qubitwise"
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         ini = self.write(tmp_path, "[params]\nwibble = 3\n")
         assert main(["qfd", "--input", H2, "--config", ini]) == 2
@@ -371,6 +390,18 @@ class TestExitCodes:
     def test_capacity_cap_is_exit_3(self, capsys):
         assert main(["power-krylov", "--input", H2, "--n", "50"]) == 3
         assert error_payload(capsys)["exit_code"] == 3
+
+    def test_shot_count_above_2_53_is_exit_2(self, capsys):
+        # histogram sums are exact in float64 only up to 2^53 shots
+        assert main(["qse", "--input", H2, "--shots", "99999999999999999999"]) == 2
+        err = error_payload(capsys)
+        assert err["type"] == "ValidationError" and "2^53" in err["message"]
+
+    @pytest.mark.parametrize("eps", ["1e-9", "1e-12", "1e-200"])
+    def test_target_needing_more_than_2_53_shots_is_exit_3(self, eps, capsys):
+        assert main(["qse", "--input", H2, "--eps-target", eps]) == 3
+        err = error_payload(capsys)
+        assert err["type"] == "CapacityError" and "2^53" in err["message"]
 
     def test_oversized_sector_is_exit_3(self, tmp_path, capsys):
         # m=10 (5,5): dimension 63,504 but 55.6M stored matrix entries

@@ -3,9 +3,11 @@
 import dataclasses
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.linalg import expm
 
 from conftest import load_integrals
@@ -409,6 +411,7 @@ def checked_recipe(name):
     return qse_recipe(hf_statevector(ints), ints, level=method.removeprefix("qse-"))
 
 
+@functools.cache
 def entry_blocks_by_term(recipe, groups):
     """Per group: the rows and coefficient matrix of the entries reading it,
     accumulated term by term in entry order."""
@@ -436,6 +439,38 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.size == b.size and a.tobytes() == b.tobytes()
 
 
+def pair_weights_by_term(rows, cmat, base):
+    """(entry, slot, weight) of one group's pairs i <= j that an entry reads,
+    Re(conj a_i a_j) doubled for i < j, sorted by slot and then entry."""
+    m = cmat.shape[1]
+    i, j = np.triu_indices(m)
+    read = (cmat[:, i] != 0) & (cmat[:, j] != 0)
+    r, k = np.nonzero(read)
+    a, b = cmat[r, i[k]], cmat[r, j[k]]
+    w = (a.conj() * b).real * np.where(i[k] < j[k], 2.0, 1.0)
+    slot = base + i[k] * m + j[k]
+    order = np.lexsort((rows[r], slot))
+    return rows[r][order], slot[order], w[order]
+
+
+def moments_by_outcome(cmat, values, counts, n):
+    """Mean of each entry's contribution over n shots and its single-shot
+    variance, summed outcome by outcome (the formula the pair weights
+    replace)."""
+    per_shot = cmat @ values.astype(complex)  # (entries, outcomes)
+    mean = per_shot @ counts / n
+    if n == 1:
+        return mean, np.zeros(mean.size)
+    second = (np.abs(per_shot) ** 2) @ counts / n
+    var1 = (second - np.abs(mean) ** 2) * n / (n - 1)
+    return mean, np.maximum(var1.real, 0.0)
+
+
+def fresh_stream(seed, index):
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 CHECKED = ["qfd h4_toy", "qse-S h3_plus", "qse-SD h2_sto3g", "qse-S h4_toy"]
 
 
@@ -453,15 +488,24 @@ class TestCompiledRecipe:
             ("qse-S h4_toy", "qubitwise"),
         ],
     )
-    def test_entry_blocks_equal_the_per_term_loop(self, name, mode):
+    def test_pair_weights_equal_the_per_term_oracle(self, name, mode):
         recipe = checked_recipe(name)
         groups = measurement_groups(recipe, mode)
-        got = shots._entry_blocks(recipe, groups)
-        want = entry_blocks_by_term(recipe, groups)
-        assert len(got) == len(want) == len(groups)
-        for (rows, cmat), (ref_rows, ref_cmat) in zip(got, want):
-            assert same_bits(rows, ref_rows)
-            assert same_bits(cmat, ref_cmat)
+        compiled = shots._compile(recipe, mode)
+        weights = scipy.sparse.vstack(compiled.weights).tocsc()
+        assert weights.shape == (len(recipe.entries), compiled.slots[-1])
+        seen = 0
+        for f, (rows, cmat) in enumerate(entry_blocks_by_term(recipe, groups)):
+            lo, hi = compiled.slots[f], compiled.slots[f + 1]
+            assert hi - lo == len(groups[f].members) ** 2
+            block = weights[:, lo:hi]
+            got_slot = lo + np.repeat(np.arange(hi - lo), np.diff(block.indptr))
+            want = pair_weights_by_term(rows, cmat, lo) if rows.size else ((), (), ())
+            assert np.array_equal(block.indices, want[0])
+            assert np.array_equal(got_slot, want[1])
+            assert same_bits(block.data, np.asarray(want[2], dtype=float))
+            seen += block.nnz
+        assert seen == weights.nnz
 
     @pytest.mark.parametrize("name", CHECKED)
     def test_exact_limit_is_the_per_term_sum(self, name):
@@ -480,6 +524,57 @@ class TestCompiledRecipe:
 
 
 class TestNoisySubspace:
+    @pytest.mark.parametrize("name", CHECKED)
+    @pytest.mark.parametrize("n", [1, 3000])
+    def test_sampled_moments_match_the_per_outcome_formula(self, name, n, monkeypatch):
+        # same draws, and entry means and variances within 1e-12 of the
+        # outcome-by-outcome sums, relative to the entry's coefficient scale
+        recipe = checked_recipe(name)
+        groups = measurement_groups(recipe)
+        blocks = entry_blocks_by_term(recipe, groups)
+        drawn, assembled = [], []
+        histogram = shots._histogram
+
+        def recorded(values, counts, shots_):
+            drawn.append(counts.copy())
+            return histogram(values, counts, shots_)
+
+        def captured(recipe, values, stds=None):
+            assembled.append((values, stds))
+            return types.SimpleNamespace(provenance={})
+
+        monkeypatch.setattr(shots, "_histogram", recorded)
+        monkeypatch.setattr(shots, "_assemble", captured)
+        seed = 17
+        noisy_subspace(recipe, ShotPlan(seed, (n,) * len(groups)))
+        pilot = pilot_variances(recipe, groups, seed)
+
+        count = len(recipe.entries)
+        values, var_mean = recipe._const.copy(), np.zeros(count)
+        want_pilot, want_drawn = np.zeros((count, len(groups))), []
+        for f, (g, (rows, cmat)) in enumerate(zip(groups, blocks)):
+            if not rows.size:
+                continue
+            job = recipe.jobs[g.job]
+            m = list(g.members)
+            probs, table = shots._group_model(job.state, job.strings.x[m], job.strings.z[m])
+            counts = fresh_stream(seed, f).multinomial(n, probs)
+            want_drawn.append(counts)
+            mean, var1 = moments_by_outcome(cmat, table, counts, n)
+            values[rows] += mean
+            var_mean[rows] += var1 / n
+            pilot_counts = fresh_stream(seed, len(groups) + f).multinomial(100, probs)
+            want_pilot[rows, f] = moments_by_outcome(cmat, table, pilot_counts, 100)[1]
+
+        # the production draws come first, then the pilot's
+        assert len(drawn) == 2 * len(want_drawn)
+        assert all(same_bits(a, b) for a, b in zip(drawn, want_drawn))
+        scale = np.array([np.abs(p.coeffs).sum() for p in recipe.entries.values()])
+        (got_values, got_stds), = assembled
+        assert np.all(np.abs(got_values - values) <= 1e-12 * scale)
+        assert np.all(np.abs(got_stds**2 - var_mean) <= 1e-12 * scale**2 / n)
+        assert np.all(np.abs(pilot - want_pilot) <= 1e-12 * scale[:, None] ** 2)
+
     def test_large_shot_qse_matches_exact(self, h2):
         recipe = qse_recipe(hf_statevector(h2), h2, level="SD")
         groups = measurement_groups(recipe)
