@@ -19,6 +19,7 @@ from .fock import (
     FockVector,
     SpectrumSlice,
     hamiltonian_diagonal,
+    matvec,
     sector_dimension,
     sector_matrix,
 )
@@ -59,7 +60,7 @@ def compute_moments(
     for ell in range(count):
         out[ell] = complex(np.vdot(vec, cur)).real
         if ell + 1 < count:
-            cur = mat @ cur
+            cur = matvec(mat, cur)
     return KrylovMoments(out)
 
 
@@ -130,7 +131,7 @@ def lanczos(
     beta = 0.0
     for k in range(n):
         q = basis[:, k]
-        w = mat @ q
+        w = matvec(mat, q)
         alpha = complex(np.vdot(q, w)).real
         alphas.append(alpha)
         if k + 1 == n:
@@ -216,7 +217,7 @@ def davidson(
             basis = np.column_stack([basis, c])
     if basis.shape[1] < k:
         raise ValidationError("start vectors do not span k directions")
-    images = mat @ basis
+    images = matvec(mat, basis)
 
     max_cols = 8 * k
     trace = []
@@ -266,7 +267,7 @@ def davidson(
             if w is None:
                 continue
             basis = np.column_stack([basis, w])
-            images = np.column_stack([images, mat @ w])
+            images = np.column_stack([images, matvec(mat, w)])
             added = True
         if not added and not np.all(rnorms <= tol):
             raise ConvergenceError(

@@ -24,6 +24,15 @@ exactly zero are dropped. The build is capped at 12,000,000 stored entries,
 counted from the table lengths before anything is allocated (m = 9 (4,4)
 stores 8.9M; m = 10 (4,4) would store 35.5M). Dense spectra and propagators
 are capped at dimension 4096.
+
+The dense eigensystem takes one eigh per spin-flip block. When n_up =
+n_down, swapping the two spin strings P (the transpose of the (down, up)
+rank grid; its sign (-1)^(n_up n_down) is global) commutes with a
+spin-free H. The even block is spanned by the diagonal determinants and
+(|a> + |Pa>)/sqrt 2, the odd block by (|a> - |Pa>)/sqrt 2. Each block is
+U^T H U from the sparse matrix, about half the dimension, so the two
+eigensolves take about a quarter of the flops of one. Any other sector is
+one block, the sector matrix itself, with the bits of a single eigh.
 """
 
 from __future__ import annotations
@@ -344,8 +353,38 @@ def hamiltonian_diagonal(ints: MolecularIntegrals) -> np.ndarray:
 def apply_hamiltonian(ints: MolecularIntegrals, v: FockVector) -> FockVector:
     if v.sector != ints.sector:
         raise ValidationError(f"vector sector {v.sector} != {ints.sector}")
-    mat = _sector_matrix(ints, v.sector)
-    return FockVector(v.sector, mat @ v.amplitudes)
+    return FockVector(v.sector, matvec(_sector_matrix(ints, v.sector), v.amplitudes))
+
+
+def matvec(mat, v: np.ndarray) -> np.ndarray:
+    """mat @ v for a real sector matrix, bit for bit, but in real arithmetic:
+    with a complex v scipy would upcast mat's data on every call."""
+    if not np.iscomplexobj(v):
+        return mat @ v
+    out = np.empty(np.shape(v), dtype=complex)
+    out.real, out.imag = mat @ v.real, mat @ v.imag
+    return out
+
+
+@lru_cache(maxsize=None)
+def _flip_blocks(sector: tuple) -> tuple:
+    """The sector's spin-flip blocks, even then odd, as (column, weight,
+    size): each block basis U has one entry per determinant i, U[i,
+    column[i]] = weight[i], with weight 0 where the block has none. A
+    sector with n_up != n_down, or of one determinant, is one block."""
+    m, n_up, n_down = sector
+    dim, n = sector_dimension(*sector), math.comb(m, n_up)
+    if n_up != n_down:
+        return ((np.arange(dim), np.ones(dim), dim),)
+    upper = np.triu_indices(n, 1)
+    pairs = upper[0].size
+    rank = np.zeros((n, n), dtype=np.intp)
+    rank[upper] = np.arange(pairs)
+    down, up = np.divmod(np.arange(dim), n)
+    diag, half, k = down == up, math.sqrt(0.5), (rank + rank.T).ravel()
+    even = (np.where(diag, down, n + k), np.where(diag, 1.0, half), n + pairs)
+    odd = (k, np.where(diag, 0.0, np.where(down < up, half, -half)), pairs)
+    return (even, odd) if pairs else (even,)
 
 
 @cached_per_integrals
@@ -353,9 +392,22 @@ def _eigensystem(ints: MolecularIntegrals):
     dim = ints.sector_dimension
     if dim > _DENSE_CAP:
         raise CapacityError(f"dense spectrum needs dimension <= {_DENSE_CAP}")
-    dense = _sector_matrix(ints, ints.sector).toarray()
-    vals, vecs = np.linalg.eigh(dense)
-    return vals, vecs
+    mat, blocks = _sector_matrix(ints, ints.sector), _flip_blocks(ints.sector)
+    rows, cols = np.repeat(np.arange(dim), np.diff(mat.indptr)), mat.indices
+    solved = []
+    for col, weight, size in blocks:
+        # U^T H U summed over H's stored entries
+        block = np.bincount(col[rows] * size + col[cols], weight[rows] * weight[cols] * mat.data,
+                            minlength=size * size).reshape(size, size)
+        solved.append(np.linalg.eigh((block + block.T) * 0.5))  # P H P = H to roundoff
+    vals = np.concatenate([w for w, _ in solved])
+    order = np.argsort(vals, kind="stable")
+    slot = np.empty(dim, dtype=np.intp)
+    slot[order] = np.arange(dim)
+    vecs = np.empty((dim, dim), order="F")  # Fortran order: each eigenvector contiguous
+    for (col, weight, _), (_, y), at in zip(blocks, solved, np.split(slot, [solved[0][0].size])):
+        vecs[:, at] = weight[:, None] * y[col]
+    return vals[order], vecs
 
 
 @dataclass(eq=False)

@@ -120,7 +120,9 @@ def solve(prob: SubspaceProblem, eps: float | None = None) -> GEEVSolution:
         raise ValidationError("eps must be non-negative")
     w, v = np.linalg.eigh(prob.smat)
     sing = np.abs(w)
-    cond_before = float(np.max(sing) / np.min(sing)) if np.min(sing) > 0 else math.inf
+    # when S is singular to working precision the ratio is roundoff: report inf
+    singular = np.min(sing) <= sing.size * np.finfo(float).eps * np.max(sing)
+    cond_before = math.inf if singular else float(np.max(sing) / np.min(sing))
     keep = w > eps
     if not np.any(keep):
         raise EmptySubspaceError(

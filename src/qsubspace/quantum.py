@@ -361,7 +361,8 @@ def _eom_energies(blocks: EomBlocks, tda: bool) -> np.ndarray:
     if not np.any(keep):
         raise DataError("excitation metric has no significant directions")
     ub = u[:, keep]
-    vals = scipy.linalg.eig(ub.conj().T @ lhs @ ub, np.diag(w[keep]), right=False)
+    reduced = ub.conj().T @ lhs @ ub
+    vals = scipy.linalg.eig(reduced, np.diag(w[keep]), right=False)
     finite = np.sort(vals[np.isfinite(vals)].real)
     k = finite.size
     report["num_finite"] = int(k)
@@ -370,8 +371,12 @@ def _eom_energies(blocks: EomBlocks, tda: bool) -> np.ndarray:
     )
     upper = finite[k - k // 2 :]
     lower = -finite[: k // 2][::-1]
-    scale = max(1.0, float(np.max(np.abs(finite), initial=0.0)))
-    report["paired"] = int(np.sum(np.abs(upper - lower) <= 1e-8 * scale))
+    # a first-order bound, not a safety margin: backward error n u in (A, diag w)
+    # moves dE by n u (||A||_2 + |dE| max|w|) / min|w|, a pair's distance twice that
+    wk = np.abs(w[keep])
+    unit = wk.size * np.finfo(float).eps / wk.min()
+    tol = 2 * unit * (np.linalg.norm(reduced, 2) + np.abs(upper) * wk.max())
+    report["paired"] = int(np.sum(np.abs(upper - lower) <= tol))
     return upper
 
 

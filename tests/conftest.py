@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import pathlib
 
 import numpy as np
@@ -23,6 +25,20 @@ FIXTURE_NAMES = [
 
 # two-electron systems in a canonical mean-field basis
 TWO_ELECTRON_NAMES = ["h2_sto3g", "h2_stretched", "heh_like", "h3_plus"]
+
+
+@functools.cache
+def _workloads():
+    path = FIXTURE_DIR.parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def scan_integrals(stretch: float) -> MolecularIntegrals:
+    """The benchmark's sector-scan molecule: 7 orbitals, (3,3), dimension 1225."""
+    return _workloads().synthetic_integrals(stretch)
 
 
 def fixture_path(name: str) -> pathlib.Path:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import qsubspace.classical as classical_module
+from conftest import load_integrals, scan_integrals
 from qsubspace.classical import (
     ConvergenceBound,
     DavidsonResult,
@@ -192,6 +194,30 @@ def test_variational_upper_bound_and_monotonicity(h3_plus):
         assert ground >= evals[0] - 1e-10
         assert ground <= last + 1e-12
         last = ground
+
+
+@pytest.mark.parametrize("case", ["h4_toy", 0.4, 1.2])
+def test_real_matvecs_equal_the_complex_product(case, monkeypatch):
+    # Lanczos, Davidson and the moments apply the real sector matrix to
+    # complex vectors as two real products; the bits must not change
+    ints = load_integrals(case) if isinstance(case, str) else scan_integrals(case)
+    rng = np.random.default_rng(17)
+    dim = ints.sector_dimension
+    v0 = FockVector(ints.sector, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+
+    def run():
+        form, prob = lanczos(ints, v0, 12)
+        dav = davidson(ints, k=2)
+        moments = compute_moments(ints, v0, 6).moments
+        return (form.alphas, form.betas, form.basis, prob.hmat, moments, dav.eigenvalues,
+                dav.residual_norms, np.array(dav.trace),
+                *[v.amplitudes for v in dav.eigenvectors])
+
+    fast = run()
+    monkeypatch.setattr(classical_module, "matvec", lambda mat, v: mat @ v)
+    plain = run()
+    for got, want in zip(fast, plain, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_davidson_converges_on_fixture(h2):

@@ -14,8 +14,9 @@ import pytest
 
 from conftest import fixture_path, load_integrals, random_integrals
 
+from qsubspace.classical import power_krylov
 from qsubspace.cli import EXIT_CODES, METHODS, main
-from qsubspace.fock import exact_eigenpairs
+from qsubspace.fock import basis_vector, exact_eigenpairs, reference_configuration
 from qsubspace.integrals import serialize_fcidump
 
 H2 = str(fixture_path("h2_sto3g"))
@@ -70,6 +71,20 @@ class TestReports:
             assert code == 0
             assert report["result"] == run["result"]
             assert report["shots"] == run["shots"]
+
+    def test_cond_before_is_null_when_s_is_singular(self, tmp_path):
+        # h2 qse S: the overlap's smallest eigenvalue is roundoff, and the
+        # ratio once printed as 3.9e16 carried no information
+        code, report, _ = run_cli(tmp_path, "qse", "--input", H2, "--level", "S",
+                                  "--shots", "10000", "--seed", "7")
+        assert code == 0
+        assert report["result"]["cond_before"] is None
+        VALIDATOR.validate(report)
+        # a well-conditioned overlap keeps its number, bit for bit
+        code, report, _ = run_cli(tmp_path / "qfd", "qfd", "--input", H2, "--shots", "2048",
+                                  "--seed", "7")
+        assert code == 0
+        assert report["result"]["cond_before"] == 797.3242314795206
 
     def test_every_method_matches_committed_golden_bit_for_bit(self, tmp_path):
         # one default run of each method, two variants and one sweep per
@@ -581,12 +596,22 @@ class TestSweeps:
             assert float(row["error_vs_fci"]) <= float(row["bound"]) + 1e-12
 
     def test_power_krylov_cond_exceeds_lower_bound(self, tmp_path):
-        code, _, out = run_cli(
-            tmp_path, "power-krylov", "--input", H2, "--sweep", "n=5,7,9"
-        )
-        assert code == 0
-        for row in read_rows(out / "sweep.csv"):
-            assert float(row["cond_smat"]) >= float(row["bound"])
+        for name, sweep, numeric in [("h2_sto3g", "n=2,5,9", 1), ("h4_toy", "n=4,7,9", 2)]:
+            code, _, out = run_cli(tmp_path / name, "power-krylov", "--input",
+                                   str(fixture_path(name)), "--sweep", sweep)
+            assert code == 0
+            ints = load_integrals(name)
+            v0 = basis_vector(ints.sector, reference_configuration(ints))
+            rows = read_rows(out / "sweep.csv")
+            for row in rows:
+                smat = power_krylov(ints, v0, int(row["value"])).smat
+                lam = np.abs(np.linalg.eigvalsh(smat))
+                singular = lam.min() <= lam.size * np.finfo(float).eps * lam.max()
+                # blank exactly when S is singular to working precision
+                assert (row["cond_smat"] == "") == singular, (name, row)
+                if not singular:
+                    assert float(row["cond_smat"]) >= float(row["bound"]), (name, row)
+            assert sum(row["cond_smat"] != "" for row in rows) == numeric, name
 
     def test_qfd_dt_sweep_error_below_bound(self, tmp_path):
         code, _, out = run_cli(

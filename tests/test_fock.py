@@ -12,10 +12,11 @@ import pytest
 import scipy.sparse
 
 import oracles
-from conftest import load_integrals, random_integrals
+from conftest import FIXTURE_NAMES, load_integrals, random_integrals, scan_integrals
 from qsubspace.errors import CapacityError, ValidationError
 from qsubspace.fock import (
     _ENTRY_CAP,
+    _eigensystem,
     _entry_count,
     _replacements,
     _sector_entries,
@@ -287,6 +288,82 @@ def test_exact_eigenpairs_match_oracle(name):
     for val, vec in zip(sl.eigenvalues, sl.eigenvectors):
         resid = apply_hamiltonian(ints, vec).amplitudes - val * vec.amplitudes
         assert np.linalg.norm(resid) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the dense eigensystem, one eigh per spin-flip block
+
+
+def check_block_spectrum(ints):
+    """_eigensystem against one dense eigh of the same sector matrix."""
+    mat = sector_matrix(ints).toarray()
+    ref_vals, ref_vecs = np.linalg.eigh(mat)
+    vals, vecs = _eigensystem(ints)
+    norm = float(np.max(np.abs(ref_vals)))
+    assert np.max(np.abs(vals - ref_vals)) <= 1e-12
+    assert np.all(np.diff(vals) >= 0)
+    assert np.max(np.linalg.norm(mat @ vecs - vecs * vals, axis=0)) <= 1e-12 * norm
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(vals.size))) <= 1e-12
+    return vals, vecs, ref_vals, ref_vecs
+
+
+def flip(ints, vecs):
+    """Swap the spin strings of every column: the transpose of the
+    (down, up) rank grid."""
+    n = math.comb(ints.num_orbitals, ints.num_up)
+    return vecs.reshape(n, n, -1).transpose(1, 0, 2).reshape(vecs.shape)
+
+
+def check_flip_parity(ints, vecs):
+    parity = np.sum(flip(ints, vecs) * vecs, axis=0)
+    assert np.allclose(np.abs(parity), 1.0, atol=1e-12)
+    assert np.max(np.abs(flip(ints, vecs) - vecs * np.sign(parity))) <= 1e-12
+    n = math.comb(ints.num_orbitals, ints.num_up)
+    assert np.sum(parity > 0) == n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_block_spectrum_matches_dense_eigh_on_fixtures(name):
+    ints = load_integrals(name)
+    _, vecs, _, _ = check_block_spectrum(ints)
+    check_flip_parity(ints, vecs)
+
+
+@pytest.mark.parametrize("counts", [(2, 0), (0, 2), (1, 0), (2, 1), (1, 2), (3, 1)])
+def test_spin_polarized_sectors_are_one_unchanged_block(h3_plus, counts):
+    ints = MolecularIntegrals(3, *counts, h3_plus.e_nuc, h3_plus.one_body, h3_plus.two_body)
+    vals, vecs, ref_vals, ref_vecs = check_block_spectrum(ints)
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(vecs, ref_vecs)
+
+
+@pytest.mark.parametrize(
+    "sector",
+    [(2, 0, 0), (3, 1, 1), (3, 3, 3), (4, 2, 2), (5, 1, 1), (5, 2, 2), (4, 3, 1), (5, 3, 2)],
+)
+def test_block_spectrum_matches_dense_eigh_on_random_sectors(sector):
+    for seed in (1, 2):
+        ints = random_integrals(*sector, seed=seed)
+        vals, vecs, ref_vals, ref_vecs = check_block_spectrum(ints)
+        if sector[1] == sector[2]:
+            check_flip_parity(ints, vecs)
+        else:
+            assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+
+@pytest.mark.parametrize("stretch", [0.3, 0.7, 1.3, 6.0])
+def test_block_spectrum_matches_dense_eigh_on_the_scan_molecule(stretch):
+    ints = scan_integrals(stretch)
+    _, vecs, _, _ = check_block_spectrum(ints)
+    check_flip_parity(ints, vecs)
+
+
+def test_exact_eigenpairs_own_their_amplitudes(h4_toy):
+    pairs = exact_eigenpairs(h4_toy, k=3).eigenvectors
+    _, vecs = _eigensystem(h4_toy)
+    for i, vec in enumerate(pairs):
+        assert vec.amplitudes.flags.owndata
+        assert np.array_equal(vec.amplitudes, vecs[:, i])
 
 
 def test_apply_hamiltonian_on_random_vector(h4_toy):

@@ -124,6 +124,23 @@ def test_condition_numbers_reported():
     assert np.allclose(sol.overlap_eigenvalues, [4.0, 1.0, 0.25])
 
 
+def test_cond_before_is_inf_when_s_is_singular_to_working_precision():
+    # below dim * u * max|lambda| the ratio is roundoff, not a condition number
+    for smallest in (0.0, 1e-17, -3e-16, 4 * 4.0 * np.finfo(float).eps):
+        smat = np.diag([4.0, 1.0, 0.25, smallest])
+        assert solve(SubspaceProblem(np.eye(4), smat), eps=1e-6).cond_smat_before == math.inf
+    smat = np.diag([4.0, 1.0, 0.25, 1e-14])
+    assert solve(SubspaceProblem(np.eye(4), smat), eps=1e-6).cond_smat_before == 4.0 / 1e-14
+
+
+def test_well_conditioned_cond_before_keeps_its_bits():
+    rng = np.random.default_rng(41)
+    prob = SubspaceProblem(*random_pair(rng, 6))
+    sing = np.abs(np.linalg.eigh(prob.smat)[0])
+    sol = solve(prob, eps=1e-12)
+    assert sol.cond_smat_before == float(np.max(sing) / np.min(sing))
+
+
 def test_power_basis_bound_values():
     # Hand evaluation of the closed form:
     #   n=2,3: exponent 0 -> 1/4.

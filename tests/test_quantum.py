@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qsubspace.engine as engine_module
 import qsubspace.quantum as quantum_module
@@ -329,6 +330,68 @@ class TestQeom:
         assert 2 * tda.size == blocks.report["num_finite"]
         assert np.all(tda > 0)
         np.testing.assert_allclose(tda[:3], full[:3], atol=1e-8)
+
+    @pytest.mark.parametrize("name,pairs", [("h3_plus", 8), ("h4_toy", 35)])
+    def test_pairs_survive_one_ulp_perturbations_of_the_ground_state(self, name, pairs):
+        # h4_toy's smallest kept metric eigenvalue is 1.3e-7, so roundoff in
+        # the blocks moves its gaps by up to 1e-7; h3_plus's is 2.0, and
+        # its pairs differ by a few ulp
+        ints = load_integrals(name)
+        ground = exact_eigenpairs(ints, k=1).eigenvectors[0].amplitudes.real
+        rng = np.random.default_rng(29)
+        for trial in range(21):
+            toward = np.where(rng.random(ground.size) < 0.5, -np.inf, np.inf)
+            amp = np.nextafter(ground, toward) if trial else ground
+            state = statevector_from_fock(FockVector(ints.sector, amp))
+            blocks, _ = qeom_build(state, ints)
+            assert blocks.report["paired"] == pairs == blocks.report["num_finite"] // 2
+
+    @pytest.mark.parametrize("name", ["h2_sto3g", "h4_toy"])
+    def test_broken_pencil_symmetry_reports_fewer_pairs(self, name, monkeypatch):
+        ints = load_integrals(name)
+        state = statevector_from_fock(exact_eigenpairs(ints, k=1).eigenvectors[0])
+        eig = scipy.linalg.eig
+        rng = np.random.default_rng(3)
+
+        def broken(a, b, **kwargs):
+            # a Hermitian 1e-3 perturbation of the reduced pencil's left
+            # side breaks the +- pairing of its eigenvalues
+            e = rng.standard_normal(a.shape)
+            e = (e + e.T) / 2
+            return eig(a + 1e-3 * e / np.linalg.norm(e, 2), b, **kwargs)
+
+        blocks, _ = qeom_build(state, ints)
+        pairs = blocks.report["num_finite"] // 2
+        assert blocks.report["paired"] == pairs
+        monkeypatch.setattr(scipy.linalg, "eig", broken)
+        blocks, _ = qeom_build(state, ints)
+        assert blocks.report["num_finite"] // 2 == pairs
+        assert blocks.report["paired"] < pairs
+
+    @pytest.mark.parametrize("name", ["h2_sto3g", "h4_toy"])
+    @pytest.mark.parametrize("factor", [10.0, 0.1])
+    def test_pair_tolerance_flags_a_shift_just_above_it(self, name, factor, monkeypatch):
+        # (A + d W, W) has every eigenvalue of (A, W) moved by d, so every
+        # pair's distance by 2d: 2d = 10 x the largest pair tolerance must
+        # flag every pair, 2d = 0.1 x the smallest must flag none
+        ints = load_integrals(name)
+        state = statevector_from_fock(exact_eigenpairs(ints, k=1).eigenvectors[0])
+        eig = scipy.linalg.eig
+
+        def shifted(a, b, **kwargs):
+            wk = np.abs(np.diag(b))
+            vals = np.sort(eig(a, b, right=False).real)
+            upper = vals[vals.size - vals.size // 2 :]
+            unit = wk.size * np.finfo(float).eps / wk.min()
+            tol = 2 * unit * (np.linalg.norm(a, 2) + np.abs(upper) * wk.max())
+            d = factor * (tol.max() if factor > 1 else tol.min()) / 2
+            return eig(a + d * b, b, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eig", shifted)
+        blocks, _ = qeom_build(state, ints)
+        pairs = blocks.report["num_finite"] // 2
+        assert pairs > 0
+        assert blocks.report["paired"] == (0 if factor > 1 else pairs)
 
     def test_entangled_reference_degenerate_metric(self, h2_stretched):
         # open-shell singlet: excitation and de-excitation overlaps cancel
@@ -795,6 +858,11 @@ def test_builders_produce_solvable_problems(h2, builder):
     else:
         prob = gaussian_power_build(v0, h2, 4, 0.8)
     sol = solve(prob, eps=1e-10)
-    # every subspace contains v0, so the ground estimate is variational
-    assert spec.eigenvalues[0] - 1e-9 <= sol.eigenvalues[0]
+    # every subspace contains v0, so the ground estimate is variational up
+    # to the first-order roundoff of the thresholded pencil,
+    # u (||H|| + |E| ||S||) ||y||^2 for the returned coefficient vector y
+    energy, y = sol.eigenvalues[0], sol.coefficients[:, 0]
+    scale = np.linalg.norm(prob.hmat, 2) + abs(energy) * np.linalg.norm(prob.smat, 2)
+    margin = np.finfo(float).eps * scale * np.vdot(y, y).real
+    assert spec.eigenvalues[0] - margin <= energy
     assert np.all(np.diff(sol.eigenvalues) >= -1e-12)
