@@ -7,7 +7,10 @@ sampled methods on the same fixture and stores the `result` and `shots`
 sections of their reports (the config echo holds the output path, which
 varies between runs). Finally it runs every method once with its defaults,
 two non-default variants and one sweep per axis, and stores their `result`
-sections and sweep.csv rows. The committed files pin the exact
+sections and sweep.csv rows. A fourth file pins the `result` sections of
+four runs on the wider fixtures (h4_toy and h3_plus, 6 to 8 qubits), where
+the Pauli kernels, QITE and the group models work on more than one
+qubit pair. The committed files pin the exact
 floating-point output, so any platform or code drift shows up as a
 bit-level mismatch.
 Run from the repository root:
@@ -70,12 +73,19 @@ METHOD_RUNS = (
     ("power-krylov", "--sweep", "eps=1e-12,1e-6,1e-2"),
     ("qfd", "--sweep", "shots=500,2000", "--seed", "3"),
 )
+WIDE_OUT = ROOT / "tests" / "golden" / "wide_fixtures.json"
+WIDE_RUNS = (
+    ("h4_toy", ("qlanczos", "--mode", "qite")),
+    ("h4_toy", ("spectrum", "--op", "ham")),
+    ("h4_toy", ("qfd", "--shots", "10000", "--seed", "3")),
+    ("h3_plus", ("qse", "--level", "S", "--eps-target", "1e-3", "--seed", "3")),
+)
 
 
-def run_report(args):
+def run_report(args, fixture=FIXTURE):
     """The parsed result.json of one run, and its sweep.csv rows or None."""
     with tempfile.TemporaryDirectory() as tmp:
-        code = run_cli([*args, "--input", str(FIXTURE), "--out", tmp])
+        code = run_cli([*args, "--input", str(fixture), "--out", tmp])
         if code != 0:
             raise SystemExit(f"{args[0]} run failed with exit code {code}")
         out = pathlib.Path(tmp)
@@ -109,6 +119,13 @@ def build() -> dict:
         report, rows = run_report(list(args))
         runs.append({"args": list(args), "result": report["result"], "sweep_csv": rows})
     files[METHODS_OUT] = {"input": FIXTURE.name, "runs": runs}
+
+    runs = []
+    for name, args in WIDE_RUNS:
+        fixture = FIXTURE.with_name(f"{name}.fcidump")
+        report, _ = run_report(list(args), fixture)
+        runs.append({"input": fixture.name, "args": list(args), "result": report["result"]})
+    files[WIDE_OUT] = {"runs": runs}
     return {path: json.dumps(data, indent=2) + "\n" for path, data in files.items()}
 
 
