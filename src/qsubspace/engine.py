@@ -120,24 +120,53 @@ def distance(a: Statevector, b: Statevector) -> float:
     return 1.0 - abs(inner(a, b))
 
 
+# a Pauli table is built and summed in row blocks of about this many amplitudes
+_BLOCK = 1 << 18
+
+_PHASES = np.array([1j**k for k in range(4)])
+
+
+def pauli_rows(num_qubits: int, x, z):
+    """Gather indices and phases of the strings with masks x, z, one row
+    per string: (P_k s)[j] = phase[k] * t[src[k, j]] with t = (s, -s)
+    (`gather_rows`).
+    src[k, j] is j ^ x_k, plus 2^n where popcount((j ^ x_k) & z_k) is
+    odd, and phase[k] = i^|x_k & z_k|, a column."""
+    x, z = (np.asarray(v, dtype=np.int64)[:, None] for v in (x, z))
+    src = np.arange(1 << num_qubits) ^ x
+    src |= (np.bitwise_count(src & z) & 1).astype(np.int64) << num_qubits
+    return src, _PHASES[np.bitwise_count(x & z) & 3]
+
+
+def gather_rows(src, phase, amplitudes: np.ndarray) -> np.ndarray:
+    """phase * (s, -s)[src] for rows of `pauli_rows` and amplitudes s."""
+    return phase * np.concatenate([amplitudes, -amplitudes]).take(src)
+
+
 def apply_pauli(p: PauliString, s: Statevector) -> Statevector:
     if p.num_qubits != s.num_qubits:
         raise ValidationError("qubit counts differ")
-    idx = np.arange(s.amplitudes.size)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & p.z) & 1)
-    out = np.empty_like(s.amplitudes)
-    out[idx ^ p.x] = (1j ** (p.x & p.z).bit_count()) * signs * s.amplitudes
-    return Statevector(s.num_qubits, out)
+    src, phase = pauli_rows(p.num_qubits, [p.x], [p.z])
+    return Statevector(s.num_qubits, gather_rows(src[0], phase[0], s.amplitudes))
 
 
 def apply_pauli_sum(h: PauliSum, s: Statevector) -> Statevector:
+    """sum_k c_k P_k s, added term by term in term order from zero: each
+    row block of the table is reduced with the running sum as its first
+    row."""
     if h.num_qubits != s.num_qubits:
         raise ValidationError("qubit counts differ")
-    idx = np.arange(s.amplitudes.size)
-    out = np.zeros_like(s.amplitudes)
-    for c, x, z in zip(h.coeffs, h.x.tolist(), h.z.tolist()):
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
-        np.add.at(out, idx ^ x, c * (1j ** (x & z).bit_count()) * signs * s.amplitudes)
+    size, signed = s.amplitudes.size, np.concatenate([s.amplitudes, -s.amplitudes])
+    step = max(1, _BLOCK // size)
+    out = np.zeros(size, dtype=complex)
+    rows = np.empty((min(step, len(h)) + 1, size), dtype=complex)
+    for lo in range(0, len(h), step):
+        part = slice(lo, lo + step)
+        src, phase = pauli_rows(h.num_qubits, h.x[part], h.z[part])
+        block = rows[:src.shape[0] + 1]
+        block[0] = out
+        np.multiply(h.coeffs[part, None] * phase, signed.take(src), out=block[1:])
+        np.add.reduce(block, axis=0, out=out)
     return Statevector(s.num_qubits, out)
 
 

@@ -45,15 +45,22 @@ from .fock import (
 from .fock import inner as fock_inner
 from .geev import GEEVSolution, SubspaceProblem
 from .integrals import MolecularIntegrals, cholesky_decompose_eri, effective_one_body
-from .qubits import PauliSum, jordan_wigner, ladder_product, pauli_keys, string_table
+from .qubits import (
+    PauliSum,
+    _ladder_terms,
+    jordan_wigner,
+    ladder_product,
+    pauli_keys,
+    string_table,
+)
 from .engine import (
     Statevector,
-    apply_pauli,
-    apply_pauli_exponential,
     apply_pauli_sum,
     expectation,
     fock_from_statevector,
+    gather_rows,
     inner,
+    pauli_rows,
     statevector_from_fock,
     trotter_plan,
     trotter_step,
@@ -642,15 +649,26 @@ def qite_pool(ints: MolecularIntegrals) -> tuple:
     """Hermitian Pauli strings spanning the anti-Hermitian excitation images.
 
     Every T - T^+ over off-diagonal singles and doubles maps to a purely
-    imaginary combination of Hermitian strings; the distinct strings form
-    the rotation pool.
+    imaginary combination of Hermitian strings, 2i Im c_s for the merged
+    coefficient c_s of string s in T; the distinct strings form the
+    rotation pool. The images of all monomials with one ladder pattern are
+    expanded together.
     """
-    masks = [np.zeros((2, 0), dtype=np.uint64)]
+    nq = 2 * ints.num_orbitals
+    patterns = {}
     for op in qeom_pool(ints.num_orbitals):
-        f = op.to_pauli()
-        g = f - f.dagger()
-        masks.append(np.stack([g.x, g.z])[:, np.abs(g.coeffs) > _NULL_OP])
-    return string_table(2 * ints.num_orbitals, *np.concatenate(masks, axis=1)).strings
+        modes, create = zip(*op.ladders)
+        patterns.setdefault(create, []).append(modes)
+    masks = [np.zeros((2, 0), dtype=np.uint64)]
+    for create, modes in patterns.items():
+        x, z, coeffs = _ladder_terms(np.ones(len(modes)), np.array(modes), create)
+        # one key per (monomial, string): the monomial index above the string key
+        monomial = np.repeat(np.arange(len(modes), dtype=np.uint64), 1 << len(create))
+        _, first, inverse = np.unique((monomial << np.uint64(2 * nq)) | pauli_keys(x, z),
+                                      return_index=True, return_inverse=True)
+        keep = first[2.0 * np.abs(np.bincount(inverse, coeffs.imag)) > _NULL_OP]
+        masks.append(np.stack([x[keep], z[keep]]))
+    return string_table(nq, *np.concatenate(masks, axis=1)).strings
 
 
 def qite_step(
@@ -683,7 +701,9 @@ def qite_step(
     phi = state.normalized()
     hphi = apply_pauli_sum(ham, phi)
     e_old = float(inner(phi, hphi).real)
-    rotated = np.stack([apply_pauli(p, phi).amplitudes for p in pool])
+    # one table for the pool: P_m phi for the gradient, then each rotation
+    src, phase = pauli_rows(phi.num_qubits, [p.x for p in pool], [p.z for p in pool])
+    rotated = gather_rows(src, phase, phi.amplitudes)
     amat = 2.0 * np.real(rotated.conj() @ rotated.T)
     bvec = 2.0 * delta_tau * np.imag(rotated @ np.conj(hphi.amplitudes))
     try:
@@ -694,10 +714,12 @@ def qite_step(
         raise StepError(f"rotation solve failed: {exc}") from exc
     if not np.all(np.isfinite(theta)):
         raise StepError("rotation solve produced non-finite angles")
-    new = phi
-    for string, angle in zip(pool, theta):
-        # exp(i angle P) = R_P(-2 angle)
-        new = apply_pauli_exponential(string, -2.0 * float(angle), new)
+    amp = phi.amplitudes
+    for row, ph, angle in zip(src, phase, theta):
+        # exp(i angle P) = R_P(theta), theta = -2 angle, as in apply_pauli_exponential
+        theta = -2.0 * float(angle)
+        amp = math.cos(theta / 2) * amp - 1j * math.sin(theta / 2) * gather_rows(row, ph, amp)
+    new = Statevector(phi.num_qubits, amp)
     e_new = float(expectation(ham, new).real)
     if e_new > e_old + 1e-8:
         if halve_on_increase:

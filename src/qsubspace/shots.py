@@ -126,28 +126,55 @@ class ShotPlan:
 # sampling a commuting group, given by its strings' x and z mask arrays
 
 
-def _apply_one_qubit(amps: np.ndarray, gate: np.ndarray, qubit: int, nq: int):
-    t = amps.reshape(1 << (nq - 1 - qubit), 2, 1 << qubit)
-    return np.einsum("ab,ibj->iaj", gate, t).reshape(amps.size)
+def _gate_order(x: np.ndarray, z: np.ndarray, start: np.ndarray, nq: int):
+    """Basis changes of qubitwise groups, members x[start[g]:start[g + 1]]:
+    (qubits, y, count), group g rotating qubits[g, :count[g]] in order of
+    first appearance in the group and then by index, with the Y-to-Z gate
+    where y is set (the first letter there is Y) and the Hadamard elsewhere."""
+    sizes = np.diff(start)
+    bits = ((x[:, None] >> np.arange(nq, dtype=np.uint64)) & np.uint64(1)).astype(bool)
+    pos = np.arange(x.size) - np.repeat(start[:-1], sizes)
+    first = np.minimum.reduceat(np.where(bits, pos[:, None], x.size), start[:-1], axis=0)
+    qubits = np.argsort(first * nq + np.arange(nq), axis=1)
+    first = np.take_along_axis(first, qubits, axis=1)
+    count = (first < x.size).sum(axis=1)
+    at = start[:-1, None] + np.minimum(first, sizes[:, None] - 1)
+    y = (z[at] >> qubits.astype(np.uint64)) & np.uint64(1) == 1
+    return qubits, y, count
 
 
-def _qubitwise_model(state: Statevector, x: np.ndarray, z: np.ndarray):
-    """Rotate X/Y letters onto Z one qubit at a time, qubits in order of
-    first appearance in the group and then by index, and read every
-    string's parity (-1)^popcount(outcome & (x | z))."""
-    nq = state.num_qubits
-    touched = (x[:, None] >> np.arange(nq, dtype=np.uint64)) & np.uint64(1)
-    first = touched.argmax(axis=0)
-    qubits = np.flatnonzero(touched.any(axis=0))
-    amps = state.normalized().amplitudes
-    for q in qubits[np.argsort(first[qubits], kind="stable")].tolist():
-        gate = _Y_TO_Z if int(z[first[q]]) >> q & 1 else _HADAMARD
-        amps = _apply_one_qubit(amps, gate, q, nq)
-    odd = _popcount(np.arange(amps.size, dtype=np.uint64) & (x | z)[:, None]) & 1
-    return np.abs(amps) ** 2, 1 - 2 * odd.astype(np.int8)
+def _qubitwise_block(amps: np.ndarray, x: np.ndarray, z: np.ndarray, start: np.ndarray):
+    """Lists of the probabilities and value tables of qubitwise groups x[start[g]:start[g + 1]] on the
+    normalized amplitudes amps.  Step s of every group is one gather layer
+    over the groups that have an s-th gate: each rotates the amplitude pairs
+    (a0, a1) of its qubit to (r a0 + g a1, r a0 - g a1), r = 1/sqrt 2 and
+    g = r (Hadamard) or -i r (Y to Z), the products and sums of the gate
+    matrices' einsum.  Groups are stacked longest gate list first, so the
+    groups of a layer are the leading rows."""
+    nq, size = amps.size.bit_length() - 1, amps.size
+    qubits, y, count = _gate_order(x, z, start, nq)
+    rank = np.argsort(-count, kind="stable")
+    work = np.tile(amps, (rank.size, 1))
+    pair = np.arange(size // 2)
+    low = np.array([(pair >> q << (q + 1)) | (pair & ((1 << q) - 1)) for q in range(nq)])
+    for step in range(int(count.max(initial=0))):
+        rows = rank[:np.count_nonzero(count > step)]
+        q = qubits[rows, step]
+        at = low[q] + size * np.arange(rows.size)[:, None]
+        flat = work[:rows.size].reshape(-1)
+        partner = at + (1 << q)[:, None]
+        g = np.where(y[rows, step], _Y_TO_Z[0, 1], _HADAMARD[0, 1])[:, None]
+        r = _HADAMARD[0, 0] * flat.take(at)
+        h = g * flat.take(partner)
+        flat[at], flat[partner] = r + h, r - h
+    probs = np.clip(np.abs(work) ** 2, 0.0, None)
+    probs /= probs.sum(axis=1, keepdims=True)
+    odd = _popcount(np.arange(size, dtype=np.uint64) & (x | z)[:, None]) & 1
+    values = np.split(1 - 2 * odd.astype(np.int8), start[1:-1])
+    return [probs[at].copy() for at in np.argsort(rank)], [v.copy() for v in values]
 
 
-def _full_commuting_model(state: Statevector, x: np.ndarray, z: np.ndarray):
+def _full_commuting_model(amps: np.ndarray, x: np.ndarray, z: np.ndarray):
     """Sample in the simultaneous eigenbasis of the group's strings.
 
     The basis is refined one string at a time, from that string's dense
@@ -156,7 +183,7 @@ def _full_commuting_model(state: Statevector, x: np.ndarray, z: np.ndarray):
     on a basis vector is read off <u|P|u>, with P applied as the signed
     permutation P|r> = i^|x&z| (-1)^popcount(r & z) |r ^ x>.
     """
-    nq = state.num_qubits
+    nq = amps.size.bit_length() - 1
     if nq > _FULL_GROUP_QUBIT_CAP:
         raise CapacityError(
             f"joint eigenbasis of a fully commuting group is dense; "
@@ -177,7 +204,7 @@ def _full_commuting_model(state: Statevector, x: np.ndarray, z: np.ndarray):
             basis[:, idx] = sub @ vec
             refined.extend(part for part in (idx[w < 0.0], idx[w >= 0.0]) if part.size)
         blocks = refined
-    amps = basis.conj().T @ state.normalized().amplitudes
+    amps = basis.conj().T @ amps
     outcomes = np.arange(dim, dtype=np.uint64)
     values = np.empty((x.size, dim), dtype=np.int8)
     for k, (xk, zk) in enumerate(zip(x, z)):
@@ -187,23 +214,52 @@ def _full_commuting_model(state: Statevector, x: np.ndarray, z: np.ndarray):
         if np.max(np.abs(np.abs(diag) - 1.0)) > 1e-8:
             raise DataError("group strings are not diagonal in the joint basis")
         values[k] = np.where(diag.real > 0.0, 1, -1)
-    return np.abs(amps) ** 2, values
+    p = np.clip(np.abs(amps) ** 2, 0.0, None)
+    return p / p.sum(), values
+
+
+# qubitwise group models are built in blocks of about this many amplitudes
+# and value-table entries
+_BLOCK = 1 << 18
+
+
+def _group_models(state: Statevector, x: np.ndarray, z: np.ndarray, groups: list):
+    """Lists of the normalized outcome distribution and the (strings,
+    outcomes) int8 +-1 value table of each group, an index array into the masks x, z of
+    strings on the state's register.  A group is qubitwise when every pair
+    of its letters agrees or meets an identity, else fully commuting when
+    every pair anticommutes on an even number of qubits.  The state is
+    normalized once; qubitwise groups are built together, in blocks."""
+    amps = state.normalized().amplitudes
+    sizes = np.array([len(m) for m in groups], dtype=np.intp)
+    start = np.cumsum(np.r_[0, sizes])
+    mx, mz = (v[np.concatenate([np.zeros(0, np.intp), *groups])] for v in (x, z))
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    # qubitwise: every member's letters are its group's merged letters
+    merged = [np.bitwise_or.reduceat(v, start[:-1])[owner] if v.size else v for v in (mx, mz)]
+    clash = ((mx ^ merged[0]) | (mz ^ merged[1])) & (mx | mz)
+    qubitwise = np.bincount(owner, clash != 0, minlength=sizes.size) == 0
+    probs, values = [None] * sizes.size, [None] * sizes.size
+    for f in np.flatnonzero(~qubitwise):
+        xm, zm = mx[start[f]:start[f + 1]], mz[start[f]:start[f + 1]]
+        if ((_popcount(xm[:, None] & zm) + _popcount(zm[:, None] & xm)) & 1).any():
+            raise ValidationError("strings in one measurement group must commute")
+        probs[f], values[f] = _full_commuting_model(amps, xm, zm)
+    picked = np.flatnonzero(qubitwise)
+    cost = np.cumsum((1 + sizes[picked]) * amps.size)
+    bounds = np.flatnonzero(np.diff(cost // _BLOCK)) + 1
+    for block in np.split(picked, bounds) if picked.size else ():
+        rows = np.concatenate([np.arange(start[f], start[f + 1]) for f in block])
+        models = _qubitwise_block(amps, mx[rows], mz[rows], np.cumsum(np.r_[0, sizes[block]]))
+        for f, p, v in zip(block, *models):
+            probs[f], values[f] = p, v
+    return probs, values
 
 
 def _group_model(state: Statevector, x: np.ndarray, z: np.ndarray):
-    """Normalized outcome distribution and the (strings, outcomes) int8 +-1
-    value table of the group with masks x, z: qubitwise when every pair of
-    letters agrees or meets an identity, else fully commuting when every
-    pair anticommutes on an even number of qubits."""
-    xa, za = x[:, None], z[:, None]
-    if not ((xa & z) ^ (za & x)).any():
-        probs, values = _qubitwise_model(state, x, z)
-    elif not ((_popcount(xa & z) + _popcount(za & x)) & 1).any():
-        probs, values = _full_commuting_model(state, x, z)
-    else:
-        raise ValidationError("strings in one measurement group must commute")
-    p = np.clip(probs, 0.0, None)
-    return p / p.sum(), values
+    """`_group_models` of the one group of all strings x, z."""
+    probs, values = _group_models(state, x, z, [np.arange(x.size)])
+    return probs[0], values[0]
 
 
 def _histogram(values: np.ndarray, counts: np.ndarray, n: int):
@@ -364,6 +420,20 @@ class _Compiled:
     weights: tuple | None = None
 
 
+def _tables(recipe: ExpectationRecipe, groups: tuple, cols: list) -> tuple:
+    """(recipe-matrix columns, outcome probabilities, value table) of each
+    group that some entry reads, else None; one `_group_models` per job."""
+    read = np.bincount(recipe._matrix.indices, minlength=recipe._matrix.shape[1]) > 0
+    tables = [None] * len(groups)
+    for j, job in enumerate(recipe.jobs):
+        picked = [f for f, g in enumerate(groups) if g.job == j and read[cols[f]].any()]
+        members = [cols[f] - recipe._offsets[j] for f in picked]
+        models = _group_models(job.state, job.strings.x, job.strings.z, members)
+        for f, probs, values in zip(picked, *models):
+            tables[f] = (cols[f], probs, values)
+    return tuple(tables)
+
+
 def _compile(recipe: ExpectationRecipe, mode: str, sampling: bool = True) -> _Compiled:
     compiled = recipe._compiled.get(mode)
     if compiled is None:
@@ -374,15 +444,10 @@ def _compile(recipe: ExpectationRecipe, mode: str, sampling: bool = True) -> _Co
     if sampling and compiled.tables is None:
         cols = [recipe._offsets[g.job] + np.array(g.members, dtype=np.intp)
                 for g in compiled.groups]
-        read = np.bincount(recipe._matrix.indices, minlength=recipe._matrix.shape[1]) > 0
-        tables = []
-        for g, c in zip(compiled.groups, cols):
-            job, m = recipe.jobs[g.job], list(g.members)
-            tables.append((c, *_group_model(job.state, job.strings.x[m], job.strings.z[m]))
-                          if read[c].any() else None)
+        tables = _tables(recipe, compiled.groups, cols)
         compiled.slots = np.cumsum([0] + [c.size**2 for c in cols], dtype=np.int64)
         compiled.weights = _pair_weights(recipe._matrix, cols, compiled.slots)
-        compiled.tables = tuple(tables)
+        compiled.tables = tables
     return compiled
 
 
