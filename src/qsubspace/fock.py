@@ -393,6 +393,9 @@ def _eigensystem(ints: MolecularIntegrals):
     if dim > _DENSE_CAP:
         raise CapacityError(f"dense spectrum needs dimension <= {_DENSE_CAP}")
     mat, blocks = _sector_matrix(ints, ints.sector), _flip_blocks(ints.sector)
+    if len(blocks) == 1:  # the block is the matrix itself
+        vals, vecs = np.linalg.eigh(mat.toarray())
+        return vals, np.asfortranarray(vecs)
     rows, cols = np.repeat(np.arange(dim), np.diff(mat.indptr)), mat.indices
     solved = []
     for col, weight, size in blocks:

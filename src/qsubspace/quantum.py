@@ -39,6 +39,7 @@ from .fock import (
     evolve_imag,
     evolve_real,
     exact_eigenpairs,
+    matvec,
     sector_dimension,
     sector_matrix,
 )
@@ -240,7 +241,7 @@ def qse_build(
         [apply_ladders(op.ladders, phi.sector, phi.amplitudes)[1] for op in pool]
     )
     smat = basis.conj() @ basis.T
-    hmat = basis.conj() @ (sector_matrix(ints) @ basis.T)
+    hmat = basis.conj() @ matvec(sector_matrix(ints), basis.T)
     return SubspaceProblem(hmat, smat, provenance)
 
 
@@ -420,7 +421,7 @@ def qeom_build(
         raise ValidationError("empty excitation pool")
     ham = sector_matrix(ints)
     # rows: Phi and H Phi, so each monomial gives F Phi and F H Phi at once
-    pair = np.stack([phi.amplitudes, ham @ phi.amplitudes])
+    pair = np.stack([phi.amplitudes, matvec(ham, phi.amplitudes)])
     kept, up, down = [], [], []
     for op in pool:
         f_pair = apply_ladders(op.ladders, phi.sector, pair)[1]
@@ -435,8 +436,8 @@ def qeom_build(
 
     amat, fhmat = np.stack(up, axis=1)
     cmat, fdhmat = np.stack(down, axis=1)
-    hamat = (ham @ amat.T).T
-    hcmat = (ham @ cmat.T).T
+    hamat = matvec(ham, amat.T).T
+    hcmat = matvec(ham, cmat.T).T
 
     def gram(x, y):
         return x.conj() @ y.T

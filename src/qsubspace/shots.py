@@ -220,7 +220,7 @@ def _full_commuting_model(amps: np.ndarray, x: np.ndarray, z: np.ndarray):
 
 # qubitwise group models are built in blocks of about this many amplitudes
 # and value-table entries
-_BLOCK = 1 << 18
+_BLOCK = 1 << 16
 
 
 def _group_models(state: Statevector, x: np.ndarray, z: np.ndarray, groups: list):

@@ -194,3 +194,45 @@ def one_body_fock_operator(mat_up: np.ndarray, m: int, mat_down=None) -> np.ndar
             out += mat_up[p, r] * ex[(0, p, r)]
             out += mat_down[p, r] * ex[(1, p, r)]
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-term and per-group statevector loops: the package's kernels before
+# it applied Pauli strings as tables, kept as bit-level references
+
+
+def apply_pauli_terms(x, z, coeffs, amplitudes: np.ndarray) -> np.ndarray:
+    """sum_k c_k P_k s for strings with masks x, z, one term at a time and
+    added in term order from zero, with P_k s[b ^ x] = i^|x & z|
+    (-1)^popcount(b & z) s[b]."""
+    idx = np.arange(amplitudes.size)
+    out = np.zeros_like(amplitudes)
+    for c, xk, zk in zip(coeffs, np.asarray(x).tolist(), np.asarray(z).tolist()):
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & zk) & 1)
+        np.add.at(out, idx ^ xk, c * (1j ** (xk & zk).bit_count()) * signs * amplitudes)
+    return out
+
+
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+_Y_TO_Z = np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / np.sqrt(2.0)
+
+
+def qubitwise_model(amplitudes: np.ndarray, x, z):
+    """Outcome distribution and int8 +-1 value table of one qubitwise group
+    with masks x, z, measured on the normalized state: X/Y letters rotate
+    onto Z one qubit at a time, with an einsum per qubit, in order of first
+    appearance in the group and then by index; string k reads
+    (-1)^popcount(outcome & (x_k | z_k))."""
+    x, z = np.asarray(x, dtype=np.uint64), np.asarray(z, dtype=np.uint64)
+    nq = amplitudes.size.bit_length() - 1
+    touched = (x[:, None] >> np.arange(nq, dtype=np.uint64)) & np.uint64(1)
+    first = touched.argmax(axis=0)
+    qubits = np.flatnonzero(touched.any(axis=0))
+    amps = amplitudes / float(np.linalg.norm(amplitudes))
+    for q in qubits[np.argsort(first[qubits], kind="stable")].tolist():
+        gate = _Y_TO_Z if int(z[first[q]]) >> q & 1 else _HADAMARD
+        t = amps.reshape(1 << (nq - 1 - q), 2, 1 << q)
+        amps = np.einsum("ab,ibj->iaj", gate, t).reshape(amps.size)
+    odd = np.bitwise_count(np.arange(amps.size, dtype=np.uint64) & (x | z)[:, None]) & 1
+    probs = np.clip(np.abs(amps) ** 2, 0.0, None)
+    return probs / probs.sum(), 1 - 2 * odd.astype(np.int8)

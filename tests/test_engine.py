@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from conftest import load_integrals
+from conftest import FIXTURE_NAMES, load_integrals, random_integrals
 from qsubspace.engine import (
     Statevector,
     apply_pauli,
@@ -85,6 +85,22 @@ def test_fock_projection_guards_leakage():
     # explicit opt-out projects silently
     v = fock_from_statevector(s, (2, 1, 1), tol=None)
     assert v.norm() == 0.0
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_apply_pauli_sum_equals_the_per_term_loop(name):
+    h = jordan_wigner(load_integrals(name))
+    s = random_state(np.random.default_rng(11), h.num_qubits)
+    want = oracles.apply_pauli_terms(h.x, h.z, h.coeffs, s.amplitudes)
+    assert apply_pauli_sum(h, s).amplitudes.tobytes() == want.tobytes()
+
+
+def test_apply_pauli_sum_equals_the_per_term_loop_on_16_qubits():
+    # one row fills a table block here, so every block chains on the running sum
+    h = jordan_wigner(random_integrals(8, 4, 4, seed=8))
+    s = random_state(np.random.default_rng(12), h.num_qubits)
+    want = oracles.apply_pauli_terms(h.x, h.z, h.coeffs, s.amplitudes)
+    assert apply_pauli_sum(h, s).amplitudes.tobytes() == want.tobytes()
 
 
 def test_apply_pauli_matches_dense():

@@ -17,6 +17,7 @@ from qsubspace.errors import CapacityError, ValidationError
 from qsubspace.fock import (
     _ENTRY_CAP,
     _eigensystem,
+    _flip_blocks,
     _entry_count,
     _replacements,
     _sector_entries,
@@ -349,6 +350,28 @@ def test_block_spectrum_matches_dense_eigh_on_random_sectors(sector):
             check_flip_parity(ints, vecs)
         else:
             assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+
+@pytest.mark.parametrize("sector", [(3, 2, 1), (5, 3, 2), (6, 4, 3), (7, 4, 3)])
+def test_one_block_sectors_skip_the_block_assembly_bit_for_bit(sector, monkeypatch):
+    # the spin-flip assembly on the identity block, as for a split sector:
+    # U^T H U summed over H's entries, symmetrized, eigh, vectors mapped back
+    ints = random_integrals(*sector, seed=sum(sector))
+    mat = sector_matrix(ints)
+    (col, weight, size), = _flip_blocks(ints.sector)
+    rows, cols = np.repeat(np.arange(size), np.diff(mat.indptr)), mat.indices
+    block = np.bincount(col[rows] * size + col[cols], weight[rows] * weight[cols] * mat.data,
+                        minlength=size * size).reshape(size, size)
+    want_vals, y = np.linalg.eigh((block + block.T) * 0.5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("one-block sector assembled")
+
+    monkeypatch.setattr(np, "bincount", refuse)
+    vals, vecs = _eigensystem(ints)
+    assert vecs.flags.f_contiguous
+    assert vals.tobytes() == want_vals.tobytes()
+    assert np.array_equal(vecs, weight[:, None] * y[col])
 
 
 @pytest.mark.parametrize("stretch", [0.3, 0.7, 1.3, 6.0])

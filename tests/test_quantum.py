@@ -8,7 +8,7 @@ import scipy.linalg
 
 import qsubspace.engine as engine_module
 import qsubspace.quantum as quantum_module
-from conftest import load_integrals
+from conftest import FIXTURE_NAMES, load_integrals
 from oracles import (
     dense_pauli_sum,
     full_hamiltonian,
@@ -44,7 +44,7 @@ from qsubspace.fock import (
 )
 from qsubspace.geev import SubspaceProblem, solve
 from qsubspace.integrals import MolecularIntegrals
-from qsubspace.qubits import PauliString, jordan_wigner, pauli_sum
+from qsubspace.qubits import PauliString, jordan_wigner, pauli_sum, string_table
 from qsubspace.quantum import (
     ExcitationOperator,
     QfdGrid,
@@ -257,6 +257,22 @@ class TestSectorPath:
         qse_build(state, h3_plus, level="SD")
         qeom_build(state, h3_plus)
         qeom_build(state, h3_plus, tda=True)
+
+    @pytest.mark.parametrize("name", ["h4_toy", "h3_plus"])
+    def test_real_sector_products_equal_the_complex_product(self, name, monkeypatch):
+        # fock.matvec applies the real sector matrix to the real and
+        # imaginary parts apart; scipy's complex product must give the same bits
+        ints = load_integrals(name)
+        state = hf_statevector(ints)
+        got_qse = qse_build(state, ints, level="S")
+        got_eom, _ = qeom_build(state, ints)
+        monkeypatch.setattr(quantum_module, "matvec", lambda mat, v: mat @ v)
+        want_qse = qse_build(state, ints, level="S")
+        want_eom, _ = qeom_build(state, ints)
+        for got, want in ((got_qse.hmat, want_qse.hmat), (got_qse.smat, want_qse.smat)):
+            assert got.tobytes() == want.tobytes()
+        for key in ("vmat", "wmat", "mmat", "qmat"):
+            assert getattr(got_eom, key).tobytes() == getattr(want_eom, key).tobytes(), key
 
 
 class TestQeom:
@@ -589,6 +605,18 @@ class TestQite:
         new, _, _ = qite_step(state, ints, dtau, pool)
         want, _ = imaginary_evolve_dense(dense.real, state.amplitudes, dtau)
         assert distance(new, Statevector(2, want)) < 1e-8
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_pool_equals_the_per_operator_images(self, name):
+        # the strings with nonzero weight in F - F^+, one operator at a time
+        ints = load_integrals(name)
+        masks = [np.zeros((2, 0), dtype=np.uint64)]
+        for op in qeom_pool(ints.num_orbitals):
+            f = op.to_pauli()
+            g = f - f.dagger()
+            masks.append(np.stack([g.x, g.z])[:, np.abs(g.coeffs) > 1e-12])
+        want = string_table(2 * ints.num_orbitals, *np.concatenate(masks, axis=1)).strings
+        assert qite_pool(ints) == want
 
     def test_pool_strings_are_distinct_and_sorted(self, h2):
         pool = qite_pool(h2)

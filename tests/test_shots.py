@@ -3,6 +3,10 @@
 import dataclasses
 import functools
 import math
+import pathlib
+import subprocess
+import sys
+import textwrap
 import types
 
 import numpy as np
@@ -10,8 +14,8 @@ import pytest
 import scipy.sparse
 from scipy.linalg import expm
 
-from conftest import load_integrals
-from oracles import full_hamiltonian
+from conftest import FIXTURE_NAMES, load_integrals
+from oracles import full_hamiltonian, qubitwise_model
 
 from qsubspace.engine import (
     Statevector,
@@ -506,6 +510,50 @@ class TestCompiledRecipe:
             assert same_bits(block.data, np.asarray(want[2], dtype=float))
             seen += block.nnz
         assert seen == weights.nnz
+
+    @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+    @pytest.mark.parametrize("method", ["qse-S", "qfd"])
+    def test_group_models_equal_the_per_group_oracle(self, method, fixture):
+        # every qubitwise group model of a job is built in one batch; each
+        # must be the one-group einsum rotation bit for bit
+        recipe = checked_recipe(f"{method} {fixture}")
+        modes = ["qubitwise"] if fixture in ("h3_plus", "h4_toy") else ["qubitwise", "full"]
+        for mode in modes:
+            compiled = shots._compile(recipe, mode)
+            checked = 0
+            for g, table in zip(compiled.groups, compiled.tables):
+                job, m = recipe.jobs[g.job], list(g.members)
+                x, z = job.strings.x[m], job.strings.z[m]
+                if table is None or ((x[:, None] & z) ^ (z[:, None] & x)).any():
+                    continue  # unread, or sampled in the joint eigenbasis
+                probs, values = qubitwise_model(job.state.amplitudes, x, z)
+                assert same_bits(table[1], probs) and same_bits(table[2], values)
+                checked += 1
+            assert checked > 0
+
+    @pytest.mark.parametrize(
+        "name, before, slack", [("qse-S h4_toy", 74_984_548, 0), ("qfd h4_toy", 5_365_591, 1 << 16)]
+    )
+    def test_group_model_batches_keep_the_compile_peak(self, name, before, slack):
+        # tracemalloc peak of compiling the recipe in a fresh interpreter;
+        # `before` is the lowest of three peaks measured before the qubitwise
+        # group models were built in batches.  The qfd recipe keeps only
+        # 4.5 MB, so an oversized batch shows: one batch per job raised its
+        # peak by 3.3 MB.  Its slack covers the few KiB by which the array
+        # headers the tables keep may differ.
+        root = pathlib.Path(__file__).resolve().parent.parent
+        code = textwrap.dedent(f"""
+            import sys, tracemalloc
+            sys.path[:0] = [{str(root / "src")!r}, {str(root / "tests")!r}]
+            from test_shots import checked_recipe, shots
+            recipe = checked_recipe({name!r})
+            shots.measurement_groups(recipe)
+            tracemalloc.start()
+            shots._compile(recipe, "qubitwise")
+            print(tracemalloc.get_traced_memory()[1])
+        """)
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert int(run.stdout) <= before + slack
 
     @pytest.mark.parametrize("name", CHECKED)
     def test_exact_limit_is_the_per_term_sum(self, name):
