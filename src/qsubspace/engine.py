@@ -30,7 +30,7 @@ import scipy.linalg
 from .errors import CapacityError, DataError, ValidationError
 from .fock import Configuration, FockVector, sector_word_indices
 from .integrals import CholeskyFactors
-from .qubits import PauliString, PauliSum
+from .qubits import _PHASES, PauliString, PauliSum
 
 _MAX_QUBITS = 24
 
@@ -123,15 +123,11 @@ def distance(a: Statevector, b: Statevector) -> float:
 # a Pauli table is built and summed in row blocks of about this many amplitudes
 _BLOCK = 1 << 18
 
-_PHASES = np.array([1j**k for k in range(4)])
-
 
 def pauli_rows(num_qubits: int, x, z):
     """Gather indices and phases of the strings with masks x, z, one row
-    per string: (P_k s)[j] = phase[k] * t[src[k, j]] with t = (s, -s)
-    (`gather_rows`).
-    src[k, j] is j ^ x_k, plus 2^n where popcount((j ^ x_k) & z_k) is
-    odd, and phase[k] = i^|x_k & z_k|, a column."""
+    each: (P_k s)[j] = phase[k] (s, -s)[src[k, j]], with src = j ^ x_k plus
+    2^n where popcount((j ^ x_k) & z_k) is odd and phase = i^|x_k & z_k|."""
     x, z = (np.asarray(v, dtype=np.int64)[:, None] for v in (x, z))
     src = np.arange(1 << num_qubits) ^ x
     src |= (np.bitwise_count(src & z) & 1).astype(np.int64) << num_qubits
@@ -151,9 +147,8 @@ def apply_pauli(p: PauliString, s: Statevector) -> Statevector:
 
 
 def apply_pauli_sum(h: PauliSum, s: Statevector) -> Statevector:
-    """sum_k c_k P_k s, added term by term in term order from zero: each
-    row block of the table is reduced with the running sum as its first
-    row."""
+    """sum_k c_k P_k s, summed in term order from zero: each row block of
+    the table is reduced with the running sum as its first row."""
     if h.num_qubits != s.num_qubits:
         raise ValidationError("qubit counts differ")
     size, signed = s.amplitudes.size, np.concatenate([s.amplitudes, -s.amplitudes])

@@ -46,14 +46,8 @@ from .fock import (
 from .fock import inner as fock_inner
 from .geev import GEEVSolution, SubspaceProblem
 from .integrals import MolecularIntegrals, cholesky_decompose_eri, effective_one_body
-from .qubits import (
-    PauliSum,
-    _ladder_terms,
-    jordan_wigner,
-    ladder_product,
-    pauli_keys,
-    string_table,
-)
+from .qubits import PauliSum, jordan_wigner, ladder_product, pauli_keys, string_table
+from .qubits import _ladder_terms
 from .engine import (
     Statevector,
     apply_pauli_sum,
@@ -652,11 +646,9 @@ def qite_pool(ints: MolecularIntegrals) -> tuple:
     Every T - T^+ over off-diagonal singles and doubles maps to a purely
     imaginary combination of Hermitian strings, 2i Im c_s for the merged
     coefficient c_s of string s in T; the distinct strings form the
-    rotation pool. The images of all monomials with one ladder pattern are
-    expanded together.
+    rotation pool. Monomials with one ladder pattern are expanded together.
     """
-    nq = 2 * ints.num_orbitals
-    patterns = {}
+    nq, patterns = 2 * ints.num_orbitals, {}
     for op in qeom_pool(ints.num_orbitals):
         modes, create = zip(*op.ladders)
         patterns.setdefault(create, []).append(modes)
@@ -717,9 +709,9 @@ def qite_step(
         raise StepError("rotation solve produced non-finite angles")
     amp = phi.amplitudes
     for row, ph, angle in zip(src, phase, theta):
-        # exp(i angle P) = R_P(theta), theta = -2 angle, as in apply_pauli_exponential
-        theta = -2.0 * float(angle)
-        amp = math.cos(theta / 2) * amp - 1j * math.sin(theta / 2) * gather_rows(row, ph, amp)
+        # exp(i angle P) = R_P(-2 angle), as apply_pauli_exponential applies it
+        rot = -2.0 * float(angle)
+        amp = math.cos(rot / 2) * amp - 1j * math.sin(rot / 2) * gather_rows(row, ph, amp)
     new = Statevector(phi.num_qubits, amp)
     e_new = float(expectation(ham, new).real)
     if e_new > e_old + 1e-8:

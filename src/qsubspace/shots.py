@@ -126,56 +126,45 @@ class ShotPlan:
 # sampling a commuting group, given by its strings' x and z mask arrays
 
 
-def _gate_order(x: np.ndarray, z: np.ndarray, start: np.ndarray, nq: int):
-    """Basis changes of qubitwise groups, members x[start[g]:start[g + 1]]:
-    (qubits, y, count), group g rotating qubits[g, :count[g]] in order of
-    first appearance in the group and then by index, with the Y-to-Z gate
-    where y is set (the first letter there is Y) and the Hadamard elsewhere."""
-    sizes = np.diff(start)
+def _qubitwise_block(amps: np.ndarray, x: np.ndarray, z: np.ndarray, start: np.ndarray):
+    """Lists of the outcome distributions and value tables of qubitwise
+    groups x[start[g]:start[g + 1]] on normalized amplitudes.  A group
+    rotates X/Y letters onto Z one qubit at a time, in order of first
+    appearance and then by index, with the Y-to-Z gate where the first
+    letter is Y and the Hadamard elsewhere.  Step s of all groups is one
+    gather layer over those with an s-th gate, stacked longest first: the
+    amplitude pairs (a0, a1) of each one's qubit become (r a0 + g a1,
+    r a0 - g a1), the products and sums of the gate's einsum."""
+    nq, size, sizes = amps.size.bit_length() - 1, amps.size, np.diff(start)
     bits = ((x[:, None] >> np.arange(nq, dtype=np.uint64)) & np.uint64(1)).astype(bool)
     pos = np.arange(x.size) - np.repeat(start[:-1], sizes)
     first = np.minimum.reduceat(np.where(bits, pos[:, None], x.size), start[:-1], axis=0)
-    qubits = np.argsort(first * nq + np.arange(nq), axis=1)
+    qubits = np.argsort(first * nq + np.arange(nq), axis=1)  # gate order, untouched last
     first = np.take_along_axis(first, qubits, axis=1)
+    letter = z[start[:-1, None] + np.minimum(first, sizes[:, None] - 1)] >> qubits.astype(np.uint64)
+    gate = np.where(letter & np.uint64(1), _Y_TO_Z[0, 1], _HADAMARD[0, 1])
     count = (first < x.size).sum(axis=1)
-    at = start[:-1, None] + np.minimum(first, sizes[:, None] - 1)
-    y = (z[at] >> qubits.astype(np.uint64)) & np.uint64(1) == 1
-    return qubits, y, count
-
-
-def _qubitwise_block(amps: np.ndarray, x: np.ndarray, z: np.ndarray, start: np.ndarray):
-    """Lists of the probabilities and value tables of qubitwise groups x[start[g]:start[g + 1]] on the
-    normalized amplitudes amps.  Step s of every group is one gather layer
-    over the groups that have an s-th gate: each rotates the amplitude pairs
-    (a0, a1) of its qubit to (r a0 + g a1, r a0 - g a1), r = 1/sqrt 2 and
-    g = r (Hadamard) or -i r (Y to Z), the products and sums of the gate
-    matrices' einsum.  Groups are stacked longest gate list first, so the
-    groups of a layer are the leading rows."""
-    nq, size = amps.size.bit_length() - 1, amps.size
-    qubits, y, count = _gate_order(x, z, start, nq)
     rank = np.argsort(-count, kind="stable")
-    work = np.tile(amps, (rank.size, 1))
-    pair = np.arange(size // 2)
+    work, pair = np.repeat(amps[None], rank.size, axis=0), np.arange(size // 2)
     low = np.array([(pair >> q << (q + 1)) | (pair & ((1 << q) - 1)) for q in range(nq)])
     for step in range(int(count.max(initial=0))):
         rows = rank[:np.count_nonzero(count > step)]
-        q = qubits[rows, step]
+        q, flat = qubits[rows, step], work[:rows.size].reshape(-1)
         at = low[q] + size * np.arange(rows.size)[:, None]
-        flat = work[:rows.size].reshape(-1)
         partner = at + (1 << q)[:, None]
-        g = np.where(y[rows, step], _Y_TO_Z[0, 1], _HADAMARD[0, 1])[:, None]
-        r = _HADAMARD[0, 0] * flat.take(at)
-        h = g * flat.take(partner)
+        r, h = _HADAMARD[0, 0] * flat.take(at), gate[rows, step, None] * flat.take(partner)
         flat[at], flat[partner] = r + h, r - h
     probs = np.clip(np.abs(work) ** 2, 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
     odd = _popcount(np.arange(size, dtype=np.uint64) & (x | z)[:, None]) & 1
-    values = np.split(1 - 2 * odd.astype(np.int8), start[1:-1])
-    return [probs[at].copy() for at in np.argsort(rank)], [v.copy() for v in values]
+    values = 1 - 2 * odd.astype(np.int8)
+    return ([probs[at].copy() for at in np.argsort(rank)],
+            [values[lo:hi].copy() for lo, hi in zip(start[:-1], start[1:])])
 
 
 def _full_commuting_model(amps: np.ndarray, x: np.ndarray, z: np.ndarray):
-    """Sample in the simultaneous eigenbasis of the group's strings.
+    """Sample in the simultaneous eigenbasis of the group's strings, which
+    must commute: every pair anticommutes on an even number of qubits.
 
     The basis is refined one string at a time, from that string's dense
     matrix (built once, by `PauliSum.to_dense`); the +-1 spectrum of a
@@ -184,6 +173,8 @@ def _full_commuting_model(amps: np.ndarray, x: np.ndarray, z: np.ndarray):
     permutation P|r> = i^|x&z| (-1)^popcount(r & z) |r ^ x>.
     """
     nq = amps.size.bit_length() - 1
+    if ((_popcount(x[:, None] & z) + _popcount(z[:, None] & x)) & 1).any():
+        raise ValidationError("strings in one measurement group must commute")
     if nq > _FULL_GROUP_QUBIT_CAP:
         raise CapacityError(
             f"joint eigenbasis of a fully commuting group is dense; "
@@ -219,36 +210,30 @@ def _full_commuting_model(amps: np.ndarray, x: np.ndarray, z: np.ndarray):
 
 
 # qubitwise group models are built in blocks of about this many amplitudes
-# and value-table entries
-_BLOCK = 1 << 16
+_BLOCK = 1 << 15
 
 
 def _group_models(state: Statevector, x: np.ndarray, z: np.ndarray, groups: list):
     """Lists of the normalized outcome distribution and the (strings,
-    outcomes) int8 +-1 value table of each group, an index array into the masks x, z of
-    strings on the state's register.  A group is qubitwise when every pair
-    of its letters agrees or meets an identity, else fully commuting when
-    every pair anticommutes on an even number of qubits.  The state is
-    normalized once; qubitwise groups are built together, in blocks."""
+    outcomes) int8 +-1 value table of each group, an index array into the
+    masks x, z.  A group is qubitwise when every pair of its letters agrees
+    or meets an identity, else fully commuting; qubitwise groups go in blocks."""
     amps = state.normalized().amplitudes
     sizes = np.array([len(m) for m in groups], dtype=np.intp)
-    start = np.cumsum(np.r_[0, sizes])
+    start, owner = np.cumsum(np.r_[0, sizes]), np.repeat(np.arange(sizes.size), sizes)
     mx, mz = (v[np.concatenate([np.zeros(0, np.intp), *groups])] for v in (x, z))
-    owner = np.repeat(np.arange(sizes.size), sizes)
-    # qubitwise: every member's letters are its group's merged letters
-    merged = [np.bitwise_or.reduceat(v, start[:-1])[owner] if v.size else v for v in (mx, mz)]
-    clash = ((mx ^ merged[0]) | (mz ^ merged[1])) & (mx | mz)
-    qubitwise = np.bincount(owner, clash != 0, minlength=sizes.size) == 0
+    # qubitwise: each member's letters are the ones its group merges
+    ox, oz = (np.bitwise_or.reduceat(v, start[:-1])[owner] for v in (mx, mz))
+    clash = ((mx ^ ox) | (mz ^ oz)) & (mx | mz) != 0
+    qubitwise = np.bincount(owner, clash, minlength=sizes.size) == 0
     probs, values = [None] * sizes.size, [None] * sizes.size
     for f in np.flatnonzero(~qubitwise):
-        xm, zm = mx[start[f]:start[f + 1]], mz[start[f]:start[f + 1]]
-        if ((_popcount(xm[:, None] & zm) + _popcount(zm[:, None] & xm)) & 1).any():
-            raise ValidationError("strings in one measurement group must commute")
-        probs[f], values[f] = _full_commuting_model(amps, xm, zm)
+        probs[f], values[f] = _full_commuting_model(amps, mx[start[f]:start[f + 1]],
+                                                    mz[start[f]:start[f + 1]])
     picked = np.flatnonzero(qubitwise)
     cost = np.cumsum((1 + sizes[picked]) * amps.size)
-    bounds = np.flatnonzero(np.diff(cost // _BLOCK)) + 1
-    for block in np.split(picked, bounds) if picked.size else ():
+    cuts = np.r_[0, np.flatnonzero(np.diff(cost // _BLOCK)) + 1, picked.size]
+    for block in (picked[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo):
         rows = np.concatenate([np.arange(start[f], start[f + 1]) for f in block])
         models = _qubitwise_block(amps, mx[rows], mz[rows], np.cumsum(np.r_[0, sizes[block]]))
         for f, p, v in zip(block, *models):
@@ -421,14 +406,14 @@ class _Compiled:
 
 
 def _tables(recipe: ExpectationRecipe, groups: tuple, cols: list) -> tuple:
-    """(recipe-matrix columns, outcome probabilities, value table) of each
-    group that some entry reads, else None; one `_group_models` per job."""
+    """(recipe-matrix columns, probabilities, value table) of each group that
+    some entry reads, else None; the group models of a job are one batch."""
     read = np.bincount(recipe._matrix.indices, minlength=recipe._matrix.shape[1]) > 0
     tables = [None] * len(groups)
     for j, job in enumerate(recipe.jobs):
         picked = [f for f, g in enumerate(groups) if g.job == j and read[cols[f]].any()]
-        members = [cols[f] - recipe._offsets[j] for f in picked]
-        models = _group_models(job.state, job.strings.x, job.strings.z, members)
+        models = _group_models(job.state, job.strings.x, job.strings.z,
+                               [cols[f] - recipe._offsets[j] for f in picked])
         for f, probs, values in zip(picked, *models):
             tables[f] = (cols[f], probs, values)
     return tuple(tables)
