@@ -4,7 +4,10 @@ Amplitude index b encodes occupations directly: bit p is orbital p spin-up,
 bit p+m is orbital p spin-down, matching the fock-module convention, so
 sector vectors embed by index with no sign bookkeeping.
 
-Pauli actions and exponentials work directly on amplitudes. Orbital
+Pauli actions and exponentials work directly on amplitudes, through one
+table kernel: `pauli_rows` turns (x, z) masks into per-row gather indices
+and phases, so a Pauli sum is a term-ordered reduction over row blocks and
+QITE gathers its whole rotation pool at once. Orbital
 rotations exp(sum_pr kappa_pr adag_p a_r) are compiled to networks of
 adjacent two-mode Givens elements (applied to both spin blocks) plus a
 single diagonal phase layer; symmetric one-body generators are handled by

@@ -6,7 +6,10 @@ read only as the x and z mask arrays of its strings: qubitwise groups need
 single-qubit basis changes and read parities off the masks, fully
 commuting groups are sampled in their densely computed joint eigenbasis.
 Either way a group of m strings on n qubits becomes an outcome
-distribution and an (m, 2^n) +-1 value table V.  On top of that the module
+distribution and an (m, 2^n) +-1 value table V.  The qubitwise groups of
+one job are modelled together, in bounded blocks: gate step s of every
+group is one gather layer over the block, and one popcount gives the
+value tables.  On top of that the module
 sets shot counts against a precision target and assembles noise-tagged
 subspace problems from measurement recipes emitted by the subspace builders.
 
