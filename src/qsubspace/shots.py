@@ -131,13 +131,12 @@ class ShotPlan:
 
 def _qubitwise_block(amps: np.ndarray, x: np.ndarray, z: np.ndarray, start: np.ndarray):
     """Lists of the outcome distributions and value tables of qubitwise
-    groups x[start[g]:start[g + 1]] on normalized amplitudes.  A group
-    rotates X/Y letters onto Z one qubit at a time, in order of first
-    appearance and then by index, with the Y-to-Z gate where the first
-    letter is Y and the Hadamard elsewhere.  Step s of all groups is one
-    gather layer over those with an s-th gate, stacked longest first: the
-    amplitude pairs (a0, a1) of each one's qubit become (r a0 + g a1,
-    r a0 - g a1), the products and sums of the gate's einsum."""
+    groups x[start[g]:start[g + 1]] on normalized amplitudes.  A group turns
+    X/Y letters to Z one qubit at a time, by first appearance and then
+    index (Y-to-Z gate where the first letter is Y, else Hadamard).  Gate
+    step s is one gather layer over the groups with an s-th gate, stacked
+    longest first: a qubit's amplitude pairs (a0, a1) become (r a0 + g a1,
+    r a0 - g a1), the einsum's products and sums."""
     nq, size, sizes = amps.size.bit_length() - 1, amps.size, np.diff(start)
     bits = ((x[:, None] >> np.arange(nq, dtype=np.uint64)) & np.uint64(1)).astype(bool)
     pos = np.arange(x.size) - np.repeat(start[:-1], sizes)
