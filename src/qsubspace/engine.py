@@ -6,8 +6,8 @@ sector vectors embed by index with no sign bookkeeping.
 
 Pauli actions and exponentials work directly on amplitudes, through one
 table kernel: `pauli_rows` turns (x, z) masks into per-row gather indices
-and phases, so a Pauli sum is a term-ordered reduction over row blocks and
-QITE gathers its whole rotation pool at once. Orbital
+and phases, so a Pauli sum is a term-ordered reduction over table tiles
+and QITE gathers its whole rotation pool at once. Orbital
 rotations exp(sum_pr kappa_pr adag_p a_r) are compiled to networks of
 adjacent two-mode Givens elements (applied to both spin blocks) plus a
 single diagonal phase layer; symmetric one-body generators are handled by
@@ -123,17 +123,20 @@ def distance(a: Statevector, b: Statevector) -> float:
     return 1.0 - abs(inner(a, b))
 
 
-# a Pauli table is built and summed in row blocks of about this many amplitudes
-_BLOCK = 1 << 18
+# a Pauli sum's table is built and summed in tiles of about _TILE entries,
+# at most _WIDTH amplitudes wide, so that a tile's arrays stay in cache
+_TILE, _WIDTH = 1 << 15, 1 << 12
 
 
-def pauli_rows(num_qubits: int, x, z):
+def pauli_rows(num_qubits: int, x, z, lo: int = 0, hi: int | None = None):
     """Gather indices and phases of the strings with masks x, z, one row
-    each: (P_k s)[j] = phase[k] (s, -s)[src[k, j]], with src = j ^ x_k plus
-    2^n where popcount((j ^ x_k) & z_k) is odd and phase = i^|x_k & z_k|."""
-    x, z = (np.asarray(v, dtype=np.int64)[:, None] for v in (x, z))
-    src = np.arange(1 << num_qubits) ^ x
-    src |= (np.bitwise_count(src & z) & 1).astype(np.int64) << num_qubits
+    each: (P_k s)[j] = phase[k] (s, -s)[src[k, j - lo]] for lo <= j < hi
+    (all 2^n by default), with src = j ^ x_k plus 2^n where
+    popcount((j ^ x_k) & z_k) is odd and phase = i^|x_k & z_k|."""
+    # int32 holds every index of the 24-qubit cap and halves the passes' traffic
+    x, z = (np.asarray(v, dtype=np.int32)[:, None] for v in (x, z))
+    src = np.arange(lo, 1 << num_qubits if hi is None else hi, dtype=np.int32) ^ x
+    src |= (np.bitwise_count(src & z) & 1).astype(np.int32) << num_qubits
     return src, _PHASES[np.bitwise_count(x & z) & 3]
 
 
@@ -150,21 +153,23 @@ def apply_pauli(p: PauliString, s: Statevector) -> Statevector:
 
 
 def apply_pauli_sum(h: PauliSum, s: Statevector) -> Statevector:
-    """sum_k c_k P_k s, summed in term order from zero: each row block of
-    the table is reduced with the running sum as its first row."""
+    """sum_k c_k P_k s, summed in term order from zero: each tile of the
+    table is reduced with the running sum as its first row."""
     if h.num_qubits != s.num_qubits:
         raise ValidationError("qubit counts differ")
     size, signed = s.amplitudes.size, np.concatenate([s.amplitudes, -s.amplitudes])
-    step = max(1, _BLOCK // size)
+    width = min(size, _WIDTH)
+    step = _TILE // width
     out = np.zeros(size, dtype=complex)
-    rows = np.empty((min(step, len(h)) + 1, size), dtype=complex)
+    rows = np.empty((min(step, len(h)) + 1, width), dtype=complex)
     for lo in range(0, len(h), step):
         part = slice(lo, lo + step)
-        src, phase = pauli_rows(h.num_qubits, h.x[part], h.z[part])
-        block = rows[:src.shape[0] + 1]
-        block[0] = out
-        np.multiply(h.coeffs[part, None] * phase, signed.take(src), out=block[1:])
-        np.add.reduce(block, axis=0, out=out)
+        block = rows[:h.coeffs[part].size + 1]
+        for col in range(0, size, width):
+            src, phase = pauli_rows(h.num_qubits, h.x[part], h.z[part], col, col + width)
+            block[0] = out[col:col + width]
+            np.multiply(h.coeffs[part, None] * phase, signed.take(src), out=block[1:])
+            np.add.reduce(block, axis=0, out=out[col:col + width])
     return Statevector(s.num_qubits, out)
 
 

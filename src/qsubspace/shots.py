@@ -9,9 +9,9 @@ Either way a group of m strings on n qubits becomes an outcome
 distribution and an (m, 2^n) +-1 value table V.  The qubitwise groups of
 one job are modelled together, in bounded blocks: gate step s of every
 group is one gather layer over the block, and one popcount gives the
-value tables.  On top of that the module
-sets shot counts against a precision target and assembles noise-tagged
-subspace problems from measurement recipes emitted by the subspace builders.
+value tables.  On top of that the module sets shot counts against a
+precision target and assembles noise-tagged subspace problems from
+measurement recipes emitted by the subspace builders.
 
 Each entry of a recipe reads one job, a state and its string table.  The
 entries compile once into a const vector and one sparse matrix over all
@@ -143,8 +143,9 @@ def _qubitwise_block(amps: np.ndarray, x: np.ndarray, z: np.ndarray, start: np.n
     first = np.minimum.reduceat(np.where(bits, pos[:, None], x.size), start[:-1], axis=0)
     qubits = np.argsort(first * nq + np.arange(nq), axis=1)  # gate order, untouched last
     first = np.take_along_axis(first, qubits, axis=1)
-    letter = z[start[:-1, None] + np.minimum(first, sizes[:, None] - 1)] >> qubits.astype(np.uint64)
-    gate = np.where(letter & np.uint64(1), _Y_TO_Z[0, 1], _HADAMARD[0, 1])
+    letter = z[start[:-1, None] + np.minimum(first, sizes[:, None] - 1)]  # at first appearance
+    gate = np.where((letter >> qubits.astype(np.uint64)) & np.uint64(1), _Y_TO_Z[0, 1],
+                    _HADAMARD[0, 1])
     count = (first < x.size).sum(axis=1)
     rank = np.argsort(-count, kind="stable")
     work, pair = np.repeat(amps[None], rank.size, axis=0), np.arange(size // 2)
@@ -212,6 +213,7 @@ def _full_commuting_model(amps: np.ndarray, x: np.ndarray, z: np.ndarray):
 
 
 # qubitwise group models are built in blocks of about this many amplitudes
+# and value-table entries
 _BLOCK = 1 << 15
 
 

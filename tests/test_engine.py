@@ -96,7 +96,8 @@ def test_apply_pauli_sum_equals_the_per_term_loop(name):
 
 
 def test_apply_pauli_sum_equals_the_per_term_loop_on_16_qubits():
-    # one row fills a table block here, so every block chains on the running sum
+    # 2^16 amplitudes: sixteen column tiles per block of eight terms, each
+    # reduced onto its slice of the running sum
     h = jordan_wigner(random_integrals(8, 4, 4, seed=8))
     s = random_state(np.random.default_rng(12), h.num_qubits)
     want = oracles.apply_pauli_terms(h.x, h.z, h.coeffs, s.amplitudes)

@@ -532,7 +532,8 @@ class TestCompiledRecipe:
             assert checked > 0
 
     @pytest.mark.parametrize(
-        "name, before, slack", [("qse-S h4_toy", 74_984_548, 0), ("qfd h4_toy", 5_365_591, 1 << 16)]
+        "name, before, slack",
+        [("qse-S h4_toy", 74_984_548, 0), ("qfd h4_toy", 5_365_591, 1 << 16)],
     )
     def test_group_model_batches_keep_the_compile_peak(self, name, before, slack):
         # tracemalloc peak of compiling the recipe in a fresh interpreter;
@@ -552,7 +553,8 @@ class TestCompiledRecipe:
             shots._compile(recipe, "qubitwise")
             print(tracemalloc.get_traced_memory()[1])
         """)
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
         assert int(run.stdout) <= before + slack
 
     @pytest.mark.parametrize("name", CHECKED)
