@@ -129,14 +129,15 @@ class ShotPlan:
 # sampling a commuting group, given by its strings' x and z mask arrays
 
 
-def _qubitwise_block(amps: np.ndarray, x: np.ndarray, z: np.ndarray, start: np.ndarray):
-    """Lists of the outcome distributions and value tables of qubitwise
-    groups x[start[g]:start[g + 1]] on normalized amplitudes.  A group turns
-    X/Y letters to Z one qubit at a time, by first appearance and then
-    index (Y-to-Z gate where the first letter is Y, else Hadamard).  Gate
-    step s is one gather layer over the groups with an s-th gate, stacked
-    longest first: a qubit's amplitude pairs (a0, a1) become (r a0 + g a1,
-    r a0 - g a1), the einsum's products and sums."""
+def _qubitwise_block(amps: np.ndarray, x: np.ndarray, z: np.ndarray, start: np.ndarray,
+                     probs: list, values: list):
+    """Fill in the outcome distributions probs[g] and value tables values[g]
+    of qubitwise groups x[start[g]:start[g + 1]] on normalized amplitudes.
+    A group turns X/Y letters to Z one qubit at a time, by first appearance
+    and then index (Y-to-Z gate where the first letter is Y, else
+    Hadamard).  Gate step s is one gather layer over the groups with an
+    s-th gate, stacked longest first: a qubit's amplitude pairs (a0, a1)
+    become (r a0 + g a1, r a0 - g a1), the einsum's products and sums."""
     nq, size, sizes = amps.size.bit_length() - 1, amps.size, np.diff(start)
     bits = ((x[:, None] >> np.arange(nq, dtype=np.uint64)) & np.uint64(1)).astype(bool)
     pos = np.arange(x.size) - np.repeat(start[:-1], sizes)
@@ -157,12 +158,12 @@ def _qubitwise_block(amps: np.ndarray, x: np.ndarray, z: np.ndarray, start: np.n
         partner = at + (1 << q)[:, None]
         r, h = _HADAMARD[0, 0] * flat.take(at), gate[rows, step, None] * flat.take(partner)
         flat[at], flat[partner] = r + h, r - h
-    probs = np.clip(np.abs(work) ** 2, 0.0, None)
-    probs /= probs.sum(axis=1, keepdims=True)
+    p = np.clip(np.abs(work) ** 2, 0.0, None)
+    p /= p.sum(axis=1, keepdims=True)
     odd = _popcount(np.arange(size, dtype=np.uint64) & (x | z)[:, None]) & 1
-    values = 1 - 2 * odd.astype(np.int8)
-    return ([probs[at].copy() for at in np.argsort(rank)],
-            [values[lo:hi].copy() for lo, hi in zip(start[:-1], start[1:])])
+    v = 1 - 2 * odd.astype(np.int8)
+    for g, at in enumerate(np.argsort(rank)):
+        probs[g][:], values[g][:] = p[at], v[start[g]:start[g + 1]]
 
 
 def _full_commuting_model(amps: np.ndarray, x: np.ndarray, z: np.ndarray):
@@ -230,7 +231,9 @@ def _group_models(state: Statevector, x: np.ndarray, z: np.ndarray, groups: list
     ox, oz = (np.bitwise_or.reduceat(v, start[:-1])[owner] for v in (mx, mz))
     clash = ((mx ^ ox) | (mz ^ oz)) & (mx | mz) != 0
     qubitwise = np.bincount(owner, clash, minlength=sizes.size) == 0
-    probs, values = [None] * sizes.size, [None] * sizes.size
+    # the tables outlive the blocks' temporaries, so they are allocated first
+    probs = [np.empty(amps.size) if q else None for q in qubitwise]
+    values = [np.empty((n, amps.size), np.int8) if q else None for n, q in zip(sizes, qubitwise)]
     for f in np.flatnonzero(~qubitwise):
         probs[f], values[f] = _full_commuting_model(amps, mx[start[f]:start[f + 1]],
                                                     mz[start[f]:start[f + 1]])
@@ -239,9 +242,8 @@ def _group_models(state: Statevector, x: np.ndarray, z: np.ndarray, groups: list
     cuts = np.r_[0, np.flatnonzero(np.diff(cost // _BLOCK)) + 1, picked.size]
     for block in (picked[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo):
         rows = np.concatenate([np.arange(start[f], start[f + 1]) for f in block])
-        models = _qubitwise_block(amps, mx[rows], mz[rows], np.cumsum(np.r_[0, sizes[block]]))
-        for f, p, v in zip(block, *models):
-            probs[f], values[f] = p, v
+        _qubitwise_block(amps, mx[rows], mz[rows], np.cumsum(np.r_[0, sizes[block]]),
+                         [probs[f] for f in block], [values[f] for f in block])
     return probs, values
 
 
