@@ -8,9 +8,9 @@ sections of their reports (the config echo holds the output path, which
 varies between runs). Finally it runs every method once with its defaults,
 two non-default variants and one sweep per axis, and stores their `result`
 sections and sweep.csv rows. A fourth file pins the `result` sections of
-four runs on the wider fixtures (h4_toy and h3_plus, 6 to 8 qubits), where
+six runs on the wider fixtures (h4_toy and h3_plus, 6 to 8 qubits), where
 the Pauli kernels, QITE and the group models work on more than one
-qubit pair. The committed files pin the exact
+qubit pair; two of them sample fully commuting groups. The committed files pin the exact
 floating-point output, so any platform or code drift shows up as a
 bit-level mismatch.
 Run from the repository root:
@@ -79,6 +79,9 @@ WIDE_RUNS = (
     ("h4_toy", ("spectrum", "--op", "ham")),
     ("h4_toy", ("qfd", "--shots", "10000", "--seed", "3")),
     ("h3_plus", ("qse", "--level", "S", "--eps-target", "1e-3", "--seed", "3")),
+    ("h4_toy", ("qfd", "--shots", "2000", "--grouping", "full", "--seed", "3")),
+    ("h3_plus", ("qse", "--level", "S", "--eps-target", "1e-3", "--grouping", "full",
+                 "--seed", "3")),
 )
 
 

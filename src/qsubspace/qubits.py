@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 from numpy import bitwise_count as _popcount
 
-from .errors import CapacityError, ParseError, ValidationError
+from .errors import CapacityError, ValidationError
 from .integrals import MolecularIntegrals, cached_per_integrals
 
 _PRUNE = 1e-14
@@ -227,30 +227,6 @@ def pauli_sum(num_qubits: int, terms) -> PauliSum:
 
 def identity_sum(num_qubits: int, coeff=1.0) -> PauliSum:
     return pauli_sum(num_qubits, [(coeff, PauliString(num_qubits, 0, 0))])
-
-
-def serialize_pauli_sum(h: PauliSum) -> str:
-    return "".join(f"{c.real:.17g} {c.imag:.17g} {s.letters}\n" for c, s in h.terms()) or "\n"
-
-
-def parse_pauli_sum(text: str) -> PauliSum:
-    terms = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 3:
-            raise ParseError("expected 're im LETTERS'", lineno)
-        try:
-            coeff = complex(float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        if terms and len(parts[2]) != len(terms[0][1]):
-            raise ParseError("inconsistent string width", lineno)
-        terms.append((coeff, parts[2]))
-    if not terms:
-        raise ParseError("no terms found")
-    return pauli_sum(len(terms[0][1]), terms)
 
 
 # ---------------------------------------------------------------------------

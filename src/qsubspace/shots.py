@@ -1,16 +1,15 @@
 """Finite-sampling measurement model.
 
 Expectation values are estimated by drawing computational-basis samples
-after the diagonalizing rotation implied by a commuting group.  A group is
-read only as the x and z mask arrays of its strings: qubitwise groups need
-single-qubit basis changes and read parities off the masks, fully
-commuting groups are sampled in their densely computed joint eigenbasis.
-Either way a group of m strings on n qubits becomes an outcome
-distribution and an (m, 2^n) +-1 value table V.  The qubitwise groups of
-one job are modelled together, in bounded blocks: gate step s of every
-group is one gather layer over the block, and one popcount gives the
-value tables.  On top of that the module sets shot counts against a
-precision target and assembles noise-tagged subspace problems from
+after a Clifford circuit that diagonalizes a commuting group, found from
+the x and z mask arrays of its strings alone: single-qubit basis changes
+where all its letters agree, batched as gather layers over bounded blocks
+of a job's groups, then, for a group that is not qubitwise, the CNOT and
+single-qubit gates of Gaussian elimination on its tableau.  Each string
+reads a signed parity of the outcome, so a group of m strings on n qubits
+becomes an outcome distribution and an (m, 2^n) +-1 value table V, with
+no 2^n x 2^n matrix.  On top of that the module sets shot counts against
+a precision target and assembles noise-tagged subspace problems from
 measurement recipes emitted by the subspace builders.
 
 Each entry of a recipe reads one job, a state and its string table.  The
@@ -41,7 +40,7 @@ import scipy.sparse
 from numpy import bitwise_count as _popcount
 
 from .engine import Statevector, apply_pauli, inner
-from .errors import CapacityError, DataError, ValidationError
+from .errors import CapacityError, ValidationError
 from .geev import SubspaceProblem
 from .qubits import PauliString, PauliSum, group_commuting
 
@@ -55,10 +54,6 @@ SHOT_LIMIT = 1 << 53
 
 # shots per group in the pilot round of a target-driven plan
 _PILOT_SHOTS = 100
-
-# dense joint-eigenbasis cap; beyond this the diagonalization would need
-# the Clifford machinery this package deliberately avoids
-_FULL_GROUP_QUBIT_CAP = 12
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 _Y_TO_Z = np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / math.sqrt(2.0)
@@ -129,17 +124,59 @@ class ShotPlan:
 # sampling a commuting group, given by its strings' x and z mask arrays
 
 
-def _qubitwise_block(amps: np.ndarray, x: np.ndarray, z: np.ndarray, start: np.ndarray,
-                     probs: list, values: list):
+def _eliminate(amps: np.ndarray, x: np.ndarray, z: np.ndarray):
+    """Turn the X parts x of a commuting group into Z parts on the amplitudes,
+    in place, and return the strings' final z masks and sign bits.  While
+    some string k has an X part: CNOTs from a pivot q of it clear its other
+    X letters, a Hadamard (X) or Y-to-Z gate (Y) turns q into Z, and CNOTs
+    onto q clear its other Z letters, so k becomes +-Z_q.  Letters and signs
+    follow the Aaronson-Gottesman tableau rules (quant-ph/0406196).  A
+    string that keeps an X on q anticommutes with k: the group does not
+    commute, and this test finds every such group."""
+    idx, shift = np.arange(amps.size), np.arange(amps.size.bit_length() - 1, dtype=np.uint64)
+    xs, zs = (((m[:, None] >> shift) & np.uint64(1)).astype(bool) for m in (x, z))
+    sign = np.zeros(x.size, bool)
+
+    def cnot(a, b):
+        nonlocal sign
+        sign ^= xs[:, a] & zs[:, b] & ~(xs[:, b] ^ zs[:, a])
+        xs[:, b] ^= xs[:, a]
+        zs[:, a] ^= zs[:, b]
+        amps[:] = amps[idx ^ (((idx >> a) & 1) << b)]
+
+    while (rows := np.flatnonzero(xs.any(axis=1))).size:
+        k = rows[0]
+        q, *others = np.flatnonzero(xs[k])
+        for t in others:
+            cnot(q, t)
+        # Y-to-Z (X -> Y -> Z -> X) where k has Y, else Hadamard (X <-> Z, Y -> -Y)
+        y = zs[k, q]
+        sign ^= xs[:, q] & zs[:, q] & ~y
+        xs[:, q], zs[:, q] = (xs[:, q] & y) ^ zs[:, q], xs[:, q].copy()
+        at, g = idx[((idx >> q) & 1) == 0], (_Y_TO_Z if y else _HADAMARD)[0, 1]
+        r, h = _HADAMARD[0, 0] * amps[at], g * amps[at + (1 << q)]
+        amps[at], amps[at + (1 << q)] = r + h, r - h
+        for t in np.flatnonzero(zs[k]):
+            if t != q:
+                cnot(t, q)
+        if xs[:, q].any():
+            raise ValidationError("strings in one measurement group must commute")
+    return (zs.astype(np.uint64) << shift).sum(axis=1, dtype=np.uint64), sign
+
+
+def _group_block(amps: np.ndarray, x: np.ndarray, z: np.ndarray, px: np.ndarray,
+                 start: np.ndarray, probs: list, values: list):
     """Fill in the outcome distributions probs[g] and value tables values[g]
-    of qubitwise groups x[start[g]:start[g + 1]] on normalized amplitudes.
-    A group turns X/Y letters to Z one qubit at a time, by first appearance
-    and then index (Y-to-Z gate where the first letter is Y, else
-    Hadamard).  Gate step s is one gather layer over the groups with an
-    s-th gate, stacked longest first: a qubit's amplitude pairs (a0, a1)
-    become (r a0 + g a1, r a0 - g a1), the einsum's products and sums."""
+    of commuting groups x[start[g]:start[g + 1]] on normalized amplitudes.
+    A group turns the X/Y letters px on its pure qubits to Z one qubit at a
+    time, by first appearance and then index (Y-to-Z gate where the letter
+    is Y, else Hadamard).  Gate step s is one gather layer over the groups
+    with an s-th gate, stacked longest first: a qubit's amplitude pairs
+    (a0, a1) become (r a0 + g a1, r a0 - g a1), the einsum's products and
+    sums.  `_eliminate` clears the X parts left; string k then reads
+    (-1)^(sign_k + popcount(outcome & z_k))."""
     nq, size, sizes = amps.size.bit_length() - 1, amps.size, np.diff(start)
-    bits = ((x[:, None] >> np.arange(nq, dtype=np.uint64)) & np.uint64(1)).astype(bool)
+    bits = ((px[:, None] >> np.arange(nq, dtype=np.uint64)) & np.uint64(1)).astype(bool)
     pos = np.arange(x.size) - np.repeat(start[:-1], sizes)
     first = np.minimum.reduceat(np.where(bits, pos[:, None], x.size), start[:-1], axis=0)
     qubits = np.argsort(first * nq + np.arange(nq), axis=1)  # gate order, untouched last
@@ -158,92 +195,49 @@ def _qubitwise_block(amps: np.ndarray, x: np.ndarray, z: np.ndarray, start: np.n
         partner = at + (1 << q)[:, None]
         r, h = _HADAMARD[0, 0] * flat.take(at), gate[rows, step, None] * flat.take(partner)
         flat[at], flat[partner] = r + h, r - h
+    row = np.argsort(rank)
+    zf, sign = z | px, np.zeros(x.size, bool)
+    for g in np.flatnonzero(np.bitwise_or.reduceat(x ^ px, start[:-1])):
+        lo, hi = start[g], start[g + 1]
+        zf[lo:hi], sign[lo:hi] = _eliminate(work[row[g]], x[lo:hi] ^ px[lo:hi], zf[lo:hi])
     p = np.clip(np.abs(work) ** 2, 0.0, None)
     p /= p.sum(axis=1, keepdims=True)
-    odd = _popcount(np.arange(size, dtype=np.uint64) & (x | z)[:, None]) & 1
+    odd = _popcount(np.arange(size, dtype=np.uint64) & zf[:, None]) & 1
+    odd ^= sign[:, None]
     v = 1 - 2 * odd.astype(np.int8)
-    for g, at in enumerate(np.argsort(rank)):
+    for g, at in enumerate(row):
         probs[g][:], values[g][:] = p[at], v[start[g]:start[g + 1]]
 
 
-def _full_commuting_model(amps: np.ndarray, x: np.ndarray, z: np.ndarray):
-    """Sample in the simultaneous eigenbasis of the group's strings, which
-    must commute: every pair anticommutes on an even number of qubits.
-
-    The basis is refined one string at a time, from that string's dense
-    matrix (built once, by `PauliSum.to_dense`); the +-1 spectrum of a
-    Pauli string makes the block split unambiguous.  Each string's value
-    on a basis vector is read off <u|P|u>, with P applied as the signed
-    permutation P|r> = i^|x&z| (-1)^popcount(r & z) |r ^ x>.
-    """
-    nq = amps.size.bit_length() - 1
-    if ((_popcount(x[:, None] & z) + _popcount(z[:, None] & x)) & 1).any():
-        raise ValidationError("strings in one measurement group must commute")
-    if nq > _FULL_GROUP_QUBIT_CAP:
-        raise CapacityError(
-            f"joint eigenbasis of a fully commuting group is dense; "
-            f"capped at {_FULL_GROUP_QUBIT_CAP} qubits, got {nq}"
-        )
-    dim = 1 << nq
-    basis = np.eye(dim, dtype=complex)
-    blocks = [np.arange(dim)]
-    for k in range(x.size):
-        mat = PauliSum(nq, x[k:k + 1], z[k:k + 1], np.ones(1)).to_dense()
-        refined = []
-        for idx in blocks:
-            if idx.size == 1:
-                refined.append(idx)
-                continue
-            sub = basis[:, idx]
-            w, vec = np.linalg.eigh(sub.conj().T @ mat @ sub)
-            basis[:, idx] = sub @ vec
-            refined.extend(part for part in (idx[w < 0.0], idx[w >= 0.0]) if part.size)
-        blocks = refined
-    amps = basis.conj().T @ amps
-    outcomes = np.arange(dim, dtype=np.uint64)
-    values = np.empty((x.size, dim), dtype=np.int8)
-    for k, (xk, zk) in enumerate(zip(x, z)):
-        src = outcomes ^ xk
-        factor = 1j ** int(_popcount(xk & zk)) * (1.0 - 2.0 * (_popcount(src & zk) & 1))
-        diag = np.einsum("ij,ij->j", basis.conj(), factor[:, None] * basis[src])
-        if np.max(np.abs(np.abs(diag) - 1.0)) > 1e-8:
-            raise DataError("group strings are not diagonal in the joint basis")
-        values[k] = np.where(diag.real > 0.0, 1, -1)
-    p = np.clip(np.abs(amps) ** 2, 0.0, None)
-    return p / p.sum(), values
-
-
-# qubitwise group models are built in blocks of about this many amplitudes
-# and value-table entries
+# group models are built in blocks of about this many amplitudes and
+# value-table entries
 _BLOCK = 1 << 15
 
 
 def _group_models(state: Statevector, x: np.ndarray, z: np.ndarray, groups: list):
     """Lists of the normalized outcome distribution and the (strings,
     outcomes) int8 +-1 value table of each group, an index array into the
-    masks x, z.  A group is qubitwise when every pair of its letters agrees
-    or meets an identity, else fully commuting; qubitwise groups go in blocks."""
+    masks x, z, built in blocks by `_group_block`.  A qubit is pure in a
+    group when every member with a letter there has the same letter, X or
+    Y; a qubitwise group has only pure qubits and Z letters."""
     amps = state.normalized().amplitudes
     sizes = np.array([len(m) for m in groups], dtype=np.intp)
     start, owner = np.cumsum(np.r_[0, sizes]), np.repeat(np.arange(sizes.size), sizes)
     mx, mz = (v[np.concatenate([np.zeros(0, np.intp), *groups])] for v in (x, z))
-    # qubitwise: each member's letters are the ones its group merges
-    ox, oz = (np.bitwise_or.reduceat(v, start[:-1])[owner] for v in (mx, mz))
-    clash = ((mx ^ ox) | (mz ^ oz)) & (mx | mz) != 0
-    qubitwise = np.bincount(owner, clash, minlength=sizes.size) == 0
+    ox, oz = (np.bitwise_or.reduceat(v, start[:-1]) for v in (mx, mz))
+    # a member's letters that differ from the ones its group merges
+    clash = ((mx ^ ox[owner]) | (mz ^ oz[owner])) & (mx | mz)
+    px = mx & (ox & ~np.bitwise_or.reduceat(clash, start[:-1]))[owner]  # on pure qubits
     # the tables outlive the blocks' temporaries, so they are allocated first
-    probs = [np.empty(amps.size) if q else None for q in qubitwise]
-    values = [np.empty((n, amps.size), np.int8) if q else None for n, q in zip(sizes, qubitwise)]
-    for f in np.flatnonzero(~qubitwise):
-        probs[f], values[f] = _full_commuting_model(amps, mx[start[f]:start[f + 1]],
-                                                    mz[start[f]:start[f + 1]])
-    picked = np.flatnonzero(qubitwise)
-    cost = np.cumsum((1 + sizes[picked]) * amps.size)
-    cuts = np.r_[0, np.flatnonzero(np.diff(cost // _BLOCK)) + 1, picked.size]
-    for block in (picked[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo):
-        rows = np.concatenate([np.arange(start[f], start[f + 1]) for f in block])
-        _qubitwise_block(amps, mx[rows], mz[rows], np.cumsum(np.r_[0, sizes[block]]),
-                         [probs[f] for f in block], [values[f] for f in block])
+    probs = [np.empty(amps.size) for _ in sizes]
+    values = [np.empty((n, amps.size), np.int8) for n in sizes]
+    cost = np.cumsum((1 + sizes) * amps.size)
+    cuts = np.r_[0, np.flatnonzero(np.diff(cost // _BLOCK)) + 1, sizes.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi > lo:
+            rows = slice(start[lo], start[hi])
+            _group_block(amps, mx[rows], mz[rows], px[rows], start[lo:hi + 1] - start[lo],
+                         probs[lo:hi], values[lo:hi])
     return probs, values
 
 
@@ -265,10 +259,12 @@ def _histogram(values: np.ndarray, counts: np.ndarray, n: int):
 
 
 def sample_group(state, group, n_shots: int, seed: int, group_index: int = 0):
-    """Joint measurement of one commuting group.  All strings are read off
-    the same n_shots samples, so the estimates are correlated exactly as
-    they would be on hardware.  Accepts bare PauliStrings or (coefficient,
-    PauliString) pairs; the coefficients are ignored.  The draw and its
+    """Joint measurement of one commuting group, qubitwise or not, after its
+    diagonalizing Clifford circuit (see `_group_models`).  All strings are
+    read off the same n_shots samples, so the estimates are correlated
+    exactly as they would be on hardware.  Accepts bare PauliStrings or
+    (coefficient, PauliString) pairs; the coefficients are ignored.  A
+    group that does not commute is a ValidationError.  The draw and its
     histogram sums are the recipe sampler's for one group, in stream
     (seed, group_index)."""
     if not 1 <= n_shots <= SHOT_LIMIT:
@@ -602,36 +598,3 @@ def operator_recipe(state: Statevector, h, provenance: dict | None = None):
     entries = {("h", 0, 0): EntryPlan(const, 0, np.arange(len(plain)), plain.coeffs),
                ("s", 0, 0): EntryPlan(1.0 + 0.0j)}
     return ExpectationRecipe(1, (job,), entries, provenance or {"method": "operator"})
-
-
-# ---------------------------------------------------------------------------
-# ancilla-free overlap reconstruction
-
-
-@dataclass(frozen=True)
-class OverlapCosine:
-    """Relative phase recovered from three ancilla-free magnitudes."""
-
-    value: float
-    raw: float
-    consistent: bool
-    theta0: float
-
-
-def hadamard_free_overlap(
-    f0: float, f1: float, f2: float, theta0: float = 0.0, tol: float = 1e-6
-) -> OverlapCosine:
-    """cos(theta1 - theta0) from 4 f2 = f1 + f0 + 2 sqrt(f0 f1) cos(...).
-
-    f0 and f1 are the squared magnitudes of the reference and target
-    matrix elements, f2 the squared magnitude on their equal superposition;
-    the cross terms cancel by sector orthogonality.  Out-of-range results
-    beyond tol are flagged and clamped.
-    """
-    if f0 < 0.0 or f1 < 0.0 or f2 < 0.0:
-        raise ValidationError("squared magnitudes must be nonnegative")
-    if f0 * f1 == 0.0:
-        raise DataError("relative phase is indeterminate when f0 * f1 = 0")
-    raw = (4.0 * f2 - f1 - f0) / (2.0 * math.sqrt(f0 * f1))
-    consistent = abs(raw) <= 1.0 + tol
-    return OverlapCosine(float(np.clip(raw, -1.0, 1.0)), raw, consistent, theta0)

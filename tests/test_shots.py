@@ -7,15 +7,15 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 import scipy.sparse
-from scipy.linalg import expm
 
 from conftest import FIXTURE_NAMES, load_integrals
-from oracles import full_hamiltonian, qubitwise_model
+from oracles import qubitwise_model
 
 from qsubspace.engine import (
     Statevector,
@@ -23,25 +23,28 @@ from qsubspace.engine import (
     expectation,
     inner,
     prepare_configuration,
-    statevector_from_fock,
 )
-from qsubspace.errors import CapacityError, DataError, ValidationError
+from qsubspace.errors import ValidationError
 from qsubspace.fock import (
-    FockVector,
     basis_vector,
     exact_eigenpairs,
     reference_configuration,
-    sector_dimension,
 )
 from qsubspace.geev import default_threshold, eigenvalue_std, solve
 from qsubspace.quantum import QfdGrid, qfd_build, qfd_recipe, qse_build, qse_recipe
 from qsubspace import shots
-from qsubspace.qubits import PauliString, PauliSum, group_commuting, jordan_wigner, pauli_sum
+from qsubspace.qubits import (
+    PauliString,
+    PauliSum,
+    commutes,
+    group_commuting,
+    jordan_wigner,
+    pauli_sum,
+)
 from qsubspace.shots import (
     GENERATOR,
     ShotPlan,
     exact_subspace,
-    hadamard_free_overlap,
     measurement_groups,
     noisy_subspace,
     operator_recipe,
@@ -53,6 +56,10 @@ from qsubspace.shots import (
 
 def pstr(word):
     return PauliString.from_letters(word)
+
+
+def random_string(rng, n):
+    return PauliString(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
 
 
 def single_term(p):
@@ -186,8 +193,48 @@ class TestSampleGroup:
             stream(2**64)
 
     def test_non_commuting_group_rejected(self):
-        with pytest.raises(ValidationError):
-            sample_group(PLUS, [pstr("X"), pstr("Z")], 10, seed=0)
+        for words in (("X", "Z"), ("XX", "ZI"), ("XX", "YY", "ZX")):
+            state = random_state(len(words[0]), 3)
+            with pytest.raises(ValidationError, match="commute"):
+                sample_group(state, [pstr(w) for w in words], 10, seed=0)
+
+    def test_any_anticommuting_pair_is_rejected(self):
+        # the elimination's test is complete: a random set of strings is
+        # rejected exactly when some pair anticommutes
+        rng = np.random.default_rng(5)
+        state = random_state(3, 6)
+        for _ in range(300):
+            group = list({random_string(rng, 3) for _ in range(rng.integers(2, 6))} - {pstr("III")})
+            masks = np.array([(p.x, p.z) for p in group], np.uint64).T
+            if all(commutes(a, b) for a in group for b in group):
+                shots._group_model(state, *masks)
+            else:
+                with pytest.raises(ValidationError):
+                    shots._group_model(state, *masks)
+
+    @pytest.mark.parametrize("num_qubits", [3, 4, 5, 6])
+    def test_random_commuting_groups_match_dense_moments(self, num_qubits):
+        # mixed-letter commuting sets: sum_b p_b v_k v_l = <P_k P_l> and
+        # sum_b p_b v_k = <P_k>, against dense matrices on random states
+        rng = np.random.default_rng(num_qubits)
+        mixed = 0
+        for trial in range(20):
+            group = []
+            for _ in range(40):
+                p = random_string(rng, num_qubits)
+                if (p.x | p.z) and p not in group and all(commutes(p, q) for q in group):
+                    group.append(p)
+            x, z = np.array([(p.x, p.z) for p in group], np.uint64).T
+            mixed += bool(((x[:, None] & z) ^ (z[:, None] & x)).any())
+            state = random_state(num_qubits, 100 * num_qubits + trial)
+            probs, values = shots._group_model(state, x, z)
+            mats = [single_term(p).to_dense() for p in group]
+            psi = state.amplitudes
+            want = np.array([[psi.conj() @ a @ b @ psi for b in mats] for a in mats])
+            got = (values * probs) @ values.T.astype(float)
+            assert np.all(np.abs(got - want) <= 1e-12)
+            assert abs(probs.sum() - 1.0) <= 1e-12 and np.all(np.abs(values) == 1)
+        assert mixed >= 15
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValidationError):
@@ -203,12 +250,21 @@ class TestSampleGroup:
         with pytest.raises(ValidationError, match="width"):
             sample_group(PLUS, [pstr("ZZ")], 10, seed=0)
 
-    def test_dense_path_is_capped(self):
+    def test_full_group_on_13_qubits_needs_little_memory(self):
+        # a Bell pair on the two lowest of 13 qubits; a dense joint
+        # eigenbasis of the same group on 12 qubits peaked at 1,360 MiB
         amp = np.zeros(1 << 13, dtype=complex)
-        amp[0] = 1.0
-        group = [pstr("XX" + "I" * 11), pstr("YY" + "I" * 11)]
-        with pytest.raises(CapacityError):
-            sample_group(Statevector(13, amp), group, 10, seed=0)
+        amp[0] = amp[3] = 1.0
+        group = [pstr("I" * 11 + w) for w in ("XX", "YY", "ZZ")]
+        tracemalloc.start()
+        try:
+            ests = sample_group(Statevector(13, amp), group, 400, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [e.mean for e in ests] == [1.0, -1.0, 1.0]
+        assert all(e.std_error == 0.0 for e in ests)
+        assert peak < 16 << 20
 
 
 class TestShotAllocation:
@@ -514,22 +570,31 @@ class TestCompiledRecipe:
     @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
     @pytest.mark.parametrize("method", ["qse-S", "qfd"])
     def test_group_models_equal_the_per_group_oracle(self, method, fixture):
-        # every qubitwise group model of a job is built in one batch; each
-        # must be the one-group einsum rotation bit for bit
+        # every group model of a job is built in one batch; a qubitwise one
+        # must be the one-group einsum rotation bit for bit, any other must
+        # give each string's exact expectation
         recipe = checked_recipe(f"{method} {fixture}")
-        modes = ["qubitwise"] if fixture in ("h3_plus", "h4_toy") else ["qubitwise", "full"]
-        for mode in modes:
+        exact = [
+            np.array([inner(s, apply_pauli(p, s)).real for p in job.strings.strings])
+            for s, job in ((job.state.normalized(), job) for job in recipe.jobs)
+        ]
+        checked = {"qubitwise": 0, "mixed": 0}
+        for mode in ("qubitwise", "full"):
             compiled = shots._compile(recipe, mode)
-            checked = 0
             for g, table in zip(compiled.groups, compiled.tables):
+                if table is None:
+                    continue
                 job, m = recipe.jobs[g.job], list(g.members)
                 x, z = job.strings.x[m], job.strings.z[m]
-                if table is None or ((x[:, None] & z) ^ (z[:, None] & x)).any():
-                    continue  # unread, or sampled in the joint eigenbasis
+                if ((x[:, None] & z) ^ (z[:, None] & x)).any():
+                    assert np.all(np.abs(table[2] @ table[1] - exact[g.job][m]) <= 1e-12)
+                    checked["mixed"] += 1
+                    continue
                 probs, values = qubitwise_model(job.state.amplitudes, x, z)
                 assert same_bits(table[1], probs) and same_bits(table[2], values)
-                checked += 1
-            assert checked > 0
+                checked["qubitwise"] += 1
+        assert checked["qubitwise"] > 0
+        assert checked["mixed"] > 0 or fixture == "he_minimal"
 
     @pytest.mark.parametrize(
         "name, before, slack",
@@ -758,58 +823,3 @@ class TestNoisySubspace:
         assert 8.0 <= sigmas[0] / sigmas[1] <= 12.0
         exact = exact_subspace(recipe)
         assert eigenvalue_std(exact, solve(exact, 1e-10), 0) == 0.0
-
-
-class TestHadamardFreeOverlap:
-    def test_aligned_phases(self):
-        res = hadamard_free_overlap(1.0, 1.0, 1.0)
-        assert res.value == 1.0
-        assert res.consistent
-
-    def test_destructive_case(self):
-        res = hadamard_free_overlap(1.0, 1.0, 0.0)
-        assert res.value == -1.0
-        assert res.consistent
-
-    def test_out_of_range_is_flagged_and_clamped(self):
-        res = hadamard_free_overlap(1.0, 1.0, 1.0 + 1e-5)
-        assert not res.consistent
-        assert res.value == 1.0
-        assert res.raw > 1.0
-        loose = hadamard_free_overlap(1.0, 1.0, 1.0 + 1e-5, tol=1e-4)
-        assert loose.consistent
-
-    def test_indeterminate_phase(self):
-        with pytest.raises(DataError):
-            hadamard_free_overlap(0.0, 1.0, 0.5)
-        with pytest.raises(DataError):
-            hadamard_free_overlap(1.0, 0.0, 0.5)
-
-    def test_negative_magnitude_rejected(self):
-        with pytest.raises(ValidationError):
-            hadamard_free_overlap(-1.0, 1.0, 0.5)
-
-    def test_statevector_oracle(self, h2):
-        # vacuum reference and a random two-electron state: the evolved
-        # operator conserves particle number, so the cross terms vanish
-        hmat = full_hamiltonian(h2.e_nuc, h2.one_body, h2.two_body)
-        rng = np.random.default_rng(21)
-        vac = np.zeros(16, dtype=complex)
-        vac[0] = 1.0
-        dim = sector_dimension(2, 1, 1)
-        amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        v0 = statevector_from_fock(
-            FockVector((2, 1, 1), amp / np.linalg.norm(amp))
-        ).amplitudes
-        a_op = expm(1j * 0.7 * hmat) @ hmat @ expm(-1j * 0.3 * hmat)
-        assert abs(vac.conj() @ a_op @ v0) < 1e-14
-        o00 = vac.conj() @ a_op @ vac
-        o11 = v0.conj() @ a_op @ v0
-        plus = (vac + v0) / math.sqrt(2.0)
-        f2 = abs(plus.conj() @ a_op @ plus) ** 2
-        res = hadamard_free_overlap(
-            abs(o00) ** 2, abs(o11) ** 2, f2, theta0=float(np.angle(o00))
-        )
-        direct = math.cos(float(np.angle(o11) - np.angle(o00)))
-        assert res.consistent
-        assert abs(res.value - direct) < 1e-10
