@@ -144,8 +144,8 @@ def _eliminate(amps: np.ndarray, x: np.ndarray, z: np.ndarray):
         zs[:, a] ^= zs[:, b]
         amps[:] = amps[idx ^ (((idx >> a) & 1) << b)]
 
-    while (rows := np.flatnonzero(xs.any(axis=1))).size:
-        k = rows[0]
+    while xs.any():
+        k = xs.any(axis=1).argmax()  # the first string with an X part
         q, *others = np.flatnonzero(xs[k])
         for t in others:
             cnot(q, t)
