@@ -204,7 +204,8 @@ class TestSampleGroup:
         rng = np.random.default_rng(5)
         state = random_state(3, 6)
         for _ in range(300):
-            group = list({random_string(rng, 3) for _ in range(rng.integers(2, 6))} - {pstr("III")})
+            group = {random_string(rng, 3) for _ in range(rng.integers(2, 6))}
+            group = list(group - {pstr("III")})
             masks = np.array([(p.x, p.z) for p in group], np.uint64).T
             if all(commutes(a, b) for a in group for b in group):
                 shots._group_model(state, *masks)
@@ -252,7 +253,7 @@ class TestSampleGroup:
 
     def test_full_group_on_13_qubits_needs_little_memory(self):
         # a Bell pair on the two lowest of 13 qubits; a dense joint
-        # eigenbasis of the same group on 12 qubits peaked at 1,360 MiB
+        # eigenbasis of this group would need about 1,360 MiB at 12 qubits
         amp = np.zeros(1 << 13, dtype=complex)
         amp[0] = amp[3] = 1.0
         group = [pstr("I" * 11 + w) for w in ("XX", "YY", "ZZ")]
@@ -574,10 +575,10 @@ class TestCompiledRecipe:
         # must be the one-group einsum rotation bit for bit, any other must
         # give each string's exact expectation
         recipe = checked_recipe(f"{method} {fixture}")
-        exact = [
-            np.array([inner(s, apply_pauli(p, s)).real for p in job.strings.strings])
-            for s, job in ((job.state.normalized(), job) for job in recipe.jobs)
-        ]
+        exact = []
+        for job in recipe.jobs:
+            s = job.state.normalized()
+            exact.append(np.array([inner(s, apply_pauli(p, s)).real for p in job.strings.strings]))
         checked = {"qubitwise": 0, "mixed": 0}
         for mode in ("qubitwise", "full"):
             compiled = shots._compile(recipe, mode)
