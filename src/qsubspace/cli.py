@@ -59,7 +59,7 @@ from .fock import (
     reference_configuration,
 )
 from .fock import inner as fock_inner
-from .geev import solution_report, solve
+from .geev import eigenvalue_roundoff, solution_report, solve
 from .integrals import MolecularIntegrals, parse_fcidump
 from .quantum import (
     ExcitationOperator,
@@ -496,6 +496,8 @@ def _run_subspace(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path
         "ground_energy": energy,
         "error_vs_fci": energy - _fci_ground(ints),
     }
+    if not prob.noisy:  # a sampled run reports its std in bounds instead
+        result["eigenvalue_roundoff"] = [float(x) for x in eigenvalue_roundoff(prob, sol)]
     summary = (
         f"{cfg.method}: ground energy {energy:+.10f} hartree "
         f"(kept {sol.retained_dim} of {prob.n}, eps {sol.eps:.3e})"

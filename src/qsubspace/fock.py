@@ -7,10 +7,10 @@ words are enumerated lexicographically in (occ_down, occ_up) as integers,
 so the basis index is rank(occ_down) * C(m, n_up) + rank(occ_up). With the
 ascending-product convention the ladder sign on a word is
 (-1)^popcount(word & (2^mode - 1)), for creation and annihilation alike
-(_ladder_sign). apply_ladders applies any ladder monomial with that rule to
-whole sector vectors (or stacked blocks of them) at once; it is the
-number-restricted counterpart of the Jordan-Wigner image on the full
-register.
+(_ladder_sign). apply_ladders applies a stack of ladder monomials of one
+pattern with that rule to whole sector vectors (or stacked blocks of them)
+at once; it is the number-restricted counterpart of the Jordan-Wigner image
+on the full register.
 
 The sparse sector Hamiltonian is built string-driven (Knowles & Handy 1984;
 Olsen et al. 1988). _replacements tabulates once per (m, k) every single
@@ -180,42 +180,51 @@ def _ladder_sign(words: np.ndarray, mode) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(words & below) & 1)
 
 
-def apply_ladders(ladders, sector: tuple, amplitudes: np.ndarray):
-    """Apply the ladder monomial L_1 L_2 ... L_k to sector amplitudes.
+def apply_ladders(modes, create: tuple, sector: tuple, amplitudes: np.ndarray):
+    """Apply a stack of ladder monomials of one pattern to sector amplitudes.
 
-    ladders holds (mode, create) pairs in product order, so the last pair
-    acts first; create=True is adag_mode and False is a_mode. amplitudes
-    has the sector basis on its last axis: one vector or a stacked block.
-    A component whose occupation forbids a step is killed; the others pick
-    up the _ladder_sign of each step. The adjoint monomial is the reversed
-    tuple with every create flipped. Returns the target sector and the
-    amplitudes over it.
+    Row r of the (ops, k) table modes is the monomial L_1 L_2 ... L_k with
+    L_j on mode modes[r, j], adag where create[j] and a otherwise; the last
+    factor acts first. amplitudes has the sector basis on its last axis:
+    one vector or a stacked block. A component whose occupation forbids a
+    step is killed; the others pick up the _ladder_sign of each step. The
+    adjoint monomial is the reversed row with every create flipped. Returns
+    the target sector, which every row must share, and the (ops, ...,
+    target dimension) block of images.
     """
     m, n_up, n_down = sector
     amplitudes = np.asarray(amplitudes)
     if amplitudes.shape[-1:] != (sector_dimension(*sector),):
         raise ValidationError("amplitude length does not match sector")
-    words = sector_word_indices(sector)
-    live = np.ones(words.size, dtype=bool)
-    sign = np.ones(words.size)
-    counts = [n_up, n_down]
-    for mode, create in reversed(ladders):
-        if not 0 <= mode < 2 * m:
-            raise ValidationError("ladder mode outside register")
-        bit = 1 << mode
-        live &= ((words & bit) == 0) == create
-        sign *= _ladder_sign(words, mode)
-        words = words ^ bit
-        counts[mode >= m] += 1 if create else -1
+    modes = np.asarray(modes, dtype=np.int64)
+    if modes.shape[1:] != (len(create),) or modes.ndim != 2:
+        raise ValidationError("modes must be an (ops, k) table for k create flags")
+    if np.any((modes < 0) | (modes >= 2 * m)):
+        raise ValidationError("ladder mode outside register")
+    step = np.where(np.asarray(create, dtype=bool), 1, -1)
+    moved = np.stack([(modes < m) @ step, (modes >= m) @ step])  # (spin, row)
+    if np.any(moved != moved[:, :1]):
+        raise ValidationError("ladder stack reaches more than one target sector")
+    counts = [int(n) for n in moved[:, :1].sum(axis=1) + (n_up, n_down)]
     if not all(0 <= n <= m for n in counts):
         raise ValidationError(f"ladders take sector {sector} outside 0..{m} per spin")
+    words = np.broadcast_to(sector_word_indices(sector), (len(modes), amplitudes.shape[-1]))
+    live = np.ones(words.shape, dtype=bool)
+    sign = np.ones(words.shape)
+    for mode, make in zip(modes.T[::-1, :, None], create[::-1]):
+        bit = np.int64(1) << mode
+        live &= ((words & bit) == 0) == make
+        sign *= _ladder_sign(words, mode)
+        words = words ^ bit
     target = (m, *counts)
     out = np.zeros(
-        amplitudes.shape[:-1] + (sector_dimension(*target),),
+        (len(modes), *amplitudes.shape[:-1], sector_dimension(*target)),
         dtype=np.result_type(amplitudes, float),
     )
-    dest = np.searchsorted(sector_word_indices(target), words[live])
-    out[..., dest] = amplitudes[..., live] * sign[live]
+    op, src = np.nonzero(live)
+    dest = np.searchsorted(sector_word_indices(target), words[op, src])
+    scale = sign[op, src].reshape(-1, *(1,) * (amplitudes.ndim - 1))
+    out[op, ..., dest] = np.moveaxis(amplitudes[..., src], -1, 0) * scale
     return target, out
 
 

@@ -8,6 +8,9 @@ reduced pair (A, B) is whitened by B^{-1/2}, and the ordinary Hermitian
 problem is solved. Coefficients are returned in the original basis with
 C^+ S C = 1 on the retained block.
 
+A pair with no nonzero imaginary part is stored and solved in float64. S is
+decomposed once, on construction, for the PSD check, solves and reports.
+
 Conditioning diagnostics include the lower bound on cond(S) for bases built
 from powers of a Hermitian operator, and the arctangent perturbation bound
 for the lowest eigenvalue of a noisy thresholded pair (valid under two
@@ -31,6 +34,14 @@ def _symmetrize(mat):
     return (mat + mat.conj().T) / 2.0
 
 
+def real_if_exact(*mats) -> list:
+    """All in float64 if no imaginary part of any is nonzero, else complex128."""
+    mats = [np.asarray(mat) for mat in mats]
+    if any(np.iscomplexobj(mat) and np.any(mat.imag) for mat in mats):
+        return [mat.astype(complex) for mat in mats]
+    return [mat.real.astype(float) for mat in mats]
+
+
 @dataclass(eq=False)
 class SubspaceProblem:
     """Hermitian pair with optional entrywise standard deviations.
@@ -45,10 +56,11 @@ class SubspaceProblem:
     provenance: dict = field(default_factory=dict)
     hmat_std: np.ndarray | None = None
     smat_std: np.ndarray | None = None
+    # eigh of smat, ascending, read-only
+    overlap_spectrum: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        h = np.asarray(self.hmat, dtype=complex)
-        s = np.asarray(self.smat, dtype=complex)
+        h, s = real_if_exact(self.hmat, self.smat)
         if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape != s.shape:
             raise ValidationError("need square H and S of equal shape")
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(s))):
@@ -71,11 +83,11 @@ class SubspaceProblem:
                 float(np.max(self.smat_std)) if self.smat_std is not None else 0.0,
                 0.0,
             )
-        w = np.linalg.eigvalsh(self.smat)
+        self.overlap_spectrum = w, _ = np.linalg.eigh(self.smat)
+        for arr in self.overlap_spectrum:
+            arr.setflags(write=False)
         if float(w[0]) < floor:
-            raise DataError(
-                f"overlap matrix has eigenvalue {w[0]:.3e}, below {floor:.3e}"
-            )
+            raise DataError(f"overlap matrix has eigenvalue {w[0]:.3e}, below {floor:.3e}")
 
     @property
     def n(self) -> int:
@@ -110,6 +122,9 @@ class GEEVSolution:
     retained_basis: np.ndarray  # (n, n_eps) eigenvectors of S
     a_reduced: np.ndarray
     b_reduced: np.ndarray
+    b_eigenvalues: np.ndarray  # ascending; inv_root = B^{-1/2} from them
+    inv_root: np.ndarray
+    reduced_vectors: np.ndarray  # eigenvectors of inv_root A inv_root
 
 
 def solve(prob: SubspaceProblem, eps: float | None = None) -> GEEVSolution:
@@ -118,7 +133,7 @@ def solve(prob: SubspaceProblem, eps: float | None = None) -> GEEVSolution:
         eps = default_threshold(prob)
     if eps < 0:
         raise ValidationError("eps must be non-negative")
-    w, v = np.linalg.eigh(prob.smat)
+    w, v = prob.overlap_spectrum
     sing = np.abs(w)
     # when S is singular to working precision the ratio is roundoff: report inf
     singular = np.min(sing) <= sing.size * np.finfo(float).eps * np.max(sing)
@@ -152,6 +167,9 @@ def solve(prob: SubspaceProblem, eps: float | None = None) -> GEEVSolution:
         retained_basis=vk,
         a_reduced=a,
         b_reduced=b,
+        b_eigenvalues=bw,
+        inv_root=inv_root,
+        reduced_vectors=u,
     )
 
 
@@ -172,7 +190,7 @@ def power_basis_cond_lower_bound(n: int) -> float:
 def conditioning_report(prob: SubspaceProblem) -> dict:
     """Overlap spectrum diagnostics; adds the power-basis lower bound when
     the provenance says the basis was built that way."""
-    sing = np.abs(np.linalg.eigvalsh(prob.smat))[::-1]
+    sing = np.abs(prob.overlap_spectrum[0])[::-1]
     smin = float(np.min(sing))
     cond = float(np.max(sing) / smin) if smin > 0 else math.inf
     report = {
@@ -254,7 +272,7 @@ def _perturbation_record(
         chi_source = "none"
         reasons.append("no noise information provided")
 
-    lam = float(np.min(np.abs(np.linalg.eigvalsh(sol.b_reduced))))
+    lam = float(np.min(np.abs(sol.b_eigenvalues)))
     norm_ok = 2.0 * n_eps**2 * chi**2 <= lam**2
     if not norm_ok:
         reasons.append("norm precondition 2 n_eps^2 chi^2 <= lambda^2 fails")
@@ -271,10 +289,7 @@ def _perturbation_record(
         gap_ok = True
 
     # d0: conditioning of the lowest eigenvalue, from the reduced pair
-    bw, bv = np.linalg.eigh(sol.b_reduced)
-    inv_root = bv @ np.diag(bw**-0.5) @ bv.conj().T
-    _, u = np.linalg.eigh(_symmetrize(inv_root @ sol.a_reduced @ inv_root))
-    x0 = inv_root @ u[:, 0]
+    x0 = sol.inv_root @ sol.reduced_vectors[:, 0]
     x0 = x0 / np.linalg.norm(x0)
     d0 = float(
         abs(x0.conj() @ (sol.a_reduced + 1j * sol.b_reduced) @ x0)
@@ -324,6 +339,15 @@ def eigenvalue_std(
     if prob.smat_std is not None:
         var += e**2 * float(w @ (prob.smat_std**2) @ w)
     return math.sqrt(var)
+
+
+def eigenvalue_roundoff(prob: SubspaceProblem, sol: GEEVSolution) -> np.ndarray:
+    """First-order roundoff floor u (||H||_F + |E| ||S||_F) ||y||^2 of each
+    eigenvalue E with S-normalized coefficients y, u the machine epsilon
+    (Epperly, Lin & Nakatsukasa, arXiv:2110.07492)."""
+    norms = np.sum(np.abs(sol.coefficients) ** 2, axis=0)
+    scale = np.linalg.norm(prob.hmat) + np.abs(sol.eigenvalues) * np.linalg.norm(prob.smat)
+    return np.finfo(float).eps * scale * norms
 
 
 def solution_report(prob: SubspaceProblem, sol: GEEVSolution) -> dict:

@@ -44,7 +44,7 @@ from .fock import (
     sector_matrix,
 )
 from .fock import inner as fock_inner
-from .geev import GEEVSolution, SubspaceProblem
+from .geev import GEEVSolution, SubspaceProblem, real_if_exact
 from .integrals import MolecularIntegrals, cholesky_decompose_eri, effective_one_body
 from .qubits import PauliSum, jordan_wigner, ladder_product, pauli_keys, string_table
 from .qubits import _ladder_terms
@@ -131,9 +131,20 @@ class ExcitationOperator:
         return ladder_product(2 * self.num_orbitals, self.ladders)
 
 
-def _adjoint(ladders: tuple) -> tuple:
-    """Ladders of the adjoint monomial."""
-    return tuple((mode, not create) for mode, create in reversed(ladders))
+def _pool_images(pool, sector: tuple, amplitudes: np.ndarray, adjoint: bool = False):
+    """Each pool monomial (or its adjoint: reversed, every create flipped)
+    applied to sector amplitudes, in pool order: one apply_ladders call per
+    ladder pattern."""
+    patterns = {}
+    for at, op in enumerate(pool):
+        ladders = [(mode, not make) for mode, make in op.ladders[::-1]] if adjoint else op.ladders
+        create = tuple(make for _, make in ladders)
+        patterns.setdefault(create, []).append((at, [mode for mode, _ in ladders]))
+    out = np.empty((len(pool), *np.shape(amplitudes)), dtype=np.result_type(amplitudes, float))
+    for create, rows in patterns.items():
+        at, modes = zip(*rows)
+        out[list(at)] = apply_ladders(modes, create, sector, amplitudes)[1]
+    return out
 
 
 def single_excitations(num_orbitals: int, include_diagonal: bool = True) -> list:
@@ -231,9 +242,7 @@ def qse_build(
         raise CapacityError(
             f"pool^2 x sector dimension = {cost} exceeds the budget {budget}"
         )
-    basis = np.stack(
-        [apply_ladders(op.ladders, phi.sector, phi.amplitudes)[1] for op in pool]
-    )
+    basis = _pool_images(pool, phi.sector, phi.amplitudes)
     smat = basis.conj() @ basis.T
     hmat = basis.conj() @ matvec(sector_matrix(ints), basis.T)
     return SubspaceProblem(hmat, smat, provenance)
@@ -286,8 +295,9 @@ class EomBlocks:
     """Commutator blocks of the excitation-operator eigenproblem.
 
     mmat and vmat are Hermitized on construction; all blocks must be finite.
-    pool holds the retained operators, dropped counts pool members that
-    annihilate the reference.
+    As in SubspaceProblem, the four blocks are stored in float64 when every
+    imaginary part is exactly zero. pool holds the retained operators,
+    dropped counts pool members that annihilate the reference.
     """
 
     mmat: np.ndarray
@@ -299,15 +309,11 @@ class EomBlocks:
     report: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        p = None
-        for name in ("mmat", "qmat", "vmat", "wmat"):
-            mat = np.asarray(getattr(self, name), dtype=complex)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValidationError(f"{name} must be square")
-            if p is None:
-                p = mat.shape[0]
-            elif mat.shape[0] != p:
-                raise ValidationError("block dimensions differ")
+        names = ("mmat", "qmat", "vmat", "wmat")
+        mats = real_if_exact(*(getattr(self, n) for n in names))
+        for name, mat in zip(names, mats):
+            if mat.ndim != 2 or mat.shape != mats[0].shape[:1] * 2:
+                raise ValidationError(f"{name} must be square, of the size of mmat")
             if not np.all(np.isfinite(mat)):
                 raise DataError(f"{name} contains non-finite entries")
             setattr(self, name, mat)
@@ -377,8 +383,9 @@ def _eom_energies(blocks: EomBlocks, tda: bool) -> np.ndarray:
     # moves dE by n u (||A||_2 + |dE| max|w|) / min|w|, a pair's distance twice that
     wk = np.abs(w[keep])
     unit = wk.size * np.finfo(float).eps / wk.min()
-    tol = 2 * unit * (np.linalg.norm(reduced, 2) + np.abs(upper) * wk.max())
-    report["paired"] = int(np.sum(np.abs(upper - lower) <= tol))
+    floor = unit * (np.linalg.norm(reduced, 2) + np.abs(upper) * wk.max())
+    report["paired"] = int(np.sum(np.abs(upper - lower) <= 2 * floor))
+    report["gap_roundoff"] = [float(x) for x in floor]
     return upper
 
 
@@ -416,20 +423,15 @@ def qeom_build(
     ham = sector_matrix(ints)
     # rows: Phi and H Phi, so each monomial gives F Phi and F H Phi at once
     pair = np.stack([phi.amplitudes, matvec(ham, phi.amplitudes)])
-    kept, up, down = [], [], []
-    for op in pool:
-        f_pair = apply_ladders(op.ladders, phi.sector, pair)[1]
-        if np.linalg.norm(f_pair[0]) < _NULL_OP:
-            continue
-        kept.append(op)
-        up.append(f_pair)
-        down.append(apply_ladders(_adjoint(op.ladders), phi.sector, pair)[1])
+    up = _pool_images(pool, phi.sector, pair)
+    live = np.linalg.norm(up[:, 0], axis=-1) >= _NULL_OP
+    kept = [op for op, keep in zip(pool, live) if keep]
     dropped = len(pool) - len(kept)
     if not kept:
         raise DataError("every pool operator annihilates the reference")
 
-    amat, fhmat = np.stack(up, axis=1)
-    cmat, fdhmat = np.stack(down, axis=1)
+    amat, fhmat = up[live].swapaxes(0, 1)
+    cmat, fdhmat = _pool_images(kept, phi.sector, pair, adjoint=True).swapaxes(0, 1)
     hamat = matvec(ham, amat.T).T
     hcmat = matvec(ham, cmat.T).T
 

@@ -484,7 +484,9 @@ def test_apply_ladders_matches_dense_ladder_products(sector, ladders):
     rng = np.random.default_rng(11)
     dim = sector_dimension(*sector)
     block = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
-    target, got = apply_ladders(ladders, sector, block)
+    modes, create = zip(*ladders)
+    target, got = apply_ladders([modes], create, sector, block)
+    got = got[0]  # a stack of one
     dense = np.eye(1 << (2 * m))
     for mode, create in ladders:
         cre = oracles.ladder_matrix(mode, 2 * m)
@@ -499,11 +501,11 @@ def test_apply_ladders_matches_dense_ladder_products(sector, ladders):
 def test_apply_ladders_rejects_empty_targets():
     amp = np.ones(sector_dimension(2, 2, 0))
     with pytest.raises(ValidationError):
-        apply_ladders(((0, True),), (2, 2, 0), amp)
+        apply_ladders([[0]], (True,), (2, 2, 0), amp)
     with pytest.raises(ValidationError):
-        apply_ladders(((4, True),), (2, 1, 0), np.ones(2))
+        apply_ladders([[4]], (True,), (2, 1, 0), np.ones(2))
     with pytest.raises(ValidationError):
-        apply_ladders((), (2, 1, 0), np.ones(3))
+        apply_ladders(np.zeros((1, 0)), (), (2, 1, 0), np.ones(3))
 
 
 def test_caches_die_with_their_integrals():

@@ -314,3 +314,34 @@ def test_solution_report_bounds_the_given_solve(monkeypatch):
     assert bounds["arctangent_bound"] == want.bound
     assert bounds["arctangent_applicable"] == want.applicable
     assert bounds["chi"] == want.chi and bounds["d0"] == want.d0
+
+
+def test_one_overlap_decomposition_per_build_solve_report(monkeypatch):
+    # the PSD check, every solve and the conditioning report read the one
+    # spectrum taken on construction
+    from conftest import load_integrals
+    from qsubspace.engine import statevector_from_fock
+    from qsubspace.fock import basis_vector, reference_configuration
+    from qsubspace.quantum import qse_build
+
+    ints = load_integrals("h3_plus")
+    state = statevector_from_fock(basis_vector(ints.sector, reference_configuration(ints)))
+    seen = []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+        real = getattr(np.linalg, name)
+
+        def counted(mat, *args, _real=real, **kwargs):
+            seen.append(np.array(mat))
+            return _real(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    prob = qse_build(state, ints, level="SD")
+    sol = solve(prob)
+    solution_report(prob, sol)
+    conditioning_report(prob)
+    solve(prob, eps=1e-6)
+    on_s = [mat for mat in seen if mat.shape == prob.smat.shape and np.array_equal(mat, prob.smat)]
+    assert len(on_s) == 1
+    assert prob.smat.dtype == np.float64
+    w, v = prob.overlap_spectrum
+    assert not (w.flags.writeable or v.flags.writeable)

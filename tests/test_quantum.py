@@ -1,5 +1,6 @@
 """Quantum subspace builders: expansions, time grids, filters, spectra."""
 
+import copy
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.linalg
 
 import qsubspace.engine as engine_module
 import qsubspace.quantum as quantum_module
-from conftest import FIXTURE_NAMES, load_integrals
+from conftest import FIXTURE_NAMES, fixture_path, load_integrals
 from oracles import (
     dense_pauli_sum,
     full_hamiltonian,
@@ -38,11 +39,13 @@ from qsubspace.fock import (
     evolve_imag,
     evolve_real,
     exact_eigenpairs,
+    matvec,
     reference_configuration,
     sector_dimension,
+    sector_matrix,
     sector_word_indices,
 )
-from qsubspace.geev import SubspaceProblem, solve
+from qsubspace.geev import SubspaceProblem, eigenvalue_roundoff, solve
 from qsubspace.integrals import MolecularIntegrals
 from qsubspace.qubits import PauliString, jordan_wigner, pauli_sum, string_table
 from qsubspace.quantum import (
@@ -207,8 +210,9 @@ class TestSectorPath:
             image = op.to_pauli()
             adjoint = tuple((mode, not create) for mode, create in reversed(op.ladders))
             for ladders, pauli in ((op.ladders, image), (adjoint, image.dagger())):
+                modes, create = zip(*ladders) if ladders else ((), ())
                 for v in states:
-                    out_sector, got = apply_ladders(ladders, sector, v.amplitudes)
+                    out_sector, (got,) = apply_ladders([modes], create, sector, v.amplitudes)
                     assert out_sector == sector
                     want = apply_pauli_sum(pauli, statevector_from_fock(v)).amplitudes
                     assert np.max(np.abs(got - want[inside])) <= 1e-14
@@ -273,6 +277,116 @@ class TestSectorPath:
             assert got.tobytes() == want.tobytes()
         for key in ("vmat", "wmat", "mmat", "qmat"):
             assert getattr(got_eom, key).tobytes() == getattr(want_eom, key).tobytes(), key
+
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_stacked_ladders_equal_the_per_monomial_loop(self, name):
+        ints = load_integrals(name)
+        sector, m = ints.sector, ints.num_orbitals
+        phi = random_vector(ints, 3)
+        vector = phi.amplitudes * (1 + 0.5j)
+        block = np.stack([vector, matvec(sector_matrix(ints), vector)])  # qeom's (2, dim)
+        for pool in (qse_pool(m, "SD"), qeom_pool(m)):
+            for adjoint in (False, True):
+                for amp in (vector, block):
+                    got = quantum_module._pool_images(pool, sector, amp, adjoint)
+                    loop = []
+                    for op in pool:
+                        ladders = op.ladders
+                        if adjoint:
+                            ladders = tuple((mode, not c) for mode, c in reversed(ladders))
+                        modes, create = zip(*ladders) if ladders else ((), ())
+                        loop.append(apply_ladders([modes], create, sector, amp)[1][0])
+                    assert np.array_equal(got, np.array(loop).reshape(got.shape))
+
+    def test_stacked_ladders_reject_a_stack_leaving_the_sector_or_mixing_targets(self):
+        full = (2, 2, 1)
+        with pytest.raises(ValidationError, match="outside"):
+            # a third up electron on two orbitals
+            apply_ladders([[0], [1]], (True,), full, np.ones(sector_dimension(*full)))
+        sector = (3, 2, 1)
+        amp = np.ones(sector_dimension(*sector))
+        with pytest.raises(ValidationError, match="more than one target"):
+            # an up hop beside an up-to-down transfer
+            apply_ladders([[1, 0], [4, 0]], (True, False), sector, amp)
+        with pytest.raises(ValidationError):
+            apply_ladders([[1, 0]], (True,), sector, amp)  # table wider than the pattern
+
+
+class TestRealPencils:
+    """Pencils whose imaginary parts are exactly zero are stored and solved
+    in float64; each exact eigenvalue then stays within its reported
+    roundoff floor of the complex-arithmetic solve of the same pencil."""
+
+    EXACT_RUNS = (
+        ("lanczos",), ("power-krylov",), ("chebyshev",), ("gaussian-power",), ("qse",),
+        ("qfd",), ("qlanczos",), ("qlanczos", "--mode", "qite", "--n", "2"),
+    )
+
+    @staticmethod
+    def solved(name, method, *flags):
+        from qsubspace import cli
+
+        path = str(fixture_path(name))
+        args = cli.build_parser().parse_args([method, "--input", path, "--out", ".", *flags])
+        cfg, explicit = cli.merge_config(args, {})
+        ints = load_integrals(name)
+        cfg = cli.resolve_config(cfg, ints, explicit)
+        return cli._solved(cfg, ints, cli._reference(ints))[:2]
+
+    @staticmethod
+    def complex_twin(prob):
+        """The same pencil, stored in complex128 with its own overlap spectrum."""
+        twin = copy.copy(prob)
+        twin.hmat, twin.smat = prob.hmat.astype(complex), prob.smat.astype(complex)
+        twin.overlap_spectrum = np.linalg.eigh(twin.smat)
+        return twin
+
+    def test_real_pencils_are_float64_and_phases_stay_complex(self, h3_plus):
+        state = hf_statevector(h3_plus)
+        v0 = basis_vector(h3_plus.sector, reference_configuration(h3_plus))
+        real = [
+            qse_build(state, h3_plus, level="SD"),
+            power_krylov(h3_plus, v0, 3),
+            chebyshev_krylov_build(v0, h3_plus, 3, (-3.0, 3.0)),
+            qlanczos_build(v0, h3_plus, 0.5, 3),
+            qlanczos_build(v0, h3_plus, 0.5, 3, mode="qite"),
+        ]
+        for prob in real:
+            assert prob.hmat.dtype == prob.smat.dtype == np.float64, prob.provenance
+        blocks, _ = qeom_build(state, h3_plus)
+        for key in ("mmat", "qmat", "vmat", "wmat"):
+            assert getattr(blocks, key).dtype == np.float64
+        assert qfd_build(v0, h3_plus, QfdGrid(0.4, 3)).hmat.dtype == np.complex128
+        for method, *flags in (("qfd",), ("qse", "--level", "S")):
+            prob, _ = self.solved("h3_plus", method, *flags, "--shots", "1000", "--seed", "1")
+            assert prob.noisy and prob.hmat.dtype == prob.smat.dtype == np.complex128
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_exact_eigenvalues_within_their_floor_of_the_complex_solve(self, name):
+        for run in self.EXACT_RUNS:
+            if name == "he_minimal" and "qite" in run:
+                continue  # no rotation pool on one spatial orbital pair
+            prob, sol = self.solved(name, *run)
+            floor = eigenvalue_roundoff(prob, sol)
+            want = solve(self.complex_twin(prob), sol.eps)
+            assert sol.retained_dim == want.retained_dim, run
+            assert np.all(np.abs(sol.eigenvalues - want.eigenvalues) <= floor), run
+            assert np.all(floor > 0), run
+
+    @pytest.mark.parametrize("name", ["h2_sto3g", "heh_like", "h3_plus", "h4_toy"])
+    def test_qeom_gaps_within_their_floor_of_the_complex_solve(self, name):
+        ints = load_integrals(name)
+        ground = statevector_from_fock(exact_eigenpairs(ints, k=1).eigenvectors[0])
+        blocks, gaps = qeom_build(ground, ints)
+        twin = copy.copy(blocks)
+        for key in ("mmat", "qmat", "vmat", "wmat"):
+            setattr(twin, key, getattr(blocks, key).astype(complex))
+        twin.report = {}
+        want = quantum_module._eom_energies(twin, tda=False)
+        floor = np.array(blocks.report["gap_roundoff"])
+        assert floor.shape == gaps.shape == want.shape
+        assert np.all(np.abs(gaps - want) <= floor)
 
 
 class TestQeom:
