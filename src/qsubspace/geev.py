@@ -83,11 +83,14 @@ class SubspaceProblem:
                 float(np.max(self.smat_std)) if self.smat_std is not None else 0.0,
                 0.0,
             )
-        self.overlap_spectrum = w, _ = np.linalg.eigh(self.smat)
+        self.overlap_spectrum = np.linalg.eigh(self.smat)
         for arr in self.overlap_spectrum:
             arr.setflags(write=False)
+        w = self.overlap_spectrum.eigenvalues
         if float(w[0]) < floor:
-            raise DataError(f"overlap matrix has eigenvalue {w[0]:.3e}, below {floor:.3e}")
+            raise DataError(
+                f"overlap matrix has eigenvalue {w[0]:.3e}, below {floor:.3e}"
+            )
 
     @property
     def n(self) -> int:

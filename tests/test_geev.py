@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import qsubspace.geev as geev_module
+from qsubspace.engine import statevector_from_fock
 from qsubspace.errors import DataError, EmptySubspaceError, ValidationError
+from qsubspace.fock import basis_vector, reference_configuration
 from qsubspace.geev import (
     GEEVSolution,
     SubspaceProblem,
@@ -18,7 +20,9 @@ from qsubspace.geev import (
     solution_report,
     solve,
 )
+from qsubspace.quantum import qse_build
 
+from conftest import load_integrals
 from oracles import krylov_moments, reference_thresholded_solve
 
 
@@ -319,11 +323,6 @@ def test_solution_report_bounds_the_given_solve(monkeypatch):
 def test_one_overlap_decomposition_per_build_solve_report(monkeypatch):
     # the PSD check, every solve and the conditioning report read the one
     # spectrum taken on construction
-    from conftest import load_integrals
-    from qsubspace.engine import statevector_from_fock
-    from qsubspace.fock import basis_vector, reference_configuration
-    from qsubspace.quantum import qse_build
-
     ints = load_integrals("h3_plus")
     state = statevector_from_fock(basis_vector(ints.sector, reference_configuration(ints)))
     seen = []

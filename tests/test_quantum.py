@@ -9,6 +9,7 @@ import scipy.linalg
 
 import qsubspace.engine as engine_module
 import qsubspace.quantum as quantum_module
+from qsubspace import cli
 from conftest import FIXTURE_NAMES, fixture_path, load_integrals
 from oracles import (
     dense_pauli_sum,
@@ -325,8 +326,6 @@ class TestRealPencils:
 
     @staticmethod
     def solved(name, method, *flags):
-        from qsubspace import cli
-
         path = str(fixture_path(name))
         args = cli.build_parser().parse_args([method, "--input", path, "--out", ".", *flags])
         cfg, explicit = cli.merge_config(args, {})
