@@ -279,7 +279,6 @@ class TestSectorPath:
         for key in ("vmat", "wmat", "mmat", "qmat"):
             assert getattr(got_eom, key).tobytes() == getattr(want_eom, key).tobytes(), key
 
-
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_stacked_ladders_equal_the_per_monomial_loop(self, name):
         ints = load_integrals(name)
@@ -341,7 +340,7 @@ class TestRealPencils:
         twin.overlap_spectrum = np.linalg.eigh(twin.smat)
         return twin
 
-    def test_real_pencils_are_float64_and_phases_stay_complex(self, h3_plus):
+    def test_real_pencils_are_float64_while_qfd_and_sampled_stay_complex(self, h3_plus):
         state = hf_statevector(h3_plus)
         v0 = basis_vector(h3_plus.sector, reference_configuration(h3_plus))
         real = [
@@ -365,7 +364,7 @@ class TestRealPencils:
     def test_exact_eigenvalues_within_their_floor_of_the_complex_solve(self, name):
         for run in self.EXACT_RUNS:
             if name == "he_minimal" and "qite" in run:
-                continue  # no rotation pool on one spatial orbital pair
+                continue  # its qite rotation pool is empty
             prob, sol = self.solved(name, *run)
             floor = eigenvalue_roundoff(prob, sol)
             want = solve(self.complex_twin(prob), sol.eps)
