@@ -130,6 +130,15 @@ class GEEVSolution:
     reduced_vectors: np.ndarray  # eigenvectors of inv_root A inv_root
 
 
+def _overlap_cond(w: np.ndarray) -> float:
+    """cond(S) from its eigenvalues w; inf when S is singular to working
+    precision, where the ratio would be roundoff."""
+    sing = np.abs(w)
+    if np.min(sing) <= sing.size * np.finfo(float).eps * np.max(sing):
+        return math.inf
+    return float(np.max(sing) / np.min(sing))
+
+
 def solve(prob: SubspaceProblem, eps: float | None = None) -> GEEVSolution:
     """Threshold, whiten, and solve the reduced Hermitian problem."""
     if eps is None:
@@ -137,10 +146,6 @@ def solve(prob: SubspaceProblem, eps: float | None = None) -> GEEVSolution:
     if eps < 0:
         raise ValidationError("eps must be non-negative")
     w, v = prob.overlap_spectrum
-    sing = np.abs(w)
-    # when S is singular to working precision the ratio is roundoff: report inf
-    singular = np.min(sing) <= sing.size * np.finfo(float).eps * np.max(sing)
-    cond_before = math.inf if singular else float(np.max(sing) / np.min(sing))
     keep = w > eps
     if not np.any(keep):
         raise EmptySubspaceError(
@@ -164,7 +169,7 @@ def solve(prob: SubspaceProblem, eps: float | None = None) -> GEEVSolution:
         eigenvalues=evals,
         coefficients=coeff,
         retained_dim=int(np.sum(keep)),
-        cond_smat_before=cond_before,
+        cond_smat_before=_overlap_cond(w),
         cond_smat_after=float(wk[0] / wk[-1]),
         overlap_eigenvalues=wk,
         retained_basis=vk,
@@ -192,10 +197,10 @@ def power_basis_cond_lower_bound(n: int) -> float:
 
 def conditioning_report(prob: SubspaceProblem) -> dict:
     """Overlap spectrum diagnostics; adds the power-basis lower bound when
-    the provenance says the basis was built that way."""
-    sing = np.abs(prob.overlap_spectrum[0])[::-1]
-    smin = float(np.min(sing))
-    cond = float(np.max(sing) / smin) if smin > 0 else math.inf
+    the provenance says the basis was built that way.  cond is inf when S
+    is singular to working precision, as `solve` reports it."""
+    w = prob.overlap_spectrum[0]
+    sing, cond = np.abs(w)[::-1], _overlap_cond(w)
     report = {
         "n": prob.n,
         "cond": cond,

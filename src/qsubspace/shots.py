@@ -17,10 +17,14 @@ entries compile once into a const vector and one sparse matrix over all
 jobs' strings, so entry values are const + matrix @ expectations.  A
 recipe is frozen; per grouping mode its groups, their distributions and
 tables, and a sparse pair-weight matrix W (entries x the groups' m^2
-covariance slots) are computed on first use and kept on it.  A seed draws
-each group's outcome counts c once and forms the integer sums h = V c and
-G = V diag(c) V^T, O(m^2 2^n) per group, exact in float64 below the shot
-cap SHOT_LIMIT = 2^53; entry means and variances are then one sparse
+covariance slots) are computed on first use and kept on it.  The
+distributions and tables sit in one stack per shape (m strings, 2^n
+outcomes), cut into blocks of bounded size.  A seed draws each group's
+outcome counts c once, in its own stream, into its block's count rows;
+then per block the integer sums h = V c and G = V diag(c) V^T are one
+stacked product each, O(m^2 2^n) per group and exact in float64 below the
+shot cap SHOT_LIMIT = 2^53, and the means and covariances are scattered
+in one assignment each.  Entry means and variances are then one sparse
 product each, the variances W @ (covariances from h and G) at nnz(W).
 
 Sample streams use the Philox counter-based generator keyed by
@@ -62,23 +66,27 @@ _Y_TO_Z = np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex) / math.sqrt(2.0)
 def _streams(seed: int):
     """stream(f) -> the generator of Philox keyed (seed, f).
 
-    One bit generator is re-keyed per stream, with its counter reset and
-    its buffer empty, so the draws equal those of a fresh
-    `Philox(key=(seed, f))` at a quarter of its cost (that would also draw
-    OS entropy).  A returned generator is valid until the next stream.
+    One bit generator and one `Generator` are re-keyed per stream through
+    one reused state dict, with the counter reset and the buffer empty, so
+    the draws equal those of a fresh `Philox(key=(seed, f))` at a fraction
+    of its cost (that would also draw OS entropy).  The returned generator
+    is the same object each time and is valid until the next stream.
     """
     if not 0 <= seed < SEED_LIMIT:
         raise ValidationError("seed must lie in [0, 2^64)")
-    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    key = np.array([seed, 0], dtype=np.uint64)
+    bits = np.random.Philox(key=key)
+    gen = np.random.Generator(bits)
+    state = {"bit_generator": "Philox", "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+             "buffer": np.zeros(4, dtype=np.uint64),
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key}}
 
     def stream(index: int) -> np.random.Generator:
         if not 0 <= index < SEED_LIMIT:
             raise ValidationError("stream index must lie in [0, 2^64)")
-        key = np.array([seed, index], dtype=np.uint64)
-        bits.state = {"bit_generator": "Philox", "buffer_pos": 4, "has_uint32": 0,
-                      "uinteger": 0, "buffer": np.zeros(4, dtype=np.uint64),
-                      "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key}}
-        return np.random.Generator(bits)
+        key[1] = index
+        bits.state = state
+        return gen
 
     return stream
 
@@ -210,16 +218,20 @@ def _group_block(amps: np.ndarray, x: np.ndarray, z: np.ndarray, px: np.ndarray,
 
 
 # group models are built in blocks of about this many amplitudes and
-# value-table entries
+# value-table entries, and sampled in blocks of about this many float
+# temporaries
 _BLOCK = 1 << 15
 
 
-def _group_models(state: Statevector, x: np.ndarray, z: np.ndarray, groups: list):
-    """Lists of the normalized outcome distribution and the (strings,
-    outcomes) int8 +-1 value table of each group, an index array into the
-    masks x, z, built in blocks by `_group_block`.  A qubit is pure in a
-    group when every member with a letter there has the same letter, X or
-    Y; a qubitwise group has only pure qubits and Z letters."""
+def _group_models(state: Statevector, x: np.ndarray, z: np.ndarray, groups: list,
+                  probs: list, values: list):
+    """Write the normalized outcome distribution of each group, an index
+    array into the masks x, z, into probs[g] and its (strings, outcomes)
+    int8 +-1 value table into values[g], built in blocks by `_group_block`.
+    A qubit is pure in a group when every member with a letter there has
+    the same letter, X or Y; a qubitwise group has only pure qubits and Z
+    letters.  The destinations are allocated by the caller, before the
+    blocks' temporaries, since they outlive them."""
     amps = state.normalized().amplitudes
     sizes = np.array([len(m) for m in groups], dtype=np.intp)
     start, owner = np.cumsum(np.r_[0, sizes]), np.repeat(np.arange(sizes.size), sizes)
@@ -228,9 +240,6 @@ def _group_models(state: Statevector, x: np.ndarray, z: np.ndarray, groups: list
     # a member's letters that differ from the ones its group merges
     clash = ((mx ^ ox[owner]) | (mz ^ oz[owner])) & (mx | mz)
     px = mx & (ox & ~np.bitwise_or.reduceat(clash, start[:-1]))[owner]  # on pure qubits
-    # the tables outlive the blocks' temporaries, so they are allocated first
-    probs = [np.empty(amps.size) for _ in sizes]
-    values = [np.empty((n, amps.size), np.int8) for n in sizes]
     cost = np.cumsum((1 + sizes) * amps.size)
     cuts = np.r_[0, np.flatnonzero(np.diff(cost // _BLOCK)) + 1, sizes.size]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -238,24 +247,43 @@ def _group_models(state: Statevector, x: np.ndarray, z: np.ndarray, groups: list
             rows = slice(start[lo], start[hi])
             _group_block(amps, mx[rows], mz[rows], px[rows], start[lo:hi + 1] - start[lo],
                          probs[lo:hi], values[lo:hi])
-    return probs, values
 
 
 def _group_model(state: Statevector, x: np.ndarray, z: np.ndarray):
-    """`_group_models` of the one group of all strings x, z."""
-    probs, values = _group_models(state, x, z, [np.arange(x.size)])
-    return probs[0], values[0]
+    """(probabilities, value table) of the one group of all strings x, z."""
+    size = state.amplitudes.size
+    probs, values = np.empty(size), np.empty((x.size, size), np.int8)
+    _group_models(state, x, z, [np.arange(x.size)], [probs], [values])
+    return probs, values
 
 
-def _histogram(values: np.ndarray, counts: np.ndarray, n: int):
-    """h = V c and the unbiased single-shot covariance (G - h h^T/n)/(n - 1),
-    G = V diag(c) V^T, of the strings with value table V over outcome
-    counts c summing to n; exactly zero for one shot.  h and G are integers
-    below 2^53 (SHOT_LIMIT caps n), exact in float64 in any summation order."""
-    c = counts.astype(float)
+def _draw(stream, index: int, n: int, probs: np.ndarray) -> np.ndarray:
+    """Outcome counts of n shots with probabilities probs, drawn in stream index."""
+    return stream(index).multinomial(n, probs)
+
+
+def _sums(values: np.ndarray, counts: np.ndarray):
+    """h = V c and G = V diag(c) V^T of each row of a stack of value tables
+    V and float outcome counts c, one stacked product each.  They are
+    integers below 2^53 (SHOT_LIMIT caps the shots), exact in float64 in
+    any summation order."""
     v = values.astype(float)
-    h = v @ c
-    return h, ((v * c) @ v.T - h[:, None] * h / n) / max(n - 1, 1)
+    h = np.matmul(v, counts[:, :, None])[:, :, 0]
+    return h, np.matmul(v * counts[:, None], v.transpose(0, 2, 1))
+
+
+def _moments(stream, index: list, shots: np.ndarray, probs: np.ndarray, values: np.ndarray):
+    """Means h/n and unbiased single-shot covariances (G - h h^T/n)/(n - 1)
+    of a stack of groups with m strings each, exactly zero for one shot.
+    Row r draws its counts of n = shots[r] shots from probs[r] in stream
+    index[r]; h and G are their `_sums` over the value tables values[r]."""
+    counts = np.empty(probs.shape)
+    for r, (f, n) in enumerate(zip(index, shots.tolist())):
+        counts[r] = _draw(stream, f, n, probs[r])
+    h, g = _sums(values, counts)
+    n = shots.astype(float)[:, None]
+    cov = (g - h[:, :, None] * h[:, None] / n[:, :, None]) / np.maximum(n - 1, 1)[:, :, None]
+    return h / n, cov
 
 
 def sample_group(state, group, n_shots: int, seed: int, group_index: int = 0):
@@ -265,7 +293,7 @@ def sample_group(state, group, n_shots: int, seed: int, group_index: int = 0):
     exactly as they would be on hardware.  Accepts bare PauliStrings or
     (coefficient, PauliString) pairs; the coefficients are ignored.  A
     group that does not commute is a ValidationError.  The draw and its
-    histogram sums are the recipe sampler's for one group, in stream
+    sums are the recipe sampler's on a stack of one, in stream
     (seed, group_index)."""
     if not 1 <= n_shots <= SHOT_LIMIT:
         raise ValidationError("need between one shot and 2^53 shots")
@@ -276,10 +304,10 @@ def sample_group(state, group, n_shots: int, seed: int, group_index: int = 0):
         raise ValidationError("string width does not match the register")
     x, z = np.array([(p.x, p.z) for p in strings], dtype=np.uint64).T
     probs, values = _group_model(state, x, z)
-    counts = _streams(seed)(group_index).multinomial(n_shots, probs)
-    sums, cov = _histogram(values, counts, n_shots)
-    return tuple(SampledEstimate(float(h / n_shots), math.sqrt(max(v, 0.0) / n_shots), n_shots)
-                 for h, v in zip(sums, np.diag(cov)))
+    means, cov = _moments(_streams(seed), [group_index], np.array([n_shots]), probs[None],
+                          values[None])
+    return tuple(SampledEstimate(float(h), math.sqrt(max(v, 0.0) / n_shots), n_shots)
+                 for h, v in zip(means[0], np.diag(cov[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -394,31 +422,62 @@ class MeasurementGroup:
     members: tuple
 
 
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """Rows of one per-shape stack: groups (indices into the compiled groups)
+    of m strings over 2^n outcomes, their (g, m) recipe-matrix columns,
+    (g, 2^n) outcome probabilities and (g, m, 2^n) int8 value tables."""
+
+    groups: np.ndarray
+    cols: np.ndarray
+    probs: np.ndarray
+    values: np.ndarray
+
+
 @dataclass(eq=False)
 class _Compiled:
     """One recipe under one grouping mode: the groups, then on first
-    sampling (recipe-matrix columns, outcome probabilities, int8 value
-    table) per group, None where no entry reads it, and W's row blocks.
-    Group f's covariance is row-major in slots[f]:slots[f + 1]."""
+    sampling which groups some entry reads, the blocks of their per-shape
+    stacks, and W's row blocks.  Group f's covariance is row-major in
+    slots[f]:slots[f + 1]."""
 
     groups: tuple
+    read: np.ndarray | None = None
     tables: tuple | None = None
     slots: np.ndarray | None = None
     weights: tuple | None = None
 
 
-def _tables(recipe: ExpectationRecipe, groups: tuple, cols: list) -> tuple:
-    """(recipe-matrix columns, probabilities, value table) of each group that
-    some entry reads, else None; the group models of a job are one batch."""
-    read = np.bincount(recipe._matrix.indices, minlength=recipe._matrix.shape[1]) > 0
-    tables = [None] * len(groups)
+def _tables(recipe: ExpectationRecipe, groups: tuple, cols: list):
+    """(read, blocks): whether some entry reads each group, and the groups
+    read as one stack per shape (m, 2^n), allocated block by block, so no
+    array is much larger than a block's temporaries.  The blocks are
+    allocated first, then each job's group models are one batch written
+    into them."""
+    hit = np.bincount(recipe._matrix.indices, minlength=recipe._matrix.shape[1]) > 0
+    read = np.array([hit[c].any() for c in cols], dtype=bool)
+    shapes = {}
+    for f in np.flatnonzero(read).tolist():
+        size = recipe.jobs[groups[f].job].state.amplitudes.size
+        shapes.setdefault((cols[f].size, size), []).append(f)
+    blocks, probs, values = [], [None] * len(groups), [None] * len(groups)
+    for (m, size), picked in shapes.items():
+        # sampling a block keeps its counts and two float copies of its
+        # value tables, about _BLOCK entries in all
+        step = max(1, _BLOCK // ((1 + 2 * m) * size))
+        for lo in range(0, len(picked), step):
+            rows = picked[lo:lo + step]
+            block = _Block(np.array(rows, dtype=np.intp), np.array([cols[f] for f in rows]),
+                           np.empty((len(rows), size)), np.empty((len(rows), m, size), np.int8))
+            for f, p, v in zip(rows, block.probs, block.values):
+                probs[f], values[f] = p, v
+            blocks.append(block)
     for j, job in enumerate(recipe.jobs):
-        picked = [f for f, g in enumerate(groups) if g.job == j and read[cols[f]].any()]
-        models = _group_models(job.state, job.strings.x, job.strings.z,
-                               [cols[f] - recipe._offsets[j] for f in picked])
-        for f, probs, values in zip(picked, *models):
-            tables[f] = (cols[f], probs, values)
-    return tuple(tables)
+        picked = [f for f, g in enumerate(groups) if g.job == j and read[f]]
+        _group_models(job.state, job.strings.x, job.strings.z,
+                      [cols[f] - recipe._offsets[j] for f in picked],
+                      [probs[f] for f in picked], [values[f] for f in picked])
+    return read, tuple(blocks)
 
 
 def _compile(recipe: ExpectationRecipe, mode: str, sampling: bool = True) -> _Compiled:
@@ -431,10 +490,10 @@ def _compile(recipe: ExpectationRecipe, mode: str, sampling: bool = True) -> _Co
     if sampling and compiled.tables is None:
         cols = [recipe._offsets[g.job] + np.array(g.members, dtype=np.intp)
                 for g in compiled.groups]
-        tables = _tables(recipe, compiled.groups, cols)
+        read, tables = _tables(recipe, compiled.groups, cols)
         compiled.slots = np.cumsum([0] + [c.size**2 for c in cols], dtype=np.int64)
         compiled.weights = _pair_weights(recipe._matrix, cols, compiled.slots)
-        compiled.tables = tables
+        compiled.read, compiled.tables = read, tables
     return compiled
 
 
@@ -485,18 +544,23 @@ def _pair_weights(matrix: scipy.sparse.csr_array, cols: list, slots: np.ndarray)
     return tuple(blocks)
 
 
-def _sample(recipe: ExpectationRecipe, compiled: _Compiled, counts, seed: int, first: int = 0):
+def _sample(recipe: ExpectationRecipe, compiled: _Compiled, counts, seed: int, first: int = 0,
+            of_means: bool = False):
     """String means in recipe column order and the flat single-shot
-    covariances of the groups that entries read, group f from counts[f]
-    shots drawn in stream (seed, first + f)."""
+    covariances of the groups that entries read, or with of_means those
+    of their means (divided by the shots), group f from counts[f] shots
+    drawn in stream (seed, first + f), one block at a time."""
     stream, slots = _streams(seed), compiled.slots
     means, cov = np.zeros(recipe._matrix.shape[1]), np.zeros(int(slots[-1]))
-    for f, (table, n) in enumerate(zip(compiled.tables, counts)):
-        if table is not None:
-            cols, probs, values = table
-            h, c = _histogram(values, stream(first + f).multinomial(n, probs), n)
-            means[cols] = h / n
-            cov[slots[f]:slots[f + 1]] = c.ravel()
+    for block in compiled.tables:
+        groups = block.groups.tolist()
+        n = np.array([counts[f] for f in groups])
+        mean, c = _moments(stream, [first + f for f in groups], n, block.probs, block.values)
+        if of_means:
+            c /= n[:, None, None]
+        means[block.cols] = mean
+        cov[slots[block.groups, None] + np.arange(c[0].size)] = c.reshape(len(c), -1)
+        del mean, c  # not kept while the next block is sampled
     return means, cov
 
 
@@ -568,7 +632,7 @@ def plan_from_target(recipe: ExpectationRecipe, eps_target: float, seed: int,
     if total > SHOT_LIMIT * eps_target**2:
         raise CapacityError(f"eps_target {eps_target:g} needs more than 2^53 shots per group")
     m = max(1, math.ceil(total / eps_target**2)) if total > 0.0 else 1
-    counts = tuple(1 if t is None else m for t in compiled.tables)
+    counts = tuple(np.where(compiled.read, m, 1).tolist())
     return ShotPlan(seed, counts, eps_target=eps_target, mode=mode)
 
 
@@ -579,11 +643,10 @@ def noisy_subspace(recipe: ExpectationRecipe, plan: ShotPlan) -> SubspaceProblem
     estimates); the SubspaceProblem constructor applies the documented
     quadrature combination on the mirrored stds."""
     compiled = _compile(recipe, plan.mode)
-    if len(compiled.tables) != len(plan.counts):
+    if len(compiled.groups) != len(plan.counts):
         raise ValidationError(
-            f"plan has {len(plan.counts)} counts for {len(compiled.tables)} groups")
-    means, cov = _sample(recipe, compiled, plan.counts, plan.seed)
-    cov /= np.repeat(plan.counts, np.diff(compiled.slots))
+            f"plan has {len(plan.counts)} counts for {len(compiled.groups)} groups")
+    means, cov = _sample(recipe, compiled, plan.counts, plan.seed, of_means=True)
     values = recipe._const + recipe._matrix @ means
     var = np.concatenate([np.zeros(0), *(block @ cov for block in compiled.weights)])
     prob = _assemble(recipe, values, np.sqrt(np.maximum(var, 0.0)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qsubspace.geev as geev_module
+from qsubspace.classical import power_krylov
 from qsubspace.engine import statevector_from_fock
 from qsubspace.errors import DataError, EmptySubspaceError, ValidationError
 from qsubspace.fock import basis_vector, reference_configuration
@@ -184,6 +185,20 @@ def test_conditioning_report_gates_on_provenance():
     assert "power_basis_cond_lower_bound" not in report
     assert np.isclose(report["cond"], 20.0)
     assert report["singular_values"] == sorted(report["singular_values"])[::-1]
+
+
+def test_singular_overlap_has_one_condition_number():
+    # h2 power-krylov at n = 4: S's two smallest eigenvalues are roundoff
+    # (5.6e-16 and 7.5e-17 against 6.05), so both readings report inf
+    ints = load_integrals("h2_sto3g")
+    prob = power_krylov(ints, basis_vector(ints.sector, reference_configuration(ints)), 4)
+    report = conditioning_report(prob)
+    assert solve(prob).cond_smat_before == math.inf
+    assert report["cond"] == math.inf
+    assert report["cond_lower_bound_satisfied"]
+    # a well-conditioned S keeps its finite ratio in both
+    prob = SubspaceProblem(np.eye(3), np.diag([4.0, 1.0, 1e-3]))
+    assert solve(prob, 1e-6).cond_smat_before == conditioning_report(prob)["cond"] == 4e3
 
 
 def test_perturbation_record_chi_sources():

@@ -582,17 +582,18 @@ class TestCompiledRecipe:
         checked = {"qubitwise": 0, "mixed": 0}
         for mode in ("qubitwise", "full"):
             compiled = shots._compile(recipe, mode)
-            for g, table in zip(compiled.groups, compiled.tables):
-                if table is None:
-                    continue
+            tables = [(f, *row) for block in compiled.tables
+                      for f, *row in zip(block.groups, block.probs, block.values)]
+            for f, table_probs, table_values in tables:
+                g = compiled.groups[f]
                 job, m = recipe.jobs[g.job], list(g.members)
                 x, z = job.strings.x[m], job.strings.z[m]
                 if ((x[:, None] & z) ^ (z[:, None] & x)).any():
-                    assert np.all(np.abs(table[2] @ table[1] - exact[g.job][m]) <= 1e-12)
+                    assert np.all(np.abs(table_values @ table_probs - exact[g.job][m]) <= 1e-12)
                     checked["mixed"] += 1
                     continue
                 probs, values = qubitwise_model(job.state.amplitudes, x, z)
-                assert same_bits(table[1], probs) and same_bits(table[2], values)
+                assert same_bits(table_probs, probs) and same_bits(table_values, values)
                 checked["qubitwise"] += 1
         assert checked["qubitwise"] > 0
         assert checked["mixed"] > 0 or fixture == "he_minimal"
@@ -617,6 +618,32 @@ class TestCompiledRecipe:
             shots.measurement_groups(recipe)
             tracemalloc.start()
             shots._compile(recipe, "qubitwise")
+            print(tracemalloc.get_traced_memory()[1])
+        """)
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert int(run.stdout) <= before + slack
+
+    @pytest.mark.parametrize(
+        "name, before, slack",
+        [("qfd h4_toy", 603_860, 0), ("qse-S h4_toy", 2_737_672, 0)],
+    )
+    def test_one_seed_keeps_the_sampling_peak(self, name, before, slack):
+        # tracemalloc peak of one noisy_subspace call on a compiled recipe,
+        # in a fresh interpreter; `before` is the peak when each group was
+        # drawn and summed on its own (the same in every run).  A block's
+        # float temporaries hold about _BLOCK entries, so only a group too
+        # large to share a block sets the peak, as it did before.
+        root = pathlib.Path(__file__).resolve().parent.parent
+        code = textwrap.dedent(f"""
+            import sys, tracemalloc
+            sys.path[:0] = [{str(root / "src")!r}, {str(root / "tests")!r}]
+            from test_shots import checked_recipe, shots
+            recipe = checked_recipe({name!r})
+            compiled = shots._compile(recipe, "qubitwise")
+            plan = shots.ShotPlan(5, (1000,) * len(compiled.groups))
+            tracemalloc.start()
+            shots.noisy_subspace(recipe, plan)
             print(tracemalloc.get_traced_memory()[1])
         """)
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -649,17 +676,18 @@ class TestNoisySubspace:
         groups = measurement_groups(recipe)
         blocks = entry_blocks_by_term(recipe, groups)
         drawn, assembled = [], []
-        histogram = shots._histogram
+        draw = shots._draw
 
-        def recorded(values, counts, shots_):
-            drawn.append(counts.copy())
-            return histogram(values, counts, shots_)
+        def recorded(stream, index, shots_, probs):
+            counts = draw(stream, index, shots_, probs)
+            drawn.append((index, counts.copy()))
+            return counts
 
         def captured(recipe, values, stds=None):
             assembled.append((values, stds))
             return types.SimpleNamespace(provenance={})
 
-        monkeypatch.setattr(shots, "_histogram", recorded)
+        monkeypatch.setattr(shots, "_draw", recorded)
         monkeypatch.setattr(shots, "_assemble", captured)
         seed = 17
         noisy_subspace(recipe, ShotPlan(seed, (n,) * len(groups)))
@@ -682,14 +710,62 @@ class TestNoisySubspace:
             pilot_counts = fresh_stream(seed, len(groups) + f).multinomial(100, probs)
             want_pilot[rows, f] = moments_by_outcome(cmat, table, pilot_counts, 100)[1]
 
-        # the production draws come first, then the pilot's
+        # in group order, the production draws come first, then the pilot's
         assert len(drawn) == 2 * len(want_drawn)
+        drawn = [counts for _, counts in sorted(drawn, key=lambda item: item[0])]
         assert all(same_bits(a, b) for a, b in zip(drawn, want_drawn))
         scale = np.array([np.abs(p.coeffs).sum() for p in recipe.entries.values()])
         (got_values, got_stds), = assembled
         assert np.all(np.abs(got_values - values) <= 1e-12 * scale)
         assert np.all(np.abs(got_stds**2 - var_mean) <= 1e-12 * scale**2 / n)
         assert np.all(np.abs(pilot - want_pilot) <= 1e-12 * scale[:, None] ** 2)
+
+    def test_batched_sums_are_integer_exact(self, monkeypatch):
+        # one _sample call over groups of 1, 2 and 3 strings, three of them
+        # in one block with 2^53 - 1, 7 and 3^30 shots: every stacked h and G
+        # equals the Python-integer sums of the same counts, and the means
+        # and covariances equal the one-group formula below bit for bit
+        def histogram(values, counts, n):
+            c = counts.astype(float)
+            v = values.astype(float)
+            h = v @ c
+            return h, ((v * c) @ v.T - h[:, None] * h / n) / max(n - 1, 1)
+
+        h = pauli_sum(3, [(0.5, "ZZI"), (0.3, "ZIZ"), (0.2, "IZZ"), (0.7, "XXI"), (0.1, "XIX"),
+                          (0.4, "YYY"), (0.6, "IXI"), (0.9, "YII"), (0.25, "IIY"),
+                          (0.35, "ZII"), (0.45, "XXX"), (0.15, "YZI")])
+        recipe = operator_recipe(random_state(3, 4), h)
+        compiled = shots._compile(recipe, "qubitwise")
+        sizes = [len(g.members) for g in compiled.groups]
+        assert sizes == [3, 3, 2, 1, 3] and len(compiled.tables) == 3
+        assert compiled.tables[0].groups.tolist() == [0, 1, 4]
+        counts = (2**53 - 1, 7, 1, 1000, 3**30)
+        seen = []
+        sums = shots._sums
+
+        def recorded(values, c):
+            got = sums(values, c)
+            seen.append((values.copy(), c.copy(), *got))
+            return got
+
+        monkeypatch.setattr(shots, "_sums", recorded)
+        seed = 29
+        means, cov = shots._sample(recipe, compiled, counts, seed)
+        assert len(seen) == len(compiled.tables)
+        for block, (values, c, got_h, got_g) in zip(compiled.tables, seen):
+            for row, f in enumerate(block.groups.tolist()):
+                v, k = values[row].astype(int).tolist(), [int(x) for x in c[row]]
+                assert k == c[row].tolist() and sum(k) == counts[f]
+                assert got_h[row].tolist() == [sum(a * b for a, b in zip(vi, k)) for vi in v]
+                assert got_g[row].tolist() == [
+                    [sum(a * b * n for a, b, n in zip(vi, vj, k)) for vj in v] for vi in v
+                ]
+                n = counts[f]
+                drawn = fresh_stream(seed, f).multinomial(n, block.probs[row])
+                want_h, want_cov = histogram(block.values[row], drawn, n)
+                assert same_bits(means[block.cols[row]], want_h / n)
+                lo, hi = compiled.slots[f], compiled.slots[f + 1]
+                assert same_bits(cov[lo:hi], want_cov.ravel())
 
     def test_large_shot_qse_matches_exact(self, h2):
         recipe = qse_recipe(hf_statevector(h2), h2, level="SD")
