@@ -582,8 +582,8 @@ class TestCompiledRecipe:
         checked = {"qubitwise": 0, "mixed": 0}
         for mode in ("qubitwise", "full"):
             compiled = shots._compile(recipe, mode)
-            tables = [(f, *row) for block in compiled.tables
-                      for f, *row in zip(block.groups, block.probs, block.values)]
+            tables = [row for block in compiled.tables
+                      for row in zip(block.groups, block.probs, block.values)]
             for f, table_probs, table_values in tables:
                 g = compiled.groups[f]
                 job, m = recipe.jobs[g.job], list(g.members)
