@@ -350,12 +350,13 @@ def eigenvalue_std(
 
 
 def eigenvalue_roundoff(prob: SubspaceProblem, sol: GEEVSolution) -> np.ndarray:
-    """First-order roundoff floor u (||H||_F + |E| ||S||_F) ||y||^2 of each
+    """First-order roundoff floor n u (||H||_F + |E| ||S||_F) ||y||^2 of each
     eigenvalue E with S-normalized coefficients y, u the machine epsilon
-    (Epperly, Lin & Nakatsukasa, arXiv:2110.07492)."""
+    and n the pencil size, the eigensolver's backward-error factor as in
+    `_overlap_cond` (Epperly, Lin & Nakatsukasa, arXiv:2110.07492)."""
     norms = np.sum(np.abs(sol.coefficients) ** 2, axis=0)
     scale = np.linalg.norm(prob.hmat) + np.abs(sol.eigenvalues) * np.linalg.norm(prob.smat)
-    return np.finfo(float).eps * scale * norms
+    return prob.n * np.finfo(float).eps * scale * norms
 
 
 def solution_report(prob: SubspaceProblem, sol: GEEVSolution) -> dict:

@@ -46,7 +46,15 @@ from .fock import (
 from .fock import inner as fock_inner
 from .geev import GEEVSolution, SubspaceProblem, real_if_exact
 from .integrals import MolecularIntegrals, cholesky_decompose_eri, effective_one_body
-from .qubits import PauliSum, jordan_wigner, ladder_product, pauli_keys, string_table
+from .qubits import (
+    PauliSum,
+    jordan_wigner,
+    key_table,
+    ladder_product,
+    pauli_keys,
+    pauli_products,
+    string_table,
+)
 from .qubits import _ladder_terms
 from .engine import (
     Statevector,
@@ -274,18 +282,27 @@ def qse_recipe(
             f"qse recipe Pauli string products = {cost} exceeds the budget {budget}"
         )
     dags = [p.dagger() for p in paulis]
-    h_images = [ham * p for p in paulis]
-    split = {}
-    for a in range(len(pool)):
-        for b in range(a, len(pool)):
-            split[("s", a, b)] = (dags[a] * paulis[b]).split_identity()
-            split[("h", a, b)] = (dags[a] * h_images[b]).split_identity()
-    masks = (np.concatenate([getattr(sm, a) for _, sm in split.values()]) for a in "xz")
-    table = string_table(ham.num_qubits, *masks)
-    entries = {
-        key: EntryPlan(const, 0, np.searchsorted(table.keys, sm.keys), sm.coeffs)
-        for key, (const, sm) in split.items()
-    }
+    n = len(pool)
+    names = [(kind, a, b) for a in range(n) for b in range(a, n) for kind in "sh"]
+    factors = [(a, b + n * (kind == "h")) for kind, a, b in names]
+    blocks = []  # per block: each entry's const and string bounds, all keys and coeffs
+    for bounds, _, _, coeffs, keys in pauli_products(dags, paulis + [ham * p for p in paulis],
+                                                     factors):
+        ident = np.flatnonzero(keys == 0)  # an identity term sorts first in its product
+        owner = np.searchsorted(bounds, ident, side="right") - 1
+        consts = np.zeros(len(bounds) - 1, dtype=complex)
+        consts[owner] = coeffs[ident]
+        starts = bounds[:-1].copy()
+        starts[owner] += 1
+        blocks.append((consts, starts, bounds[1:], keys, coeffs))
+    table = key_table(ham.num_qubits, np.concatenate([blk[3] for blk in blocks]))
+    _, table = table.split_identity()
+    entries, names = {}, iter(names)
+    while blocks:  # released block by block as the entries copy their strings
+        consts, starts, ends, keys, coeffs = blocks.pop(0)
+        indices = np.searchsorted(table.keys, keys)
+        for const, lo, hi in zip(consts.tolist(), starts.tolist(), ends.tolist()):
+            entries[next(names)] = EntryPlan(const, 0, indices[lo:hi], coeffs[lo:hi])
     job = MeasurementJob(state.normalized(), table)
     return ExpectationRecipe(len(pool), (job,), entries, provenance)
 

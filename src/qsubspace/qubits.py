@@ -8,8 +8,8 @@ read-only uint64 mask arrays x, z and its coefficients, so products (popcount
 phase rule of Aaronson & Gottesman, quant-ph/0406196), sums and images are
 array operations. Terms merge in term order, are pruned at 1e-14 and sorted
 by a 64-bit key interleaving, top qubit first, the bits (z, x xor z): letter
-order I < X < Y < Z. Other modules order strings only through `pauli_keys`
-and `string_table`; the key caps sums at 32 qubits (CapacityError).
+order I < X < Y < Z. Other modules order strings only through `pauli_keys`,
+`key_table` and `string_table`; the key caps sums at 32 qubits (CapacityError).
 
 The fermion mapping sends mode j (orbital p spin-up -> j = p, spin-down ->
 j = p + m) to ladder operators (X_j -/+ i Y_j)/2 tensored with Z on all
@@ -29,6 +29,8 @@ from .errors import CapacityError, ValidationError
 from .integrals import MolecularIntegrals, cached_per_integrals
 
 _PRUNE = 1e-14
+# string products formed per block of `pauli_products`
+_BLOCK_TERMS = 1 << 13
 _DENSE_QUBITS = 12
 _KEY_QUBITS = 32
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -109,11 +111,30 @@ def pauli_keys(x, z) -> np.ndarray:
     return (v[0] << 1) | v[1]
 
 
+def _masks(keys) -> tuple:
+    """The (x, z) masks of the strings with the given keys: `pauli_keys`
+    inverted."""
+    shifts, masks = zip(*_SPREAD[::-1])
+    v = np.stack([keys >> np.uint64(1), keys]) & masks[0]
+    for shift, mask in zip(shifts, masks[1:] + (np.uint64(2**32 - 1),)):
+        v = (v | (v >> shift)) & mask
+    z, x_xor_z = v
+    return x_xor_z ^ z, z
+
+
+def key_table(num_qubits: int, keys) -> "PauliSum":
+    """The distinct strings among the keys as a unit-coefficient PauliSum in
+    key order: a measurement job's string table."""
+    keys = np.sort(keys)
+    distinct = np.ones(keys.size, dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    keys = keys[distinct]
+    return PauliSum(num_qubits, *_masks(keys), np.ones(keys.size), keys)
+
+
 def string_table(num_qubits: int, x, z) -> "PauliSum":
-    """The distinct strings among mask arrays x, z as a unit-coefficient
-    PauliSum in key order: a measurement job's string table."""
-    keys, first = np.unique(pauli_keys(x, z), return_index=True)
-    return PauliSum(num_qubits, x[first], z[first], np.ones(keys.size), keys)
+    """`key_table` of the strings with mask arrays x, z."""
+    return key_table(num_qubits, pauli_keys(x, z))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,11 +193,8 @@ class PauliSum:
             coeffs = _cmul(self.coeffs, complex(other))
             return _canonical(self.num_qubits, self.x, self.z, coeffs)
         if isinstance(other, PauliSum):
-            (ax, bx), (az, bz), (ac, bc) = self._columns(other)
-            x, z = ax[:, None] ^ bx, az[:, None] ^ bz
-            k = _phase_exponent(ax[:, None], az[:, None], bx, bz, x, z)
-            coeffs = _cmul(ac[:, None], bc) * _PHASES[k]
-            return _canonical(self.num_qubits, x.ravel(), z.ravel(), coeffs.ravel())
+            _, *columns = next(pauli_products([self], [other], [(0, 0)]))
+            return PauliSum(self.num_qubits, *columns)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -202,16 +220,69 @@ def _check_width(num_qubits: int) -> None:
         raise CapacityError(f"Pauli sums are capped at {_KEY_QUBITS} qubits")
 
 
-def _canonical(num_qubits: int, x, z, coeffs) -> PauliSum:
-    """Merge equal strings, adding coefficients in term order from zero,
-    drop sums of magnitude <= 1e-14 and order the rest by key."""
-    keys, inverse = np.unique(pauli_keys(x, z), return_inverse=True)
+def _merge(x, z, coeffs, keys) -> tuple:
+    """Merge terms of equal key, adding coefficients in term order from zero,
+    drop sums of magnitude <= 1e-14; (x, z, sums, keys) of the rest in key
+    order."""
+    keys, inverse = np.unique(keys, return_inverse=True)
     acc = np.zeros(keys.size, dtype=complex)
     np.add.at(acc, inverse, coeffs)
     ux, uz = np.zeros(keys.size, dtype=np.uint64), np.zeros(keys.size, dtype=np.uint64)
     ux[inverse], uz[inverse] = x, z
     keep = np.abs(acc) > _PRUNE
-    return PauliSum(num_qubits, ux[keep], uz[keep], acc[keep], keys[keep])
+    return ux[keep], uz[keep], acc[keep], keys[keep]
+
+
+def _canonical(num_qubits: int, x, z, coeffs) -> PauliSum:
+    """Merge equal strings and order them by key."""
+    return PauliSum(num_qubits, *_merge(x, z, coeffs, pauli_keys(x, z)))
+
+
+def pauli_products(left, right, pairs):
+    """Canonical products left[a] * right[b] of PauliSums for the index
+    pairs (a, b), in pair order, formed in blocks of about _BLOCK_TERMS
+    string products. A block is one gather of both factors' terms, one
+    phase and coefficient pass, and one merge keyed by
+    (pair in block << 2n) | string key, so every product has the sums,
+    pruning and key order of a product formed alone. A product's key is
+    the xor of its factors' keys. Yields per block (bounds, x, z, coeffs,
+    keys): the block's products end to end, pair p's terms at
+    bounds[p]:bounds[p + 1]."""
+    num_qubits = left[0].num_qubits
+    if any(s.num_qubits != num_qubits for s in (*left, *right)):
+        raise ValidationError("qubit counts differ")
+    shift = np.uint64(2 * num_qubits)
+    (lx, lz, lc, lk), (rx, rz, rc, rk) = (
+        [np.concatenate([getattr(s, a) for s in side]) for a in ("x", "z", "coeffs", "keys")]
+        for side in (left, right))
+    loff, roff = (np.cumsum([0] + [len(s) for s in side]) for side in (left, right))
+    pa, pb = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    rows, cols = np.diff(loff)[pa], np.diff(roff)[pb]
+    # cut so that a block's pair index fits above the 2n string-key bits
+    cuts, terms, most = [0], 0, 1 << max(64 - 2 * num_qubits, 0)
+    for p, count in enumerate((rows * cols).tolist()):
+        if p > cuts[-1] and (terms + count > _BLOCK_TERMS or p - cuts[-1] == most):
+            cuts.append(p)
+            terms = 0
+        terms += count
+    cuts.append(len(pa))
+    for p0, p1 in zip(cuts[:-1], cuts[1:]):
+        # one row per left term of each pair, repeated over the pair's right terms
+        a, b, nrows = pa[p0:p1], pb[p0:p1], rows[p0:p1]
+        pair = np.repeat(np.arange(p1 - p0), nrows)
+        row = np.arange(pair.size) + (loff[a] - np.cumsum(nrows) + nrows)[pair]
+        width = cols[p0:p1][pair]
+        ri = np.arange(width.sum()) + np.repeat(roff[b][pair] - np.cumsum(width) + width, width)
+        ax, az, ac = (np.repeat(col[row], width) for col in (lx, lz, lc))
+        bx, bz = rx[ri], rz[ri]
+        x, z = ax ^ bx, az ^ bz
+        k = _phase_exponent(ax, az, bx, bz, x, z)
+        coeffs = _cmul(ac, rc[ri]) * _PHASES[k]
+        keys = np.repeat((pair.astype(np.uint64) << shift) | lk[row], width) ^ rk[ri]
+        x, z, coeffs, keys = _merge(x, z, coeffs, keys)
+        bounds = np.searchsorted(keys, np.arange(p1 - p0 + 1, dtype=np.uint64) << shift)
+        bounds[-1] = keys.size
+        yield bounds, x, z, coeffs, keys & np.uint64((1 << 2 * num_qubits) - 1)
 
 
 def pauli_sum(num_qubits: int, terms) -> PauliSum:
@@ -223,10 +294,6 @@ def pauli_sum(num_qubits: int, terms) -> PauliSum:
         raise ValidationError("string width does not match register")
     x, z = np.array([(s.x, s.z) for _, s in terms], dtype=np.uint64).reshape(-1, 2).T
     return _canonical(num_qubits, x, z, np.array([c for c, _ in terms], dtype=complex))
-
-
-def identity_sum(num_qubits: int, coeff=1.0) -> PauliSum:
-    return pauli_sum(num_qubits, [(coeff, PauliString(num_qubits, 0, 0))])
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +326,6 @@ def ladder_product(num_qubits: int, ladders) -> PauliSum:
     if np.any((modes < 0) | (modes >= num_qubits)):
         raise ValidationError("mode outside register")
     return _canonical(num_qubits, *_ladder_terms(np.ones(1), modes[None], [c for _, c in ladders]))
-
-
-def jw_ladder(mode: int, num_qubits: int, create: bool) -> PauliSum:
-    """Qubit image of adag_mode (create=True) or a_mode."""
-    return ladder_product(num_qubits, [(mode, create)])
 
 
 @cached_per_integrals
@@ -307,28 +369,53 @@ class CommutingGroups:
 def group_commuting(h: PauliSum, mode: str = "qubitwise") -> CommutingGroups:
     """Greedy sorted insertion: visit terms by descending |coefficient| and
     put each into the first group it is compatible with. A qubitwise group
-    fixes one letter on every qubit its members touch, so a term is tested
-    against all groups' merged (x, z, support) masks in one array operation;
-    full commutation is tested against every placed term."""
+    fixes one letter on every qubit its members touch; one bitset over the
+    groups per (qubit, letter) marks the groups whose letter there differs,
+    so a term joins the lowest group that none of its letters' bitsets
+    mark. Full commutation is tested against every placed term."""
     if mode not in ("qubitwise", "full"):
         raise ValidationError(f"unknown grouping mode {mode!r}")
-    order = np.argsort(-np.abs(h.coeffs), kind="stable")
-    # merged (x, z, support) masks per group (qubitwise) or per placed term (full)
-    mx, mz, ms = (np.zeros(len(h), dtype=np.uint64) for _ in range(3))
-    owner = np.zeros(len(h), dtype=np.intp)  # group of each placed term
+    order = np.argsort(-np.abs(h.coeffs), kind="stable").tolist()
+    if mode == "qubitwise":
+        return CommutingGroups(mode, _qubitwise_insertion(h, order))
+    # x and z masks of every placed term, and the group it went to
+    mx, mz = np.zeros(len(h), dtype=np.uint64), np.zeros(len(h), dtype=np.uint64)
+    owner = np.zeros(len(h), dtype=np.intp)
     groups = []
-    for placed, i in enumerate(order.tolist()):
+    for placed, i in enumerate(order):
         sx, sz, n = h.x[i], h.z[i], len(groups)
-        if mode == "qubitwise":
-            fits = (((mx[:n] ^ sx) | (mz[:n] ^ sz)) & ms[:n] & (sx | sz)) == 0
-        else:
-            anti = _popcount(mx[:placed] & sz) + _popcount(mz[:placed] & sx)
-            fits = np.ones(n, dtype=bool)
-            fits[owner[:placed][anti & 1 == 1]] = False
+        anti = _popcount(mx[:placed] & sz) + _popcount(mz[:placed] & sx)
+        fits = np.ones(n, dtype=bool)
+        fits[owner[:placed][anti & 1 == 1]] = False
         g = int(fits.argmax()) if fits.any() else n
         if g == n:
             groups.append([])
         groups[g].append(i)
-        row = g if mode == "qubitwise" else placed
-        mx[row], mz[row], ms[row], owner[placed] = mx[row] | sx, mz[row] | sz, ms[row] | sx | sz, g
+        mx[placed], mz[placed], owner[placed] = sx, sz, g
     return CommutingGroups(mode, tuple(tuple(g) for g in groups))
+
+
+def _qubitwise_insertion(h: PauliSum, order: list) -> tuple:
+    qubit = np.arange(h.num_qubits, dtype=np.uint64)
+    # letter - 1 (X 0, Z 1, Y 2) of each term on each qubit, -1 off its support
+    letter = (((h.x[:, None] >> qubit) & 1) | (((h.z[:, None] >> qubit) & 1) << 1)).astype(int) - 1
+    term, q = np.nonzero(letter >= 0)
+    slot = (3 * q + letter[term, q]).tolist()  # one bitset per (qubit, letter)
+    first = np.searchsorted(term, np.arange(len(h) + 1)).tolist()
+    clash = [0] * (3 * h.num_qubits)
+    groups = []
+    for i in order:
+        slots = slot[first[i]:first[i + 1]]
+        marked = 0
+        for s in slots:
+            marked |= clash[s]
+        g = ((marked + 1) & ~marked).bit_length() - 1  # lowest unmarked group
+        if g == len(groups):
+            groups.append([])
+        groups[g].append(i)
+        bit = 1 << g
+        for s in slots:  # group g now fixes this letter: mark the other two
+            base = s - s % 3
+            clash[base + (s + 1) % 3] |= bit
+            clash[base + (s + 2) % 3] |= bit
+    return tuple(tuple(g) for g in groups)

@@ -11,8 +11,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 from qsubspace.qubits import (  # noqa: E402
     PauliString,
-    identity_sum,
-    jw_ladder,
     ladder_product,
     pauli_keys,
     pauli_product,
@@ -109,7 +107,7 @@ def test_key_order_is_letter_order(strings):
 )
 def test_ladder_product_matches_chained_products(case):
     n, ladders = case
-    chained = identity_sum(n)
-    for mode, create in ladders:
-        chained = chained * jw_ladder(mode, n, create)
+    chained = pauli_sum(n, [(1.0, "I" * n)])
+    for ladder in ladders:
+        chained = chained * ladder_product(n, [ladder])
     _same_bits(ladder_product(n, ladders), chained.strings, chained.coeffs)

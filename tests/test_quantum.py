@@ -2,6 +2,10 @@
 
 import copy
 import math
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import scipy.linalg
 
 import qsubspace.engine as engine_module
 import qsubspace.quantum as quantum_module
+import qsubspace.qubits as qubits_module
 from qsubspace import cli
 from conftest import FIXTURE_NAMES, fixture_path, load_integrals
 from oracles import (
@@ -48,7 +53,7 @@ from qsubspace.fock import (
 )
 from qsubspace.geev import SubspaceProblem, eigenvalue_roundoff, solve
 from qsubspace.integrals import MolecularIntegrals
-from qsubspace.qubits import PauliString, jordan_wigner, pauli_sum, string_table
+from qsubspace.qubits import PauliString, jordan_wigner, pauli_keys, pauli_sum, string_table
 from qsubspace.quantum import (
     ExcitationOperator,
     QfdGrid,
@@ -176,6 +181,86 @@ class TestQse:
         ints = load_integrals(name)
         with pytest.raises(CapacityError, match="Pauli string products"):
             qse_recipe(hf_statevector(ints), ints, level="SD")
+
+    @staticmethod
+    def per_pair_recipe(ints, level):
+        """qse_recipe's string table (keys, x, z) and entries (const,
+        indices, coeffs) with every product formed on its own."""
+        paulis = [op.to_pauli() for op in qse_pool(ints.num_orbitals, level)]
+        ham = jordan_wigner(ints)
+        dags = [p.dagger() for p in paulis]
+        h_images = [ham * p for p in paulis]
+        split = {}
+        for a in range(len(paulis)):
+            for b in range(a, len(paulis)):
+                split[("s", a, b)] = (dags[a] * paulis[b]).split_identity()
+                split[("h", a, b)] = (dags[a] * h_images[b]).split_identity()
+        x, z = (np.concatenate([getattr(sm, c) for _, sm in split.values()]) for c in "xz")
+        keys, first = np.unique(pauli_keys(x, z), return_index=True)
+        entries = {
+            key: (const, np.searchsorted(keys, sm.keys), sm.coeffs)
+            for key, (const, sm) in split.items()
+        }
+        return (keys, x[first], z[first]), entries
+
+    @staticmethod
+    def assert_same_recipe(recipe, table, entries):
+        def bits(values):
+            return np.asarray(values, dtype=complex).reshape(-1).view(np.uint64)
+
+        (job,) = recipe.jobs
+        for got, want in zip((job.strings.keys, job.strings.x, job.strings.z), table):
+            assert np.array_equal(got, want)
+        assert list(recipe.entries) == list(entries)
+        for key, (const, indices, coeffs) in entries.items():
+            plan = recipe.entries[key]
+            assert np.array_equal(bits(plan.const), bits(const)), key
+            assert plan.indices.dtype == np.intp and np.array_equal(plan.indices, indices), key
+            assert np.array_equal(bits(plan.coeffs), bits(coeffs)), key
+
+    @pytest.mark.parametrize(
+        "name, level",
+        [(name, "S") for name in FIXTURE_NAMES]
+        + [(name, "SD") for name in FIXTURE_NAMES if name not in ("h3_plus", "h4_toy")],
+    )
+    def test_recipe_products_equal_the_per_pair_products(self, name, level):
+        ints = load_integrals(name)
+        recipe = qse_recipe(hf_statevector(ints), ints, level)
+        self.assert_same_recipe(recipe, *self.per_pair_recipe(ints, level))
+
+    @pytest.mark.parametrize("name, level, cancelled", [("h2_sto3g", "SD", 220), ("h3_plus", "S", 30)])
+    def test_recipe_products_straddle_block_cuts(self, name, level, cancelled, monkeypatch):
+        # blocks of a few products, so an entry's s and h products and the
+        # runs of entries that cancel to nothing fall on both sides of cuts
+        ints = load_integrals(name)
+        table, entries = self.per_pair_recipe(ints, level)
+        monkeypatch.setattr(qubits_module, "_BLOCK_TERMS", 40)
+        recipe = qse_recipe(hf_statevector(ints), ints, level)
+        self.assert_same_recipe(recipe, table, entries)
+        empty = [p for p in recipe.entries.values() if p.indices.size == 0 and p.const == 0]
+        assert len(empty) == cancelled
+
+    @pytest.mark.parametrize("name, before", [("h3_plus", 8_779_971), ("h4_toy", 113_543_418)])
+    def test_recipe_keeps_the_build_peak(self, name, before):
+        # tracemalloc peak of qse_recipe level S in a fresh interpreter;
+        # `before` is the lowest of the peaks read when every product was
+        # formed alone and kept whole until the string table was built
+        # (they spread by about 3 kB between runs)
+        root = pathlib.Path(__file__).resolve().parent.parent
+        code = textwrap.dedent(f"""
+            import sys, tracemalloc
+            sys.path[:0] = [{str(root / "src")!r}, {str(root / "tests")!r}]
+            from conftest import load_integrals
+            from test_quantum import hf_statevector, qse_recipe
+            ints = load_integrals({name!r})
+            state = hf_statevector(ints)
+            tracemalloc.start()
+            qse_recipe(state, ints, "S")
+            print(tracemalloc.get_traced_memory()[1])
+        """)
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert int(run.stdout) <= before
 
     def test_problem_passes_geev_validation(self, h2):
         state = statevector_from_fock(random_vector(h2, 5))

@@ -6,19 +6,24 @@ import numpy as np
 import pytest
 
 import oracles
+import qsubspace.qubits as qubits_module
 from conftest import load_integrals
+from qsubspace.engine import statevector_from_fock
 from qsubspace.errors import CapacityError, ValidationError
-from qsubspace.fock import exact_eigenpairs
+from qsubspace.fock import basis_vector, exact_eigenpairs, reference_configuration
 from qsubspace.integrals import MolecularIntegrals
+from qsubspace.quantum import QfdGrid, qfd_recipe, qse_recipe
 from qsubspace.qubits import (
     CommutingGroups,
     PauliString,
     commutes,
     group_commuting,
-    identity_sum,
     jordan_wigner,
-    jw_ladder,
+    key_table,
+    ladder_product,
+    pauli_keys,
     pauli_product,
+    pauli_products,
     pauli_sum,
     qubitwise_commutes,
 )
@@ -127,14 +132,14 @@ def test_ladder_images_match_sign_rule():
     # the qubit ladder image must equal the dense fermionic ladder matrix
     for num_modes in (2, 4):
         for mode in range(num_modes):
-            image = jw_ladder(mode, num_modes, create=True)
+            image = ladder_product(num_modes, [(mode, True)])
             dense = oracles.dense_pauli_sum(
                 num_modes, [(c, s.letters) for c, s in image.terms()]
             )
             np.testing.assert_allclose(
                 dense, oracles.ladder_matrix(mode, num_modes), atol=1e-14
             )
-            lower = jw_ladder(mode, num_modes, create=False)
+            lower = ladder_product(num_modes, [(mode, False)])
             dense_low = oracles.dense_pauli_sum(
                 num_modes, [(c, s.letters) for c, s in lower.terms()]
             )
@@ -209,6 +214,55 @@ def test_qubitwise_grouping_matches_pairwise_insertion(h4_toy):
         assert group_commuting(h, mode="qubitwise").groups == want
 
 
+def test_qubitwise_grouping_matches_pairwise_insertion_on_job_tables(h3_plus, h4_toy):
+    v0 = basis_vector(h4_toy.sector, reference_configuration(h4_toy))
+    tables = [job.strings for job in qfd_recipe(v0, h4_toy, QfdGrid(dt=0.4, n=4)).jobs]
+    assert {t.num_qubits for t in tables[1:]} == {9}  # the Hadamard-test ancilla jobs
+    state = statevector_from_fock(basis_vector(h3_plus.sector, reference_configuration(h3_plus)))
+    (job,) = qse_recipe(state, h3_plus, level="S").jobs
+    rng = np.random.default_rng(8)
+    words = ["".join(rng.choice(list("IXYZ"), 32, p=[0.85, 0.05, 0.05, 0.05])) for _ in range(300)]
+    for h in [*tables, job.strings, pauli_sum(32, [(rng.normal(), w) for w in words])]:
+        want = _pairwise_insertion(h, qubitwise_commutes)
+        assert group_commuting(h, mode="qubitwise").groups == want
+
+
+def test_blocked_products_match_per_pair_rule_up_to_32_qubits(monkeypatch):
+    # each sum draws its strings from three, so products merge and cancel
+    rng = np.random.default_rng(12)
+    monkeypatch.setattr(qubits_module, "_BLOCK_TERMS", 40)
+    for nq in (3, 31, 32):
+        sums = []
+        for _ in range(4):
+            strings = [random_string(rng, nq) for _ in range(3)]
+            terms = [(rng.integers(-4, 5) / 4 + 1j * rng.normal(), strings[rng.integers(3)])
+                     for _ in range(5)]
+            sums.append(pauli_sum(nq, terms))
+        pairs = [(a, b) for a in range(4) for b in range(4)]
+        blocks = list(pauli_products(sums, sums[::-1], pairs))
+        assert len(blocks) > 1
+        got = [
+            (x[lo:hi], z[lo:hi], coeffs[lo:hi], keys[lo:hi])
+            for bounds, x, z, coeffs, keys in blocks
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        for (a, b), (x, z, coeffs, keys) in zip(pairs, got, strict=True):
+            acc = {}
+            for ca, sa in sums[a].terms():
+                for cb, sb in sums[3 - b].terms():
+                    phase, s = pauli_product(sa, sb)
+                    acc[s] = acc.get(s, 0.0) + ca * cb * phase
+            kept = sorted((s.letters, c) for s, c in acc.items() if abs(c) > 1e-14)
+            letters = [PauliString(nq, *m).letters for m in zip(x.tolist(), z.tolist())]
+            assert letters == [w for w, _ in kept]
+            want = np.array([c for _, c in kept], dtype=complex)
+            assert np.array_equal(coeffs.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(keys, pauli_keys(x, z))
+            table = key_table(nq, np.concatenate([keys, keys[::-1]]))
+            assert np.array_equal(table.keys, keys)
+            assert np.array_equal(table.x, x) and np.array_equal(table.z, z)
+
+
 def test_grouping_visits_largest_first():
     h = pauli_sum(2, [(0.1, "XX"), (3.0, "ZZ"), (0.5, "ZI")])
     grouping = group_commuting(h, mode="qubitwise")
@@ -220,7 +274,7 @@ def test_grouping_visits_largest_first():
 
 
 def test_identity_sum():
-    ident = identity_sum(3, 2.0)
+    ident = pauli_sum(3, [(2.0, "III")])
     np.testing.assert_allclose(ident.to_dense(), 2.0 * np.eye(8), atol=1e-14)
 
 
@@ -229,7 +283,7 @@ def test_sum_wider_than_the_key_is_a_capacity_error():
         pauli_sum(33, [(1.0, "X" * 33)])
     assert len(pauli_sum(32, [(1.0, "Z" * 32)])) == 1
     with pytest.raises(CapacityError):
-        jw_ladder(0, 33, create=True)
+        ladder_product(33, [(0, True)])
 
 
 def test_grouping_full_mode_matches_pairwise_insertion(h4_toy):
@@ -246,7 +300,7 @@ def _per_pair_jordan_wigner(ints):
     acc = {PauliString(nq, 0, 0): complex(ints.e_nuc)}
 
     def add(scale, ops):
-        factors = [list(jw_ladder(mode, nq, create).terms()) for mode, create in ops]
+        factors = [list(ladder_product(nq, [op]).terms()) for op in ops]
         for combo in itertools.product(*factors):
             coeff, string = scale, PauliString(nq, 0, 0)
             for c, s in combo:
