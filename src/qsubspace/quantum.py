@@ -46,16 +46,8 @@ from .fock import (
 from .fock import inner as fock_inner
 from .geev import GEEVSolution, SubspaceProblem, real_if_exact
 from .integrals import MolecularIntegrals, cholesky_decompose_eri, effective_one_body
-from .qubits import (
-    PauliSum,
-    jordan_wigner,
-    key_table,
-    ladder_product,
-    pauli_keys,
-    pauli_products,
-    string_table,
-)
-from .qubits import _ladder_terms
+from .qubits import PauliSum, jordan_wigner, ladder_product, pauli_keys, string_table
+from .qubits import _ladder_terms, pauli_products
 from .engine import (
     Statevector,
     apply_pauli_sum,
@@ -269,7 +261,10 @@ def qse_recipe(
     the i <= j triangle is planned. The budget caps the Pauli string
     products this performs, |H| sum_b |P_b| for the images H P_b plus
     (1 + |H|) sum_{a<=b} |P_a||P_b| for the entries, with |.| the term
-    count of a Pauli sum.
+    count of a Pauli sum. The entries' products are formed in blocks by
+    `pauli_products`, bit for bit the products formed one pair at a time;
+    a block keeps only its keys and coefficients until the string table is
+    built from the keys, and is released once its entries are made.
     """
     _, pool, provenance = _qse_setup(state, ints, level)  # also checks the sector
     paulis = [op.to_pauli() for op in pool]
@@ -295,7 +290,7 @@ def qse_recipe(
         starts = bounds[:-1].copy()
         starts[owner] += 1
         blocks.append((consts, starts, bounds[1:], keys, coeffs))
-    table = key_table(ham.num_qubits, np.concatenate([blk[3] for blk in blocks]))
+    table = string_table(ham.num_qubits, np.concatenate([blk[3] for blk in blocks]))
     _, table = table.split_identity()
     entries, names = {}, iter(names)
     while blocks:  # released block by block as the entries copy their strings
@@ -586,7 +581,7 @@ def qfd_recipe(
     anc = np.uint64(1 << nq)
     sx, sz = (np.concatenate([np.zeros(1, np.uint64), getattr(plain, a)]) for a in "xz")
     copies = ((sx | anc, sz), (sx | anc, sz | anc))
-    table = string_table(nq + 1, *map(np.concatenate, zip(*copies)))
+    table = string_table(nq + 1, pauli_keys(*map(np.concatenate, zip(*copies))))
     x_at, y_at = (np.searchsorted(table.keys, pauli_keys(*copy)) for copy in copies)
     # each term c sigma of H reads sigma's X copy with c and its Y copy with i c
     rows = np.arange(len(ham)) + (len(ham) == len(plain))
@@ -680,7 +675,7 @@ def qite_pool(ints: MolecularIntegrals) -> tuple:
                                       return_index=True, return_inverse=True)
         keep = first[2.0 * np.abs(np.bincount(inverse, coeffs.imag)) > _NULL_OP]
         masks.append(np.stack([x[keep], z[keep]]))
-    return string_table(nq, *np.concatenate(masks, axis=1)).strings
+    return string_table(nq, pauli_keys(*np.concatenate(masks, axis=1))).strings
 
 
 def qite_step(

@@ -8,8 +8,8 @@ read-only uint64 mask arrays x, z and its coefficients, so products (popcount
 phase rule of Aaronson & Gottesman, quant-ph/0406196), sums and images are
 array operations. Terms merge in term order, are pruned at 1e-14 and sorted
 by a 64-bit key interleaving, top qubit first, the bits (z, x xor z): letter
-order I < X < Y < Z. Other modules order strings only through `pauli_keys`,
-`key_table` and `string_table`; the key caps sums at 32 qubits (CapacityError).
+order I < X < Y < Z. Other modules order strings only through `pauli_keys`
+and `string_table`; the key caps sums at 32 qubits (CapacityError).
 
 The fermion mapping sends mode j (orbital p spin-up -> j = p, spin-down ->
 j = p + m) to ladder operators (X_j -/+ i Y_j)/2 tensored with Z on all
@@ -122,19 +122,14 @@ def _masks(keys) -> tuple:
     return x_xor_z ^ z, z
 
 
-def key_table(num_qubits: int, keys) -> "PauliSum":
-    """The distinct strings among the keys as a unit-coefficient PauliSum in
-    key order: a measurement job's string table."""
+def string_table(num_qubits: int, keys) -> "PauliSum":
+    """The distinct strings among the `pauli_keys` keys as a unit-coefficient
+    PauliSum in key order: a measurement job's string table."""
     keys = np.sort(keys)
     distinct = np.ones(keys.size, dtype=bool)
     distinct[1:] = keys[1:] != keys[:-1]
     keys = keys[distinct]
     return PauliSum(num_qubits, *_masks(keys), np.ones(keys.size), keys)
-
-
-def string_table(num_qubits: int, x, z) -> "PauliSum":
-    """`key_table` of the strings with mask arrays x, z."""
-    return key_table(num_qubits, pauli_keys(x, z))
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,8 +275,8 @@ def pauli_products(left, right, pairs):
         coeffs = _cmul(ac, rc[ri]) * _PHASES[k]
         keys = np.repeat((pair.astype(np.uint64) << shift) | lk[row], width) ^ rk[ri]
         x, z, coeffs, keys = _merge(x, z, coeffs, keys)
-        bounds = np.searchsorted(keys, np.arange(p1 - p0 + 1, dtype=np.uint64) << shift)
-        bounds[-1] = keys.size
+        bounds = np.append(np.searchsorted(keys, np.arange(p1 - p0, dtype=np.uint64) << shift),
+                           keys.size)
         yield bounds, x, z, coeffs, keys & np.uint64((1 << 2 * num_qubits) - 1)
 
 

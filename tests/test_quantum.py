@@ -812,8 +812,8 @@ class TestQite:
             f = op.to_pauli()
             g = f - f.dagger()
             masks.append(np.stack([g.x, g.z])[:, np.abs(g.coeffs) > 1e-12])
-        want = string_table(2 * ints.num_orbitals, *np.concatenate(masks, axis=1)).strings
-        assert qite_pool(ints) == want
+        keys = pauli_keys(*np.concatenate(masks, axis=1))
+        assert qite_pool(ints) == string_table(2 * ints.num_orbitals, keys).strings
 
     def test_pool_strings_are_distinct_and_sorted(self, h2):
         pool = qite_pool(h2)

@@ -19,13 +19,13 @@ from qsubspace.qubits import (
     commutes,
     group_commuting,
     jordan_wigner,
-    key_table,
     ladder_product,
     pauli_keys,
     pauli_product,
     pauli_products,
     pauli_sum,
     qubitwise_commutes,
+    string_table,
 )
 
 
@@ -258,7 +258,7 @@ def test_blocked_products_match_per_pair_rule_up_to_32_qubits(monkeypatch):
             want = np.array([c for _, c in kept], dtype=complex)
             assert np.array_equal(coeffs.view(np.uint64), want.view(np.uint64))
             assert np.array_equal(keys, pauli_keys(x, z))
-            table = key_table(nq, np.concatenate([keys, keys[::-1]]))
+            table = string_table(nq, np.concatenate([keys, keys[::-1]]))
             assert np.array_equal(table.keys, keys)
             assert np.array_equal(table.x, x) and np.array_equal(table.z, z)
 
