@@ -4,6 +4,9 @@ Chebyshev-style convergence bounds for Krylov eigenvalue estimates.
 All methods act on sector FockVectors through the sparse Slater-Condon
 matrix; none of them need the dense spectrum except the bound evaluator,
 which exists to compare a measured Ritz error against its guarantee.
+polynomial_moments is the one sparse three-term recurrence behind both
+polynomial bases, power_krylov here and quantum.chebyshev_krylov_build, so
+both keep working above the dense spectrum's dimension cap.
 """
 
 from __future__ import annotations
@@ -30,38 +33,44 @@ _MAX_MOMENT_DIM = 12
 _BREAKDOWN = 1e-12
 
 
-@dataclass(eq=False)
-class KrylovMoments:
-    """Expectation values f_l = <v0|H^l|v0>, l = 0 .. count-1."""
-
-    moments: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.moments.size
-
-
 def _sector_array(ints: MolecularIntegrals, v0: FockVector) -> np.ndarray:
     if v0.sector != ints.sector:
         raise ValidationError("start vector sector does not match integrals")
     return np.asarray(v0.amplitudes, dtype=complex)
 
 
-def compute_moments(
-    ints: MolecularIntegrals, v0: FockVector, count: int
-) -> KrylovMoments:
-    """Moments by repeated sparse matrix application."""
+def polynomial_moments(
+    ints: MolecularIntegrals,
+    v0: FockVector,
+    count: int,
+    basis: str = "power",
+    shift: float = 0.0,
+    scale: float = 1.0,
+) -> np.ndarray:
+    """Moments f_k = <v0|p_k(Hbar)|v0>, k < count, with Hbar = (H - shift) / scale.
+
+    basis "power" takes p_k = Hbar^k and "chebyshev" the Chebyshev
+    polynomials T_k, through the one three-term recurrence
+    u_{k+1} = c_k Hbar u_k - d_k u_{k-1}, u_0 = v0: c = 1, d = 0 for
+    powers, c_0 = 1 and c_k = 2, d_k = 1 for T_k. Each step is one sparse
+    product, so no dense spectrum is needed. v0 is used as given.
+    """
     if count < 1:
         raise ValidationError("need at least one moment")
+    if basis not in ("power", "chebyshev"):
+        raise ValidationError(f"unknown polynomial basis {basis!r}")
     mat = sector_matrix(ints)
     vec = _sector_array(ints, v0)
-    cur = vec
+    prev, cur = None, vec
     out = np.empty(count)
-    for ell in range(count):
-        out[ell] = complex(np.vdot(vec, cur)).real
-        if ell + 1 < count:
-            cur = matvec(mat, cur)
-    return KrylovMoments(out)
+    for k in range(count):
+        out[k] = complex(np.vdot(vec, cur)).real
+        if k + 1 < count:
+            nxt = (matvec(mat, cur) - shift * cur) / scale
+            if basis == "chebyshev" and k:
+                nxt = 2.0 * nxt - prev
+            prev, cur = cur, nxt
+    return out
 
 
 def power_krylov(ints: MolecularIntegrals, v0: FockVector, n: int) -> SubspaceProblem:
@@ -75,7 +84,7 @@ def power_krylov(ints: MolecularIntegrals, v0: FockVector, n: int) -> SubspacePr
         raise ValidationError("n must be positive")
     if n > _MAX_MOMENT_DIM:
         raise CapacityError(f"moment Krylov capped at n = {_MAX_MOMENT_DIM}")
-    f = compute_moments(ints, v0, 2 * n).moments
+    f = polynomial_moments(ints, v0, 2 * n)
     idx = np.arange(n)
     smat = f[idx[:, None] + idx[None, :]]
     hmat = f[idx[:, None] + idx[None, :] + 1]

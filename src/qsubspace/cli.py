@@ -57,6 +57,7 @@ from .fock import (
     exact_eigenpairs,
     evolve_real,
     reference_configuration,
+    spectral_measure,
 )
 from .fock import inner as fock_inner
 from .geev import eigenvalue_roundoff, solution_report, solve
@@ -64,6 +65,7 @@ from .integrals import MolecularIntegrals, parse_fcidump
 from .quantum import (
     ExcitationOperator,
     QfdGrid,
+    _snapshots,
     chebyshev_krylov_build,
     epperly_qfd_bound,
     fast_forward,
@@ -440,9 +442,8 @@ def resolve_config(cfg: RunConfig, ints: MolecularIntegrals, explicit: frozenset
         if key == "k":
             params[key] = ints.sector_dimension if cfg.method == "fci" else 1
         elif key == "bounds":
-            spectrum = exact_eigenpairs(ints, k=ints.sector_dimension)
-            lo = float(spectrum.eigenvalues[0])
-            hi = float(spectrum.eigenvalues[-1])
+            energies, _ = spectral_measure(ints, _reference(ints))
+            lo, hi = float(energies[0]), float(energies[-1])
             pad = 0.01 * max(hi - lo, 1.0)
             params[key] = (lo - pad, hi + pad)
         else:
@@ -578,7 +579,7 @@ def _qfd_solution(cfg: RunConfig, ints: MolecularIntegrals):
     grid = QfdGrid(p["dt"], p["n"])
     prob = qfd_build(v0, ints, grid)
     sol = solve(prob, p.get("eps"))
-    basis = [evolve_real(ints, v0, float(t)) for t in grid.times()]
+    basis = _snapshots(v0, ints, grid)
     return prob, sol, basis, v0
 
 

@@ -68,12 +68,6 @@ class Statevector:
         return Statevector(self.num_qubits, self.amplitudes / n)
 
 
-def zero_state(num_qubits: int) -> Statevector:
-    amp = _zeros(num_qubits)
-    amp[0] = 1.0
-    return Statevector(num_qubits, amp)
-
-
 def prepare_configuration(config: Configuration) -> Statevector:
     """Basis state |occ_up | occ_down << m> on 2m qubits."""
     nq = 2 * config.m

@@ -33,6 +33,8 @@ spin-free H. The even block is spanned by the diagonal determinants and
 U^T H U from the sparse matrix, about half the dimension, so the two
 eigensolves take about a quarter of the flops of one. Any other sector is
 one block, the sector matrix itself, with the bits of a single eigh.
+spectral_measure reads a vector's measure (E_k, |<k|v>|^2) off the cached
+eigensystem; every exact filter subspace in quantum is built from it.
 """
 
 from __future__ import annotations
@@ -449,15 +451,12 @@ def evolve_real(ints: MolecularIntegrals, v: FockVector, t: float) -> FockVector
     return FockVector(v.sector, vecs @ (np.exp(-1j * t * vals) * coeff))
 
 
-def evolve_imag(ints: MolecularIntegrals, v: FockVector, tau: float):
-    """Normalized exp(-tau H) v and the pre-normalization norm."""
+def spectral_measure(ints: MolecularIntegrals, v: FockVector):
+    """The spectral measure of v: the sector eigenvalues E_k, ascending, and
+    the weights w_k = |<k|v>|^2 of the normalized v, which sum to 1. Then
+    <f(H) v|g(H) v> = sum_k w_k conj(f(E_k)) g(E_k) for normalized v."""
     if v.sector != ints.sector:
         raise ValidationError("vector sector does not match integrals")
     vals, vecs = _eigensystem(ints)
-    coeff = vecs.T @ v.amplitudes
-    raw = vecs @ (np.exp(-tau * vals) * coeff)
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raise ValidationError("propagated vector vanished")
-    return FockVector(v.sector, raw / norm), norm
-
+    amp = v.normalized().amplitudes
+    return vals.copy(), (vecs.T @ amp.real) ** 2 + (vecs.T @ amp.imag) ** 2

@@ -10,11 +10,17 @@ fast-forwarded states) reuse the same machinery.
 Exact matrix elements are evaluated in the particle-number sector basis:
 pool operators act as ladder monomials on determinant words
 (fock.apply_ladders) and H as the cached sparse sector matrix, so qse_build
-and qeom_build never touch the 2^(2m) register. The statevector backend,
-with Jordan-Wigner images, serves what the qubit picture needs: the
-measurement recipes the shots module samples, the Hadamard-test ancilla of
-qfd_recipe, Trotter steps, QITE rotations and spectral weights of Pauli
-probes.
+and qeom_build never touch the 2^(2m) register. The exact real-time,
+imaginary-time and Gaussian-power subspaces span filtered states f_a(H) v0,
+so they are read off v0's spectral measure (fock.spectral_measure, capped
+with the dense spectrum): filter_subspace forms S and H from the filter
+matrix, qlanczos_build its norms and Rayleigh quotients, and
+epperly_qfd_bound its gaps and weights. The Chebyshev basis, like the power
+basis, comes from classical.polynomial_moments and needs no dense spectrum.
+The statevector backend, with Jordan-Wigner images, serves what the qubit
+picture needs: the measurement recipes the shots module samples, the
+Hadamard-test ancilla of qfd_recipe, Trotter steps, QITE rotations and
+spectral weights of Pauli probes.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .classical import polynomial_moments
 from .errors import (
     CapacityError,
     DataError,
@@ -36,14 +43,11 @@ from .fock import (
     FockVector,
     apply_hamiltonian,
     apply_ladders,
-    evolve_imag,
     evolve_real,
-    exact_eigenpairs,
     matvec,
-    sector_dimension,
     sector_matrix,
+    spectral_measure,
 )
-from .fock import inner as fock_inner
 from .geev import GEEVSolution, SubspaceProblem, real_if_exact
 from .integrals import MolecularIntegrals, cholesky_decompose_eri, effective_one_body
 from .qubits import PauliSum, jordan_wigner, ladder_product, pauli_keys, string_table
@@ -512,6 +516,14 @@ class QfdGrid:
         }
 
 
+def filter_subspace(energies, weights, filters, provenance: dict) -> SubspaceProblem:
+    """Subspace over the filtered states f_a(H) v0, from v0's spectral
+    measure (energies E_k, weights w_k; fock.spectral_measure) and the filter
+    matrix F[k, a] = f_a(E_k): S = F^H diag(w) F and H = F^H diag(w E) F."""
+    left = filters.conj().T * weights
+    return SubspaceProblem(left @ (energies[:, None] * filters), left @ filters, provenance)
+
+
 def _snapshots(state0: FockVector, ints, grid: QfdGrid) -> list:
     """The normalized state0 propagated to the grid times: exactly, or by
     product-formula steps taken outward from 0."""
@@ -545,9 +557,14 @@ def qfd_build(state0: FockVector, ints: MolecularIntegrals, grid: QfdGrid) -> Su
     """Subspace over propagated states v_a = exp(-i t_a H) v0.
 
     S_ab = <v_a|v_b> and H_ab = <v_a|H|v_b>. With the exact backend both
-    depend only on b - a (Toeplitz); the trotter backend breaks that
-    structure by product-formula error.
+    depend only on b - a (Toeplitz) and come from v0's spectral measure with
+    the filters exp(-i t_a E); the trotter backend breaks that structure by
+    product-formula error and builds the states.
     """
+    if grid.backend == "exact":
+        energies, weights = spectral_measure(ints, state0)
+        filters = np.exp(-1j * np.outer(energies, grid.times()))
+        return filter_subspace(energies, weights, filters, grid.provenance())
     snaps = _snapshots(state0, ints, grid)
     basis = np.stack([s.amplitudes for s in snaps])
     images = np.stack([apply_hamiltonian(ints, s).amplitudes for s in snaps])
@@ -615,22 +632,19 @@ def epperly_qfd_bound(
                                + 2 sum_{u>L} dE_u w_u / w_0
 
     with dE_u = E_u - E_0 and w_u the squared overlap of v0 with the u-th
-    eigenvector. Default L = D-1 empties the second sum. Returns the bound
-    together with the prescribed dt.
+    eigenvector, both read off v0's spectral measure. Default L = D-1
+    empties the second sum. Returns the bound together with the prescribed
+    dt.
     """
     if num_points < 1:
         raise ValidationError("need at least one grid point")
-    dim = sector_dimension(*ints.sector)
+    dim = ints.sector_dimension
     if l_index is None:
         l_index = dim - 1
     if not 1 <= l_index <= dim - 1:
         raise ValidationError(f"l_index={l_index} outside 1..{dim - 1}")
-    spectrum = exact_eigenpairs(ints, k=dim)
-    v = v0.normalized()
-    weights = np.array(
-        [abs(fock_inner(vec, v)) ** 2 for vec in spectrum.eigenvectors]
-    )
-    gaps = spectrum.eigenvalues - spectrum.eigenvalues[0]
+    energies, weights = spectral_measure(ints, v0)
+    gaps = energies - energies[0]
     if gaps[l_index] <= 0:
         raise DataError("reference level is degenerate with the ground state")
     dt = math.pi / float(gaps[l_index])
@@ -757,9 +771,11 @@ def qlanczos_build(
 
         S_ab = N_{a+b}^2 / (N_{2a} N_{2b})      H_ab = S_ab h_{a+b}
 
-    mode "exact" propagates with the sector eigendecomposition; mode "qite"
-    replaces each half step by a unitary step whose norm factor estimates
-    the decay.
+    mode "exact" reads N_k and h_k off v0's spectral measure, with H shifted
+    by the sector's lowest eigenvalue E_0 in the exponent so that no term
+    grows; S and H do not depend on the shift, but the recorded norms are
+    those of exp(-k dtau/2 (H - E_0)) v0. Mode "qite" replaces each half step
+    by a unitary step whose norm factor estimates the decay.
     """
     if not delta_tau > 0:
         raise ValidationError("delta_tau must be positive")
@@ -769,16 +785,16 @@ def qlanczos_build(
         raise ValidationError(f"unknown mode {mode!r}")
     half = delta_tau / 2.0
     num_half = 2 * (n - 1)
-    norms = np.ones(num_half + 1)
-    rayleigh = np.empty(num_half + 1)
     if mode == "exact":
-        cur = v0.normalized()
-        rayleigh[0] = fock_inner(cur, apply_hamiltonian(ints, cur)).real
-        for k in range(1, num_half + 1):
-            cur, step = evolve_imag(ints, cur, half)
-            norms[k] = norms[k - 1] * step
-            rayleigh[k] = fock_inner(cur, apply_hamiltonian(ints, cur)).real
+        energies, weights = spectral_measure(ints, v0)
+        # decay[k, j] = |<j|exp(-k dtau/2 (H - E_0)) v0>|^2 for normalized v0
+        decay = weights * np.exp(-np.outer(np.arange(num_half + 1) * delta_tau,
+                                           energies - energies[0]))
+        squares = decay.sum(axis=1)
+        norms, rayleigh = np.sqrt(squares), decay @ energies / squares
     else:
+        norms = np.ones(num_half + 1)
+        rayleigh = np.empty(num_half + 1)
         if pool is None:
             pool = qite_pool(ints)
         ham = jordan_wigner(ints)
@@ -832,28 +848,13 @@ def chebyshev_krylov_build(
         raise ValidationError("need at least one basis vector")
     scale = (hi - lo) / 2.0
     shift = (hi + lo) / 2.0
-    start = v0.normalized()
-
-    def rescaled(w: FockVector) -> FockVector:
-        hw = apply_hamiltonian(ints, w)
-        return FockVector(w.sector, (hw.amplitudes - shift * w.amplitudes) / scale)
-
-    raw = np.empty(2 * n, dtype=complex)
-    raw[0] = 1.0
-    prev, cur = start, rescaled(start)
-    if 2 * n > 1:
-        raw[1] = fock_inner(start, cur)
-    for k in range(2, 2 * n):
-        nxt = FockVector(start.sector, 2.0 * rescaled(cur).amplitudes - prev.amplitudes)
-        prev, cur = cur, nxt
-        raw[k] = fock_inner(start, cur)
-    worst = int(np.argmax(np.abs(raw)))
-    if abs(raw[worst]) > 1.0 + 1e-8:
+    f = polynomial_moments(ints, v0.normalized(), 2 * n, "chebyshev", shift, scale)
+    worst = int(np.argmax(np.abs(f)))
+    if abs(f[worst]) > 1.0 + 1e-8:
         raise RescalingError(
-            f"moment {worst} has magnitude {abs(raw[worst]):.6f}; "
+            f"moment {worst} has magnitude {abs(f[worst]):.6f}; "
             f"spectrum escapes [{lo}, {hi}]"
         )
-    f = raw.real
     r = np.arange(n)
     tot = np.add.outer(r, r)
     dif = np.abs(np.subtract.outer(r, r))
@@ -876,32 +877,22 @@ def gaussian_power_build(
     The Gaussian filter suppresses eigencomponents far from E0, taming the
     norm growth of the power basis; tau = 0 recovers the plain shifted
     power basis. E0 defaults to the Rayleigh quotient of v0. Realized
-    through the dense sector eigendecomposition.
+    on v0's spectral measure, so it needs the dense sector spectrum.
     """
     if n < 1:
         raise ValidationError("need at least one basis vector")
     if tau < 0:
         raise ValidationError("tau must be non-negative")
-    dim = sector_dimension(*ints.sector)
-    spectrum = exact_eigenpairs(ints, k=dim)
-    v = v0.normalized()
+    energies, weights = spectral_measure(ints, v0)
     if e0 is None:
-        e0 = float(fock_inner(v, apply_hamiltonian(ints, v)).real)
-    basis_mat = np.stack([vec.amplitudes for vec in spectrum.eigenvectors])
-    coeff = basis_mat.conj() @ v.amplitudes
-    centered = spectrum.eigenvalues - e0
-    filtered = np.exp(-(centered**2) * tau**2 / 2.0) * coeff
-    rows = np.stack([centered**alpha * filtered for alpha in range(n)])
-    smat = rows.conj() @ rows.T
-    hmat = rows.conj() @ (spectrum.eigenvalues * rows).T
-    provenance = {
-        "method": "gaussian_power",
-        "n": int(n),
-        "tau": float(tau),
-        "e0": float(e0),
-        "basis_norms": [float(np.linalg.norm(row)) for row in rows],
-    }
-    return SubspaceProblem(hmat, smat, provenance)
+        e0 = float(weights @ energies)
+    centered = energies - e0
+    gauss = np.exp(-(centered**2) * tau**2 / 2.0)
+    filters = np.stack([centered**alpha * gauss for alpha in range(n)], axis=1)
+    provenance = {"method": "gaussian_power", "n": int(n), "tau": float(tau), "e0": float(e0)}
+    prob = filter_subspace(energies, weights, filters, provenance)
+    provenance["basis_norms"] = [float(x) for x in np.sqrt(np.diag(prob.smat))]
+    return prob
 
 
 # ---------------------------------------------------------------------------

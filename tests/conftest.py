@@ -36,9 +36,10 @@ def _workloads():
     return module
 
 
-def scan_integrals(stretch: float) -> MolecularIntegrals:
-    """The benchmark's sector-scan molecule: 7 orbitals, (3,3), dimension 1225."""
-    return _workloads().synthetic_integrals(stretch)
+def scan_integrals(stretch: float, m: int = 7, n_up: int = 3, n_down: int = 3):
+    """The benchmark's sector-scan molecule: by default 7 orbitals, (3,3),
+    dimension 1225; other shapes come from the same construction."""
+    return _workloads().synthetic_integrals(stretch, m, n_up, n_down)
 
 
 def fixture_path(name: str) -> pathlib.Path:

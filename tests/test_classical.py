@@ -10,12 +10,11 @@ from conftest import load_integrals, scan_integrals
 from qsubspace.classical import (
     ConvergenceBound,
     DavidsonResult,
-    KrylovMoments,
     TridiagonalForm,
-    compute_moments,
     davidson,
     kaniel_paige_saad,
     lanczos,
+    polynomial_moments,
     power_krylov,
 )
 from qsubspace.errors import CapacityError, ConvergenceError, ValidationError
@@ -41,16 +40,25 @@ def random_vector(ints, seed):
 
 def test_moments_match_dense_oracle(h2):
     v0 = random_vector(h2, 21)
-    mom = compute_moments(h2, v0, 8)
+    mom = polynomial_moments(h2, v0, 8)
     ref = krylov_moments(dense_sector(h2), v0.amplitudes, 8)
-    assert isinstance(mom, KrylovMoments) and mom.count == 8
-    assert np.allclose(mom.moments, ref, atol=1e-10)
+    assert mom.shape == (8,)
+    assert np.allclose(mom, ref, atol=1e-10)
+    # Chebyshev moments of (H - shift) / scale from the dense T_k recurrence
+    shift, scale = -0.5, 2.0
+    hbar = (dense_sector(h2) - shift * np.eye(4)) / scale
+    prev, cur, ref = v0.amplitudes, hbar @ v0.amplitudes, [1.0]
+    for _ in range(7):
+        ref.append(float(np.vdot(v0.amplitudes, cur).real))
+        prev, cur = cur, 2.0 * hbar @ cur - prev
+    got = polynomial_moments(h2, v0, 8, "chebyshev", shift, scale)
+    assert np.allclose(got, ref, atol=1e-10)
 
 
 def test_moment_invariants(h3_plus):
     v0 = random_vector(h3_plus, 22)
     n = 5
-    f = compute_moments(h3_plus, v0, 2 * n).moments
+    f = polynomial_moments(h3_plus, v0, 2 * n)
     assert np.isclose(f[0], 1.0)
     idx = np.arange(n)
     hankel = f[idx[:, None] + idx[None, :]]
@@ -60,7 +68,7 @@ def test_moment_invariants(h3_plus):
 def test_power_krylov_smallest_case(h2):
     v0 = random_vector(h2, 23)
     prob = power_krylov(h2, v0, 1)
-    f = compute_moments(h2, v0, 2).moments
+    f = polynomial_moments(h2, v0, 2)
     assert np.isclose(prob.smat[0, 0].real, 1.0)
     assert np.isclose(prob.hmat[0, 0].real, f[1])
     assert prob.provenance == {"method": "power_krylov", "n": 1}
@@ -99,6 +107,8 @@ def test_power_krylov_domain_checks(h2, h3_plus):
         power_krylov(h2, v0, 0)
     with pytest.raises(ValidationError):
         power_krylov(h3_plus, v0, 2)  # sector mismatch
+    with pytest.raises(ValidationError):
+        polynomial_moments(h2, v0, 4, "legendre")
 
 
 def test_lanczos_single_step_rayleigh(h2):
@@ -208,9 +218,10 @@ def test_real_matvecs_equal_the_complex_product(case, monkeypatch):
     def run():
         form, prob = lanczos(ints, v0, 12)
         dav = davidson(ints, k=2)
-        moments = compute_moments(ints, v0, 6).moments
-        return (form.alphas, form.betas, form.basis, prob.hmat, moments, dav.eigenvalues,
-                dav.residual_norms, np.array(dav.trace),
+        moments = polynomial_moments(ints, v0, 6)
+        chebyshev = polynomial_moments(ints, v0, 6, "chebyshev", -5.0, 20.0)
+        return (form.alphas, form.betas, form.basis, prob.hmat, moments, chebyshev,
+                dav.eigenvalues, dav.residual_norms, np.array(dav.trace),
                 *[v.amplitudes for v in dav.eigenvectors])
 
     fast = run()

@@ -21,7 +21,6 @@ from qsubspace.engine import (
     statevector_from_fock,
     trotter_plan,
     trotter_step,
-    zero_state,
 )
 from qsubspace.errors import DataError, ValidationError
 from qsubspace.fock import (
@@ -79,7 +78,9 @@ def test_fock_embedding_round_trip(h3_plus):
 
 
 def test_fock_projection_guards_leakage():
-    s = zero_state(4)  # vacuum: not in the one-electron-per-spin sector
+    vacuum = np.zeros(16, dtype=complex)
+    vacuum[0] = 1.0
+    s = Statevector(4, vacuum)  # not in the one-electron-per-spin sector
     with pytest.raises(DataError):
         fock_from_statevector(s, (2, 1, 1))
     # explicit opt-out projects silently

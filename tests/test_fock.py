@@ -29,7 +29,6 @@ from qsubspace.fock import (
     basis_vector,
     configuration_index,
     enumerate_configurations,
-    evolve_imag,
     evolve_real,
     exact_eigenpairs,
     hamiltonian_diagonal,
@@ -37,6 +36,7 @@ from qsubspace.fock import (
     reference_configuration,
     sector_dimension,
     sector_matrix,
+    spectral_measure,
 )
 from qsubspace.integrals import MolecularIntegrals
 from qsubspace.qubits import jordan_wigner
@@ -289,6 +289,16 @@ def test_exact_eigenpairs_match_oracle(name):
     for val, vec in zip(sl.eigenvalues, sl.eigenvectors):
         resid = apply_hamiltonian(ints, vec).amplitudes - val * vec.amplitudes
         assert np.linalg.norm(resid) < 1e-9
+    # the spectral measure of a complex vector: the same eigenvalues, and the
+    # squared overlaps of its normalized amplitudes with each eigenvector
+    rng = np.random.default_rng(9)
+    amp = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    energies, weights = spectral_measure(ints, FockVector(ints.sector, 2.0 * amp))
+    assert np.array_equal(energies, sl.eigenvalues)
+    want = [abs(np.vdot(vec.amplitudes, amp)) ** 2 / np.vdot(amp, amp).real
+            for vec in sl.eigenvectors]
+    np.testing.assert_allclose(weights, want, rtol=0, atol=1e-12)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -428,22 +438,6 @@ def test_evolve_real_matches_expm(h3_plus):
     assert np.linalg.norm(a.amplitudes - b.amplitudes) < 1e-12
 
 
-def test_evolve_imag_matches_expm(h2_stretched):
-    rng = np.random.default_rng(13)
-    dim = h2_stretched.sector_dimension
-    amp = rng.standard_normal(dim) + 0j
-    amp /= np.linalg.norm(amp)
-    v = FockVector(h2_stretched.sector, amp)
-    ref_mat = oracles.sector_hamiltonian(
-        h2_stretched.e_nuc, h2_stretched.one_body, h2_stretched.two_body, 1, 1
-    )
-    got, norm = evolve_imag(h2_stretched, v, 0.8)
-    ref_vec, ref_norm = oracles.imaginary_evolve_dense(ref_mat, amp, 0.8)
-    assert norm == pytest.approx(ref_norm, rel=1e-12)
-    np.testing.assert_allclose(got.amplitudes, ref_vec, atol=1e-10)
-    assert got.norm() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_dense_spectrum_capacity_cap():
     m = 8
     ints = MolecularIntegrals(
@@ -452,6 +446,8 @@ def test_dense_spectrum_capacity_cap():
     assert ints.sector_dimension == 4900
     with pytest.raises(CapacityError):
         exact_eigenpairs(ints, k=1)
+    with pytest.raises(CapacityError):
+        spectral_measure(ints, FockVector(ints.sector, np.ones(4900)))
 
 
 def test_inner_product_and_sector_guard(h2):

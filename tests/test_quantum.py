@@ -1,6 +1,7 @@
 """Quantum subspace builders: expansions, time grids, filters, spectra."""
 
 import copy
+import functools
 import math
 import pathlib
 import subprocess
@@ -15,9 +16,10 @@ import qsubspace.engine as engine_module
 import qsubspace.quantum as quantum_module
 import qsubspace.qubits as qubits_module
 from qsubspace import cli
-from conftest import FIXTURE_NAMES, fixture_path, load_integrals
+from conftest import FIXTURE_NAMES, fixture_path, load_integrals, scan_integrals
 from oracles import (
     dense_pauli_sum,
+    evolve_dense,
     full_hamiltonian,
     imaginary_evolve_dense,
     ladder_matrix,
@@ -42,7 +44,6 @@ from qsubspace.fock import (
     FockVector,
     apply_ladders,
     basis_vector,
-    evolve_imag,
     evolve_real,
     exact_eigenpairs,
     matvec,
@@ -729,15 +730,12 @@ class TestQlanczos:
         v0 = random_vector(h2, 7)
         dtau, n = 0.5, 4
         prob = qlanczos_build(v0, h2, dtau, n)
+        mat = dense_sector(h2)
         snaps = [
-            evolve_imag(h2, v0, dtau * a)[0] if a else v0 for a in range(n)
+            imaginary_evolve_dense(mat, v0.amplitudes, dtau * a)[0] if a else v0.amplitudes
+            for a in range(n)
         ]
-        direct = np.array(
-            [
-                [float(np.vdot(x.amplitudes, y.amplitudes).real) for y in snaps]
-                for x in snaps
-            ]
-        )
+        direct = np.array([[float(np.vdot(x, y).real) for y in snaps] for x in snaps])
         np.testing.assert_allclose(prob.smat, direct, atol=1e-10)
 
     def test_exact_mode_reaches_fci(self, h2):
@@ -954,6 +952,76 @@ class TestGaussianPower:
             return q3 - q1
 
         assert iqr(filtered) < iqr(raw)
+
+
+# ---------------------------------------------------------------------------
+# the exact filter builders against explicit basis vectors
+
+
+def dense_filter_basis(method, mat, v):
+    """Rows f_a(H) v for n = 3 built from the dense sector matrix, with the
+    builder call that should reproduce their Gram pencil."""
+    n = 3
+    if method == "qfd":
+        grid = QfdGrid(0.3, n)
+        rows = [evolve_dense(mat, v, t) for t in grid.times()]
+        return rows, lambda ints, v0: qfd_build(v0, ints, grid)
+    if method == "qlanczos":
+        rows = [imaginary_evolve_dense(mat, v, 0.4 * a)[0] for a in range(n)]
+        return rows, lambda ints, v0: qlanczos_build(v0, ints, 0.4, n)
+    if method == "gaussian-power":
+        shifted = mat - np.vdot(v, mat @ v).real * np.eye(len(v))
+        filtered = scipy.linalg.expm(-shifted @ shifted * 0.7**2 / 2) @ v
+        rows = [np.linalg.matrix_power(shifted, a) @ filtered for a in range(n)]
+        return rows, lambda ints, v0: gaussian_power_build(v0, ints, n, 0.7)
+    if method == "power-krylov":
+        rows = [np.linalg.matrix_power(mat, a) @ v for a in range(n)]
+        return rows, lambda ints, v0: power_krylov(ints, v0, n)
+    lam, vecs = np.linalg.eigh(mat)
+    lo, hi = lam[0] - 0.5, lam[-1] + 0.5
+    angle = np.arccos((2 * lam - lo - hi) / (hi - lo))
+    rows = [vecs @ (np.cos(a * angle) * (vecs.T @ v)) for a in range(n)]
+    return rows, lambda ints, v0: chebyshev_krylov_build(v0, ints, n, (lo, hi))
+
+
+@functools.cache
+def dense_fixture(name):
+    ints = load_integrals(name)
+    return ints, dense_sector(ints)
+
+
+@pytest.mark.parametrize("method", ["qfd", "qlanczos", "gaussian-power", "power-krylov",
+                                    "chebyshev"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_exact_filter_builders_match_dense_basis_vectors(name, method):
+    ints, mat = dense_fixture(name)
+    rng = np.random.default_rng(41)
+    amp = rng.standard_normal(mat.shape[0]) + 1j * rng.standard_normal(mat.shape[0])
+    amp /= np.linalg.norm(amp)
+    rows, build = dense_filter_basis(method, mat, amp)
+    basis = np.array(rows)
+    prob = build(ints, FockVector(ints.sector, amp))
+    for got, want in ((prob.smat, basis.conj() @ basis.T),
+                      (prob.hmat, basis.conj() @ (mat @ basis.T))):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_dense_cap_ends_the_spectral_paths_only():
+    # dimension 4900 > 4096: the moment recurrences still build, every
+    # builder on the spectral measure refuses
+    ints = scan_integrals(1.0, m=8, n_up=4, n_down=4)
+    assert ints.sector_dimension == 4900
+    v0 = basis_vector(ints.sector, reference_configuration(ints))
+    assert power_krylov(ints, v0, 3).n == 3
+    assert chebyshev_krylov_build(v0, ints, 3, (-60.0, 60.0)).n == 3
+    for build in (
+        lambda: qfd_build(v0, ints, QfdGrid(0.1, 3)),
+        lambda: gaussian_power_build(v0, ints, 3, 1.0),
+        lambda: qlanczos_build(v0, ints, 0.2, 3),
+        lambda: epperly_qfd_bound(ints, v0, 3),
+    ):
+        with pytest.raises(CapacityError):
+            build()
 
 
 # ---------------------------------------------------------------------------
