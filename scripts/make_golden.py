@@ -8,11 +8,11 @@ sections of their reports (the config echo holds the output path, which
 varies between runs). Finally it runs every method once with its defaults,
 two non-default variants and one sweep per axis, and stores their `result`
 sections and sweep.csv rows. A fourth file pins the `result` sections of
-six runs on the wider fixtures (h4_toy and h3_plus, 6 to 8 qubits), where
-the Pauli kernels, QITE and the group models work on more than one
-qubit pair; two of them sample fully commuting groups. The committed files pin the exact
-floating-point output, so any platform or code drift shows up as a
-bit-level mismatch.
+seven runs on the wider fixtures (h4_toy and h3_plus, 6 to 8 qubits), where
+the Pauli kernels, QITE, the group models and the Trotter steps work on
+more than one qubit pair; two of them sample fully commuting groups. The
+committed files pin the exact floating-point output of one BLAS thread,
+so any platform or code drift shows up as a bit-level mismatch.
 Run from the repository root:
 
     python scripts/make_golden.py           # rewrite the committed files
@@ -28,11 +28,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import pathlib
 import sys
 import tempfile
 
-import numpy as np
+# one BLAS thread before numpy is imported, as tests/conftest.py and
+# perfbench/run.py set it: a threaded OpenBLAS may sum in another order
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
@@ -82,6 +88,8 @@ WIDE_RUNS = (
     ("h4_toy", ("qfd", "--shots", "2000", "--grouping", "full", "--seed", "3")),
     ("h3_plus", ("qse", "--level", "S", "--eps-target", "1e-3", "--grouping", "full",
                  "--seed", "3")),
+    ("h4_toy", ("qfd", "--backend", "trotter", "--n", "6", "--substeps", "2",
+                "--sweep", "dt=0.2,0.4,0.8")),
 )
 
 

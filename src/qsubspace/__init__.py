@@ -5,7 +5,7 @@ Subpackages are organized by representation:
   integrals   molecular integral containers, FCIDUMP I/O, active space, ERI Cholesky
   fock        configuration bases, sparse Hamiltonians, exact spectra and propagators
   qubits      Pauli algebra, Jordan-Wigner images, commutation grouping
-  engine      statevector simulation, rotation networks, Trotter steps
+  engine      statevector simulation, string-space Trotter steps
   geev        thresholded generalized eigensolver, conditioning and bounds
   classical   moment/Lanczos/Davidson subspaces and convergence bounds
   quantum     measurement-driven subspace builders (real/imaginary time, expansions)

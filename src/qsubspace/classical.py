@@ -34,9 +34,12 @@ _BREAKDOWN = 1e-12
 
 
 def _sector_array(ints: MolecularIntegrals, v0: FockVector) -> np.ndarray:
+    """v0's amplitudes, as float64 when their imaginary part is zero: the
+    sector matrix is real, so products and Gram-Schmidt then stay real."""
     if v0.sector != ints.sector:
         raise ValidationError("start vector sector does not match integrals")
-    return np.asarray(v0.amplitudes, dtype=complex)
+    amp = np.asarray(v0.amplitudes, dtype=complex)
+    return amp if amp.imag.any() else amp.real.copy()
 
 
 def polynomial_moments(
@@ -66,7 +69,8 @@ def polynomial_moments(
     for k in range(count):
         out[k] = complex(np.vdot(vec, cur)).real
         if k + 1 < count:
-            nxt = (matvec(mat, cur) - shift * cur) / scale
+            # times the reciprocal: the bits complex division by a real gives
+            nxt = (matvec(mat, cur) - shift * cur) * (1.0 / scale)
             if basis == "chebyshev" and k:
                 nxt = 2.0 * nxt - prev
             prev, cur = cur, nxt
@@ -132,11 +136,11 @@ def lanczos(
     mat = sector_matrix(ints)
     dim = vec.size
     n = min(n, dim)
-    basis = np.zeros((dim, n), dtype=complex)
+    basis = np.zeros((dim, n), dtype=vec.dtype)
     basis[:, 0] = vec / norm
     alphas = []
     betas = []
-    prev = np.zeros(dim, dtype=complex)
+    prev = np.zeros(dim, dtype=vec.dtype)
     beta = 0.0
     for k in range(n):
         q = basis[:, k]
@@ -218,10 +222,11 @@ def davidson(
     else:
         # Unit vectors on the k smallest diagonal entries, each its own
         # 1 x dim row (a column of eye(dim) would keep dim^2 alive).
-        cols = [np.eye(1, dim, i, dtype=complex)[0] for i in np.argsort(diag)[:k]]
-    basis = np.zeros((dim, 0), dtype=complex)
+        cols = [np.eye(1, dim, i)[0] for i in np.argsort(diag)[:k]]
+    # real unless a start is complex; the sector matrix is real
+    basis = np.zeros((dim, 0), dtype=np.result_type(float, *cols))
     for c in cols:
-        c = _orthonormalize_against(c.astype(complex), basis)
+        c = _orthonormalize_against(c.astype(basis.dtype), basis)
         if c is not None:
             basis = np.column_stack([basis, c])
     if basis.shape[1] < k:
@@ -257,7 +262,7 @@ def davidson(
             keep = list(y_all[:, : 4 * k].T)
             if previous is not None:
                 keep.extend((basis.conj().T @ previous).T)
-            coef = np.zeros((basis.shape[1], 0), dtype=complex)
+            coef = np.zeros((basis.shape[1], 0), dtype=basis.dtype)
             for c in keep:
                 c = _orthonormalize_against(c, coef)
                 if c is not None:

@@ -7,31 +7,30 @@ sector vectors embed by index with no sign bookkeeping.
 Pauli actions and exponentials work directly on amplitudes, through one
 table kernel: `pauli_rows` turns (x, z) masks into per-row gather indices
 and phases, so a Pauli sum is a term-ordered reduction over table tiles
-and QITE gathers its whole rotation pool at once. Orbital
-rotations exp(sum_pr kappa_pr adag_p a_r) are compiled to networks of
-adjacent two-mode Givens elements (applied to both spin blocks) plus a
-single diagonal phase layer; symmetric one-body generators are handled by
-rotating into their eigenbasis where the evolution is a number-operator
-phase. The Trotter step composes those pieces:
+and QITE gathers its whole rotation pool at once. The Trotter step
+exponentiates each factor of the factorized Hamiltonian in string space.
+A spin-free one-body factor F keeps both spins' electron counts, and on
+one spin's k-electron strings it is the real symmetric matrix
+fock.string_operator(F, k) with eigenpairs (lambda, Y). Viewing the
+register as blocks A[down string, up string], exp(-i t F) is
+Y_d (exp(-i t (lambda_d + lambda_u)) o (Y_d^T A Y_u)) Y_u^T, and
+exp(-i t F^2) squares the exponent's sum. The step is
 
-    exp(-i dt H) ~ e^{-i dt e_nuc} [prod_g W_g^+ U2(sqrt(dt) l^g) W_g]
-                                   W_0^+ U1(dt zeta) W_0
+    exp(-i dt H) ~ e^{-i dt e_nuc} [prod_g exp(-i dt (L^g)^2)] exp(-i dt J1)
 
-with U1 a linear and U2 a squared occupation phase, applied rightmost
-first.
+applied rightmost first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapacityError, DataError, ValidationError
-from .fock import Configuration, FockVector, sector_word_indices
+from .fock import Configuration, FockVector, sector_word_indices, string_operator
 from .integrals import CholeskyFactors
 from .qubits import _PHASES, PauliString, PauliSum
 
@@ -179,174 +178,67 @@ def apply_pauli_exponential(p: PauliString, theta: float, s: Statevector) -> Sta
 
 
 # ---------------------------------------------------------------------------
-# orbital rotation networks
-
-
-@dataclass(frozen=True, eq=False)
-class RotationNetwork:
-    """Compiled one-body rotation W acting on both spin blocks.
-
-    `rotations` is a tuple of (orbital, theta) adjacent Givens elements in
-    forward application order, acting on orbitals (orbital, orbital+1);
-    `phases` is the diagonal layer applied before them. For a symmetric
-    generator (kind "h"), `eigenvalues` holds the number-operator weights in
-    the rotated basis.
-    """
-
-    num_orbitals: int
-    kind: str
-    rotations: tuple
-    phases: np.ndarray
-    eigenvalues: np.ndarray | None = None
-
-
-def _givens_synthesis(u: np.ndarray):
-    """u = R_1^T ... R_K^T D with adjacent-row rotations; returns the
-    elements in state-application order plus the diagonal of D."""
-    m = u.shape[0]
-    work = u.copy()
-    eliminated = []  # (row, c, s) in elimination order
-    for col in range(m - 1):
-        for row in range(m - 1, col, -1):
-            a, b = work[row - 1, col], work[row, col]
-            r = math.hypot(a, b)
-            if r < 1e-14:
-                continue
-            c, s = a / r, b / r
-            rot = np.array([[c, s], [-s, c]])
-            work[row - 1 : row + 1, :] = rot @ work[row - 1 : row + 1, :]
-            eliminated.append((row - 1, math.atan2(s, c)))
-    diag = np.diag(work).copy()
-    if np.max(np.abs(work - np.diag(diag))) > 1e-10:
-        raise DataError("rotation synthesis left a non-diagonal residual")
-    if np.max(np.abs(np.abs(diag) - 1.0)) > 1e-10:
-        raise DataError("rotation synthesis produced a non-unit diagonal")
-    return tuple(reversed(eliminated)), diag
-
-
-def build_rotation_network(mat: np.ndarray) -> RotationNetwork:
-    """Compile a one-body generator matrix to a network.
-
-    Antisymmetric kappa gives W = image of exp(sum kappa_pr adag_p a_r);
-    symmetric h gives the basis change W with W^+ (sum_p eta_p n_p) W equal
-    to the image of h, eta its eigenvalues.
-    """
-    mat = np.asarray(mat, dtype=float)
-    m = mat.shape[0]
-    if mat.shape != (m, m):
-        raise ValidationError("generator must be square")
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat + mat.T)) <= 1e-10 * scale:
-        kind = "kappa"
-        u = scipy.linalg.expm(mat)
-        eigenvalues = None
-    elif np.max(np.abs(mat - mat.T)) <= 1e-10 * scale:
-        kind = "h"
-        eigenvalues, vecs = np.linalg.eigh(mat)
-        u = vecs.T
-    else:
-        raise ValidationError("generator is neither symmetric nor antisymmetric")
-    rotations, diag = _givens_synthesis(u)
-    return RotationNetwork(m, kind, rotations, diag.astype(complex), eigenvalues)
-
-
-@lru_cache(maxsize=None)
-def _occupation_bits(num_qubits: int) -> np.ndarray:
-    idx = np.arange(1 << num_qubits)
-    return np.stack([(idx >> q) & 1 for q in range(num_qubits)]).astype(float)
-
-
-def _apply_givens(amp: np.ndarray, qubit: int, theta: float):
-    """Rotate the (10, 01) occupation pair of qubits (qubit, qubit+1)."""
-    lo, hi = 1 << qubit, 1 << (qubit + 1)
-    idx = np.arange(amp.size)
-    sel = (idx & lo).astype(bool) & ~(idx & hi).astype(bool)
-    ones = idx[sel]
-    partner = ones ^ lo ^ hi
-    c, s = math.cos(theta), math.sin(theta)
-    a, b = amp[ones], amp[partner]
-    amp[ones] = c * a - s * b
-    amp[partner] = s * a + c * b
-
-
-def apply_rotation_network(net: RotationNetwork, s: Statevector,
-                           dagger: bool = False) -> Statevector:
-    m = net.num_orbitals
-    if s.num_qubits != 2 * m:
-        raise ValidationError("network and state sizes differ")
-    amp = s.amplitudes.copy()
-    bits = _occupation_bits(s.num_qubits)
-
-    def phase_layer(conj):
-        vals = np.conj(net.phases) if conj else net.phases
-        scale = np.ones(amp.size, dtype=complex)
-        for p in range(m):
-            occ = bits[p] + bits[p + m]
-            scale = np.where(occ >= 1, scale * vals[p], scale)
-            scale = np.where(occ == 2, scale * vals[p], scale)
-        return scale
-
-    if not dagger:
-        amp *= phase_layer(conj=False)
-        for orb, theta in net.rotations:
-            _apply_givens(amp, orb, theta)
-            _apply_givens(amp, orb + m, theta)
-    else:
-        for orb, theta in reversed(net.rotations):
-            _apply_givens(amp, orb, -theta)
-            _apply_givens(amp, orb + m, -theta)
-        amp *= phase_layer(conj=True)
-    return Statevector(s.num_qubits, amp)
-
-
-def _occupation_sum(x: np.ndarray, num_qubits: int) -> np.ndarray:
-    """sum_p x_p (n_p-up + n_p-down) evaluated on every basis index."""
-    m = num_qubits // 2
-    bits = _occupation_bits(num_qubits)
-    return x @ (bits[:m] + bits[m : 2 * m])
-
-
-# ---------------------------------------------------------------------------
 # Trotter steps for the factorized Hamiltonian
 
 
 @dataclass(frozen=True, eq=False)
 class TrotterPlan:
-    """Pre-synthesized networks for H = e_nuc + J1hat + sum_g (Lhat^g)^2."""
+    """H = e_nuc + J1hat + sum_g (Lhat^g)^2 as its one-body matrices: J1 in
+    `one_body`, the L^g in `pair_factors`. Each factor's eigenpairs on one
+    spin's k-electron strings are built on first use and kept."""
 
-    num_orbitals: int
     e_nuc: float
-    one_body_network: RotationNetwork
-    factor_networks: tuple
+    one_body: np.ndarray
+    pair_factors: tuple
+    _eigenpairs: dict = field(default_factory=dict, repr=False)
+
+    def eigenpairs(self, factor: int, k: int):
+        """(eigenvalues, real orthonormal eigenvectors) of factor's string
+        operator on k-electron strings; factor 0 is J1, g + 1 is L^g."""
+        if (factor, k) not in self._eigenpairs:
+            mat = self.pair_factors[factor - 1] if factor else self.one_body
+            self._eigenpairs[factor, k] = np.linalg.eigh(string_operator(mat, k))
+        return self._eigenpairs[factor, k]
 
 
 def trotter_plan(j1: np.ndarray, factors: CholeskyFactors,
                  e_nuc: float = 0.0) -> TrotterPlan:
-    j1 = np.asarray(j1, dtype=float)
     m = factors.num_orbitals
-    if j1.shape != (m, m):
-        raise ValidationError("one-body correction shape mismatch")
-    nets = tuple(build_rotation_network(ell) for ell in factors.factors)
-    return TrotterPlan(m, float(e_nuc), build_rotation_network(j1), nets)
+    mats = [np.asarray(j1, dtype=float), *factors.factors]
+    for mat in mats:
+        tol = 1e-10 * max(1.0, np.max(np.abs(mat)))
+        if mat.shape != (m, m) or np.max(np.abs(mat - mat.T)) > tol:
+            raise ValidationError("one-body factors must be symmetric m x m matrices")
+    return TrotterPlan(float(e_nuc), mats[0], tuple(mats[1:]))
+
+
+def _real_sandwich(left: np.ndarray, z: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ z @ right for real left and right: one real product from each
+    side acts on the real and imaginary parts of z together."""
+    rows, cols = z.shape
+    parts = np.stack([z.real, z.imag], axis=1).reshape(rows, 2 * cols)
+    parts = (left @ parts).reshape(-1, cols) @ right
+    return parts[0::2] + 1j * parts[1::2]
 
 
 def trotter_step(plan: TrotterPlan, dt: float, s: Statevector) -> Statevector:
-    """One first-order product-formula step of exp(-i dt H)."""
-    nq = s.num_qubits
-    if nq != 2 * plan.num_orbitals:
+    """One first-order product-formula step of exp(-i dt H), J1 first (see
+    the module docstring), on each block of the register with k_down and
+    k_up electrons that holds amplitude; the other blocks stay zero."""
+    m = plan.one_body.shape[0]
+    if s.num_qubits != 2 * m:
         raise ValidationError("plan and state sizes differ")
-
-    net0 = plan.one_body_network
-    s = apply_rotation_network(net0, s)
-    occ = _occupation_sum(dt * net0.eigenvalues, nq)
-    s = Statevector(nq, s.amplitudes * np.exp(-1j * occ))
-    s = apply_rotation_network(net0, s, dagger=True)
-
-    root = math.sqrt(dt)
-    for net in plan.factor_networks:
-        s = apply_rotation_network(net, s)
-        occ = _occupation_sum(root * net.eigenvalues, nq)
-        s = Statevector(nq, s.amplitudes * np.exp(-1j * occ * occ))
-        s = apply_rotation_network(net, s, dagger=True)
-
-    return Statevector(nq, s.amplitudes * np.exp(-1j * dt * plan.e_nuc))
+    held = np.flatnonzero(s.amplitudes)
+    codes = np.bitwise_count(held >> m) * (m + 1) + np.bitwise_count(held & ((1 << m) - 1))
+    powers = (1,) + (2,) * len(plan.pair_factors)
+    out = np.zeros_like(s.amplitudes)
+    for k_down, k_up in (divmod(code, m + 1) for code in np.unique(codes).tolist()):
+        idx = sector_word_indices((m, k_up, k_down))
+        z = s.amplitudes[idx].reshape(math.comb(m, k_down), math.comb(m, k_up))
+        for factor, power in enumerate(powers):
+            lam_d, y_d = plan.eigenpairs(factor, k_down)
+            lam_u, y_u = plan.eigenpairs(factor, k_up)
+            phase = np.exp(-1j * dt * (lam_d[:, None] + lam_u) ** power)
+            z = _real_sandwich(y_d, phase * _real_sandwich(y_d.T, z, y_u), y_u.T)
+        out[idx] = z.ravel()
+    return Statevector(s.num_qubits, out * np.exp(-1j * dt * plan.e_nuc))

@@ -23,7 +23,9 @@ is one array expression; no loop runs over determinants. Doubles that are
 exactly zero are dropped. The build is capped at 12,000,000 stored entries,
 counted from the table lengths before anything is allocated (m = 9 (4,4)
 stores 8.9M; m = 10 (4,4) would store 35.5M). Dense spectra and propagators
-are capped at dimension 4096.
+are capped at dimension 4096. string_operator reads one spin's block of a
+spin-free one-body operator off the same singles table; engine's Trotter
+step exponentiates it.
 
 The dense eigensystem takes one eigh per spin-flip block. When n_up =
 n_down, swapping the two spin strings P (the transpose of the (down, up)
@@ -263,6 +265,19 @@ def _replacements(m: int, k: int, order: int) -> _Replacements:
     for arr in table:
         arr.setflags(write=False)
     return table
+
+
+def string_operator(mat: np.ndarray, k: int) -> np.ndarray:
+    """One spin's block of the spin-free sum_pq mat_pq adag_p a_q on its
+    k-electron strings, in _spin_words order: the diagonal sum over each
+    string's orbitals of mat_pp plus one signed entry per single
+    replacement. The other spin's strings do not enter the signs."""
+    m = mat.shape[0]
+    occ = (_spin_words(m, k)[:, None] >> np.arange(m)) & 1
+    out = np.diag(occ @ np.diag(mat))
+    t = _replacements(m, k, 1)
+    out[t.tgt, t.src] = t.sign * mat[t.particles[:, 0], t.holes[:, 0]]
+    return out
 
 
 def _entry_count(m: int, n_up: int, n_down: int) -> int:

@@ -50,6 +50,7 @@ from .fock import (
 )
 from .geev import GEEVSolution, SubspaceProblem, real_if_exact
 from .integrals import MolecularIntegrals, cholesky_decompose_eri, effective_one_body
+from .integrals import cached_per_integrals
 from .qubits import PauliSum, jordan_wigner, ladder_product, pauli_keys, string_table
 from .qubits import _ladder_terms, pauli_products
 from .engine import (
@@ -524,6 +525,14 @@ def filter_subspace(energies, weights, filters, provenance: dict) -> SubspacePro
     return SubspaceProblem(left @ (energies[:, None] * filters), left @ filters, provenance)
 
 
+@cached_per_integrals
+def _trotter_plan(ints: MolecularIntegrals):
+    """The product-formula plan of the integrals' factorized Hamiltonian;
+    it holds arrays only, so the weak-keyed cache frees it with ints."""
+    factors = cholesky_decompose_eri(ints)
+    return trotter_plan(effective_one_body(ints, factors), factors, ints.e_nuc)
+
+
 def _snapshots(state0: FockVector, ints, grid: QfdGrid) -> list:
     """The normalized state0 propagated to the grid times: exactly, or by
     product-formula steps taken outward from 0."""
@@ -531,8 +540,7 @@ def _snapshots(state0: FockVector, ints, grid: QfdGrid) -> list:
     times = grid.times()
     if grid.backend == "exact":
         return [evolve_real(ints, v0, float(t)) for t in times]
-    factors = cholesky_decompose_eri(ints)
-    plan = trotter_plan(effective_one_body(ints, factors), factors, ints.e_nuc)
+    plan = _trotter_plan(ints)
     start = statevector_from_fock(v0)
     cache = {0.0: start}
 
@@ -548,8 +556,8 @@ def _snapshots(state0: FockVector, ints, grid: QfdGrid) -> list:
 
     walk(sorted(t for t in times if t >= 0))
     walk(sorted((t for t in times if t < 0), reverse=True))
-    # Givens and phase layers conserve occupation numbers, so the snapshots
-    # stay exactly inside the reference sector
+    # every factor acts within one (n_up, n_down) block of the register, so
+    # the snapshots stay exactly inside the reference sector
     return [fock_from_statevector(cache[float(t)], v0.sector) for t in times]
 
 

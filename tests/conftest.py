@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import os
 import pathlib
+
+# one BLAS thread, set before numpy is imported, as perfbench/run.py does:
+# the golden files pin one-thread bits, and a threaded OpenBLAS may sum
+# in another order
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest

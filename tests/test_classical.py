@@ -231,6 +231,33 @@ def test_real_matvecs_equal_the_complex_product(case, monkeypatch):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("case", ["h3_plus", "h4_toy", 0.9])
+def test_real_starts_give_the_ritz_values_of_complex_ones(case, monkeypatch):
+    # a start with zero imaginary part runs in float64; forcing the same
+    # start through complex arithmetic must give the same numbers
+    ints = load_integrals(case) if isinstance(case, str) else scan_integrals(case)
+    v0 = random_vector(ints, 29)
+    spectrum = exact_eigenpairs(ints, k=ints.sector_dimension)
+
+    def run():
+        form, _ = lanczos(ints, v0, 8)
+        return (form.basis.dtype, form.eigenvalues(),
+                davidson(ints, k=2).eigenvalues,
+                davidson(ints, k=1, v0s=[v0]).eigenvalues,
+                polynomial_moments(ints, v0, 6),
+                polynomial_moments(ints, v0, 6, "chebyshev", -5.0, 20.0),
+                kaniel_paige_saad(ints, spectrum, v0, 5, mu=1).measured)
+
+    real = run()
+    to_complex = classical_module._sector_array
+    monkeypatch.setattr(classical_module, "_sector_array",
+                        lambda ints, v: to_complex(ints, v).astype(complex))
+    forced = run()
+    assert real[0] == np.float64 and forced[0] == np.complex128
+    for got, want in zip(real[1:], forced[1:], strict=True):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_davidson_converges_on_fixture(h2):
     result = davidson(h2, k=1, tol=1e-8, max_iter=50)
     evals, _ = sector_fci(

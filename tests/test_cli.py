@@ -104,12 +104,12 @@ class TestReports:
                     assert list(csv.reader(handle)) == run["sweep_csv"], run["args"]
 
     def test_wide_fixture_runs_match_committed_golden_bit_for_bit(self, tmp_path):
-        # exact and sampled runs on 6 and 8 qubits, qubitwise and fully
-        # commuting groups, pinned by scripts/make_golden.py
+        # exact, sampled and Trotter runs on 6 and 8 qubits, qubitwise and
+        # fully commuting groups, pinned by scripts/make_golden.py
         golden = json.loads(
             (pathlib.Path(__file__).resolve().parent / "golden" / "wide_fixtures.json").read_text()
         )
-        assert len(golden["runs"]) == 6
+        assert len(golden["runs"]) == 7
         for k, run in enumerate(golden["runs"]):
             fixture = str(fixture_path(run["input"].removesuffix(".fcidump")))
             code, report, _ = run_cli(tmp_path / str(k), *run["args"], "--input", fixture)

@@ -1,4 +1,4 @@
-"""Statevector kernels, rotation networks, and product-formula steps."""
+"""Statevector kernels, string-space factors, and product-formula steps."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from qsubspace.engine import (
     apply_pauli,
     apply_pauli_exponential,
     apply_pauli_sum,
-    apply_rotation_network,
-    build_rotation_network,
     distance,
     expectation,
     fock_from_statevector,
@@ -29,8 +27,10 @@ from qsubspace.fock import (
     basis_vector,
     enumerate_configurations,
     evolve_real,
+    string_operator,
 )
 from qsubspace.integrals import (
+    CholeskyFactors,
     MolecularIntegrals,
     cholesky_decompose_eri,
     effective_one_body,
@@ -41,16 +41,6 @@ from qsubspace.qubits import PauliString, jordan_wigner, pauli_sum
 def random_state(rng, nq):
     amp = rng.standard_normal(1 << nq) + 1j * rng.standard_normal(1 << nq)
     return Statevector(nq, amp / np.linalg.norm(amp))
-
-
-def dense_of_network(net, nq):
-    dim = 1 << nq
-    cols = []
-    for b in range(dim):
-        amp = np.zeros(dim, dtype=complex)
-        amp[b] = 1.0
-        cols.append(apply_rotation_network(net, Statevector(nq, amp)).amplitudes)
-    return np.array(cols).T
 
 
 def test_prepare_configuration_index():
@@ -151,45 +141,93 @@ def test_distance_properties():
     assert abs(inner(s, t)) <= 1.0 + 1e-12
 
 
-def test_kappa_network_matches_expm():
-    rng = np.random.default_rng(53)
-    m = 3
+def _random_symmetric(rng, m):
     a = rng.standard_normal((m, m))
-    kappa = a - a.T
-    net = build_rotation_network(kappa)
-    assert net.kind == "kappa"
-    assert len(net.rotations) <= m * (m - 1) // 2
-    got = dense_of_network(net, 2 * m)
-    want = scipy.linalg.expm(oracles.one_body_fock_operator(kappa, m))
-    np.testing.assert_allclose(got, want, atol=1e-10)
+    return (a + a.T) / 2
 
 
-def test_h_network_conjugates_to_number_operators():
-    rng = np.random.default_rng(59)
-    m = 3
-    a = rng.standard_normal((m, m))
-    hmat = (a + a.T) / 2
-    net = build_rotation_network(hmat)
-    assert net.kind == "h"
-    w = dense_of_network(net, 2 * m)
-    np.testing.assert_allclose(w.conj().T @ w, np.eye(4**m), atol=1e-10)
-    number_op = oracles.one_body_fock_operator(np.diag(net.eigenvalues), m)
-    target = oracles.one_body_fock_operator(hmat, m)
-    np.testing.assert_allclose(w.conj().T @ number_op @ w, target, atol=1e-10)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_string_operator_is_one_spin_of_the_fock_operator(m):
+    rng = np.random.default_rng(50 + m)
+    f = _random_symmetric(rng, m)
+    zero = np.zeros((m, m))
+    up = oracles.one_body_fock_operator(f, m, zero)
+    down = oracles.one_body_fock_operator(zero, m, f)
+    for k in range(m + 1):
+        got = string_operator(f, k)
+        # up strings with no down electrons; down strings under a full up shell
+        for dense, n_up, n_down in ((up, k, 0), (down, m, k)):
+            idx = oracles.sector_words(m, n_up, n_down)
+            want = dense[np.ix_(idx, idx)]
+            assert np.max(np.abs(want.imag)) == 0.0
+            np.testing.assert_allclose(got, want.real, atol=1e-13)
 
 
-def test_network_rejects_general_matrix():
-    with pytest.raises(ValidationError):
-        build_rotation_network(np.array([[0.0, 1.0], [0.5, 0.0]]))
+def _dense_product_formula(ints, dt):
+    """The first-order product of exact factor exponentials on the full
+    register, J1 rightmost, from dense Fock operators."""
+    m = ints.num_orbitals
+    fac = cholesky_decompose_eri(ints, tol=1e-12)
+    j1 = effective_one_body(ints, fac)
+    step = scipy.linalg.expm(-1j * dt * oracles.one_body_fock_operator(j1, m))
+    for ell in fac.factors:
+        op = oracles.one_body_fock_operator(ell, m)
+        step = scipy.linalg.expm(-1j * dt * (op @ op)) @ step
+    return np.exp(-1j * dt * ints.e_nuc) * step
 
 
-def test_network_dagger_inverts():
-    rng = np.random.default_rng(61)
-    a = rng.standard_normal((3, 3))
-    net = build_rotation_network(a - a.T)
-    s = random_state(rng, 6)
-    back = apply_rotation_network(net, apply_rotation_network(net, s), dagger=True)
-    np.testing.assert_allclose(back.amplitudes, s.amplitudes, atol=1e-12)
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_trotter_step_matches_the_dense_product_formula(name):
+    ints = load_integrals(name)
+    rng = np.random.default_rng(71)
+    dim = ints.sector_dimension
+    v = FockVector(ints.sector, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    s = statevector_from_fock(v.normalized())
+    plan = _plan_for(ints)
+    for dt in (0.3, -0.7):
+        got = trotter_step(plan, dt, s).amplitudes
+        want = _dense_product_formula(ints, dt) @ s.amplitudes
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_trotter_step_matches_the_dense_product_formula_across_sectors():
+    # amplitude in three (n_up, n_down) blocks of different shapes, the
+    # rest of the register exactly zero
+    ints = load_integrals("h3_plus")
+    m = ints.num_orbitals
+    rng = np.random.default_rng(73)
+    amp = np.zeros(1 << (2 * m), dtype=complex)
+    for n_up, n_down in ((1, 1), (2, 0), (3, 2)):
+        idx = oracles.sector_words(m, n_up, n_down)
+        amp[idx] = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
+    s = Statevector(2 * m, amp / np.linalg.norm(amp))
+    got = trotter_step(_plan_for(ints), 0.45, s).amplitudes
+    want = _dense_product_formula(ints, 0.45) @ s.amplitudes
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert np.all(got[amp == 0] == 0)
+
+
+def test_trotter_step_builds_eigenpairs_only_for_the_counts_it_meets(h3_plus):
+    plan = _plan_for(h3_plus)
+    trotter_step(plan, 0.2, statevector_from_fock(
+        basis_vector(h3_plus.sector, enumerate_configurations(*h3_plus.sector)[0])))
+    counts = {k for _, k in plan._eigenpairs}
+    assert counts == {h3_plus.num_up, h3_plus.num_down}
+
+
+def test_trotter_plan_rejects_non_symmetric_or_misshaped_factors():
+    m = 2
+    sym = np.array([[0.3, 0.1], [0.1, -0.2]])
+    bent = np.array([[0.0, 1.0], [0.5, 0.0]])
+    good = CholeskyFactors(m, sym[None], 1e-8)
+    for j1, factors in (
+        (bent, good),
+        (np.eye(3), good),
+        (sym, CholeskyFactors(m, bent[None], 1e-8)),
+        (sym, CholeskyFactors(m, np.zeros((1, 3, 3)), 1e-8)),
+    ):
+        with pytest.raises(ValidationError):
+            trotter_plan(j1, factors)
 
 
 def _plan_for(ints, tol=1e-12):
@@ -204,7 +242,7 @@ def test_trotter_exact_for_one_body_only():
     h = np.array([[-1.1, 0.2], [0.2, -0.4]])
     ints = MolecularIntegrals(m, 1, 1, 0.37, h, np.zeros((m,) * 4))
     plan = _plan_for(ints)
-    assert len(plan.factor_networks) == 0
+    assert len(plan.pair_factors) == 0
     v = FockVector(ints.sector, np.array([0.6, 0.4j, -0.5, 0.2 + 0.1j]))
     v = FockVector(ints.sector, v.amplitudes / v.norm())
     s = statevector_from_fock(v)
@@ -222,7 +260,7 @@ def test_trotter_exact_for_single_factor():
     g = 2.0 * np.einsum("pr,qs->prqs", ell, ell)
     ints = MolecularIntegrals(m, 1, 1, 0.11, 2.0 * ell, g)
     plan = _plan_for(ints)
-    assert len(plan.factor_networks) == 1
+    assert len(plan.pair_factors) == 1
     rng = np.random.default_rng(67)
     amp = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v = FockVector(ints.sector, amp / np.linalg.norm(amp))

@@ -2,11 +2,13 @@
 
 import copy
 import functools
+import gc
 import math
 import pathlib
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -53,7 +55,7 @@ from qsubspace.fock import (
     sector_word_indices,
 )
 from qsubspace.geev import SubspaceProblem, eigenvalue_roundoff, solve
-from qsubspace.integrals import MolecularIntegrals
+from qsubspace.integrals import MolecularIntegrals, cholesky_decompose_eri
 from qsubspace.qubits import PauliString, jordan_wigner, pauli_keys, pauli_sum, string_table
 from qsubspace.quantum import (
     ExcitationOperator,
@@ -684,6 +686,26 @@ class TestQfd:
             approx = qfd_build(v0, h2, grid)
             devs.append(float(np.max(np.abs(approx.hmat - exact.hmat))))
         assert devs[0] > devs[1] > devs[2]
+
+    def test_trotter_plan_is_built_once_per_integral_set(self, monkeypatch):
+        # a dt sweep factors the ERIs once, and the plan dies with its integrals
+        calls = []
+
+        def counting(ints, *args, **kwargs):
+            calls.append(ints)
+            return cholesky_decompose_eri(ints, *args, **kwargs)
+
+        monkeypatch.setattr(quantum_module, "cholesky_decompose_eri", counting)
+        ints = load_integrals("h2_sto3g")
+        v0 = random_vector(ints, 7)
+        for dt in (0.2, 0.4, 0.8):
+            qfd_build(v0, ints, QfdGrid(dt, 3, backend="trotter", substeps=2))
+        assert len(calls) == 1
+        calls.clear()
+        alive = weakref.ref(ints)
+        del ints
+        gc.collect()
+        assert alive() is None
 
     def test_small_time_step_approaches_power_krylov(self, h2):
         v0 = random_vector(h2, 11, offset=0.5)
