@@ -53,6 +53,7 @@ from .errors import (
     ValidationError,
 )
 from .fock import (
+    SpectrumSlice,
     basis_vector,
     exact_eigenpairs,
     evolve_real,
@@ -499,11 +500,22 @@ def _run_subspace(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path
     }
     if not prob.noisy:  # a sampled run reports its std in bounds instead
         result["eigenvalue_roundoff"] = [float(x) for x in eigenvalue_roundoff(prob, sol)]
+        if _SPECS[cfg.method].filtered(cfg.params):
+            result["w0"] = float(spectral_measure(ints, v0)[1][0])
     summary = (
         f"{cfg.method}: ground energy {energy:+.10f} hartree "
         f"(kept {sol.retained_dim} of {prob.n}, eps {sol.eps:.3e})"
     )
     return result, plan, summary, {}
+
+
+def _ground_ritz_bound(ints: MolecularIntegrals, v0, n: int) -> float:
+    """The Kaniel-Paige-Saad bound on the n-step ground Ritz value. It reads
+    every eigenvalue but only the ground vector, so only that one is copied
+    out of the cached eigensystem."""
+    energies, _ = spectral_measure(ints, v0)
+    ground = exact_eigenpairs(ints, k=1).eigenvectors
+    return kaniel_paige_saad(ints, SpectrumSlice(energies, ground), v0, n, mu=0).bound
 
 
 def _run_fci(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
@@ -665,8 +677,11 @@ class MethodSpec:
     determinant and p the resolved parameters: build(ints, v0, p) gives the
     exact SubspaceProblem, recipe(ints, v0, p) the ExpectationRecipe where
     the method can be sampled, and bound(ints, v0, p, report) the sweep
-    bound column of an exact run. The callables look the library functions
-    up as module globals when called, so rebinding those names reaches them.
+    bound column of an exact run. filtered(p) is true where the pair spans
+    filtered states f_a(H) v0, whose error scales with 1/w0: an exact run
+    then reports w0, v0's weight on the sector ground state. The callables
+    look the library functions up as module globals when called, so
+    rebinding those names reaches them.
     """
 
     params: tuple
@@ -674,6 +689,7 @@ class MethodSpec:
     build: Callable | None = None
     recipe: Callable | None = None
     bound: Callable | None = None
+    filtered: Callable = lambda p: False
 
     @property
     def sweep_axes(self) -> tuple:
@@ -688,9 +704,7 @@ _SPECS = {
     "lanczos": MethodSpec(
         ("n", "eps"), _run_subspace,
         build=lambda ints, v0, p: lanczos(ints, v0, p["n"])[1],
-        bound=lambda ints, v0, p, report: kaniel_paige_saad(
-            ints, exact_eigenpairs(ints, k=ints.sector_dimension), v0, p["n"], mu=0
-        ).bound,
+        bound=lambda ints, v0, p, report: _ground_ritz_bound(ints, v0, p["n"]),
     ),
     "davidson": MethodSpec(("k",), _run_davidson),
     "power-krylov": MethodSpec(
@@ -705,6 +719,7 @@ _SPECS = {
     "gaussian-power": MethodSpec(
         ("n", "eps", "tau"), _run_subspace,
         build=lambda ints, v0, p: gaussian_power_build(v0, ints, p["n"], p["tau"]),
+        filtered=lambda p: True,
     ),
     "qse": MethodSpec(
         ("eps", "level"), _run_subspace,
@@ -717,10 +732,12 @@ _SPECS = {
         build=lambda ints, v0, p: qfd_build(v0, ints, _grid(p)),
         recipe=lambda ints, v0, p: qfd_recipe(v0, ints, _grid(p)),
         bound=lambda ints, v0, p, report: epperly_qfd_bound(ints, v0, p["n"])["bound"],
+        filtered=lambda p: True,
     ),
     "qlanczos": MethodSpec(
         ("n", "dtau", "eps", "mode"), _run_subspace,
         build=lambda ints, v0, p: qlanczos_build(v0, ints, p["dtau"], p["n"], mode=p["mode"]),
+        filtered=lambda p: p["mode"] == "exact",
     ),
     "spectrum": MethodSpec(
         ("n", "dt", "eps", "op", "omega_min", "omega_max", "omega_points", "eta"), _run_spectrum
@@ -763,6 +780,8 @@ def _sweep_point(cfg: RunConfig, ints: MolecularIntegrals, exact0: float, value)
         "cond_smat": sol.cond_smat_before,
         "n_eps": sol.retained_dim,
         "bound": bound,
+        # the ground root's floor; a sampled row's error is its shot noise
+        "eigenvalue_roundoff": None if prob.noisy else float(eigenvalue_roundoff(prob, sol)[0]),
     }
 
 
@@ -774,7 +793,8 @@ def _run_sweep(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
             pool.map(lambda v: _sweep_point(cfg, ints, exact0, v), cfg.sweep_values)
         )
     path = outdir / "sweep.csv"
-    columns = ("value", "energy", "error_vs_fci", "cond_smat", "n_eps", "bound")
+    columns = ("value", "energy", "error_vs_fci", "cond_smat", "n_eps", "bound",
+               "eigenvalue_roundoff")
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)

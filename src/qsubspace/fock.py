@@ -33,8 +33,13 @@ rank grid; its sign (-1)^(n_up n_down) is global) commutes with a
 spin-free H. The even block is spanned by the diagonal determinants and
 (|a> + |Pa>)/sqrt 2, the odd block by (|a> - |Pa>)/sqrt 2. Each block is
 U^T H U from the sparse matrix, about half the dimension, so the two
-eigensolves take about a quarter of the flops of one. Any other sector is
-one block, the sector matrix itself, with the bits of a single eigh.
+eigensolves take about a quarter of the flops of one. They run at once:
+the calling thread solves the even block while one worker thread, kept for
+the life of the process, solves the odd one. eigh releases the GIL, and
+each call is the same LAPACK call on the same input at the configured BLAS
+thread count, so the bits do not depend on the threads. Any other sector is
+one block, the sector matrix itself, solved by a single eigh on the calling
+thread.
 spectral_measure reads a vector's measure (E_k, |<k|v>|^2) off the cached
 eigensystem; every exact filter subspace in quantum is built from it.
 """
@@ -43,6 +48,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -413,6 +420,32 @@ def _flip_blocks(sector: tuple) -> tuple:
     return (even, odd) if pairs else (even,)
 
 
+def _block_matrix(mat, rows: np.ndarray, col: np.ndarray, weight: np.ndarray, size: int):
+    """One spin-flip block U^T H U, summed over H's stored entries, then
+    symmetrized with one temporary fewer than, and the bits of,
+    (block + block.T) * 0.5."""
+    cols = mat.indices
+    block = np.bincount(col[rows] * size + col[cols], weight[rows] * weight[cols] * mat.data,
+                        minlength=size * size).reshape(size, size)
+    half = block + block.T  # P H P = H to roundoff
+    half *= 0.5
+    return half
+
+
+def _start_flip_worker() -> None:
+    """The thread that solves the odd spin-flip block while the calling
+    thread builds and solves the even one; eigh releases the GIL. It is kept
+    between calls. A forked child inherits the executor but not its thread,
+    so the child gets a new one."""
+    global _FLIP_WORKER
+    _FLIP_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qsubspace-flip")
+
+
+_start_flip_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_flip_worker)
+
+
 @cached_per_integrals
 def _eigensystem(ints: MolecularIntegrals):
     dim = ints.sector_dimension
@@ -422,20 +455,18 @@ def _eigensystem(ints: MolecularIntegrals):
     if len(blocks) == 1:  # the block is the matrix itself
         vals, vecs = np.linalg.eigh(mat.toarray())
         return vals, np.asfortranarray(vecs)
-    rows, cols = np.repeat(np.arange(dim), np.diff(mat.indptr)), mat.indices
-    solved = []
-    for col, weight, size in blocks:
-        # U^T H U summed over H's stored entries
-        block = np.bincount(col[rows] * size + col[cols], weight[rows] * weight[cols] * mat.data,
-                            minlength=size * size).reshape(size, size)
-        solved.append(np.linalg.eigh((block + block.T) * 0.5))  # P H P = H to roundoff
+    rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
+    odd = _FLIP_WORKER.submit(np.linalg.eigh, _block_matrix(mat, rows, *blocks[1]))
+    solved = [np.linalg.eigh(_block_matrix(mat, rows, *blocks[0])), odd.result()]
     vals = np.concatenate([w for w, _ in solved])
     order = np.argsort(vals, kind="stable")
     slot = np.empty(dim, dtype=np.intp)
     slot[order] = np.arange(dim)
     vecs = np.empty((dim, dim), order="F")  # Fortran order: each eigenvector contiguous
-    for (col, weight, _), (_, y), at in zip(blocks, solved, np.split(slot, [solved[0][0].size])):
-        vecs[:, at] = weight[:, None] * y[col]
+    for (col, weight, _), at in zip(blocks, np.split(slot, [solved[0][0].size])):
+        y = solved.pop(0)[1][col]  # the block's eigenvectors are freed here
+        y *= weight[:, None]
+        vecs[:, at] = y
     return vals[order], vecs
 
 

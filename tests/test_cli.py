@@ -7,16 +7,22 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import numpy as np
 import pytest
 
-from conftest import fixture_path, load_integrals, random_integrals
+from conftest import fixture_path, load_integrals, random_integrals, scan_integrals
 
-from qsubspace.classical import power_krylov
-from qsubspace.cli import EXIT_CODES, METHODS, main
-from qsubspace.fock import basis_vector, exact_eigenpairs, reference_configuration
+from qsubspace.classical import kaniel_paige_saad, power_krylov
+from qsubspace.cli import _SPECS, EXIT_CODES, METHODS, main
+from qsubspace.fock import (
+    basis_vector,
+    exact_eigenpairs,
+    reference_configuration,
+    spectral_measure,
+)
 from qsubspace.integrals import serialize_fcidump
 
 H2 = str(fixture_path("h2_sto3g"))
@@ -229,6 +235,36 @@ class TestMethodResults:
                               "--seed", "5")
         diff = abs(clean["result"]["ground_energy"] - noisy["result"]["ground_energy"])
         assert diff < 1e-3
+
+    @pytest.mark.parametrize(
+        "args",
+        [("qfd",), ("qfd", "--backend", "trotter"), ("gaussian-power",), ("qlanczos",)],
+        ids=["qfd", "qfd-trotter", "gaussian-power", "qlanczos"],
+    )
+    def test_exact_filter_runs_report_the_reference_ground_weight(self, tmp_path, args):
+        for name in ("h2_sto3g", "h2_stretched"):
+            code, report, _ = run_cli(tmp_path / name, *args, "--input", str(fixture_path(name)))
+            assert code == 0
+            VALIDATOR.validate(report)
+            ints = load_integrals(name)
+            _, weights = spectral_measure(ints, basis_vector(ints.sector,
+                                                             reference_configuration(ints)))
+            assert report["result"]["w0"] == weights[0]
+        # the stretched reference misses the ground state, which is why the
+        # filtered basis stays 20.75 mHa above it
+        assert report["result"]["w0"] == 0.0
+        assert report["result"]["error_vs_fci"] > 2e-2
+
+    @pytest.mark.parametrize(
+        "args",
+        [("lanczos",), ("chebyshev",), ("qlanczos", "--mode", "qite", "--n", "2"),
+         ("qfd", "--shots", "1000")],
+        ids=["lanczos", "chebyshev", "qlanczos-qite", "qfd-sampled"],
+    )
+    def test_other_runs_report_no_ground_weight(self, tmp_path, args):
+        code, report, _ = run_cli(tmp_path, *args, "--input", H2)
+        assert code == 0
+        assert "w0" not in report["result"]
 
     def test_qeom_gaps_match_fci(self, tmp_path):
         ints = load_integrals("h2_sto3g")
@@ -661,6 +697,51 @@ class TestSweeps:
         assert code == 0
         VALIDATOR.validate(report)
         assert report["result"]["axis"] == "eps"
+
+    def test_lanczos_sweep_bound_copies_one_eigenvector(self):
+        # Kaniel-Paige-Saad reads every eigenvalue but only the ground
+        # vector; a k = dim slice of the 1225-dimensional scan molecule
+        # copies all its vectors as complex (24 MB)
+        ints = scan_integrals(1.3)
+        v0 = basis_vector(ints.sector, reference_configuration(ints))
+        full = exact_eigenpairs(ints, k=ints.sector_dimension)  # warms the cache
+        want = kaniel_paige_saad(ints, full, v0, 8).bound
+        del full
+        tracemalloc.start()
+        try:
+            got = _SPECS["lanczos"].bound(ints, v0, {"n": 8}, {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2_000_000
+
+    def test_exact_sweep_rows_carry_the_ground_roundoff_floor(self, tmp_path):
+        args = ("qfd", "--input", str(fixture_path("h4_toy")), "--backend", "trotter",
+                "--n", "6", "--substeps", "2")
+        code, report, out = run_cli(tmp_path / "sweep", *args, "--sweep", "dt=0.2,0.4,0.8")
+        assert code == 0
+        VALIDATOR.validate(report)
+        rows = report["result"]["rows"]
+        for row, line in zip(rows, read_rows(out / "sweep.csv"), strict=True):
+            code, alone, _ = run_cli(tmp_path / str(row["value"]), *args,
+                                     "--dt", str(row["value"]))
+            assert code == 0
+            assert row["energy"] == alone["result"]["ground_energy"]
+            assert row["eigenvalue_roundoff"] == alone["result"]["eigenvalue_roundoff"][0]
+            assert float(line["eigenvalue_roundoff"]) == row["eigenvalue_roundoff"]
+        # cond(S) is 1e15 at dt = 0.2: the energy's last digits are roundoff
+        assert 1e-8 < rows[0]["eigenvalue_roundoff"] < 1e-7
+
+    def test_sampled_sweep_rows_have_no_roundoff_floor(self, tmp_path):
+        code, report, out = run_cli(
+            tmp_path, "qfd", "--input", H2, "--n", "3", "--seed", "3",
+            "--sweep", "shots=200,5000",
+        )
+        assert code == 0
+        VALIDATOR.validate(report)
+        assert [row["eigenvalue_roundoff"] for row in report["result"]["rows"]] == [None, None]
+        assert [row["eigenvalue_roundoff"] for row in read_rows(out / "sweep.csv")] == ["", ""]
 
     def test_sampled_qfd_sweep_bound_is_the_arctangent_bound(self, tmp_path):
         # a sampled row's bound column describes that noisy run: the

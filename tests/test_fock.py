@@ -4,8 +4,13 @@ and a per-determinant loop build."""
 import gc
 import itertools
 import math
+import os
+import signal
+import sys
+import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -362,26 +367,115 @@ def test_block_spectrum_matches_dense_eigh_on_random_sectors(sector):
             assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
 
 
+def serial_eigensystem(ints):
+    """The spin-flip assembly one block after the other on this thread:
+    U^T H U summed over H's entries, symmetrized, eigh, vectors mapped back
+    and sorted by eigenvalue."""
+    mat = sector_matrix(ints)
+    rows, cols = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)), mat.indices
+    vals, vecs = [], []
+    for col, weight, size in _flip_blocks(ints.sector):
+        block = np.bincount(col[rows] * size + col[cols], weight[rows] * weight[cols] * mat.data,
+                            minlength=size * size).reshape(size, size)
+        w, y = np.linalg.eigh((block + block.T) * 0.5)
+        vals.append(w)
+        vecs.append(weight[:, None] * y[col])
+    vals, vecs = np.concatenate(vals), np.concatenate(vecs, axis=1)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], vecs[:, order]
+
+
+def assert_same_bits(got, want):
+    (vals, vecs), (want_vals, want_vecs) = got, want
+    assert vecs.flags.f_contiguous
+    assert vals.tobytes() == want_vals.tobytes()
+    assert vecs.dtype == want_vecs.dtype and np.array_equal(vecs, want_vecs)
+    assert np.array_equal(np.signbit(vecs), np.signbit(want_vecs))
+
+
 @pytest.mark.parametrize("sector", [(3, 2, 1), (5, 3, 2), (6, 4, 3), (7, 4, 3)])
 def test_one_block_sectors_skip_the_block_assembly_bit_for_bit(sector, monkeypatch):
-    # the spin-flip assembly on the identity block, as for a split sector:
-    # U^T H U summed over H's entries, symmetrized, eigh, vectors mapped back
+    # the spin-flip assembly on the identity block, as for a split sector
     ints = random_integrals(*sector, seed=sum(sector))
-    mat = sector_matrix(ints)
-    (col, weight, size), = _flip_blocks(ints.sector)
-    rows, cols = np.repeat(np.arange(size), np.diff(mat.indptr)), mat.indices
-    block = np.bincount(col[rows] * size + col[cols], weight[rows] * weight[cols] * mat.data,
-                        minlength=size * size).reshape(size, size)
-    want_vals, y = np.linalg.eigh((block + block.T) * 0.5)
+    want = serial_eigensystem(ints)
 
     def refuse(*args, **kwargs):
         raise AssertionError("one-block sector assembled")
 
     monkeypatch.setattr(np, "bincount", refuse)
-    vals, vecs = _eigensystem(ints)
-    assert vecs.flags.f_contiguous
-    assert vals.tobytes() == want_vals.tobytes()
-    assert np.array_equal(vecs, weight[:, None] * y[col])
+    assert_same_bits(_eigensystem(ints), want)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: scan_integrals(0.3), lambda: scan_integrals(1.3), lambda: scan_integrals(6.0),
+     lambda: random_integrals(4, 2, 2, seed=5), lambda: random_integrals(5, 2, 2, seed=6)],
+    ids=["scan-0.3", "scan-1.3", "scan-6.0", "random-4-2-2", "random-5-2-2"],
+)
+def test_concurrent_block_solves_match_the_serial_assembly_bit_for_bit(make):
+    ints = make()
+    assert len(_flip_blocks(ints.sector)) == 2
+    assert_same_bits(_eigensystem(ints), serial_eigensystem(ints))
+
+
+def test_odd_block_solves_on_the_worker_and_one_block_on_the_caller(monkeypatch):
+    threads = []
+    eigh = np.linalg.eigh
+
+    def record(a):
+        threads.append((a.shape[0], threading.current_thread()))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", record)
+    caller = threading.current_thread()
+    _eigensystem(random_integrals(4, 2, 2, seed=3))  # even block 21, odd 15
+    solved_on = dict(threads)
+    assert solved_on.keys() == {21, 15}
+    assert solved_on[21] is caller and solved_on[15] is not caller
+    threads.clear()
+    _eigensystem(random_integrals(4, 2, 1, seed=3))
+    assert threads == [(24, caller)]
+
+
+def test_concurrent_callers_get_the_bits_of_one_at_a_time():
+    # cli --jobs sweeps reach the eigensystem from pool threads, which share
+    # the one worker that solves odd blocks
+    stretches = (0.3, 0.8, 1.3, 6.0)
+    alone = [_eigensystem(scan_integrals(s, m=6)) for s in stretches]
+    fresh = [scan_integrals(s, m=6) for s in stretches]
+    start = threading.Barrier(len(fresh))
+
+    def solve(ints):
+        start.wait()
+        return _eigensystem(ints)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(fresh)) as pool:
+            together = list(pool.map(solve, fresh, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(together, alone, strict=True):
+        assert_same_bits(got, want)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_gets_its_own_block_worker():
+    # the child inherits the executor but not its thread; without a new
+    # one the child's first split-sector solve would wait forever
+    _eigensystem(random_integrals(4, 2, 2, seed=1))
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child, which never returns
+        code = 1
+        try:
+            signal.alarm(30)
+            vals, _ = _eigensystem(random_integrals(4, 2, 2, seed=2))
+            code = 0 if vals.size == 36 else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 @pytest.mark.parametrize("stretch", [0.3, 0.7, 1.3, 6.0])
