@@ -11,10 +11,13 @@ for the pencils solved by geev.solve, how the pair is built, its
 measurement recipe and its sweep bound. METHODS, the sampled methods and each method's sweep
 axes are read off that table.
 
-Configuration comes from an INI file (sections [run], [params], [shots],
-[sweep]) plus flags; flags win over file values. Unknown keys, unknown
-sections, and parameters that do not apply to the chosen method are
-rejected. Reports land in --out:
+Every setting is one row of the `_SETTINGS` table: its INI section ([run],
+[params], [shots] or [sweep]), cast, default, flag help and choices. The
+flags, the INI reader, the defaults and the sweep casts are all read off
+it, and MethodSpec.params names its [params] rows. Configuration comes from
+an INI file plus flags; flags win over file values. Unknown keys, unknown
+sections, values outside a setting's choices, and parameters that do not
+apply to the chosen method are rejected. Reports land in --out:
 
     result.json    run report following schemas/result-v1.json; embeds the
                    resolved config, the seed, and the RNG generator name
@@ -36,7 +39,7 @@ import json
 import math
 import pathlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -104,52 +107,89 @@ EXIT_CODES = {
 
 _SWEEP_AXES = ("n", "dt", "shots", "eps")
 
-_PARAM_DEFAULTS = {
-    "n": 4,
-    "dt": 0.1,
-    "dtau": 0.2,
-    "eps": None,  # None = default_threshold of the solver
-    "k": None,  # fci: sector dimension, davidson: 1
-    "level": "SD",
-    "tda": False,
-    "tau": 1.0,
-    "time": 1.0,
-    "backend": "exact",
-    "substeps": 1,
-    "mode": "exact",
-    "op": "occ:0",
-    "omega_min": 0.0,
-    "omega_max": 2.0,
-    "omega_points": 0,
-    "eta": 0.05,
-    "bounds": None,  # chebyshev: exact spectral range, padded
-}
-
-_FILE_SECTIONS = {
-    "run": ("input", "method", "out", "jobs"),
-    "params": tuple(_PARAM_DEFAULTS),
-    "shots": ("enabled", "seed", "shots", "eps_target", "grouping"),
-    "sweep": ("axis", "values"),
-}
-
-_INT_KEYS = ("n", "k", "substeps", "omega_points", "jobs", "seed", "shots")
-_FLOAT_KEYS = ("dt", "dtau", "eps", "tau", "time", "omega_min", "omega_max", "eta", "eps_target")
-_BOOL_KEYS = ("tda", "enabled")
-
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+def finite_float(raw: str) -> float:
+    """float(raw) for the float flags and keys; nan and +-inf are refused."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
+def _parse_bounds(raw: str) -> tuple:
+    parts = raw.split(",")
+    if len(parts) != 2:
+        raise ValidationError(f"bounds must be LO,HI, got {raw!r}")
+    try:
+        return (finite_float(parts[0]), finite_float(parts[1]))
+    except ValueError:
+        raise ValidationError(f"bounds must be finite numbers, got {raw!r}") from None
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One settable value: its INI section, the cast of its flag, INI and
+    sweep text, its default, and its flag's help (None: INI key only). A
+    bool is an on/off flag and an INI boolean."""
+
+    name: str
+    section: str
+    cast: Callable
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+
+
+_SETTINGS = {s.name: s for s in (
+    Setting("input", "run", str, None, "FCIDUMP file with the molecular integrals"),
+    Setting("out", "run", str, ".", "report directory (default .)"),
+    Setting("jobs", "run", int, 1, "concurrent sweep points (default 1)"),
+    Setting("n", "params", int, 4, "subspace dimension / grid points"),
+    # None: fci the sector dimension, davidson 1
+    Setting("k", "params", int, None, "eigenpairs to report (fci, davidson)"),
+    Setting("dt", "params", finite_float, 0.1, "real-time grid step (qfd, spectrum, fastforward)"),
+    Setting("dtau", "params", finite_float, 0.2, "imaginary-time step (qlanczos)"),
+    # None: default_threshold of the solver
+    Setting("eps", "params", finite_float, None, "overlap threshold (default: solver heuristic)"),
+    Setting("level", "params", str, "SD", "qse excitation level", ("S", "SD")),
+    Setting("tda", "params", bool, False, "qeom: drop the de-excitation block"),
+    Setting("tau", "params", finite_float, 1.0, "gaussian-power filter width"),
+    Setting("time", "params", finite_float, 1.0, "fastforward target time"),
+    # None: the exact spectral range, padded
+    Setting("bounds", "params", _parse_bounds, None, "chebyshev spectral bounds LO,HI"),
+    Setting("backend", "params", str, "exact", "qfd propagator", ("exact", "trotter")),
+    Setting("substeps", "params", int, 1, "trotter substeps per grid step"),
+    Setting("mode", "params", str, "exact", "qlanczos propagation mode", ("exact", "qite")),
+    Setting("op", "params", str, "occ:0", "spectrum probe: occ:P or ham (default occ:0)"),
+    Setting("omega_min", "params", finite_float, 0.0, "response grid start"),
+    Setting("omega_max", "params", finite_float, 2.0, "response grid end"),
+    Setting("omega_points", "params", int, 0, "response grid size; 0 = sticks only"),
+    Setting("eta", "params", finite_float, 0.05, "lorentzian broadening"),
+    Setting("shots", "shots", int, None, "samples per measurement group"),
+    Setting("eps_target", "shots", finite_float, None,
+            "allocate shots for this eigenvalue precision"),
+    Setting("seed", "shots", int, 0, "sampling seed (default 0)"),
+    Setting("grouping", "shots", str, "qubitwise", "commuting-group mode for sampling",
+            ("qubitwise", "full")),
+    Setting("enabled", "shots", bool, False),
+    Setting("axis", "sweep", str),
+    Setting("values", "sweep", str),
+)}
 
 
 @dataclass
 class ShotsSection:
     """Sampling model settings; enabled only for the methods with recipes."""
 
-    enabled: bool = False
-    seed: int = 0
-    shots: int | None = None
-    eps_target: float | None = None
-    grouping: str = "qubitwise"
+    enabled: bool
+    seed: int
+    shots: int | None
+    eps_target: float | None
+    grouping: str
 
     def echo(self) -> dict:
         return asdict(self)
@@ -161,17 +201,14 @@ class RunConfig:
 
     method: str
     input: str
-    out: str = "."
-    jobs: int = 1
-    params: dict = field(default_factory=dict)
-    shots: ShotsSection = field(default_factory=ShotsSection)
+    out: str
+    jobs: int
+    params: dict
+    shots: ShotsSection
     sweep_axis: str | None = None
     sweep_values: tuple = ()
 
     def echo(self) -> dict:
-        params = {
-            k: (list(v) if isinstance(v, tuple) else v) for k, v in self.params.items()
-        }
         sweep = None
         if self.sweep_axis is not None:
             sweep = {"axis": self.sweep_axis, "values": list(self.sweep_values)}
@@ -180,18 +217,10 @@ class RunConfig:
             "input": self.input,
             "out": self.out,
             "jobs": self.jobs,
-            "params": params,
+            "params": dict(self.params),
             "shots": self.shots.echo(),
             "sweep": sweep,
         }
-
-
-def finite_float(raw: str) -> float:
-    """float(raw) for the float flags and keys; nan and +-inf are refused."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{raw!r} is not a finite number")
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,61 +250,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qsubspace {__version__}")
     parser.add_argument("method", choices=METHODS, metavar="method",
                         help=f"one of: {', '.join(METHODS)}")
-    parser.add_argument("--input", help="FCIDUMP file with the molecular integrals")
     parser.add_argument("--config", help="INI config file; flags override its values")
-    parser.add_argument("--out", help="report directory (default .)")
-    parser.add_argument("--jobs", type=int, help="concurrent sweep points (default 1)")
-    parser.add_argument("--n", type=int, help="subspace dimension / grid points")
-    parser.add_argument("--k", type=int, help="eigenpairs to report (fci, davidson)")
-    parser.add_argument("--dt", type=finite_float,
-                        help="real-time grid step (qfd, spectrum, fastforward)")
-    parser.add_argument("--dtau", type=finite_float, help="imaginary-time step (qlanczos)")
-    parser.add_argument("--eps", type=finite_float,
-                        help="overlap threshold (default: solver heuristic)")
-    parser.add_argument("--level", choices=("S", "SD"), help="qse excitation level")
-    parser.add_argument("--tda", action=argparse.BooleanOptionalAction, default=None,
-                        help="qeom: drop the de-excitation block")
-    parser.add_argument("--tau", type=finite_float, help="gaussian-power filter width")
-    parser.add_argument("--time", type=finite_float, help="fastforward target time")
-    parser.add_argument("--bounds", help="chebyshev spectral bounds LO,HI")
-    parser.add_argument("--backend", choices=("exact", "trotter"), help="qfd propagator")
-    parser.add_argument("--substeps", type=int, help="trotter substeps per grid step")
-    parser.add_argument("--mode", choices=("exact", "qite"), help="qlanczos propagation mode")
-    parser.add_argument("--op", help="spectrum probe: occ:P or ham (default occ:0)")
-    parser.add_argument("--omega-min", type=finite_float, help="response grid start")
-    parser.add_argument("--omega-max", type=finite_float, help="response grid end")
-    parser.add_argument("--omega-points", type=int,
-                        help="response grid size; 0 = sticks only")
-    parser.add_argument("--eta", type=finite_float, help="lorentzian broadening")
-    parser.add_argument("--shots", type=int, help="samples per measurement group")
-    parser.add_argument("--eps-target", type=finite_float,
-                        help="allocate shots for this eigenvalue precision")
+    for name, s in _SETTINGS.items():
+        flag = "--" + name.replace("_", "-")
+        if s.help is None:  # INI key only
+            continue
+        if s.cast is bool:
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction, help=s.help)
+        else:
+            parser.add_argument(flag, type=s.cast, choices=s.choices, help=s.help)
     parser.add_argument("--no-sampling", action="store_true",
                         help="force the exact backend even if the config enables shots")
-    parser.add_argument("--seed", type=int, help="sampling seed (default 0)")
-    parser.add_argument("--grouping", choices=("qubitwise", "full"),
-                        help="commuting-group mode for sampling")
     parser.add_argument("--sweep", metavar="AXIS=V1,V2,...",
                         help="emit sweep.csv over n, dt, shots, or eps")
     return parser
-
-
-def _convert(key: str, raw: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return finite_float(raw)
-        if key in _BOOL_KEYS:
-            lowered = raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return raw.strip()
-    except ValueError:
-        raise ValidationError(f"config: bad value {raw!r} for key {key!r}") from None
 
 
 def _read_text(path: str, what: str) -> str:
@@ -290,7 +278,8 @@ def _read_text(path: str, what: str) -> str:
 
 
 def load_config_file(path: str) -> dict:
-    """Parse the INI file into {section: {key: typed value}}; reject strays."""
+    """Parse the INI file into {section: {key: typed value}}; reject strays
+    and values outside a setting's choices."""
     parser = configparser.ConfigParser()
     text = _read_text(path, "config")
     try:
@@ -301,27 +290,24 @@ def load_config_file(path: str) -> dict:
         raise ParseError(f"config: {exc}") from None
     out: dict = {}
     for section, items in sections.items():
-        if section not in _FILE_SECTIONS:
+        if section not in {s.section for s in _SETTINGS.values()}:
             raise ValidationError(f"config: unknown section [{section}]")
-        allowed = _FILE_SECTIONS[section]
         out[section] = {}
         for key, raw in items:
-            if key not in allowed:
+            s = _SETTINGS.get(key)
+            if s is None or s.section != section:
                 raise ValidationError(
                     f"config: unknown key {key!r} in section [{section}]"
                 )
-            out[section][key] = _convert(key, raw)
+            try:
+                value = parser.BOOLEAN_STATES[raw.lower()] if s.cast is bool else s.cast(raw)
+                if s.choices and value not in s.choices:
+                    raise ValueError(raw)
+            except (KeyError, ValueError):
+                hint = f"; choose from {', '.join(s.choices)}" if s.choices else ""
+                raise ValidationError(f"config: bad value {raw!r} for key {key!r}{hint}") from None
+            out[section][key] = value
     return out
-
-
-def _parse_bounds(raw: str) -> tuple:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise ValidationError(f"bounds must be LO,HI, got {raw!r}")
-    try:
-        return (finite_float(parts[0]), finite_float(parts[1]))
-    except ValueError:
-        raise ValidationError(f"bounds must be finite numbers, got {raw!r}") from None
 
 
 def _parse_sweep(raw: str) -> tuple:
@@ -331,9 +317,8 @@ def _parse_sweep(raw: str) -> tuple:
         raise ValidationError(
             f"sweep must be AXIS=V1,V2,... with axis in {sorted(_SWEEP_AXES)}, got {raw!r}"
         )
-    cast = int if axis in ("n", "shots") else finite_float
     try:
-        values = tuple(cast(x) for x in tail.split(",") if x.strip())
+        values = tuple(_SETTINGS[axis].cast(x) for x in tail.split(",") if x.strip())
     except ValueError:
         raise ValidationError(f"sweep values must be finite numbers, got {raw!r}") from None
     if not values:
@@ -341,47 +326,37 @@ def _parse_sweep(raw: str) -> tuple:
     return axis, values
 
 
+def _section(args: argparse.Namespace, file_cfg: dict, section: str,
+             defaults: bool = True) -> dict:
+    """One section's settings: each one's flag, else its file value, else,
+    with defaults, its table default."""
+    out = {n: s.default for n, s in _SETTINGS.items() if defaults and s.section == section}
+    out.update(file_cfg.get(section, {}))
+    for name, s in _SETTINGS.items():
+        flag = getattr(args, name, None)
+        if s.section == section and flag is not None:
+            out[name] = flag
+    return out
+
+
 def merge_config(args: argparse.Namespace, file_cfg: dict) -> tuple:
     """Overlay flags on file values; returns (RunConfig, explicit param names)."""
-    run_sec = file_cfg.get("run", {})
-    par_sec = file_cfg.get("params", {})
-    shot_sec = file_cfg.get("shots", {})
-    sweep_sec = file_cfg.get("sweep", {})
-
-    input_path = args.input if args.input is not None else run_sec.get("input")
-    if not input_path:
+    run_sec = _section(args, file_cfg, "run")
+    if not run_sec["input"]:
         raise ValidationError("missing required field 'input'")
-    out = args.out if args.out is not None else run_sec.get("out", ".")
-    if "\x00" in out:
+    if "\x00" in run_sec["out"]:
         raise ValidationError("out path contains a NUL byte")
-    jobs = args.jobs if args.jobs is not None else run_sec.get("jobs", 1)
-    if jobs < 1:
+    if run_sec["jobs"] < 1:
         raise ValidationError("jobs must be at least 1")
+    params = _section(args, file_cfg, "params", defaults=False)
 
-    params = {}
-    for key in _PARAM_DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            params[key] = _parse_bounds(flag) if key == "bounds" else flag
-        elif key in par_sec:
-            value = par_sec[key]
-            params[key] = _parse_bounds(value) if key == "bounds" else value
-
-    shots = ShotsSection(
-        enabled=bool(shot_sec.get("enabled", False)),
-        seed=shot_sec.get("seed", 0),
-        shots=shot_sec.get("shots"),
-        eps_target=shot_sec.get("eps_target"),
-        grouping=args.grouping or shot_sec.get("grouping", "qubitwise"),
-    )
     if args.shots is not None and args.eps_target is not None:
         raise ValidationError("give --shots or --eps-target, not both")
+    shots = ShotsSection(**_section(args, file_cfg, "shots"))
     if args.shots is not None:
-        shots = replace(shots, enabled=True, shots=args.shots, eps_target=None)
+        shots = replace(shots, enabled=True, eps_target=None)
     elif args.eps_target is not None:
-        shots = replace(shots, enabled=True, eps_target=args.eps_target, shots=None)
-    if args.seed is not None:
-        shots = replace(shots, seed=args.seed)
+        shots = replace(shots, enabled=True, shots=None)
     if args.no_sampling:
         shots = replace(shots, enabled=False)
     if shots.enabled:
@@ -391,10 +366,9 @@ def merge_config(args: argparse.Namespace, file_cfg: dict) -> tuple:
             raise ValidationError("sampling enabled without shots or eps_target")
         if not 0 <= shots.seed < SEED_LIMIT:
             raise ValidationError("seed must lie in [0, 2^64)")
-        if shots.grouping not in ("qubitwise", "full"):
-            raise ValidationError(f"unknown grouping {shots.grouping!r}")
 
     sweep_axis, sweep_values = None, ()
+    sweep_sec = file_cfg.get("sweep", {})
     if args.sweep is not None:
         sweep_axis, sweep_values = _parse_sweep(args.sweep)
     elif sweep_sec:
@@ -404,16 +378,8 @@ def merge_config(args: argparse.Namespace, file_cfg: dict) -> tuple:
             f"{sweep_sec['axis']}={sweep_sec['values']}"
         )
 
-    cfg = RunConfig(
-        method=args.method,
-        input=str(input_path),
-        out=str(out),
-        jobs=int(jobs),
-        params=params,
-        shots=shots,
-        sweep_axis=sweep_axis,
-        sweep_values=sweep_values,
-    )
+    cfg = RunConfig(args.method, **run_sec, params=params, shots=shots,
+                    sweep_axis=sweep_axis, sweep_values=sweep_values)
     return cfg, frozenset(params)
 
 
@@ -448,7 +414,7 @@ def resolve_config(cfg: RunConfig, ints: MolecularIntegrals, explicit: frozenset
             pad = 0.01 * max(hi - lo, 1.0)
             params[key] = (lo - pad, hi + pad)
         else:
-            params[key] = _PARAM_DEFAULTS[key]
+            params[key] = _SETTINGS[key].default
     return replace(cfg, params=params)
 
 
@@ -519,12 +485,15 @@ def _ground_ritz_bound(ints: MolecularIntegrals, v0, n: int) -> float:
 
 
 def _run_fci(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
-    slc = exact_eigenpairs(ints, k=cfg.params["k"])
+    # the eigenvalues alone: an exact_eigenpairs slice would copy k vectors
+    k, dim = cfg.params["k"], ints.sector_dimension
+    if not 1 <= k <= dim:
+        raise ValidationError(f"k={k} outside 1..{dim}")
     result = {
         "kind": "spectrum_slice",
-        "k": int(cfg.params["k"]),
-        "dim": int(ints.sector_dimension),
-        "eigenvalues": [float(x) for x in slc.eigenvalues],
+        "k": int(k),
+        "dim": int(dim),
+        "eigenvalues": [float(x) for x in spectral_measure(ints, _reference(ints))[0][:k]],
     }
     summary = (
         f"fci: ground energy {result['eigenvalues'][0]:+.10f} hartree "
@@ -671,7 +640,7 @@ def _run_fastforward(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.P
 class MethodSpec:
     """Everything the command line knows about one method.
 
-    params: the parameters it accepts beyond input/out/jobs; strays are
+    params: the [params] rows of `_SETTINGS` it accepts; strays are
     rejected. run(cfg, ints, outdir) -> (result, plan, summary, extra
     files). For the pencils solved by geev.solve, with v0 the reference
     determinant and p the resolved parameters: build(ints, v0, p) gives the

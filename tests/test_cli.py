@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,17 @@ import pytest
 from conftest import fixture_path, load_integrals, random_integrals, scan_integrals
 
 from qsubspace.classical import kaniel_paige_saad, power_krylov
-from qsubspace.cli import _SPECS, EXIT_CODES, METHODS, main
+from qsubspace.cli import (
+    _SETTINGS,
+    _SPECS,
+    EXIT_CODES,
+    METHODS,
+    build_parser,
+    load_config_file,
+    main,
+    merge_config,
+    resolve_config,
+)
 from qsubspace.fock import (
     basis_vector,
     exact_eigenpairs,
@@ -26,10 +37,11 @@ from qsubspace.fock import (
 from qsubspace.integrals import serialize_fcidump
 
 H2 = str(fixture_path("h2_sto3g"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SCHEMA = json.loads(
     (
-        pathlib.Path(__file__).resolve().parent.parent
+        ROOT
         / "src"
         / "qsubspace"
         / "schemas"
@@ -329,6 +341,24 @@ class TestMethodResults:
         assert len(report["result"]["eigenvalues"]) == 2
         assert max(report["result"]["residual_norms"]) < 1e-8
 
+    def test_fci_copies_no_eigenvectors(self, tmp_path):
+        # fci prints eigenvalues only; a k = dim exact_eigenpairs slice of
+        # the 1225-dimensional scan molecule copies all its vectors (24 MB)
+        ints = scan_integrals(1.3)
+        cfg, explicit = merge_config(build_parser().parse_args(["fci", "--input", "-"]), {})
+        cfg = resolve_config(cfg, ints, explicit)
+        dim = ints.sector_dimension
+        assert cfg.params["k"] == dim
+        want = [float(x) for x in exact_eigenpairs(ints, k=dim).eigenvalues]  # warms the cache
+        tracemalloc.start()
+        try:
+            result = _SPECS["fci"].run(cfg, ints, tmp_path)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result["eigenvalues"] == want
+        assert peak < 2_000_000
+
 
 class TestConfigFile:
     def write(self, tmp_path, text):
@@ -395,6 +425,84 @@ class TestConfigFile:
         ini = self.write(tmp_path, f"[run]\ninput = {H2}\n\n[params]\nn = much\n")
         assert main(["qfd", "--config", ini]) == 2
         assert "much" in error_payload(capsys)["message"]
+
+    @pytest.mark.parametrize(
+        "method, text",
+        [
+            ("qse", "[shots]\ngrouping = wat\n"),
+            ("qse", "[params]\nlevel = sd\n"),
+            ("qfd", "[params]\nbackend = Trotter\n"),
+            ("qlanczos", "[params]\nmode = x\n"),
+        ],
+        ids=["grouping", "level", "backend", "mode"],
+    )
+    def test_values_outside_the_choices_rejected_on_load(self, tmp_path, capsys, method, text):
+        # checked when the file loads, like the flag, whether or not the run
+        # reads the value: sampling is off here
+        ini = self.write(tmp_path, f"[run]\ninput = {H2}\n\n{text}")
+        code, report, _ = run_cli(tmp_path, method, "--config", ini)
+        assert code == 2 and report is None
+        err = error_payload(capsys)
+        assert err["type"] == "ValidationError"
+        assert "bad value" in err["message"] and "choose from" in err["message"]
+
+    def test_method_is_not_a_config_key(self, tmp_path, capsys):
+        # the positional method is required and always used
+        ini = self.write(tmp_path, f"[run]\ninput = {H2}\nmethod = qse\n")
+        assert main(["fci", "--config", ini, "--out", str(tmp_path)]) == 2
+        assert error_payload(capsys)["message"] == "config: unknown key 'method' in section [run]"
+
+    def test_readme_example_keys_are_table_rows(self, tmp_path):
+        readme = (ROOT / "README.md").read_text()
+        ini = self.write(tmp_path, readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        cfg = load_config_file(ini)
+        assert set(cfg) == {s.section for s in _SETTINGS.values()}
+        for section, values in cfg.items():
+            assert values and all(_SETTINGS[key].section == section for key in values)
+
+    def test_readme_lists_each_section_s_keys(self):
+        # the README's "| `[section]` | `key`, ... |" rows against the table
+        listed = {}
+        for line in (ROOT / "README.md").read_text().splitlines():
+            if line.startswith("| `["):
+                cells = line.split("|")
+                listed[cells[1].strip(" `[]")] = set(re.findall(r"`(\w+)`", cells[2]))
+        table = {}
+        for name, s in _SETTINGS.items():
+            table.setdefault(s.section, set()).add(name)
+        assert listed == table
+
+    def test_config_echo_is_pinned(self, tmp_path):
+        # the goldens compare `result` only; these pin `config`
+        exact = {"enabled": False, "seed": 0, "shots": None, "eps_target": None,
+                 "grouping": "qubitwise"}
+        qfd = {"n": 4, "dt": 0.1, "eps": None, "backend": "exact", "substeps": 1}
+        ini = self.write(
+            tmp_path,
+            f"[run]\ninput = {H2}\njobs = 2\n\n[params]\nn = 5\ndt = 0.4\n\n"
+            "[shots]\nenabled = true\nshots = 1000\nseed = 4\ngrouping = full\n",
+        )
+        runs = [
+            (["qfd", "--input", H2, "--n", "5", "--dt", "0.4"],
+             1, qfd | {"n": 5, "dt": 0.4}, exact, None),
+            (["qfd", "--config", ini, "--n", "3", "--eps-target", "0.05"],
+             2, qfd | {"n": 3, "dt": 0.4},
+             {"enabled": True, "seed": 4, "shots": None, "eps_target": 0.05, "grouping": "full"},
+             None),
+            (["lanczos", "--input", H2, "--sweep", "n=2,3,4", "--jobs", "2"],
+             2, {"n": 4, "eps": None}, exact, {"axis": "n", "values": [2, 3, 4]}),
+            # a shots sweep turns sampling on with a placeholder count
+            (["qfd", "--input", H2, "--sweep", "shots=100,1000", "--seed", "5"],
+             1, qfd, exact | {"enabled": True, "seed": 5, "shots": 1},
+             {"axis": "shots", "values": [100, 1000]}),
+        ]
+        for argv, jobs, params, shots, sweep in runs:
+            code, report, out = run_cli(tmp_path, *argv)
+            assert code == 0, argv
+            assert report["config"] == {
+                "method": argv[0], "input": H2, "out": str(out), "jobs": jobs,
+                "params": params, "shots": shots, "sweep": sweep,
+            }, argv
 
     def test_config_sweep_section(self, tmp_path):
         ini = self.write(
