@@ -43,10 +43,11 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
+import scipy.sparse
 
 from . import __version__
 from .classical import davidson, kaniel_paige_saad, lanczos, power_krylov
-from .engine import Statevector, apply_pauli_sum, statevector_from_fock
+from .engine import statevector_from_fock
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -60,14 +61,16 @@ from .fock import (
     basis_vector,
     exact_eigenpairs,
     evolve_real,
+    matvec,
     reference_configuration,
+    sector_matrix,
+    sector_word_indices,
     spectral_measure,
 )
 from .fock import inner as fock_inner
 from .geev import eigenvalue_roundoff, solution_report, solve
 from .integrals import MolecularIntegrals, parse_fcidump
 from .quantum import (
-    ExcitationOperator,
     QfdGrid,
     _snapshots,
     chebyshev_krylov_build,
@@ -83,7 +86,6 @@ from .quantum import (
     response_function,
     spectral_weights,
 )
-from .qubits import jordan_wigner
 from .shots import (
     GENERATOR,
     SEED_LIMIT,
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "exit codes:\n"
             f"{codes}\n\n"
-            "sweep axes: n, dt, shots, eps (--sweep n=2,3,4). The bound\n"
+            f"sweep axes: {', '.join(_SWEEP_AXES)} (--sweep n=2,3,4). The bound\n"
             "column holds the Kaniel-Paige value for lanczos, the power-basis\n"
             "cond(S) lower bound for power-krylov, the uniform-grid filter\n"
             "bound for qfd, and the arctangent perturbation bound for\n"
@@ -262,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-sampling", action="store_true",
                         help="force the exact backend even if the config enables shots")
     parser.add_argument("--sweep", metavar="AXIS=V1,V2,...",
-                        help="emit sweep.csv over n, dt, shots, or eps")
+                        help=f"emit sweep.csv over {', '.join(_SWEEP_AXES[:-1])}, "
+                             f"or {_SWEEP_AXES[-1]}")
     return parser
 
 
@@ -399,8 +402,9 @@ def resolve_config(cfg: RunConfig, ints: MolecularIntegrals, explicit: frozenset
             f"sweep axis {cfg.sweep_axis!r} does not apply to method {cfg.method!r}"
         )
     if cfg.sweep_axis == "shots" and not cfg.shots.enabled:
-        # give the swept plans a definite seed and grouping
-        cfg = replace(cfg, shots=replace(cfg.shots, enabled=True, shots=1))
+        # give the swept plans a definite seed and grouping; each row
+        # carries its own shot count
+        cfg = replace(cfg, shots=replace(cfg.shots, enabled=True, shots=None))
 
     params = dict(cfg.params)
     for key in spec.params:
@@ -538,8 +542,10 @@ def _run_qeom(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
 
 
 def _probe_operator(spec: str, ints: MolecularIntegrals):
+    """The spectrum probe as a Hermitian sector operator: the sector matrix
+    for ham, the diagonal of orbital P's occupation count for occ:P."""
     if spec == "ham":
-        return jordan_wigner(ints)
+        return sector_matrix(ints)
     head, sep, tail = spec.partition(":")
     if head == "occ" and sep:
         try:
@@ -548,9 +554,9 @@ def _probe_operator(spec: str, ints: MolecularIntegrals):
             raise ValidationError(f"bad probe operator {spec!r}") from None
         if not 0 <= orbital < ints.num_orbitals:
             raise ValidationError(f"probe orbital {orbital} outside register")
-        up = ExcitationOperator(ints.num_orbitals, "single", (orbital, orbital), (0,))
-        down = ExcitationOperator(ints.num_orbitals, "single", (orbital, orbital), (1,))
-        return up.to_pauli() + down.to_pauli()
+        words, m = sector_word_indices(ints.sector), ints.num_orbitals
+        counts = (words >> orbital & 1) + (words >> (orbital + m) & 1)
+        return scipy.sparse.diags(counts.astype(float))
     raise ValidationError(f"probe operator must be occ:P or ham, got {spec!r}")
 
 
@@ -567,20 +573,19 @@ def _qfd_solution(cfg: RunConfig, ints: MolecularIntegrals):
 def _run_spectrum(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
     p = cfg.params
     prob, sol, basis, _ = _qfd_solution(cfg, ints)
-    b_op = _probe_operator(p["op"], ints)
-    gaps, weights = spectral_weights(sol, basis, b_op.dagger(), b_op)
+    probe = _probe_operator(p["op"], ints)
+    gaps, weights = spectral_weights(sol, basis, probe)
 
     # resolution-of-identity check: sum of weights vs <0|B^+B|0>
-    states = [statevector_from_fock(x) for x in basis]
-    amps = sol.coefficients[:, 0] @ np.stack([s.amplitudes for s in states])
-    image = apply_pauli_sum(b_op, Statevector(states[0].num_qubits, amps))
-    closure = float(np.vdot(image.amplitudes, image.amplitudes).real)
+    ground = sol.coefficients[:, 0] @ np.stack([x.amplitudes for x in basis])
+    image = matvec(probe, ground)
+    closure = float(np.vdot(image, image).real)
     weight_sum = float(np.sum(weights).real)
 
     rows = [("stick", float(g), float(w.real), float(w.imag)) for g, w in zip(gaps, weights)]
     if p["omega_points"] > 0:
         omegas = np.linspace(p["omega_min"], p["omega_max"], p["omega_points"])
-        response = response_function(sol, basis, b_op.dagger(), b_op, omegas, p["eta"])
+        response = response_function(sol, basis, probe, omegas, p["eta"])
         rows += [
             ("response", float(w), float(r.real), float(r.imag))
             for w, r in zip(omegas, response)
@@ -662,10 +667,10 @@ class MethodSpec:
 
     @property
     def sweep_axes(self) -> tuple:
-        """n, dt and eps where the pair is built and the parameter applies;
-        shots where it can be sampled."""
-        axes = tuple(a for a in ("n", "dt", "eps") if self.build and a in self.params)
-        return axes + ("shots",) if self.recipe else axes
+        """The `_SWEEP_AXES` that apply: shots where the pair can be
+        sampled, the others where it is built and the parameter applies."""
+        return tuple(a for a in _SWEEP_AXES
+                     if (self.recipe if a == "shots" else self.build and a in self.params))
 
 
 _SPECS = {
@@ -674,16 +679,19 @@ _SPECS = {
         ("n", "eps"), _run_subspace,
         build=lambda ints, v0, p: lanczos(ints, v0, p["n"])[1],
         bound=lambda ints, v0, p, report: _ground_ritz_bound(ints, v0, p["n"]),
+        filtered=lambda p: True,
     ),
     "davidson": MethodSpec(("k",), _run_davidson),
     "power-krylov": MethodSpec(
         ("n", "eps"), _run_subspace,
         build=lambda ints, v0, p: power_krylov(ints, v0, p["n"]),
         bound=lambda ints, v0, p, report: report["bounds"].get("power_basis_cond_lower_bound"),
+        filtered=lambda p: True,
     ),
     "chebyshev": MethodSpec(
         ("n", "eps", "bounds"), _run_subspace,
         build=lambda ints, v0, p: chebyshev_krylov_build(v0, ints, p["n"], p["bounds"]),
+        filtered=lambda p: True,
     ),
     "gaussian-power": MethodSpec(
         ("n", "eps", "tau"), _run_subspace,

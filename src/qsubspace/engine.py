@@ -1,20 +1,25 @@
-"""Exact statevector simulation on 2m qubits.
+"""Exact statevector simulation on 2m qubits, and product-formula steps in
+the sector basis.
 
 Amplitude index b encodes occupations directly: bit p is orbital p spin-up,
 bit p+m is orbital p spin-down, matching the fock-module convention, so
-sector vectors embed by index with no sign bookkeeping.
+sector vectors embed by index with no sign bookkeeping. The register
+serves the measurement model (the recipes of quantum, sampled by shots)
+and QITE.
 
 Pauli actions and exponentials work directly on amplitudes, through one
 table kernel: `pauli_rows` turns (x, z) masks into per-row gather indices
 and phases, so a Pauli sum is a term-ordered reduction over table tiles
-and QITE gathers its whole rotation pool at once. The Trotter step
-exponentiates each factor of the factorized Hamiltonian in string space.
-A spin-free one-body factor F keeps both spins' electron counts, and on
-one spin's k-electron strings it is the real symmetric matrix
-fock.string_operator(F, k) with eigenpairs (lambda, Y). Viewing the
-register as blocks A[down string, up string], exp(-i t F) is
-Y_d (exp(-i t (lambda_d + lambda_u)) o (Y_d^T A Y_u)) Y_u^T, and
-exp(-i t F^2) squares the exponent's sum. The step is
+and QITE gathers its whole rotation pool at once.
+
+The Trotter step takes and returns a sector vector and exponentiates each
+factor of the factorized Hamiltonian in string space. A spin-free one-body
+factor F keeps both spins' electron counts, and on one spin's k-electron
+strings it is the real symmetric matrix fock.string_operator(F, k) with
+eigenpairs (lambda, Y). A (m, k_up, k_down) sector vector, stored
+down-major, reshapes to its one block C[down string, up string], on which
+exp(-i t F) is Y_d (exp(-i t (lambda_d + lambda_u)) o (Y_d^T C Y_u)) Y_u^T,
+and exp(-i t F^2) squares the exponent's sum. The step is
 
     exp(-i dt H) ~ e^{-i dt e_nuc} [prod_g exp(-i dt (L^g)^2)] exp(-i dt J1)
 
@@ -25,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -221,24 +225,16 @@ def _real_sandwich(left: np.ndarray, z: np.ndarray, right: np.ndarray) -> np.nda
     return parts[0::2] + 1j * parts[1::2]
 
 
-def trotter_step(plan: TrotterPlan, dt: float, s: Statevector) -> Statevector:
+def trotter_step(plan: TrotterPlan, dt: float, v: FockVector) -> FockVector:
     """One first-order product-formula step of exp(-i dt H), J1 first (see
-    the module docstring), on each block of the register with k_down and
-    k_up electrons that holds amplitude; the other blocks stay zero."""
-    m = plan.one_body.shape[0]
-    if s.num_qubits != 2 * m:
+    the module docstring), on the sector's one block C[down, up]."""
+    m, k_up, k_down = v.sector
+    if m != plan.one_body.shape[0]:
         raise ValidationError("plan and state sizes differ")
-    held = np.flatnonzero(s.amplitudes)
-    codes = np.bitwise_count(held >> m) * (m + 1) + np.bitwise_count(held & ((1 << m) - 1))
-    powers = (1,) + (2,) * len(plan.pair_factors)
-    out = np.zeros_like(s.amplitudes)
-    for k_down, k_up in (divmod(code, m + 1) for code in np.unique(codes).tolist()):
-        idx = sector_word_indices((m, k_up, k_down))
-        z = s.amplitudes[idx].reshape(math.comb(m, k_down), math.comb(m, k_up))
-        for factor, power in enumerate(powers):
-            lam_d, y_d = plan.eigenpairs(factor, k_down)
-            lam_u, y_u = plan.eigenpairs(factor, k_up)
-            phase = np.exp(-1j * dt * (lam_d[:, None] + lam_u) ** power)
-            z = _real_sandwich(y_d, phase * _real_sandwich(y_d.T, z, y_u), y_u.T)
-        out[idx] = z.ravel()
-    return Statevector(s.num_qubits, out * np.exp(-1j * dt * plan.e_nuc))
+    z = v.amplitudes.reshape(math.comb(m, k_down), math.comb(m, k_up))
+    for factor, power in enumerate((1,) + (2,) * len(plan.pair_factors)):
+        lam_d, y_d = plan.eigenpairs(factor, k_down)
+        lam_u, y_u = plan.eigenpairs(factor, k_up)
+        phase = np.exp(-1j * dt * (lam_d[:, None] + lam_u) ** power)
+        z = _real_sandwich(y_d, phase * _real_sandwich(y_d.T, z, y_u), y_u.T)
+    return FockVector(v.sector, z.ravel() * np.exp(-1j * dt * plan.e_nuc))

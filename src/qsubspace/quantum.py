@@ -17,10 +17,12 @@ with the dense spectrum): filter_subspace forms S and H from the filter
 matrix, qlanczos_build its norms and Rayleigh quotients, and
 epperly_qfd_bound its gaps and weights. The Chebyshev basis, like the power
 basis, comes from classical.polynomial_moments and needs no dense spectrum.
-The statevector backend, with Jordan-Wigner images, serves what the qubit
-picture needs: the measurement recipes the shots module samples, the
-Hadamard-test ancilla of qfd_recipe, Trotter steps, QITE rotations and
-spectral weights of Pauli probes.
+Trotter snapshots stay in the sector too: engine.trotter_step steps the
+reference sector's one block C[down, up]. Spectra take their probe as a
+Hermitian sector operator, any matrix fock.matvec applies. The statevector
+backend, with Jordan-Wigner images, serves only the measurement model (the
+recipes the shots module samples, with the Hadamard-test ancilla of
+qfd_recipe) and QITE rotations.
 """
 
 from __future__ import annotations
@@ -541,11 +543,10 @@ def _snapshots(state0: FockVector, ints, grid: QfdGrid) -> list:
     if grid.backend == "exact":
         return [evolve_real(ints, v0, float(t)) for t in times]
     plan = _trotter_plan(ints)
-    start = statevector_from_fock(v0)
-    cache = {0.0: start}
+    cache = {0.0: v0}
 
     def walk(targets):
-        t_prev, cur = 0.0, start
+        t_prev, cur = 0.0, v0
         for t in targets:
             if t not in cache:
                 hop = (t - t_prev) / grid.substeps
@@ -556,9 +557,7 @@ def _snapshots(state0: FockVector, ints, grid: QfdGrid) -> list:
 
     walk(sorted(t for t in times if t >= 0))
     walk(sorted((t for t in times if t < 0), reverse=True))
-    # every factor acts within one (n_up, n_down) block of the register, so
-    # the snapshots stay exactly inside the reference sector
-    return [fock_from_statevector(cache[float(t)], v0.sector) for t in times]
+    return [cache[float(t)] for t in times]
 
 
 def qfd_build(state0: FockVector, ints: MolecularIntegrals, grid: QfdGrid) -> SubspaceProblem:
@@ -917,45 +916,27 @@ def _subspace_eigenstates(sol: GEEVSolution, basis: list) -> np.ndarray:
     return sol.coefficients.T @ arrays
 
 
-def spectral_weights(
-    sol: GEEVSolution,
-    basis: list,
-    a_op: PauliSum,
-    b_op: PauliSum,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stick spectrum: gaps dE_u and weights <0|A|u><u|B|0>.
-
-    Basis states are FockVectors, embedded in the full register for the
-    Pauli probes.  The u=0 term is included.
+def spectral_weights(sol: GEEVSolution, basis: list, probe) -> tuple[np.ndarray, np.ndarray]:
+    """Stick spectrum: gaps dE_u and weights |<u|B|0>|^2 of a Hermitian
+    sector operator B, any matrix fock.matvec applies. The basis states are
+    FockVectors, and the u=0 term is included.
     """
-    states = [statevector_from_fock(x) for x in basis]
-    eigen = _subspace_eigenstates(sol, states)
-    nq = states[0].num_qubits
-    ground = Statevector(nq, eigen[0])
-    adag_ground = apply_pauli_sum(a_op.dagger(), ground).amplitudes
-    b_ground = apply_pauli_sum(b_op, ground).amplitudes
-    a_amp = np.conj(eigen.conj() @ adag_ground)  # <0|A|u> = conj(<u|A^+|0>)
-    b_amp = eigen.conj() @ b_ground  # <u|B|0>
+    eigen = _subspace_eigenstates(sol, basis)
+    amp = eigen.conj() @ matvec(probe, eigen[0])  # <u|B|0>
     gaps = sol.eigenvalues - sol.eigenvalues[0]
-    return gaps, a_amp * b_amp
+    return gaps, (amp.conj() * amp).real
 
 
-def response_function(
-    sol: GEEVSolution,
-    basis: list,
-    a_op: PauliSum,
-    b_op: PauliSum,
-    omegas,
-    eta: float,
-) -> np.ndarray:
-    """Frequency response sum_u L_eta(w - dE_u) <0|A|u><u|B|0>.
+def response_function(sol: GEEVSolution, basis: list, probe, omegas, eta: float) -> np.ndarray:
+    """Frequency response sum_u L_eta(w - dE_u) |<u|B|0>|^2 of a Hermitian
+    sector operator B (see spectral_weights).
 
     The subspace eigenvectors replace the exact eigenfunctions; L_eta is a
     unit-area Lorentzian, so integrating recovers the transition weights.
     """
     if not eta > 0:
         raise ValidationError("broadening must be positive")
-    gaps, weights = spectral_weights(sol, basis, a_op, b_op)
+    gaps, weights = spectral_weights(sol, basis, probe)
     omegas = np.asarray(omegas, dtype=float)
     spectrum = np.zeros(omegas.shape, dtype=complex)
     for w, gap in zip(weights, gaps):

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import fixture_path, load_integrals, random_integrals, scan_integrals
 
+import qsubspace.qubits as qubits_module
 from qsubspace.classical import kaniel_paige_saad, power_krylov
 from qsubspace.cli import (
     _SETTINGS,
@@ -28,6 +29,7 @@ from qsubspace.cli import (
     merge_config,
     resolve_config,
 )
+from qsubspace.engine import Statevector
 from qsubspace.fock import (
     basis_vector,
     exact_eigenpairs,
@@ -250,8 +252,10 @@ class TestMethodResults:
 
     @pytest.mark.parametrize(
         "args",
-        [("qfd",), ("qfd", "--backend", "trotter"), ("gaussian-power",), ("qlanczos",)],
-        ids=["qfd", "qfd-trotter", "gaussian-power", "qlanczos"],
+        [("qfd",), ("qfd", "--backend", "trotter"), ("gaussian-power",), ("qlanczos",),
+         ("lanczos",), ("power-krylov",), ("chebyshev",)],
+        ids=["qfd", "qfd-trotter", "gaussian-power", "qlanczos", "lanczos", "power-krylov",
+             "chebyshev"],
     )
     def test_exact_filter_runs_report_the_reference_ground_weight(self, tmp_path, args):
         for name in ("h2_sto3g", "h2_stretched"):
@@ -269,9 +273,8 @@ class TestMethodResults:
 
     @pytest.mark.parametrize(
         "args",
-        [("lanczos",), ("chebyshev",), ("qlanczos", "--mode", "qite", "--n", "2"),
-         ("qfd", "--shots", "1000")],
-        ids=["lanczos", "chebyshev", "qlanczos-qite", "qfd-sampled"],
+        [("qlanczos", "--mode", "qite", "--n", "2"), ("qfd", "--shots", "1000")],
+        ids=["qlanczos-qite", "qfd-sampled"],
     )
     def test_other_runs_report_no_ground_weight(self, tmp_path, args):
         code, report, _ = run_cli(tmp_path, *args, "--input", H2)
@@ -358,6 +361,38 @@ class TestMethodResults:
             tracemalloc.stop()
         assert result["eigenvalues"] == want
         assert peak < 2_000_000
+
+    def test_exact_spectra_and_trotter_runs_stay_in_the_sector(self, tmp_path, monkeypatch):
+        # spectrum probes, fast-forwarding and Trotter snapshots are sector
+        # operations: none of these runs builds a statevector on the 2^(2m)
+        # register or a Jordan-Wigner image
+        touched = []
+        post_init, image = Statevector.__post_init__, qubits_module.jordan_wigner
+
+        def record_state(state):
+            touched.append(f"Statevector({state.num_qubits})")
+            post_init(state)
+
+        def record_image(ints):
+            touched.append("jordan_wigner")
+            return image(ints)
+
+        monkeypatch.setattr(Statevector, "__post_init__", record_state)
+        for module in [m for n, m in sys.modules.items() if n.startswith("qsubspace")]:
+            if getattr(module, "jordan_wigner", None) is image:
+                monkeypatch.setattr(module, "jordan_wigner", record_image)
+        h4 = str(fixture_path("h4_toy"))
+        trotter = ("qfd", "--backend", "trotter", "--n", "6", "--substeps", "2")
+        for k, argv in enumerate((
+            ("spectrum", "--omega-points", "3"),
+            ("spectrum", "--op", "ham", "--omega-points", "3"),
+            ("fastforward",),
+            trotter,
+            (*trotter, "--sweep", "dt=0.2,0.4,0.8"),
+        )):
+            code, _, _ = run_cli(tmp_path / str(k), *argv, "--input", h4)
+            assert code == 0, argv
+        assert touched == []
 
 
 class TestConfigFile:
@@ -491,9 +526,9 @@ class TestConfigFile:
              None),
             (["lanczos", "--input", H2, "--sweep", "n=2,3,4", "--jobs", "2"],
              2, {"n": 4, "eps": None}, exact, {"axis": "n", "values": [2, 3, 4]}),
-            # a shots sweep turns sampling on with a placeholder count
+            # a shots sweep turns sampling on; each row carries its own count
             (["qfd", "--input", H2, "--sweep", "shots=100,1000", "--seed", "5"],
-             1, qfd, exact | {"enabled": True, "seed": 5, "shots": 1},
+             1, qfd, exact | {"enabled": True, "seed": 5},
              {"axis": "shots", "values": [100, 1000]}),
         ]
         for argv, jobs, params, shots, sweep in runs:

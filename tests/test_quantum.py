@@ -56,7 +56,7 @@ from qsubspace.fock import (
 )
 from qsubspace.geev import SubspaceProblem, eigenvalue_roundoff, solve
 from qsubspace.integrals import MolecularIntegrals, cholesky_decompose_eri
-from qsubspace.qubits import PauliString, jordan_wigner, pauli_keys, pauli_sum, string_table
+from qsubspace.qubits import PauliString, jordan_wigner, pauli_keys, string_table
 from qsubspace.quantum import (
     ExcitationOperator,
     QfdGrid,
@@ -1060,11 +1060,10 @@ def qfd_eigenbasis(ints, seed, n, dt=0.4):
 class TestResponse:
     def test_identity_response_single_peak(self, h2):
         sol, basis = qfd_eigenbasis(h2, 5, 6)
-        nq = 2 * h2.num_orbitals
-        ident = pauli_sum(nq, [(1.0, "I" * nq)])
+        ident = np.eye(h2.sector_dimension)
         omegas = np.linspace(-1.0, 1.0, 9)
         eta = 0.05
-        got = response_function(sol, basis, ident, ident, omegas, eta)
+        got = response_function(sol, basis, ident, omegas, eta)
         want = (eta / math.pi) / (omegas**2 + eta**2)
         np.testing.assert_allclose(got.real, want, atol=1e-8)
         np.testing.assert_allclose(got.imag, 0.0, atol=1e-8)
@@ -1072,27 +1071,39 @@ class TestResponse:
     def test_peak_positions_are_fci_gaps(self, h2):
         sol, basis = qfd_eigenbasis(h2, 5, 6)
         spec = full_spectrum(h2)
-        ham = jordan_wigner(h2)
-        gaps, _ = spectral_weights(sol, basis, ham, ham)
+        gaps, _ = spectral_weights(sol, basis, sector_matrix(h2))
         want = spec.eigenvalues - spec.eigenvalues[0]
         np.testing.assert_allclose(np.sort(gaps), want, atol=1e-8)
 
     def test_sum_rule_complete_subspace(self, h2):
         sol, basis = qfd_eigenbasis(h2, 5, 6)
-        b_op = jordan_wigner(h2)
-        _, weights = spectral_weights(sol, basis, b_op.dagger(), b_op)
+        ham = sector_matrix(h2)
+        _, weights = spectral_weights(sol, basis, ham)
         spec = full_spectrum(h2)
-        ground = statevector_from_fock(spec.eigenvectors[0])
-        image = apply_pauli_sum(b_op, ground)
-        norm2 = float(np.vdot(image.amplitudes, image.amplitudes).real)
+        image = matvec(ham, spec.eigenvectors[0].amplitudes)
+        norm2 = float(np.vdot(image, image).real)
         assert abs(float(np.sum(weights).real) - norm2) < 1e-8
         assert abs(float(np.sum(weights).imag)) < 1e-8
 
     def test_broadening_validation(self, h2):
         sol, basis = qfd_eigenbasis(h2, 5, 3)
-        ham = jordan_wigner(h2)
         with pytest.raises(ValidationError):
-            response_function(sol, basis, ham, ham, [0.0], 0.0)
+            response_function(sol, basis, sector_matrix(h2), [0.0], 0.0)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_cli_probe_weights_match_dense_probes(self, name):
+        # the spectrum method's ham and occ:P probes against the dense
+        # sector Hamiltonian and occupation count of the full Fock space
+        ints = load_integrals(name)
+        m = ints.num_orbitals
+        sol, basis = qfd_eigenbasis(ints, 5, 6)
+        idx = sector_words(m, ints.num_up, ints.num_down)
+        count = sum(c @ c.T for c in (ladder_matrix(p, 2 * m) for p in (m - 1, 2 * m - 1)))
+        eigen = sol.coefficients.T @ np.stack([b.amplitudes for b in basis])
+        for op, dense in (("ham", dense_sector(ints)), (f"occ:{m - 1}", count[np.ix_(idx, idx)])):
+            _, got = spectral_weights(sol, basis, cli._probe_operator(op, ints))
+            want = np.abs(eigen.conj() @ (dense @ eigen[0])) ** 2
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestFastForward:
