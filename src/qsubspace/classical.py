@@ -4,6 +4,8 @@ Chebyshev-style convergence bounds for Krylov eigenvalue estimates.
 All methods act on sector FockVectors through the sparse Slater-Condon
 matrix; none of them need the dense spectrum except the bound evaluator,
 which exists to compare a measured Ritz error against its guarantee.
+Lanczos always reorthogonalizes in full; Davidson always starts from the
+unit vectors on the k smallest diagonal entries, so it runs in float64.
 polynomial_moments is the one sparse three-term recurrence behind both
 polynomial bases, power_krylov here and quantum.chebyshev_krylov_build, so
 both keep working above the dense spectrum's dimension cap.
@@ -115,13 +117,8 @@ class TridiagonalForm:
         )
 
 
-def lanczos(
-    ints: MolecularIntegrals,
-    v0: FockVector,
-    n: int,
-    reorthogonalize: bool = True,
-):
-    """Three-term recurrence with optional full reorthogonalization.
+def lanczos(ints: MolecularIntegrals, v0: FockVector, n: int):
+    """Three-term recurrence with full reorthogonalization.
 
     Returns (TridiagonalForm, SubspaceProblem); the problem has the
     tridiagonal matrix as H and the identity as S. Stops early when the
@@ -150,10 +147,9 @@ def lanczos(
         if k + 1 == n:
             break
         w = w - alpha * q - beta * prev
-        if reorthogonalize:
-            # Twice-repeated Gram-Schmidt against every retained vector.
-            for _ in range(2):
-                w = w - basis[:, : k + 1] @ (basis[:, : k + 1].conj().T @ w)
+        # Twice-repeated Gram-Schmidt against every retained vector.
+        for _ in range(2):
+            w = w - basis[:, : k + 1] @ (basis[:, : k + 1].conj().T @ w)
         beta = float(np.linalg.norm(w))
         if beta < _BREAKDOWN:
             break
@@ -198,10 +194,10 @@ def davidson(
     k: int = 1,
     tol: float = 1e-8,
     max_iter: int = 200,
-    v0s: list | None = None,
 ) -> DavidsonResult:
     """Block Davidson with the diagonal (Jacobi) preconditioner.
 
+    It starts from the unit vectors on the k smallest diagonal entries.
     Expansion vector per unconverged root: w = psi + P r with
     P_ll = 1/(H_ll - E), denominator clamped at 1e-6 in magnitude. When the
     search space would exceed 8k columns it restarts, within the space, to
@@ -217,20 +213,9 @@ def davidson(
     mat = sector_matrix(ints)
     diag = hamiltonian_diagonal(ints)
 
-    if v0s is not None:
-        cols = [_sector_array(ints, v) for v in v0s]
-    else:
-        # Unit vectors on the k smallest diagonal entries, each its own
-        # 1 x dim row (a column of eye(dim) would keep dim^2 alive).
-        cols = [np.eye(1, dim, i)[0] for i in np.argsort(diag)[:k]]
-    # real unless a start is complex; the sector matrix is real
-    basis = np.zeros((dim, 0), dtype=np.result_type(float, *cols))
-    for c in cols:
-        c = _orthonormalize_against(c.astype(basis.dtype), basis)
-        if c is not None:
-            basis = np.column_stack([basis, c])
-    if basis.shape[1] < k:
-        raise ValidationError("start vectors do not span k directions")
+    # real, as the sector matrix is; no dim x dim identity is built
+    basis = np.zeros((dim, k))
+    basis[np.argsort(diag)[:k], np.arange(k)] = 1.0
     images = matvec(mat, basis)
 
     max_cols = 8 * k
@@ -343,7 +328,7 @@ def kaniel_paige_saad(
                                 math.inf, math.nan, False, False)
     tan = math.sqrt(max(0.0, 1.0 - cos**2)) / cos
 
-    form, _ = lanczos(ints, v0, n, reorthogonalize=True)
+    form, _ = lanczos(ints, v0, n)
     ritz = form.eigenvalues()
     measured = float(ritz[mu] - evals[mu])
 

@@ -527,9 +527,7 @@ def _run_qeom(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
     # gaps are exact when the reference is the exact ground state, which is
     # available at desk scale
     ground = exact_eigenpairs(ints, k=1).eigenvectors[0]
-    blocks, energies = qeom_build(
-        statevector_from_fock(ground), ints, tda=cfg.params["tda"]
-    )
+    blocks, energies = qeom_build(ground, ints, tda=cfg.params["tda"])
     result = {
         "kind": "excitations",
         "tda": bool(cfg.params["tda"]),

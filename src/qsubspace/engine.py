@@ -3,9 +3,9 @@ the sector basis.
 
 Amplitude index b encodes occupations directly: bit p is orbital p spin-up,
 bit p+m is orbital p spin-down, matching the fock-module convention, so
-sector vectors embed by index with no sign bookkeeping. The register
-serves the measurement model (the recipes of quantum, sampled by shots)
-and QITE.
+sector vectors embed by index with no sign bookkeeping, and a register
+projects back to a sector only with its leak check. The register serves
+the measurement model (the recipes of quantum, sampled by shots) and QITE.
 
 Pauli actions and exponentials work directly on amplitudes, through one
 table kernel: `pauli_rows` turns (x, z) masks into per-row gather indices
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DataError, ValidationError
-from .fock import Configuration, FockVector, sector_word_indices, string_operator
+from .fock import FockVector, sector_word_indices, string_operator
 from .integrals import CholeskyFactors
 from .qubits import _PHASES, PauliString, PauliSum
 
@@ -71,14 +71,6 @@ class Statevector:
         return Statevector(self.num_qubits, self.amplitudes / n)
 
 
-def prepare_configuration(config: Configuration) -> Statevector:
-    """Basis state |occ_up | occ_down << m> on 2m qubits."""
-    nq = 2 * config.m
-    amp = _zeros(nq)
-    amp[config.word] = 1.0
-    return Statevector(nq, amp)
-
-
 def statevector_from_fock(v: FockVector) -> Statevector:
     m = v.sector[0]
     amp = _zeros(2 * m)
@@ -86,26 +78,20 @@ def statevector_from_fock(v: FockVector) -> Statevector:
     return Statevector(2 * m, amp)
 
 
-def fock_from_statevector(s: Statevector, sector: tuple, tol=1e-9) -> FockVector:
-    """Project onto one particle-number sector.
-
-    With the default tolerance, amplitude weight outside the sector beyond
-    tol (relative to the state norm) raises; pass tol=None to project
-    silently.
-    """
+def fock_from_statevector(s: Statevector, sector: tuple) -> FockVector:
+    """Project onto one particle-number sector; amplitude weight outside it
+    beyond 1e-9 of the state's raises."""
     m = sector[0]
     if s.num_qubits != 2 * m:
         raise ValidationError("qubit count does not match sector")
-    idx = sector_word_indices(sector)
-    inside = s.amplitudes[idx]
-    if tol is not None:
-        total = float(np.vdot(s.amplitudes, s.amplitudes).real)
-        kept = float(np.vdot(inside, inside).real)
-        if total - kept > tol * max(total, 1e-300):
-            raise DataError(
-                f"state leaks {total - kept:.3e} of weight {total:.3e} "
-                "outside the requested sector"
-            )
+    inside = s.amplitudes[sector_word_indices(sector)]
+    total = float(np.vdot(s.amplitudes, s.amplitudes).real)
+    kept = float(np.vdot(inside, inside).real)
+    if total - kept > 1e-9 * max(total, 1e-300):
+        raise DataError(
+            f"state leaks {total - kept:.3e} of weight {total:.3e} "
+            "outside the requested sector"
+        )
     return FockVector(sector, inside.copy())
 
 

@@ -238,29 +238,19 @@ def _propagated_frobenius(std: np.ndarray | None, basis: np.ndarray) -> float:
     return float(math.sqrt(np.sum(p2.T @ std**2 @ p2)))
 
 
-def perturbation_bound(
-    prob: SubspaceProblem,
-    eps: float | None = None,
-    eta: float | None = None,
-    alpha: float = 0.0,
-) -> PerturbationRecord:
+def perturbation_bound(prob: SubspaceProblem, eps: float | None = None) -> PerturbationRecord:
     """Evaluate the thresholded-pair perturbation bound on the available pair.
 
     chi is estimated from attached entry stds (Frobenius proxy through the
-    retained basis); without stds, from the accuracy heuristic
-    chi = eta^(1/(1+alpha)) / n with constant one, reported but crude. Both
-    preconditions are checked; `applicable` is False when either fails or
-    the arcsine argument leaves [0, 1].
+    retained basis); an exact pair has no noise information, chi = 0 and
+    source "none", and is never applicable. Both preconditions are checked;
+    `applicable` is False when either fails or the arcsine argument leaves
+    [0, 1].
     """
-    return _perturbation_record(prob, solve(prob, eps=eps), eta, alpha)
+    return _perturbation_record(prob, solve(prob, eps=eps))
 
 
-def _perturbation_record(
-    prob: SubspaceProblem,
-    sol: GEEVSolution,
-    eta: float | None = None,
-    alpha: float = 0.0,
-) -> PerturbationRecord:
+def _perturbation_record(prob: SubspaceProblem, sol: GEEVSolution) -> PerturbationRecord:
     """perturbation_bound on an already thresholded solve of prob."""
     n_eps = sol.retained_dim
     reasons = []
@@ -270,11 +260,6 @@ def _perturbation_record(
             _propagated_frobenius(prob.smat_std, sol.retained_basis),
         )
         chi_source = "entry_stds"
-    elif eta is not None:
-        if not 0.0 <= alpha <= 0.5:
-            raise ValidationError("alpha must lie in [0, 0.5]")
-        chi = eta ** (1.0 / (1.0 + alpha)) / prob.n
-        chi_source = "eta_heuristic"
     else:
         chi = 0.0
         chi_source = "none"

@@ -10,11 +10,13 @@ fast-forwarded states) reuse the same machinery.
 Exact matrix elements are evaluated in the particle-number sector basis:
 pool operators act as ladder monomials on determinant words
 (fock.apply_ladders) and H as the cached sparse sector matrix, so qse_build
-and qeom_build never touch the 2^(2m) register. The exact real-time,
-imaginary-time and Gaussian-power subspaces span filtered states f_a(H) v0,
-so they are read off v0's spectral measure (fock.spectral_measure, capped
-with the dense spectrum): filter_subspace forms S and H from the filter
-matrix, qlanczos_build its norms and Rayleigh quotients, and
+and qeom_build never apply anything on the 2^(2m) register. qeom_build takes
+its reference as a sector FockVector; qse_build and qse_recipe take a
+Statevector and project it back to the sector, leak-checked. The exact
+real-time, imaginary-time and Gaussian-power subspaces span filtered states
+f_a(H) v0, so they are read off v0's spectral measure (fock.spectral_measure,
+capped with the dense spectrum): filter_subspace forms S and H from the
+filter matrix, qlanczos_build its norms and Rayleigh quotients, and
 epperly_qfd_bound its gaps and weights. The Chebyshev basis, like the power
 basis, comes from classical.polynomial_moments and needs no dense spectrum.
 Trotter snapshots stay in the sector too: engine.trotter_step steps the
@@ -408,15 +410,11 @@ def _eom_energies(blocks: EomBlocks, tda: bool) -> np.ndarray:
     return upper
 
 
-def qeom_build(
-    state: Statevector,
-    ints: MolecularIntegrals,
-    tda: bool = False,
-    pool: list | None = None,
-):
+def qeom_build(v0: FockVector, ints: MolecularIntegrals, tda: bool = False):
     """Commutator-block eigenproblem for excitation energies.
 
-    Blocks on the reference |Phi> with pool operators F_J:
+    Blocks on the normalized sector reference |Phi> = v0 / |v0| with the
+    qeom_pool operators F_J:
 
         V_IJ =  <Phi| [F_I^+, F_J] |Phi>
         W_IJ = -<Phi| [F_I^+, F_J^+] |Phi>
@@ -434,9 +432,10 @@ def qeom_build(
     conditioning, imaginary residue) land in blocks.report. All states are
     evaluated on the sector basis, as in qse_build.
     """
-    phi = _sector_reference(state, ints)
-    if pool is None:
-        pool = qeom_pool(ints.num_orbitals)
+    if v0.sector != ints.sector:
+        raise ValidationError("reference sector does not match integrals")
+    phi = v0.normalized()
+    pool = qeom_pool(ints.num_orbitals)
     if not pool:
         raise ValidationError("empty excitation pool")
     ham = sector_matrix(ints)
@@ -484,13 +483,12 @@ def qeom_build(
 
 @dataclass(frozen=True)
 class QfdGrid:
-    """Uniform time grid t_a = a*dt (optionally centered around zero)."""
+    """Uniform time grid t_a = a*dt, a = 0..n-1."""
 
     dt: float
     n: int
     backend: str = "exact"
     substeps: int = 1
-    symmetric: bool = False
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -503,10 +501,7 @@ class QfdGrid:
             raise ValidationError("substeps must be at least 1")
 
     def times(self) -> np.ndarray:
-        alpha = np.arange(self.n, dtype=float)
-        if self.symmetric:
-            alpha -= (self.n - 1) / 2.0
-        return alpha * self.dt
+        return np.arange(self.n, dtype=float) * self.dt
 
     def provenance(self) -> dict:
         return {
@@ -515,7 +510,6 @@ class QfdGrid:
             "n": int(self.n),
             "backend": self.backend,
             "substeps": int(self.substeps),
-            "symmetric": bool(self.symmetric),
         }
 
 
@@ -537,27 +531,20 @@ def _trotter_plan(ints: MolecularIntegrals):
 
 def _snapshots(state0: FockVector, ints, grid: QfdGrid) -> list:
     """The normalized state0 propagated to the grid times: exactly, or by
-    product-formula steps taken outward from 0."""
+    `substeps` product-formula hops of (t_a - t_{a-1}) / substeps per grid
+    step."""
     v0 = state0.normalized()
     times = grid.times()
     if grid.backend == "exact":
         return [evolve_real(ints, v0, float(t)) for t in times]
     plan = _trotter_plan(ints)
-    cache = {0.0: v0}
-
-    def walk(targets):
-        t_prev, cur = 0.0, v0
-        for t in targets:
-            if t not in cache:
-                hop = (t - t_prev) / grid.substeps
-                for _ in range(grid.substeps):
-                    cur = trotter_step(plan, hop, cur)
-                cache[t] = cur
-            t_prev, cur = t, cache[t]
-
-    walk(sorted(t for t in times if t >= 0))
-    walk(sorted((t for t in times if t < 0), reverse=True))
-    return [cache[float(t)] for t in times]
+    snaps = [v0]
+    for hop in np.diff(times) / grid.substeps:
+        cur = snaps[-1]
+        for _ in range(grid.substeps):
+            cur = trotter_step(plan, hop, cur)
+        snaps.append(cur)
+    return snaps
 
 
 def qfd_build(state0: FockVector, ints: MolecularIntegrals, grid: QfdGrid) -> SubspaceProblem:
@@ -704,7 +691,6 @@ def qite_step(
     ints: MolecularIntegrals,
     delta_tau: float,
     pool: tuple | None = None,
-    halve_on_increase: bool = True,
 ):
     """One unitary imaginary-time step.
 
@@ -713,11 +699,11 @@ def qite_step(
 
         A_mn = <Phi| {G_m, G_n} |Phi>    b_m = -i dtau <Phi| [H, G_m] |Phi>
 
-    (Tikhonov damping 1e-8), then applies prod_m exp(i theta_m G_m). If the
-    energy rises by more than 1e-8 the step is retried once with dtau/2 and
-    then rejected. Returns (state, energy, norm factor) where the norm
-    factor sqrt(1 - 2 dtau <H> + 2 dtau^2 <H^2>) is the second-order
-    estimate of the decay of the unnormalized imaginary-time state.
+    (Tikhonov damping 1e-8), then applies prod_m exp(i theta_m G_m). A step
+    whose energy rises by more than 1e-8 is rejected (StepError). Returns
+    (state, energy, norm factor) where the norm factor
+    sqrt(1 - 2 dtau <H> + 2 dtau^2 <H^2>) is the second-order estimate of
+    the decay of the unnormalized imaginary-time state.
     """
     if not delta_tau > 0:
         raise ValidationError("delta_tau must be positive")
@@ -750,8 +736,6 @@ def qite_step(
     new = Statevector(phi.num_qubits, amp)
     e_new = float(expectation(ham, new).real)
     if e_new > e_old + 1e-8:
-        if halve_on_increase:
-            return qite_step(state, ints, delta_tau / 2.0, pool, False)
         raise StepError(
             f"energy rose from {e_old:.12f} to {e_new:.12f} at dtau={delta_tau}"
         )
@@ -768,7 +752,6 @@ def qlanczos_build(
     delta_tau: float,
     n: int,
     mode: str = "exact",
-    pool: tuple | None = None,
 ) -> SubspaceProblem:
     """Subspace over imaginary-time snapshots v_a = exp(-a dtau H) v0 / norm.
 
@@ -802,15 +785,12 @@ def qlanczos_build(
     else:
         norms = np.ones(num_half + 1)
         rayleigh = np.empty(num_half + 1)
-        if pool is None:
-            pool = qite_pool(ints)
+        pool = qite_pool(ints)
         ham = jordan_wigner(ints)
         cur = statevector_from_fock(v0.normalized())
         rayleigh[0] = float(expectation(ham, cur).real)
         for k in range(1, num_half + 1):
-            cur, energy, factor = qite_step(
-                cur, ints, half, pool, halve_on_increase=False
-            )
+            cur, energy, factor = qite_step(cur, ints, half, pool)
             norms[k] = norms[k - 1] * factor
             rayleigh[k] = energy
     idx = np.add.outer(np.arange(n), np.arange(n))
@@ -877,13 +857,12 @@ def gaussian_power_build(
     ints: MolecularIntegrals,
     n: int,
     tau: float,
-    e0: float | None = None,
 ) -> SubspaceProblem:
     """Subspace over v_a = (H - E0)^a exp(-(H - E0)^2 tau^2 / 2) v0.
 
     The Gaussian filter suppresses eigencomponents far from E0, taming the
     norm growth of the power basis; tau = 0 recovers the plain shifted
-    power basis. E0 defaults to the Rayleigh quotient of v0. Realized
+    power basis. E0 is the Rayleigh quotient of v0. Realized
     on v0's spectral measure, so it needs the dense sector spectrum.
     """
     if n < 1:
@@ -891,8 +870,7 @@ def gaussian_power_build(
     if tau < 0:
         raise ValidationError("tau must be non-negative")
     energies, weights = spectral_measure(ints, v0)
-    if e0 is None:
-        e0 = float(weights @ energies)
+    e0 = float(weights @ energies)
     centered = energies - e0
     gauss = np.exp(-(centered**2) * tau**2 / 2.0)
     filters = np.stack([centered**alpha * gauss for alpha in range(n)], axis=1)

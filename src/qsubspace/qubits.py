@@ -197,9 +197,6 @@ class PauliSum:
     def dagger(self) -> "PauliSum":
         return _canonical(self.num_qubits, self.x, self.z, self.coeffs.conj())
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.coeffs.imag), initial=0.0) <= tol)
-
     def to_dense(self) -> np.ndarray:
         if self.num_qubits > _DENSE_QUBITS:
             raise CapacityError(f"dense form capped at {_DENSE_QUBITS} qubits")

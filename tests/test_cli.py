@@ -363,9 +363,9 @@ class TestMethodResults:
         assert peak < 2_000_000
 
     def test_exact_spectra_and_trotter_runs_stay_in_the_sector(self, tmp_path, monkeypatch):
-        # spectrum probes, fast-forwarding and Trotter snapshots are sector
-        # operations: none of these runs builds a statevector on the 2^(2m)
-        # register or a Jordan-Wigner image
+        # spectrum probes, fast-forwarding, qEOM and Trotter snapshots are
+        # sector operations: none of these runs builds a statevector on the
+        # 2^(2m) register or a Jordan-Wigner image
         touched = []
         post_init, image = Statevector.__post_init__, qubits_module.jordan_wigner
 
@@ -387,6 +387,7 @@ class TestMethodResults:
             ("spectrum", "--omega-points", "3"),
             ("spectrum", "--op", "ham", "--omega-points", "3"),
             ("fastforward",),
+            ("qeom",),
             trotter,
             (*trotter, "--sweep", "dt=0.2,0.4,0.8"),
         )):
@@ -494,6 +495,15 @@ class TestConfigFile:
         assert set(cfg) == {s.section for s in _SETTINGS.values()}
         for section, values in cfg.items():
             assert values and all(_SETTINGS[key].section == section for key in values)
+
+    def test_readme_library_block_runs_from_the_repository_root(self, monkeypatch, capsys):
+        # the README's Library example runs as printed, so the signatures it
+        # shows cannot drift from the library's
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(ROOT)
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+        assert capsys.readouterr().out.count("\n") == block.count("print(")
 
     def test_readme_lists_each_section_s_keys(self):
         # the README's "| `[section]` | `key`, ... |" rows against the table

@@ -15,14 +15,12 @@ from qsubspace.engine import (
     expectation,
     fock_from_statevector,
     inner,
-    prepare_configuration,
     statevector_from_fock,
     trotter_plan,
     trotter_step,
 )
 from qsubspace.errors import DataError, ValidationError
 from qsubspace.fock import (
-    Configuration,
     FockVector,
     basis_vector,
     enumerate_configurations,
@@ -41,14 +39,6 @@ from qsubspace.qubits import PauliString, jordan_wigner, pauli_sum
 def random_state(rng, nq):
     amp = rng.standard_normal(1 << nq) + 1j * rng.standard_normal(1 << nq)
     return Statevector(nq, amp / np.linalg.norm(amp))
-
-
-def test_prepare_configuration_index():
-    c = Configuration(2, occ_up=2, occ_down=1)
-    s = prepare_configuration(c)
-    assert s.num_qubits == 4
-    assert s.amplitudes[c.word] == 1.0
-    assert np.count_nonzero(s.amplitudes) == 1
 
 
 def test_fock_embedding_round_trip(h3_plus):
@@ -73,9 +63,6 @@ def test_fock_projection_guards_leakage():
     s = Statevector(4, vacuum)  # not in the one-electron-per-spin sector
     with pytest.raises(DataError):
         fock_from_statevector(s, (2, 1, 1))
-    # explicit opt-out projects silently
-    v = fock_from_statevector(s, (2, 1, 1), tol=None)
-    assert v.norm() == 0.0
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

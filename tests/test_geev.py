@@ -206,13 +206,6 @@ def test_perturbation_record_chi_sources():
     rec = perturbation_bound(prob)
     assert rec.chi_source == "none" and not rec.applicable
 
-    rec = perturbation_bound(prob, eta=1e-4, alpha=0.0)
-    assert np.isclose(rec.chi, 1e-4 / 2)
-    rec = perturbation_bound(prob, eta=1e-4, alpha=0.5)
-    assert np.isclose(rec.chi, (1e-4) ** (2 / 3) / 2)
-    with pytest.raises(ValidationError):
-        perturbation_bound(prob, eta=1e-4, alpha=0.9)
-
     # Uniform entry std sigma, n=2, identity retained basis: symmetrized
     # stds are sigma on the diagonal and sigma/sqrt(2) off it, so each
     # matrix contributes sum(std^2) = 3 sigma^2 and chi = sigma*sqrt(6).

@@ -40,6 +40,7 @@ from qsubspace.errors import (
     CapacityError,
     DataError,
     RescalingError,
+    StepError,
     ValidationError,
 )
 from qsubspace.fock import (
@@ -58,7 +59,6 @@ from qsubspace.geev import SubspaceProblem, eigenvalue_roundoff, solve
 from qsubspace.integrals import MolecularIntegrals, cholesky_decompose_eri
 from qsubspace.qubits import PauliString, jordan_wigner, pauli_keys, string_table
 from qsubspace.quantum import (
-    ExcitationOperator,
     QfdGrid,
     chebyshev_krylov_build,
     epperly_qfd_bound,
@@ -110,16 +110,6 @@ def scaled_integrals(ints, s):
         ints.one_body * s,
         ints.two_body * s,
     )
-
-
-def diagonal_integrals():
-    """Density-density interactions only; diagonal in the determinant basis."""
-    h = np.diag([-1.0, -0.4])
-    g = np.zeros((2, 2, 2, 2))
-    g[0, 0, 0, 0] = 0.30
-    g[1, 1, 1, 1] = 0.25
-    g[0, 0, 1, 1] = g[1, 1, 0, 0] = 0.12
-    return MolecularIntegrals(2, 1, 1, 0.5, h, g)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +308,8 @@ class TestSectorPath:
         _, vecs = np.linalg.eigh(ham[np.ix_(words, words)])
         ref = np.zeros(1 << nmodes, dtype=complex)
         ref[words] = vecs[:, 0]
-        blocks, _ = qeom_build(Statevector(nmodes, ref), ints)
+        blocks, _ = qeom_build(FockVector(ints.sector, ref[sector_word_indices(ints.sector)]),
+                               ints)
         assert blocks.dropped == 0
         ops = [dense_monomial(op, nmodes) for op in blocks.pool]
 
@@ -346,22 +337,23 @@ class TestSectorPath:
 
         monkeypatch.setattr(quantum_module, "jordan_wigner", refuse)
         monkeypatch.setattr(quantum_module, "apply_pauli_sum", refuse)
-        state = statevector_from_fock(exact_eigenpairs(h3_plus, k=1).eigenvectors[0])
-        qse_build(state, h3_plus, level="SD")
-        qeom_build(state, h3_plus)
-        qeom_build(state, h3_plus, tda=True)
+        ground = exact_eigenpairs(h3_plus, k=1).eigenvectors[0]
+        qse_build(statevector_from_fock(ground), h3_plus, level="SD")
+        qeom_build(ground, h3_plus)
+        qeom_build(ground, h3_plus, tda=True)
 
     @pytest.mark.parametrize("name", ["h4_toy", "h3_plus"])
     def test_real_sector_products_equal_the_complex_product(self, name, monkeypatch):
         # fock.matvec applies the real sector matrix to the real and
         # imaginary parts apart; scipy's complex product must give the same bits
         ints = load_integrals(name)
-        state = hf_statevector(ints)
+        ref = basis_vector(ints.sector, reference_configuration(ints))
+        state = statevector_from_fock(ref)
         got_qse = qse_build(state, ints, level="S")
-        got_eom, _ = qeom_build(state, ints)
+        got_eom, _ = qeom_build(ref, ints)
         monkeypatch.setattr(quantum_module, "matvec", lambda mat, v: mat @ v)
         want_qse = qse_build(state, ints, level="S")
-        want_eom, _ = qeom_build(state, ints)
+        want_eom, _ = qeom_build(ref, ints)
         for got, want in ((got_qse.hmat, want_qse.hmat), (got_qse.smat, want_qse.smat)):
             assert got.tobytes() == want.tobytes()
         for key in ("vmat", "wmat", "mmat", "qmat"):
@@ -440,7 +432,7 @@ class TestRealPencils:
         ]
         for prob in real:
             assert prob.hmat.dtype == prob.smat.dtype == np.float64, prob.provenance
-        blocks, _ = qeom_build(state, h3_plus)
+        blocks, _ = qeom_build(v0, h3_plus)
         for key in ("mmat", "qmat", "vmat", "wmat"):
             assert getattr(blocks, key).dtype == np.float64
         assert qfd_build(v0, h3_plus, QfdGrid(0.4, 3)).hmat.dtype == np.complex128
@@ -463,7 +455,7 @@ class TestRealPencils:
     @pytest.mark.parametrize("name", ["h2_sto3g", "heh_like", "h3_plus", "h4_toy"])
     def test_qeom_gaps_within_their_floor_of_the_complex_solve(self, name):
         ints = load_integrals(name)
-        ground = statevector_from_fock(exact_eigenpairs(ints, k=1).eigenvectors[0])
+        ground = exact_eigenpairs(ints, k=1).eigenvectors[0]
         blocks, gaps = qeom_build(ground, ints)
         twin = copy.copy(blocks)
         for key in ("mmat", "qmat", "vmat", "wmat"):
@@ -480,17 +472,14 @@ class TestQeom:
     def test_gaps_match_fci(self, name):
         ints = load_integrals(name)
         spec = full_spectrum(ints)
-        state = statevector_from_fock(spec.eigenvectors[0])
-        blocks, energies = qeom_build(state, ints)
+        blocks, energies = qeom_build(spec.eigenvectors[0], ints)
         gaps = spec.eigenvalues[1:] - spec.eigenvalues[0]
         pos = energies[energies > 1e-8]
         k = min(3, len(gaps))
         assert np.allclose(pos[:k], gaps[:k], atol=1e-7)
 
     def test_block_structure(self, h2):
-        spec = exact_eigenpairs(h2, k=1)
-        state = statevector_from_fock(spec.eigenvectors[0])
-        blocks, _ = qeom_build(state, h2)
+        blocks, _ = qeom_build(exact_eigenpairs(h2, k=1).eigenvectors[0], h2)
         p = blocks.size
         assert blocks.mmat.shape == (p, p) and blocks.qmat.shape == (p, p)
         np.testing.assert_allclose(
@@ -507,28 +496,25 @@ class TestQeom:
         shifted = MolecularIntegrals(
             2, 1, 1, h2.e_nuc + 7.3, h2.one_body, h2.two_body
         )
-        state = statevector_from_fock(exact_eigenpairs(h2, k=1).eigenvectors[0])
+        state = exact_eigenpairs(h2, k=1).eigenvectors[0]
         _, base = qeom_build(state, h2)
         _, moved = qeom_build(state, shifted)
         np.testing.assert_allclose(base, moved, atol=1e-10)
 
     def test_commuting_pool_gives_zero_excitations(self):
-        ints = diagonal_integrals()
+        # H = -0.7 N commutes with every number-conserving excitation, so
+        # M = Q = 0 and the pencil takes its zero branch
+        ints = MolecularIntegrals(2, 1, 1, 0.5, -0.7 * np.eye(2), np.zeros((2, 2, 2, 2)))
         dim = sector_dimension(*ints.sector)
-        state = statevector_from_fock(
-            FockVector(ints.sector, np.full(dim, 1.0 / math.sqrt(dim)))
-        )
-        pool = [
-            ExcitationOperator(2, "single", (a, a), (s,))
-            for s in (0, 1)
-            for a in range(2)
-        ]
-        blocks, energies = qeom_build(state, ints, pool=pool)
-        assert np.max(np.abs(blocks.mmat)) < 1e-12
-        np.testing.assert_allclose(energies, 0.0)
+        state = FockVector(ints.sector, np.full(dim, 1.0 / math.sqrt(dim)))
+        blocks, energies = qeom_build(state, ints)
+        assert blocks.size > 0
+        assert not blocks.mmat.any() and not blocks.qmat.any()
+        assert not energies.any() and energies.size == blocks.size
+        assert blocks.report["paired"] == blocks.report["pool_size"] == blocks.size
 
     def test_tda_matches_full_on_lowest_gap(self, h2):
-        state = statevector_from_fock(exact_eigenpairs(h2, k=1).eigenvectors[0])
+        state = exact_eigenpairs(h2, k=1).eigenvectors[0]
         _, full = qeom_build(state, h2)
         _, tda = qeom_build(state, h2, tda=True)
         lowest_full = full[full > 1e-8][0]
@@ -540,7 +526,7 @@ class TestQeom:
         # at the exact ground state the reduced metric V is indefinite; the
         # eigenvectors of negative norm x^+ V x mirror the gaps and are dropped
         ints = load_integrals(name)
-        state = statevector_from_fock(exact_eigenpairs(ints, k=1).eigenvectors[0])
+        state = exact_eigenpairs(ints, k=1).eigenvectors[0]
         _, full = qeom_build(state, ints)
         blocks, tda = qeom_build(state, ints, tda=True)
         assert 2 * tda.size == blocks.report["num_finite"]
@@ -558,14 +544,13 @@ class TestQeom:
         for trial in range(21):
             toward = np.where(rng.random(ground.size) < 0.5, -np.inf, np.inf)
             amp = np.nextafter(ground, toward) if trial else ground
-            state = statevector_from_fock(FockVector(ints.sector, amp))
-            blocks, _ = qeom_build(state, ints)
+            blocks, _ = qeom_build(FockVector(ints.sector, amp), ints)
             assert blocks.report["paired"] == pairs == blocks.report["num_finite"] // 2
 
     @pytest.mark.parametrize("name", ["h2_sto3g", "h4_toy"])
     def test_broken_pencil_symmetry_reports_fewer_pairs(self, name, monkeypatch):
         ints = load_integrals(name)
-        state = statevector_from_fock(exact_eigenpairs(ints, k=1).eigenvectors[0])
+        state = exact_eigenpairs(ints, k=1).eigenvectors[0]
         eig = scipy.linalg.eig
         rng = np.random.default_rng(3)
 
@@ -591,7 +576,7 @@ class TestQeom:
         # pair's distance by 2d: 2d = 10 x the largest pair tolerance must
         # flag every pair, 2d = 0.1 x the smallest must flag none
         ints = load_integrals(name)
-        state = statevector_from_fock(exact_eigenpairs(ints, k=1).eigenvectors[0])
+        state = exact_eigenpairs(ints, k=1).eigenvectors[0]
         eig = scipy.linalg.eig
 
         def shifted(a, b, **kwargs):
@@ -611,9 +596,7 @@ class TestQeom:
 
     def test_entangled_reference_degenerate_metric(self, h2_stretched):
         # open-shell singlet: excitation and de-excitation overlaps cancel
-        state = statevector_from_fock(
-            exact_eigenpairs(h2_stretched, k=1).eigenvectors[0]
-        )
+        state = exact_eigenpairs(h2_stretched, k=1).eigenvectors[0]
         with pytest.raises(DataError):
             qeom_build(state, h2_stretched)
 
@@ -639,10 +622,9 @@ class TestQfd:
         np.testing.assert_allclose(prob.smat, [[1.0]], atol=1e-12)
         np.testing.assert_allclose(prob.hmat, [[ray]], atol=1e-10)
 
-    @pytest.mark.parametrize("symmetric", [False, True])
-    def test_exact_backend_toeplitz(self, h2, symmetric):
+    def test_exact_backend_toeplitz(self, h2):
         v0 = random_vector(h2, 7)
-        prob = qfd_build(v0, h2, QfdGrid(0.3, 5, symmetric=symmetric))
+        prob = qfd_build(v0, h2, QfdGrid(0.3, 5))
         for mat, tol in ((prob.smat, 1e-12), (prob.hmat, 1e-10)):
             for k in range(5):
                 band = np.diag(mat, k)
@@ -854,8 +836,19 @@ class TestQite:
         monkeypatch.setattr(engine_module, "apply_pauli_sum", counted)
         monkeypatch.setattr(quantum_module, "apply_pauli_sum", counted)
         state = statevector_from_fock(random_vector(h2, 7))
-        qite_step(state, h2, 0.05, halve_on_increase=False)
+        qite_step(state, h2, 0.05)
         assert calls == [len(jordan_wigner(h2))] * 2
+
+    def test_energy_rise_is_rejected(self):
+        # at dtau = 4 the linearized rotation overshoots: the energy of this
+        # start rises, and the step raises instead of retrying a smaller one
+        ints = load_integrals("h4_toy")
+        rng = np.random.default_rng(7)
+        dim = ints.sector_dimension
+        amp = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        state = statevector_from_fock(FockVector(ints.sector, amp / np.linalg.norm(amp)))
+        with pytest.raises(StepError, match="energy rose"):
+            qite_step(state, ints, 4.0)
 
     def test_norm_factor_tracks_ite_norm(self, h2):
         v0 = random_vector(h2, 7)
@@ -924,11 +917,18 @@ class TestChebyshev:
 
 class TestGaussianPower:
     def test_zero_width_matches_power_moments(self, h2):
+        # tau = 0 leaves the power basis (H - E_R)^a v0 about the Rayleigh
+        # quotient E_R, built here from the dense sector matrix
         v0 = random_vector(h2, 7)
-        prob = gaussian_power_build(v0, h2, 3, 0.0, e0=0.0)
-        ref = power_krylov(h2, v0, 3)
-        np.testing.assert_allclose(prob.smat, ref.smat, atol=1e-12)
-        np.testing.assert_allclose(prob.hmat, ref.hmat, atol=1e-12)
+        mat = dense_sector(h2)
+        ray = float(np.real(v0.amplitudes.conj() @ mat @ v0.amplitudes))
+        shifted = mat - ray * np.eye(len(mat))
+        basis = np.stack(
+            [np.linalg.matrix_power(shifted, a) @ v0.amplitudes for a in range(3)], axis=1
+        )
+        prob = gaussian_power_build(v0, h2, 3, 0.0)
+        np.testing.assert_allclose(prob.smat, basis.conj().T @ basis, atol=1e-12)
+        np.testing.assert_allclose(prob.hmat, basis.conj().T @ mat @ basis, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1.0, 2.0])
     def test_norm_bound_when_filter_is_wide(self, h2, scale):

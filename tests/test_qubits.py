@@ -152,7 +152,7 @@ def test_ladder_images_match_sign_rule():
 def test_hamiltonian_image_matches_ladder_algebra(name):
     ints = load_integrals(name)
     image = jordan_wigner(ints)
-    assert image.is_hermitian()
+    assert np.max(np.abs(image.coeffs.imag)) <= 1e-12  # Hermitian strings, real weights
     got = image.to_dense()
     want = oracles.full_hamiltonian(ints.e_nuc, ints.one_body, ints.two_body)
     assert np.max(np.abs(got - want)) < 1e-12

@@ -22,7 +22,7 @@ from qsubspace.engine import (
     apply_pauli,
     expectation,
     inner,
-    prepare_configuration,
+    statevector_from_fock,
 )
 from qsubspace.errors import ValidationError
 from qsubspace.fock import (
@@ -74,7 +74,7 @@ def random_state(num_qubits, seed):
 
 
 def hf_statevector(ints):
-    return prepare_configuration(reference_configuration(ints))
+    return statevector_from_fock(basis_vector(ints.sector, reference_configuration(ints)))
 
 
 PLUS = Statevector(1, np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
@@ -358,10 +358,9 @@ class TestRecipes:
         assert np.allclose(prob.hmat, built.hmat, atol=1e-10)
         assert np.allclose(prob.smat, built.smat, atol=1e-10)
 
-    @pytest.mark.parametrize("symmetric", [False, True])
-    def test_qfd_exact_limit_matches_builder(self, h2, symmetric):
+    def test_qfd_exact_limit_matches_builder(self, h2):
         v0 = basis_vector(h2.sector, reference_configuration(h2))
-        grid = QfdGrid(dt=0.4, n=4, symmetric=symmetric)
+        grid = QfdGrid(dt=0.4, n=4)
         prob = exact_subspace(qfd_recipe(v0, h2, grid))
         built = qfd_build(v0, h2, grid)
         assert np.allclose(prob.hmat, built.hmat, atol=1e-9)
