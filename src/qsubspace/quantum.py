@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .classical import polynomial_moments
 from .errors import (
@@ -69,7 +70,7 @@ from .engine import (
     trotter_plan,
     trotter_step,
 )
-from .shots import EntryPlan, ExpectationRecipe, MeasurementJob
+from .shots import ExpectationRecipe, MeasurementJob
 # qse work cap: pool_size^2 * sector dimension for qse_build (its Gram
 # matrices), the Pauli string products of the expansion for qse_recipe
 _QSE_BUDGET = 50_000_000
@@ -271,9 +272,12 @@ def qse_recipe(
     products this performs, |H| sum_b |P_b| for the images H P_b plus
     (1 + |H|) sum_{a<=b} |P_a||P_b| for the entries, with |.| the term
     count of a Pauli sum. The entries' products are formed in blocks by
-    `pauli_products`, bit for bit the products formed one pair at a time;
-    a block keeps only its keys and coefficients until the string table is
-    built from the keys, and is released once its entries are made.
+    `pauli_products`, bit for bit the products formed one pair at a time,
+    and written straight into the recipe's rows: a product's identity term
+    is the row's const and its other terms, in key order, the row's
+    nonzeros. A block keeps the keys of those terms only until the string
+    table is built from them and they become int32 table indices (the
+    budget keeps every index below 2^31).
     """
     _, pool, provenance = _qse_setup(state, ints, level)  # also checks the sector
     paulis = [op.to_pauli() for op in pool]
@@ -289,26 +293,25 @@ def qse_recipe(
     n = len(pool)
     names = [(kind, a, b) for a in range(n) for b in range(a, n) for kind in "sh"]
     factors = [(a, b + n * (kind == "h")) for kind, a, b in names]
-    blocks = []  # per block: each entry's const and string bounds, all keys and coeffs
+    const, sizes, blocks, row = np.zeros(len(names), complex), np.zeros(len(names), int), [], 0
     for bounds, _, _, coeffs, keys in pauli_products(dags, paulis + [ham * p for p in paulis],
                                                      factors):
         ident = np.flatnonzero(keys == 0)  # an identity term sorts first in its product
-        owner = np.searchsorted(bounds, ident, side="right") - 1
-        consts = np.zeros(len(bounds) - 1, dtype=complex)
-        consts[owner] = coeffs[ident]
-        starts = bounds[:-1].copy()
-        starts[owner] += 1
-        blocks.append((consts, starts, bounds[1:], keys, coeffs))
-    table = string_table(ham.num_qubits, np.concatenate([blk[3] for blk in blocks]))
-    _, table = table.split_identity()
-    entries, names = {}, iter(names)
-    while blocks:  # released block by block as the entries copy their strings
-        consts, starts, ends, keys, coeffs = blocks.pop(0)
-        indices = np.searchsorted(table.keys, keys)
-        for const, lo, hi in zip(consts.tolist(), starts.tolist(), ends.tolist()):
-            entries[next(names)] = EntryPlan(const, 0, indices[lo:hi], coeffs[lo:hi])
+        owner = row + np.searchsorted(bounds, ident, side="right") - 1
+        const[owner] = coeffs[ident]
+        sizes[row:row + len(bounds) - 1] = np.diff(bounds)
+        sizes[owner] -= 1
+        row += len(bounds) - 1
+        blocks.append([keys[keys != 0], coeffs[keys != 0]])
+    table = string_table(ham.num_qubits, np.concatenate([keys for keys, _ in blocks]))
+    for block in blocks:  # each block's keys are released as they become indices
+        block[0] = np.searchsorted(table.keys, block[0]).astype(np.int32)
+    indices, data = (np.concatenate(part) for part in zip(*blocks))
+    rows = np.r_[0, sizes.cumsum()].astype(np.int32)
+    matrix = scipy.sparse.csr_array((data, indices, rows), shape=(len(names), len(table)))
     job = MeasurementJob(state.normalized(), table)
-    return ExpectationRecipe(len(pool), (job,), entries, provenance)
+    entries = {name: r for r, name in enumerate(names)}
+    return ExpectationRecipe(len(pool), (job,), entries, const, matrix, provenance)
 
 
 @dataclass(eq=False)
@@ -575,8 +578,9 @@ def qfd_recipe(
     Matrix elements depend only on the grid offset b - a, so each offset k
     gets one superposition register (|0> snap_0 + |1> snap_k)/sqrt(2)
     carrying ancilla-X and ancilla-Y copies of every Hamiltonian string;
-    offset zero is measured directly on the first snapshot.  Every entry of
-    one diagonal shares the same estimates, so sampled matrices stay exactly
+    offset zero is measured directly on the first snapshot.  The recipe has
+    one S row and one H row per offset, 2k and 2k + 1, and every entry of
+    one diagonal maps to its offset's row, so sampled matrices stay exactly
     Toeplitz.  With the trotter backend the offset structure is exact for S
     and holds for H up to the product-formula error the builder already
     accepts.
@@ -585,9 +589,6 @@ def qfd_recipe(
     ham = jordan_wigner(ints)
     nq = 2 * ints.num_orbitals
     const_h, plain = ham.split_identity()
-    jobs = [MeasurementJob(psi[0], plain)]
-    s_plans = {0: EntryPlan(1.0 + 0.0j)}
-    h_plans = {0: EntryPlan(const_h, 0, np.arange(len(plain)), plain.coeffs)}
     # ancilla-X and ancilla-Y copies of sigma in [identity, *plain]
     anc = np.uint64(1 << nq)
     sx, sz = (np.concatenate([np.zeros(1, np.uint64), getattr(plain, a)]) for a in "xz")
@@ -598,17 +599,25 @@ def qfd_recipe(
     rows = np.arange(len(ham)) + (len(ham) == len(plain))
     reads = np.concatenate([x_at[rows], y_at[rows]])
     weights = np.concatenate([ham.coeffs, 0.0j + 1.0j * ham.coeffs])
+    jobs = [MeasurementJob(psi[0], plain)]
+    # the nonzeros of rows 1, 2, ...; job k's columns start at
+    # len(plain) + (k - 1) len(table)
+    cols, data = [np.arange(len(plain))], [plain.coeffs]
     for k in range(1, grid.n):
         amps = np.concatenate([psi[0].amplitudes, psi[k].amplitudes]) / math.sqrt(2.0)
         jobs.append(MeasurementJob(Statevector(nq + 1, amps), table))
-        s_plans[k] = EntryPlan(0.0j, k, (x_at[0], y_at[0]), (1.0 + 0.0j, 1.0j))
-        h_plans[k] = EntryPlan(0.0j, k, reads, weights)
-    entries = {}
-    for a in range(grid.n):
-        for b in range(a, grid.n):
-            entries[("s", a, b)] = s_plans[b - a]
-            entries[("h", a, b)] = h_plans[b - a]
-    return ExpectationRecipe(grid.n, tuple(jobs), entries, grid.provenance())
+        start = len(plain) + (k - 1) * len(table)
+        cols += [start + np.array([x_at[0], y_at[0]]), start + reads]
+        data += [np.array([1.0, 1.0j]), weights]
+    const = np.zeros(2 * grid.n, dtype=complex)
+    const[:2] = 1.0, const_h
+    matrix = scipy.sparse.csr_array(
+        (np.concatenate(data).astype(complex), np.concatenate(cols).astype(np.int32),
+         np.cumsum([0, 0, *map(len, cols)], dtype=np.int32)),
+        shape=(const.size, len(plain) + (grid.n - 1) * len(table)))
+    entries = {(kind, a, b): 2 * (b - a) + (kind == "h")
+               for a in range(grid.n) for b in range(a, grid.n) for kind in "sh"}
+    return ExpectationRecipe(grid.n, tuple(jobs), entries, const, matrix, grid.provenance())
 
 
 def epperly_qfd_bound(

@@ -12,19 +12,19 @@ no 2^n x 2^n matrix.  On top of that the module sets shot counts against
 a precision target and assembles noise-tagged subspace problems from
 measurement recipes emitted by the subspace builders.
 
-Each entry of a recipe reads one job, a state and its string table.  The
-entries compile once into a const vector and one sparse matrix over all
-jobs' strings, so entry values are const + matrix @ expectations.  A
-recipe is frozen; per grouping mode its groups, their distributions and
-tables, and a sparse pair-weight matrix W (entries x the groups' m^2
-covariance slots) are computed on first use and kept on it.  The
-distributions and tables sit in one stack per shape (m strings, 2^n
-outcomes), cut into blocks of bounded size.  A seed draws each group's
+A recipe is a const vector and one sparse matrix over all jobs' strings
+(a job is a state and its string table), with one row per distinct
+linear combination and each matrix entry mapped to a row, so row values
+are const + matrix @ expectations.  A recipe is frozen; per grouping mode
+its groups, their distributions and tables, and a sparse pair-weight
+matrix W (rows x the groups' m^2 covariance slots) are computed on first
+use and kept on it.  The distributions and tables sit in one stack per
+shape (m strings, 2^n outcomes), cut into blocks of bounded size.  A seed draws each group's
 outcome counts c once, in its own stream, into its block's count rows;
 then per block the integer sums h = V c and G = V diag(c) V^T are one
 stacked product each, O(m^2 2^n) per group and exact in float64 below the
 shot cap SHOT_LIMIT = 2^53, and the means and covariances are scattered
-in one assignment each.  Entry means and variances are then one sparse
+in one assignment each.  Row means and variances are then one sparse
 product each, the variances W @ (covariances from h and G) at nnz(W).
 
 Sample streams use the Philox counter-based generator keyed by
@@ -342,47 +342,27 @@ class MeasurementJob:
 
 
 @dataclass(frozen=True, eq=False)
-class EntryPlan:
-    """const + sum of coeffs[n] * <string indices[n] of job> for one matrix
-    entry; kept as read-only copies of the two arrays."""
-
-    const: complex
-    job: int = 0
-    indices: np.ndarray = ()
-    coeffs: np.ndarray = ()
-
-    def __post_init__(self):
-        indices = np.array(self.indices, dtype=np.intp)
-        coeffs = np.array(self.coeffs, dtype=complex)
-        if indices.ndim != 1 or indices.shape != coeffs.shape:
-            raise ValidationError("an entry needs one coefficient per string index")
-        for name, value in (("indices", indices), ("coeffs", coeffs)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True, eq=False)
 class ExpectationRecipe:
     """Measurement plan for a subspace pair (H, S).
 
-    entries maps ("h" | "s", i, j) with i <= j to an EntryPlan; the lower
-    triangle is the conjugate by construction and is never measured twice.
-    The entries compile into a const vector and one CSR matrix of shape
-    (entries, all jobs' strings), whose columns are the jobs' string tables
-    end to end, job j's from column offsets[j].  The recipe is frozen and
-    `entries` is a read-only mapping, so these and the per-mode sampling
-    data compiled from them stay valid for its lifetime.
+    entries maps ("h" | "s", i, j) with i <= j to a row; the lower triangle
+    is the conjugate by construction and is never measured twice.  Row r
+    reads const[r] + matrix[r] @ (expectations), matrix one CSR array over
+    all jobs' string tables end to end, job j's from column offsets[j].
+    Entries that share their estimates share a row.  The recipe is frozen,
+    `entries` a read-only mapping and the arrays read-only, so the per-mode
+    sampling data compiled from them stay valid for its lifetime.
     """
 
     size: int
     jobs: tuple
     entries: dict
+    const: np.ndarray
+    matrix: scipy.sparse.csr_array
     provenance: dict = field(default_factory=dict)
-    # kind -> (entry positions, rows, columns), for assembling matrices
+    # kind -> (rows, i, j), for assembling matrices
     _layout: dict = field(default_factory=dict, init=False, repr=False)
     _offsets: np.ndarray = field(default=None, init=False, repr=False)
-    _const: np.ndarray = field(default=None, init=False, repr=False)
-    _matrix: scipy.sparse.csr_array = field(default=None, init=False, repr=False)
     # grouping mode -> _Compiled, filled on first use
     _compiled: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -391,26 +371,21 @@ class ExpectationRecipe:
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         if self.size < 1:
             raise ValidationError("need at least a 1x1 subspace")
-        for kind, i, j in self.entries:
-            if kind not in ("h", "s") or not 0 <= i <= j < self.size:
-                raise ValidationError(f"bad entry key {(kind, i, j)!r}")
-        plans = self.entries.values()
         offsets = np.cumsum([0] + [len(job.strings) for job in self.jobs], dtype=np.intp)
-        counts = np.array([p.indices.size for p in plans], dtype=np.intp)
-        jobs = np.repeat(np.array([p.job for p in plans], dtype=np.intp), counts)
-        ks = np.concatenate([np.zeros(0, np.intp), *(p.indices for p in plans)])
-        if np.any((jobs < 0) | (jobs >= len(self.jobs))):
-            raise ValidationError("entry references a missing job")
-        if np.any((ks < 0) | (ks >= np.diff(offsets)[jobs])):
-            raise ValidationError("entry references a missing string")
-        data = np.concatenate([np.zeros(0, complex), *(p.coeffs for p in plans)])
-        const = np.array([p.const for p in plans], dtype=complex)
-        matrix = scipy.sparse.csr_array((data, offsets[jobs] + ks, np.cumsum([0, *counts])),
-                                        shape=(counts.size, offsets[-1]))
-        for name, value in (("_offsets", offsets), ("_const", const), ("_matrix", matrix)):
-            object.__setattr__(self, name, value)
+        const, matrix = np.asarray(self.const, dtype=complex), self.matrix
+        if const.ndim != 1 or matrix.shape != (const.size, offsets[-1]):
+            raise ValidationError("need one const per matrix row and a column per job string")
+        if matrix.nnz and not 0 <= matrix.indices.min() <= matrix.indices.max() < offsets[-1]:
+            raise ValidationError("matrix references a missing string")
+        for (kind, i, j), row in self.entries.items():
+            if kind not in ("h", "s") or not 0 <= i <= j < self.size or not 0 <= row < const.size:
+                raise ValidationError(f"bad entry {(kind, i, j)!r} -> row {row!r}")
+        for value in (const, matrix.data, matrix.indices, matrix.indptr):
+            value.setflags(write=False)
+        object.__setattr__(self, "const", const)
+        object.__setattr__(self, "_offsets", offsets)
         for kind in ("h", "s"):
-            picked = [(d, i, j) for d, (k, i, j) in enumerate(self.entries) if k == kind]
+            picked = [(r, i, j) for (k, i, j), r in self.entries.items() if k == kind]
             self._layout[kind] = tuple(np.array(picked, dtype=int).reshape(-1, 3).T)
 
 
@@ -454,7 +429,7 @@ def _tables(recipe: ExpectationRecipe, groups: tuple, cols: list):
     array is much larger than a block's temporaries.  The blocks are
     allocated first, then each job's group models are one batch written
     into them."""
-    hit = np.bincount(recipe._matrix.indices, minlength=recipe._matrix.shape[1]) > 0
+    hit = np.bincount(recipe.matrix.indices, minlength=recipe.matrix.shape[1]) > 0
     read = np.array([hit[c].any() for c in cols], dtype=bool)
     shapes = {}
     for f in np.flatnonzero(read).tolist():
@@ -492,7 +467,7 @@ def _compile(recipe: ExpectationRecipe, mode: str, sampling: bool = True) -> _Co
                 for g in compiled.groups]
         read, tables = _tables(recipe, compiled.groups, cols)
         compiled.slots = np.cumsum([0] + [c.size**2 for c in cols], dtype=np.int64)
-        compiled.weights = _pair_weights(recipe._matrix, cols, compiled.slots)
+        compiled.weights = _pair_weights(recipe.matrix, cols, compiled.slots)
         compiled.read, compiled.tables = read, tables
     return compiled
 
@@ -511,7 +486,7 @@ def _pair_weights(matrix: scipy.sparse.csr_array, cols: list, slots: np.ndarray)
     """Row blocks of W: W[d, slots[f] + i m_f + j] = Re(conj a_di a_dj),
     doubled for i < j, over the pairs i <= j of group f's members (columns
     cols[f]) that row d of the matrix reads, so W @ (flattened group
-    covariances) is the entries' variance.  A column repeated in a row adds
+    covariances) is the rows' variance.  A column repeated in a row adds
     its terms to the same slots, as its coefficients add in the product."""
     sizes = np.array([c.size for c in cols], dtype=np.int64)
     group = np.repeat(np.arange(sizes.size), sizes)
@@ -547,11 +522,11 @@ def _pair_weights(matrix: scipy.sparse.csr_array, cols: list, slots: np.ndarray)
 def _sample(recipe: ExpectationRecipe, compiled: _Compiled, counts, seed: int, first: int = 0,
             of_means: bool = False):
     """String means in recipe column order and the flat single-shot
-    covariances of the groups that entries read, or with of_means those
+    covariances of the groups that rows read, or with of_means those
     of their means (divided by the shots), group f from counts[f] shots
     drawn in stream (seed, first + f), one block at a time."""
     stream, slots = _streams(seed), compiled.slots
-    means, cov = np.zeros(recipe._matrix.shape[1]), np.zeros(int(slots[-1]))
+    means, cov = np.zeros(recipe.matrix.shape[1]), np.zeros(int(slots[-1]))
     for block in compiled.tables:
         groups = block.groups.tolist()
         n = np.array([counts[f] for f in groups])
@@ -566,11 +541,11 @@ def _sample(recipe: ExpectationRecipe, compiled: _Compiled, counts, seed: int, f
 
 def _assemble(recipe: ExpectationRecipe, values, stds=None):
     n, mats = recipe.size, {}
-    for kind, (d, i, j) in recipe._layout.items():
+    for kind, (r, i, j) in recipe._layout.items():
         mat, std = np.zeros((n, n), dtype=complex), np.zeros((n, n))
-        mat[i, j], mat[j, i] = values[d], np.conj(values[d])
+        mat[i, j], mat[j, i] = values[r], np.conj(values[r])
         if stds is not None:
-            std[i, j] = std[j, i] = stds[d]
+            std[i, j] = std[j, i] = stds[r]
         mats[kind], mats[kind + "mat_std"] = mat, std
     noise = {} if stds is None else {k: mats[k] for k in ("hmat_std", "smat_std")}
     return SubspaceProblem(mats["h"], mats["s"], dict(recipe.provenance), **noise)
@@ -580,7 +555,7 @@ def exact_subspace(recipe: ExpectationRecipe) -> SubspaceProblem:
     """Infinite-shot limit: every expectation evaluated on the statevector."""
     exact = [inner(job.state, apply_pauli(p, job.state))
              for job in recipe.jobs for p in job.strings.strings]
-    return _assemble(recipe, recipe._const + recipe._matrix @ np.array(exact, dtype=complex))
+    return _assemble(recipe, recipe.const + recipe.matrix @ np.array(exact, dtype=complex))
 
 
 def _pilot(recipe: ExpectationRecipe, compiled: _Compiled, seed: int):
@@ -600,7 +575,7 @@ def _pilot(recipe: ExpectationRecipe, compiled: _Compiled, seed: int):
 
 
 def pilot_variances(recipe: ExpectationRecipe, groups, seed: int) -> np.ndarray:
-    """Single-shot variance of each entry's contribution from each group,
+    """Single-shot variance of each row's contribution from each group,
     estimated from _PILOT_SHOTS shots per group.  groups must be
     `measurement_groups(recipe, mode)` for some mode.  Pilot streams are
     keyed (seed, len(groups) + f), apart from the production streams."""
@@ -608,7 +583,7 @@ def pilot_variances(recipe: ExpectationRecipe, groups, seed: int) -> np.ndarray:
     mode = next((m for m, c in recipe._compiled.items() if c.groups == groups), None)
     if mode is None:
         raise ValidationError("groups must come from measurement_groups on this recipe")
-    out = np.zeros((len(recipe.entries), len(groups)))
+    out = np.zeros((recipe.matrix.shape[0], len(groups)))
     for lo, d, f, v in _pilot(recipe, _compile(recipe, mode), seed):
         out[lo + d, f] = v
     return out
@@ -616,12 +591,12 @@ def pilot_variances(recipe: ExpectationRecipe, groups, seed: int) -> np.ndarray:
 
 def plan_from_target(recipe: ExpectationRecipe, eps_target: float, seed: int,
                      mode: str = "qubitwise") -> ShotPlan:
-    """Pilot round plus allocation in one step: every group that some entry
+    """Pilot round plus allocation in one step: every group that some row
     reads gets the uniform count M = ceil(max_d sum_f Var[A_d^(f)] / eps^2),
     from the pilot's single-shot variances, also when its pilot saw no
     variance: a finite pilot can miss a rare outcome, and a single shot
     would leave that group's error out of every entry std.  Groups that no
-    entry reads keep one shot.  An M above SHOT_LIMIT is a CapacityError."""
+    row reads keep one shot.  An M above SHOT_LIMIT is a CapacityError."""
     if not eps_target > 0.0:
         raise ValidationError("eps_target must be positive")
     compiled = _compile(recipe, mode)
@@ -637,7 +612,7 @@ def plan_from_target(recipe: ExpectationRecipe, eps_target: float, seed: int,
 
 
 def noisy_subspace(recipe: ExpectationRecipe, plan: ShotPlan) -> SubspaceProblem:
-    """Sample every entry of the pair per the plan and tag entrywise stds:
+    """Sample every row of the recipe per the plan and tag entrywise stds:
     values const + matrix @ (string means), variances W @ (covariances /
     n_f).  Hermiticity holds by construction (conjugate pairs share
     estimates); the SubspaceProblem constructor applies the documented
@@ -647,7 +622,7 @@ def noisy_subspace(recipe: ExpectationRecipe, plan: ShotPlan) -> SubspaceProblem
         raise ValidationError(
             f"plan has {len(plan.counts)} counts for {len(compiled.groups)} groups")
     means, cov = _sample(recipe, compiled, plan.counts, plan.seed, of_means=True)
-    values = recipe._const + recipe._matrix @ means
+    values = recipe.const + recipe.matrix @ means
     var = np.concatenate([np.zeros(0), *(block @ cov for block in compiled.weights)])
     prob = _assemble(recipe, values, np.sqrt(np.maximum(var, 0.0)))
     prob.provenance["shots"] = plan.to_dict()
@@ -658,6 +633,6 @@ def operator_recipe(state: Statevector, h, provenance: dict | None = None):
     """1x1 recipe for a single operator expectation (S is the constant 1)."""
     const, plain = h.split_identity()
     job = MeasurementJob(state.normalized(), plain)
-    entries = {("h", 0, 0): EntryPlan(const, 0, np.arange(len(plain)), plain.coeffs),
-               ("s", 0, 0): EntryPlan(1.0 + 0.0j)}
-    return ExpectationRecipe(1, (job,), entries, provenance or {"method": "operator"})
+    matrix = scipy.sparse.csr_array(np.vstack([plain.coeffs, np.zeros(len(plain))]))  # H, S rows
+    return ExpectationRecipe(1, (job,), {("h", 0, 0): 0, ("s", 0, 0): 1}, [const, 1.0], matrix,
+                             provenance or {"method": "operator"})

@@ -312,11 +312,11 @@ class TestShotAllocation:
         groups = measurement_groups(recipe)
         pilot = pilot_variances(recipe, groups, seed=0)
         assert not pilot[:, 0].any() and not pilot[:, 465].any()
-        read = {(e.job, k) for e in recipe.entries.values() for k in e.indices.tolist()}
+        read = set(recipe.matrix.indices.tolist())
         m = 9_015_160
         assert max(plan.counts) == m
         for f, g in enumerate(groups):
-            is_read = any((g.job, k) in read for k in g.members)
+            is_read = any(recipe._offsets[g.job] + k in read for k in g.members)
             assert plan.counts[f] == (m if is_read else 1)
         assert plan.counts[0] == plan.counts[465] == m
 
@@ -338,7 +338,7 @@ class TestShotAllocation:
         first = pilot_variances(recipe, groups, seed=2)
         again = pilot_variances(recipe, groups, seed=2)
         assert np.array_equal(first, again)
-        assert first.shape == (len(recipe.entries), len(groups))
+        assert first.shape == (recipe.matrix.shape[0], len(groups))
 
 
 class TestRecipes:
@@ -397,6 +397,10 @@ class TestRecipes:
             recipe.size = 2
         with pytest.raises(TypeError):
             recipe.entries[("h", 0, 0)] = recipe.entries[("s", 0, 0)]
+        for array in (recipe.const, recipe.matrix.data, recipe.matrix.indices,
+                      recipe.matrix.indptr):
+            with pytest.raises(ValueError):
+                array[0] = array[-1]
         with pytest.raises(dataclasses.FrozenInstanceError):
             recipe.jobs[0].strings = ()
         with pytest.raises(ValueError):
@@ -426,21 +430,27 @@ class TestRecipes:
     def test_recipe_rejects_bad_references_and_job_order(self):
         state = random_state(2, 3)
         job = shots.MeasurementJob(state, pauli_sum(2, [(1.0, "XI"), (1.0, "ZZ")]))
-        s_plan = shots.EntryPlan(1.0 + 0.0j)
 
-        def recipe(job_index, indices, jobs=(job,)):
-            h_plan = shots.EntryPlan(0j, job_index, indices, np.ones(len(indices)))
-            return shots.ExpectationRecipe(1, jobs, {("s", 0, 0): s_plan, ("h", 0, 0): h_plan})
+        def recipe(cols, rows=(0, 1), jobs=(job,), width=None):
+            # row 0 reads cols, row 1 is the constant 1
+            width = sum(len(j.strings) for j in jobs) if width is None else width
+            matrix = scipy.sparse.csr_array(
+                (np.ones(len(cols), complex), np.array(cols, np.int32),
+                 np.array([0, len(cols), len(cols)], np.int32)), shape=(2, width))
+            entries = {("h", 0, 0): rows[0], ("s", 0, 0): rows[1]}
+            return shots.ExpectationRecipe(1, jobs, entries, [0.0, 1.0], matrix)
 
-        assert recipe(0, [1, 0]).entries[("h", 0, 0)].indices.tolist() == [1, 0]
-        for job_index, indices, message in (
-            (1, [0], "missing job"),
-            (-1, [0], "missing job"),
-            (0, [2], "missing string"),
-            (0, [0, -1], "missing string"),
+        assert recipe([1, 0]).matrix.indices.tolist() == [1, 0]
+        assert exact_subspace(recipe([1, 0], jobs=(job, job))).smat[0, 0] == 1.0
+        for cols, rows, width, message in (
+            ([2], (0, 1), None, "missing string"),
+            ([0, -1], (0, 1), None, "missing string"),
+            ([0], (0, 2), None, "bad entry"),
+            ([0], (-1, 1), None, "bad entry"),
+            ([0], (0, 1), 3, "a column per job string"),
         ):
             with pytest.raises(ValidationError, match=message):
-                recipe(job_index, indices)
+                recipe(cols, rows, width=width)
         # strings out of canonical order (Z sorts after X), or repeated, are
         # refused when the job is built
         zz, xi = pstr("ZZ"), pstr("XI")
@@ -448,9 +458,13 @@ class TestRecipes:
             with pytest.raises(ValidationError, match="distinct and in canonical order"):
                 shots.MeasurementJob(state, PauliSum(2, x, z, [1.0, 1.0]))
 
-    def test_entry_needs_one_coefficient_per_index(self):
-        with pytest.raises(ValidationError, match="one coefficient per string index"):
-            shots.EntryPlan(0j, 0, [0, 1], [1.0])
+    def test_recipe_needs_one_const_per_row(self):
+        job = shots.MeasurementJob(random_state(2, 3), pauli_sum(2, [(1.0, "XI")]))
+        matrix = scipy.sparse.csr_array(np.ones((2, 1), complex))
+        entries = {("h", 0, 0): 0, ("s", 0, 0): 1}
+        for const in ([1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]):
+            with pytest.raises(ValidationError, match="one const per matrix row"):
+                shots.ExpectationRecipe(1, (job,), entries, const, matrix)
 
     def test_operator_recipe_exact_value(self, h3_plus):
         state = hf_statevector(h3_plus)
@@ -478,13 +492,13 @@ def entry_blocks_by_term(recipe, groups):
     lookup = {}
     for f, g in enumerate(groups):
         for col, k in enumerate(g.members):
-            lookup[(g.job, k)] = (f, col)
+            lookup[recipe._offsets[g.job] + k] = (f, col)
     rows = [[] for _ in groups]
     coeffs = [[] for _ in groups]
-    for d, plan in enumerate(recipe.entries.values()):
+    for d, (ks, cs) in enumerate(row_terms(recipe)):
         per_group = {}
-        for k, c in zip(plan.indices.tolist(), plan.coeffs.tolist()):
-            f, col = lookup[(plan.job, k)]
+        for k, c in zip(ks, cs):
+            f, col = lookup[k]
             vec = per_group.get(f)
             if vec is None:
                 vec = per_group[f] = np.zeros(len(groups[f].members), dtype=complex)
@@ -493,6 +507,13 @@ def entry_blocks_by_term(recipe, groups):
             rows[f].append(d)
             coeffs[f].append(vec)
     return [(np.asarray(r, dtype=int), np.asarray(c, dtype=complex)) for r, c in zip(rows, coeffs)]
+
+
+def row_terms(recipe):
+    """Per recipe row: its column indices and coefficients, in stored order."""
+    m = recipe.matrix
+    return [(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist())
+            for lo, hi in zip(m.indptr[:-1], m.indptr[1:])]
 
 
 def same_bits(a, b):
@@ -553,7 +574,7 @@ class TestCompiledRecipe:
         groups = measurement_groups(recipe, mode)
         compiled = shots._compile(recipe, mode)
         weights = scipy.sparse.vstack(compiled.weights).tocsc()
-        assert weights.shape == (len(recipe.entries), compiled.slots[-1])
+        assert weights.shape == (recipe.matrix.shape[0], compiled.slots[-1])
         seen = 0
         for f, (rows, cmat) in enumerate(entry_blocks_by_term(recipe, groups)):
             lo, hi = compiled.slots[f], compiled.slots[f + 1]
@@ -653,14 +674,15 @@ class TestCompiledRecipe:
     def test_exact_limit_is_the_per_term_sum(self, name):
         recipe = checked_recipe(name)
         exact = [
-            [inner(job.state, apply_pauli(p, job.state)) for p in job.strings.strings]
-            for job in recipe.jobs
+            inner(job.state, apply_pauli(p, job.state))
+            for job in recipe.jobs for p in job.strings.strings
         ]
         prob = exact_subspace(recipe)
-        for (kind, i, j), plan in recipe.entries.items():
-            acc = plan.const
-            for k, c in zip(plan.indices.tolist(), plan.coeffs.tolist()):
-                acc += c * exact[plan.job][k]
+        terms = row_terms(recipe)
+        for (kind, i, j), row in recipe.entries.items():
+            acc = recipe.const[row]
+            for k, c in zip(*terms[row]):
+                acc += c * exact[k]
             got = (prob.hmat if kind == "h" else prob.smat)[i, j]
             assert abs(got - acc) <= 1e-14
 
@@ -692,8 +714,8 @@ class TestNoisySubspace:
         noisy_subspace(recipe, ShotPlan(seed, (n,) * len(groups)))
         pilot = pilot_variances(recipe, groups, seed)
 
-        count = len(recipe.entries)
-        values, var_mean = recipe._const.copy(), np.zeros(count)
+        count = recipe.matrix.shape[0]
+        values, var_mean = recipe.const.copy(), np.zeros(count)
         want_pilot, want_drawn = np.zeros((count, len(groups))), []
         for f, (g, (rows, cmat)) in enumerate(zip(groups, blocks)):
             if not rows.size:
@@ -713,7 +735,7 @@ class TestNoisySubspace:
         assert len(drawn) == 2 * len(want_drawn)
         drawn = [counts for _, counts in sorted(drawn, key=lambda item: item[0])]
         assert all(same_bits(a, b) for a, b in zip(drawn, want_drawn))
-        scale = np.array([np.abs(p.coeffs).sum() for p in recipe.entries.values()])
+        scale = np.array([np.abs(cs).sum() for _, cs in row_terms(recipe)])
         (got_values, got_stds), = assembled
         assert np.all(np.abs(got_values - values) <= 1e-12 * scale)
         assert np.all(np.abs(got_stds**2 - var_mean) <= 1e-12 * scale**2 / n)
