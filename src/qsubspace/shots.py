@@ -540,12 +540,15 @@ def _sample(recipe: ExpectationRecipe, compiled: _Compiled, counts, seed: int, f
 
 
 def _assemble(recipe: ExpectationRecipe, values, stds=None):
+    """The pair from row values and stds.  An off-diagonal estimate of std
+    s fills (i, j) and, conjugated, (j, i); it equals two independent raw
+    entries of std s sqrt(2), which SubspaceProblem combines back to s."""
     n, mats = recipe.size, {}
     for kind, (r, i, j) in recipe._layout.items():
         mat, std = np.zeros((n, n), dtype=complex), np.zeros((n, n))
         mat[i, j], mat[j, i] = values[r], np.conj(values[r])
         if stds is not None:
-            std[i, j] = std[j, i] = stds[r]
+            std[i, j] = std[j, i] = stds[r] * np.where(i == j, 1.0, math.sqrt(2.0))
         mats[kind], mats[kind + "mat_std"] = mat, std
     noise = {} if stds is None else {k: mats[k] for k in ("hmat_std", "smat_std")}
     return SubspaceProblem(mats["h"], mats["s"], dict(recipe.provenance), **noise)
@@ -615,8 +618,7 @@ def noisy_subspace(recipe: ExpectationRecipe, plan: ShotPlan) -> SubspaceProblem
     """Sample every row of the recipe per the plan and tag entrywise stds:
     values const + matrix @ (string means), variances W @ (covariances /
     n_f).  Hermiticity holds by construction (conjugate pairs share
-    estimates); the SubspaceProblem constructor applies the documented
-    quadrature combination on the mirrored stds."""
+    estimates), and each entry's std is its row's."""
     compiled = _compile(recipe, plan.mode)
     if len(compiled.groups) != len(plan.counts):
         raise ValidationError(

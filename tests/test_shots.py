@@ -823,6 +823,25 @@ class TestNoisySubspace:
         assert m >= 2
         assert np.max(np.abs(noisy.eigenvalues[:m] - clean.eigenvalues[:m])) < 1e-3
 
+    def test_mirrored_entry_stds_are_calibrated(self, h2):
+        # over 400 seeds each entry's spread matches its reported std: an
+        # off-diagonal estimate fills (i, j) and (j, i), and was once
+        # combined with itself as if independent, reading 1/sqrt(2) too small
+        v0 = basis_vector(h2.sector, reference_configuration(h2))
+        recipe = qfd_recipe(v0, h2, QfdGrid(dt=0.4, n=3))
+        count = len(measurement_groups(recipe))
+        probs = [noisy_subspace(recipe, ShotPlan(seed, (2000,) * count)) for seed in range(400)]
+        off = ~np.eye(3, dtype=bool)
+        for name in ("hmat", "smat"):
+            values = np.array([getattr(p, name) for p in probs])
+            spread = np.sqrt(np.mean(np.abs(values - values.mean(axis=0)) ** 2, axis=0))
+            stated = np.mean([getattr(p, name + "_std") for p in probs], axis=0)
+            assert np.all((0.9 <= spread[off] / stated[off]) & (spread[off] / stated[off] <= 1.1))
+            if name == "hmat":
+                assert np.all(np.abs(np.diag(spread) / np.diag(stated) - 1.0) <= 0.1)
+            else:  # offset zero of S is the constant 1
+                assert not np.diag(spread).any() and not np.diag(stated).any()
+
     def test_bit_identical_replay(self, h2):
         recipe = qse_recipe(hf_statevector(h2), h2, level="SD")
         plan = ShotPlan(21, (2_000,) * len(measurement_groups(recipe)))
