@@ -238,16 +238,17 @@ class TestQse:
 
     @pytest.mark.parametrize(
         "name, peak, kept",
-        [("h3_plus", 3_526_855, 1_689_247), ("h4_toy", 43_555_873, 22_011_393)],
+        [("h3_plus", 3_548_850, 1_711_457), ("h4_toy", 43_577_352, 22_030_352)],
         ids=["h3_plus", "h4_toy"],
     )
     def test_recipe_keeps_the_build_peak(self, name, peak, kept):
         # tracemalloc peak of qse_recipe level S in a fresh interpreter, and
         # the size kept with the recipe held; the bounds are the lowest of
-        # three runs with the products written straight into the recipe's
-        # one CSR matrix, plus the 3 kB by which runs spread.  With a second
-        # copy of every coefficient beside the matrix, the peaks were
-        # 5.25 and 69.2 MB and h4_toy kept 52.0 MB
+        # eleven runs with the products written straight into the recipe's
+        # one CSR matrix, plus 8 kB, since runs spread by up to about 5 kB.
+        # They were read with bytecode caches written by compileall (as
+        # perfbench/run.py writes them), which read about 25 kB above caches
+        # written on import
         root = pathlib.Path(__file__).resolve().parent.parent
         code = textwrap.dedent(f"""
             import sys, tracemalloc
@@ -263,8 +264,8 @@ class TestQse:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
         got_kept, got_peak = map(int, run.stdout.split())
-        assert got_peak <= peak + 3_000
-        assert got_kept <= kept + 3_000
+        assert got_peak <= peak + 8_000
+        assert got_kept <= kept + 8_000
 
     def test_problem_passes_geev_validation(self, h2):
         state = statevector_from_fock(random_vector(h2, 5))

@@ -431,40 +431,35 @@ class TestRecipes:
         state = random_state(2, 3)
         job = shots.MeasurementJob(state, pauli_sum(2, [(1.0, "XI"), (1.0, "ZZ")]))
 
-        def recipe(cols, rows=(0, 1), jobs=(job,), width=None):
+        def recipe(cols, rows=(0, 1), jobs=(job,), width=None, const=(0.0, 1.0)):
             # row 0 reads cols, row 1 is the constant 1
             width = sum(len(j.strings) for j in jobs) if width is None else width
             matrix = scipy.sparse.csr_array(
                 (np.ones(len(cols), complex), np.array(cols, np.int32),
                  np.array([0, len(cols), len(cols)], np.int32)), shape=(2, width))
             entries = {("h", 0, 0): rows[0], ("s", 0, 0): rows[1]}
-            return shots.ExpectationRecipe(1, jobs, entries, [0.0, 1.0], matrix)
+            return shots.ExpectationRecipe(1, jobs, entries, const, matrix)
 
         assert recipe([1, 0]).matrix.indices.tolist() == [1, 0]
         assert exact_subspace(recipe([1, 0], jobs=(job, job))).smat[0, 0] == 1.0
-        for cols, rows, width, message in (
-            ([2], (0, 1), None, "missing string"),
-            ([0, -1], (0, 1), None, "missing string"),
-            ([0], (0, 2), None, "bad entry"),
-            ([0], (-1, 1), None, "bad entry"),
-            ([0], (0, 1), 3, "a column per job string"),
+        for cols, rows, width, const, message in (
+            ([2], (0, 1), None, (0.0, 1.0), "missing string"),
+            ([0, -1], (0, 1), None, (0.0, 1.0), "missing string"),
+            ([0], (0, 2), None, (0.0, 1.0), "bad entry"),
+            ([0], (-1, 1), None, (0.0, 1.0), "bad entry"),
+            ([0], (0, 1), 3, (0.0, 1.0), "a column per job string"),
+            ([0], (0, 1), None, (1.0,), "one const per matrix row"),
+            ([0], (0, 1), None, (0.0, 1.0, 0.0), "one const per matrix row"),
+            ([0], (0, 1), None, ((0.0, 1.0),), "one const per matrix row"),
         ):
             with pytest.raises(ValidationError, match=message):
-                recipe(cols, rows, width=width)
+                recipe(cols, rows, width=width, const=const)
         # strings out of canonical order (Z sorts after X), or repeated, are
         # refused when the job is built
         zz, xi = pstr("ZZ"), pstr("XI")
         for x, z in (([zz.x, xi.x], [zz.z, xi.z]), ([xi.x, xi.x], [xi.z, xi.z])):
             with pytest.raises(ValidationError, match="distinct and in canonical order"):
                 shots.MeasurementJob(state, PauliSum(2, x, z, [1.0, 1.0]))
-
-    def test_recipe_needs_one_const_per_row(self):
-        job = shots.MeasurementJob(random_state(2, 3), pauli_sum(2, [(1.0, "XI")]))
-        matrix = scipy.sparse.csr_array(np.ones((2, 1), complex))
-        entries = {("h", 0, 0): 0, ("s", 0, 0): 1}
-        for const in ([1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]):
-            with pytest.raises(ValidationError, match="one const per matrix row"):
-                shots.ExpectationRecipe(1, (job,), entries, const, matrix)
 
     def test_operator_recipe_exact_value(self, h3_plus):
         state = hf_statevector(h3_plus)
@@ -824,9 +819,9 @@ class TestNoisySubspace:
         assert np.max(np.abs(noisy.eigenvalues[:m] - clean.eigenvalues[:m])) < 1e-3
 
     def test_mirrored_entry_stds_are_calibrated(self, h2):
-        # over 400 seeds each entry's spread matches its reported std: an
-        # off-diagonal estimate fills (i, j) and (j, i), and was once
-        # combined with itself as if independent, reading 1/sqrt(2) too small
+        # over 400 seeds each entry's spread matches its reported std; an
+        # off-diagonal estimate fills (i, j) and (j, i), whose two stds must
+        # not be combined as if they were independent (that reads 1/sqrt(2))
         v0 = basis_vector(h2.sector, reference_configuration(h2))
         recipe = qfd_recipe(v0, h2, QfdGrid(dt=0.4, n=3))
         count = len(measurement_groups(recipe))
