@@ -29,7 +29,7 @@ from .fock import (
     sector_matrix,
 )
 from .geev import SubspaceProblem
-from .integrals import MolecularIntegrals
+from .integrals import MolecularIntegrals, cached_per_integrals
 
 _MAX_MOMENT_DIM = 12
 _BREAKDOWN = 1e-12
@@ -117,26 +117,18 @@ class TridiagonalForm:
         )
 
 
-def lanczos(ints: MolecularIntegrals, v0: FockVector, n: int):
-    """Three-term recurrence with full reorthogonalization.
-
-    Returns (TridiagonalForm, SubspaceProblem); the problem has the
-    tridiagonal matrix as H and the identity as S. Stops early when the
-    residual norm drops below breakdown tolerance (invariant subspace).
-    """
-    if n < 1:
-        raise ValidationError("n must be positive")
-    vec = _sector_array(ints, v0)
+@cached_per_integrals
+def _recurrence(ints: MolecularIntegrals, dtype: str, start: bytes, n: int) -> tuple:
+    """n Lanczos steps from these start amplitudes: (alphas, betas, basis), read-only."""
+    vec = np.frombuffer(start, dtype=dtype)
     norm = float(np.linalg.norm(vec))
     if norm < _BREAKDOWN:
         raise ValidationError("start vector has zero norm")
     mat = sector_matrix(ints)
     dim = vec.size
-    n = min(n, dim)
     basis = np.zeros((dim, n), dtype=vec.dtype)
     basis[:, 0] = vec / norm
-    alphas = []
-    betas = []
+    alphas, betas = [], []
     prev = np.zeros(dim, dtype=vec.dtype)
     beta = 0.0
     for k in range(n):
@@ -156,19 +148,29 @@ def lanczos(ints: MolecularIntegrals, v0: FockVector, n: int):
         betas.append(beta)
         prev = q
         basis[:, k + 1] = w / beta
-    steps = len(alphas)
-    form = TridiagonalForm(
-        alphas=np.array(alphas),
-        betas=np.array(betas),
-        basis=basis[:, :steps],
-    )
+    run = (np.array(alphas), np.array(betas), basis[:, : len(alphas)])
+    for arr in run:
+        arr.setflags(write=False)
+    return run
+
+
+def lanczos(ints: MolecularIntegrals, v0: FockVector, n: int):
+    """Three-term recurrence with full reorthogonalization.
+
+    Returns (TridiagonalForm, SubspaceProblem); the problem has the
+    tridiagonal matrix as H and the identity as S. Stops early when the
+    residual norm drops below breakdown tolerance (invariant subspace).
+    The run is kept per integral set, start amplitudes and n; each call
+    returns a new form over its read-only arrays and a new problem.
+    """
+    if n < 1:
+        raise ValidationError("n must be positive")
+    vec = _sector_array(ints, v0)
+    form = TridiagonalForm(*_recurrence(ints, vec.dtype.str, vec.tobytes(), min(n, vec.size)))
     hmat = np.diag(form.alphas).astype(complex)
     if form.betas.size:
         hmat += np.diag(form.betas, 1) + np.diag(form.betas, -1)
-    prob = SubspaceProblem(
-        hmat, np.eye(steps), {"method": "lanczos", "n": steps}
-    )
-    return form, prob
+    return form, SubspaceProblem(hmat, np.eye(len(hmat)), {"method": "lanczos", "n": len(hmat)})
 
 
 @dataclass(eq=False)
@@ -220,8 +222,12 @@ def davidson(
 
     max_cols = 8 * k
     trace = []
-    best = None
     previous = None  # last iteration's Ritz vectors, kept across a restart
+
+    def result() -> DavidsonResult:  # the last iteration's, built once
+        vectors = [FockVector(sector, ritz[:, i]) for i in range(k)]
+        return DavidsonResult(theta.copy(), vectors, it, rnorms.copy(), tuple(trace))
+
     for it in range(max_iter):
         small = basis.conj().T @ images
         small = (small + small.conj().T) / 2
@@ -232,15 +238,8 @@ def davidson(
         residuals = ritz_images - ritz * theta[None, :]
         rnorms = np.linalg.norm(residuals, axis=0)
         trace.append((it, float(theta[0]), float(np.max(rnorms))))
-        best = DavidsonResult(
-            eigenvalues=theta.copy(),
-            eigenvectors=[FockVector(sector, ritz[:, i].copy()) for i in range(k)],
-            num_iterations=it,
-            residual_norms=rnorms.copy(),
-            trace=tuple(trace),
-        )
         if np.all(rnorms <= tol):
-            return best
+            return result()
         if basis.shape[1] + k > max_cols:
             # coordinates in the current space, so the restart needs no
             # products with H; the previous Ritz vectors lie in this space
@@ -270,8 +269,9 @@ def davidson(
             added = True
         if not added and not np.all(rnorms <= tol):
             raise ConvergenceError(
-                "expansion vectors vanished before reaching tolerance", best=best
+                "expansion vectors vanished before reaching tolerance", best=result()
             )
+    best = result() if trace else None
     raise ConvergenceError(f"no convergence in {max_iter} iterations", best=best)
 
 
@@ -311,10 +311,12 @@ def kaniel_paige_saad(
     mu = 0 uses the ground-state inequality with gamma_0 = 1 + 2 gap ratio;
     mu >= 1 uses the excited-state form with gamma_mu = 1 + gap ratio and
     the L_mu product over lower Ritz values. The measured error comes from
-    a reorthogonalized n-step Lanczos run with the same start vector.
+    lanczos(ints, v0, n), reusing the caller's run; spectrum must be whole.
     """
     evals = np.asarray(spectrum.eigenvalues, dtype=float)
     dim = evals.size
+    if dim != ints.sector_dimension:
+        raise ValidationError(f"need all {ints.sector_dimension} sector eigenvalues, got {dim}")
     if not 0 <= mu < dim - 1:
         raise ValidationError("mu must index a non-top eigenvalue")
     if n <= mu:

@@ -57,7 +57,6 @@ from .errors import (
     ValidationError,
 )
 from .fock import (
-    SpectrumSlice,
     basis_vector,
     exact_eigenpairs,
     evolve_real,
@@ -479,25 +478,12 @@ def _run_subspace(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path
     return result, plan, summary, {}
 
 
-def _ground_ritz_bound(ints: MolecularIntegrals, v0, n: int) -> float:
-    """The Kaniel-Paige-Saad bound on the n-step ground Ritz value. It reads
-    every eigenvalue but only the ground vector, so only that one is copied
-    out of the cached eigensystem."""
-    energies, _ = spectral_measure(ints, v0)
-    ground = exact_eigenpairs(ints, k=1).eigenvectors
-    return kaniel_paige_saad(ints, SpectrumSlice(energies, ground), v0, n, mu=0).bound
-
-
 def _run_fci(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
-    # the eigenvalues alone: an exact_eigenpairs slice would copy k vectors
-    k, dim = cfg.params["k"], ints.sector_dimension
-    if not 1 <= k <= dim:
-        raise ValidationError(f"k={k} outside 1..{dim}")
     result = {
         "kind": "spectrum_slice",
-        "k": int(k),
-        "dim": int(dim),
-        "eigenvalues": [float(x) for x in spectral_measure(ints, _reference(ints))[0][:k]],
+        "k": int(cfg.params["k"]),
+        "dim": int(ints.sector_dimension),
+        "eigenvalues": [float(x) for x in exact_eigenpairs(ints, cfg.params["k"]).eigenvalues],
     }
     summary = (
         f"fci: ground energy {result['eigenvalues'][0]:+.10f} hartree "
@@ -676,7 +662,8 @@ _SPECS = {
     "lanczos": MethodSpec(
         ("n", "eps"), _run_subspace,
         build=lambda ints, v0, p: lanczos(ints, v0, p["n"])[1],
-        bound=lambda ints, v0, p, report: _ground_ritz_bound(ints, v0, p["n"]),
+        bound=lambda ints, v0, p, report: kaniel_paige_saad(  # on the ground Ritz value
+            ints, exact_eigenpairs(ints, k=ints.sector_dimension), v0, p["n"]).bound,
         filtered=lambda p: True,
     ),
     "davidson": MethodSpec(("k",), _run_davidson),

@@ -34,12 +34,12 @@ spin-free H. The even block is spanned by the diagonal determinants and
 (|a> + |Pa>)/sqrt 2, the odd block by (|a> - |Pa>)/sqrt 2. Each block is
 U^T H U from the sparse matrix, about half the dimension, so the two
 eigensolves take about a quarter of the flops of one. They run at once:
-the calling thread solves the even block while one worker thread, kept for
-the life of the process, solves the odd one. eigh releases the GIL, and
-each call is the same LAPACK call on the same input at the configured BLAS
-thread count, so the bits do not depend on the threads. Any other sector is
-one block, the sector matrix itself, solved by a single eigh on the calling
-thread.
+the calling thread builds, solves and places the even block while one
+worker thread, kept for the life of the process, does the odd one. eigh
+releases the GIL, and each call is the same LAPACK call on the same input
+at the configured BLAS thread count, so the bits do not depend on the
+threads. Any other sector is one block, the sector matrix itself, solved
+by a single eigh on the calling thread.
 spectral_measure reads a vector's measure (E_k, |<k|v>|^2) off the cached
 eigensystem; every exact filter subspace in quantum is built from it.
 """
@@ -49,7 +49,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -433,10 +434,9 @@ def _block_matrix(mat, rows: np.ndarray, col: np.ndarray, weight: np.ndarray, si
 
 
 def _start_flip_worker() -> None:
-    """The thread that solves the odd spin-flip block while the calling
-    thread builds and solves the even one; eigh releases the GIL. It is kept
-    between calls. A forked child inherits the executor but not its thread,
-    so the child gets a new one."""
+    """The thread that runs _solve_block on the odd block while the calling
+    thread runs it on the even one. It is kept between calls. A forked child
+    inherits the executor but not its thread, so the child gets a new one."""
     global _FLIP_WORKER
     _FLIP_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qsubspace-flip")
 
@@ -444,6 +444,26 @@ def _start_flip_worker() -> None:
 _start_flip_worker()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_flip_worker)
+
+
+def _solve_block(mat, rows: np.ndarray, blocks: tuple, which: int, found: tuple) -> tuple:
+    """Build and solve flip block `which`, post its eigenvalues or failure to
+    found[which] (the even block adds the Fortran-order result, made once its
+    temporaries are freed), then place its eigenvectors by rank among all."""
+    col, weight, _ = blocks[which]
+    try:
+        vals, y = np.linalg.eigh(_block_matrix(mat, rows, *blocks[which]))
+    except BaseException as exc:
+        found[which].set_exception(exc)
+        raise
+    found[which].set_result((vals, None if which else np.empty((col.size,) * 2, order="F")))
+    (even, vecs), (odd, _) = (f.result() for f in found)
+    every = np.concatenate([even, odd])
+    slot = np.argsort(np.argsort(every, kind="stable"))  # rank of each value
+    y = y[col]  # the block's own eigenvectors are freed here
+    y *= weight[:, None]
+    vecs[:, np.split(slot, [even.size])[which]] = y
+    return every, vecs
 
 
 @cached_per_integrals
@@ -456,18 +476,13 @@ def _eigensystem(ints: MolecularIntegrals):
         vals, vecs = np.linalg.eigh(mat.toarray())
         return vals, np.asfortranarray(vecs)
     rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
-    odd = _FLIP_WORKER.submit(np.linalg.eigh, _block_matrix(mat, rows, *blocks[1]))
-    solved = [np.linalg.eigh(_block_matrix(mat, rows, *blocks[0])), odd.result()]
-    vals = np.concatenate([w for w, _ in solved])
-    order = np.argsort(vals, kind="stable")
-    slot = np.empty(dim, dtype=np.intp)
-    slot[order] = np.arange(dim)
-    vecs = np.empty((dim, dim), order="F")  # Fortran order: each eigenvector contiguous
-    for (col, weight, _), at in zip(blocks, np.split(slot, [solved[0][0].size])):
-        y = solved.pop(0)[1][col]  # the block's eigenvectors are freed here
-        y *= weight[:, None]
-        vecs[:, at] = y
-    return vals[order], vecs
+    found = (Future(), Future())
+    odd = _FLIP_WORKER.submit(_solve_block, mat, rows, blocks, 1, found)
+    try:
+        vals, vecs = _solve_block(mat, rows, blocks, 0, found)
+    finally:
+        odd.result()  # waits for the worker's placement and raises its failure
+    return np.sort(vals, kind="stable"), vecs
 
 
 @dataclass(eq=False)
@@ -475,17 +490,33 @@ class SpectrumSlice:
     """The k lowest eigenpairs of one sector."""
 
     eigenvalues: np.ndarray
-    eigenvectors: list  # of FockVector
+    eigenvectors: Sequence  # of FockVector, read-only
+
+
+class _Columns(Sequence):
+    """Columns of a cached eigenvector matrix, copied into FockVectors as read."""
+
+    def __init__(self, sector: tuple, vecs: np.ndarray, k: int):
+        self.sector, self.vecs, self.k = sector, vecs, k
+
+    def __len__(self) -> int:
+        return self.k
+
+    def __getitem__(self, i):
+        cols = range(self.k)[i]
+        if isinstance(cols, range):
+            return [self[j] for j in cols]
+        return FockVector(self.sector, self.vecs[:, cols].astype(complex))
 
 
 def exact_eigenpairs(ints: MolecularIntegrals, k: int = 1) -> SpectrumSlice:
+    """The k lowest eigenpairs; each eigenvector is copied out of the cached
+    eigensystem when it is indexed, so a k = dim slice costs nothing up front."""
     dim = ints.sector_dimension
     if not 1 <= k <= dim:
         raise ValidationError(f"k={k} outside 1..{dim}")
     vals, vecs = _eigensystem(ints)
-    sector = ints.sector
-    vectors = [FockVector(sector, vecs[:, i].astype(complex)) for i in range(k)]
-    return SpectrumSlice(vals[:k].copy(), vectors)
+    return SpectrumSlice(vals[:k].copy(), _Columns(ints.sector, vecs, k))
 
 
 def evolve_real(ints: MolecularIntegrals, v: FockVector, t: float) -> FockVector:

@@ -48,3 +48,25 @@ def test_sampled_seeds_rounds_pass_their_check(tmp_path):
         for step in work.steps(i):
             step()
     assert work.check() == (6, 0, True)
+
+
+def test_sector_scan_cycle_passes_its_check(tmp_path):
+    # one cycle: three seeded stretches and the stretched geometry, each
+    # through the sector build, Lanczos, Davidson, the whole exact spectrum,
+    # the Kaniel-Paige-Saad bound and the solve
+    work = _workloads().SectorScan(1, tmp_path)
+    work.setup()
+    for i in range(work.cycle):
+        for step in work.steps(i):
+            step()
+    assert work.check() == (28, 0, True)
+
+
+def test_cli_panel_round_passes_its_check(tmp_path):
+    # seven fresh in-process CLI calls, exact and sampled, each checked
+    # against the schema and the dense reference
+    work = _workloads().CliPanel(1, tmp_path)
+    work.setup()
+    for step in work.steps(0):
+        step()
+    assert work.check() == (7, 0, True)

@@ -1,6 +1,8 @@
 """Moment Krylov, Lanczos, Davidson, and the convergence bound evaluator."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,14 @@ from qsubspace.classical import (
     power_krylov,
 )
 from qsubspace.errors import CapacityError, ConvergenceError, ValidationError
-from qsubspace.fock import FockVector, exact_eigenpairs, hamiltonian_diagonal, sector_dimension
+from qsubspace.fock import (
+    FockVector,
+    basis_vector,
+    exact_eigenpairs,
+    hamiltonian_diagonal,
+    reference_configuration,
+    sector_dimension,
+)
 from qsubspace.geev import conditioning_report, solve
 from qsubspace.integrals import MolecularIntegrals
 
@@ -175,6 +184,66 @@ def test_lanczos_zero_vector_rejected(h2):
         lanczos(h2, FockVector(h2.sector, np.zeros(dim, dtype=complex)), 3)
 
 
+def bound_fields(rec):
+    return (rec.mu, rec.n, rec.tan_theta, rec.gamma, rec.l_factor, rec.bound, rec.measured,
+            rec.satisfied, rec.applicable)
+
+
+def test_lanczos_and_its_bound_share_one_run(monkeypatch):
+    # the benchmark's round: a 20-step build, then the bound on the same start
+    ints = scan_integrals(0.7)
+    v0 = basis_vector(ints.sector, reference_configuration(ints))
+    spectrum = exact_eigenpairs(ints, k=ints.sector_dimension)
+    products = []
+    product = classical_module.matvec
+
+    def count(mat, v):
+        products.append(v.shape)
+        return product(mat, v)
+
+    monkeypatch.setattr(classical_module, "matvec", count)
+    form, prob = lanczos(ints, v0, 20)
+    rec = kaniel_paige_saad(ints, spectrum, v0, 20)
+    assert len(products) == 20
+    monkeypatch.undo()
+    # each on integrals of its own, so neither finds a run to reuse
+    alone, alone_prob = lanczos(scan_integrals(0.7), v0, 20)
+    for got, want in zip((form.alphas, form.betas, form.basis, prob.hmat),
+                         (alone.alphas, alone.betas, alone.basis, alone_prob.hmat), strict=True):
+        assert np.array_equal(got, want)
+    want = kaniel_paige_saad(scan_integrals(0.7), spectrum, v0, 20)
+    assert bound_fields(rec) == bound_fields(want)
+
+
+def test_changing_a_lanczos_result_does_not_reach_the_next_call(h4_toy):
+    v0 = random_vector(h4_toy, 41)
+    form, prob = lanczos(h4_toy, v0, 6)
+    want = [a.copy() for a in (form.alphas, form.betas, form.basis, prob.hmat, prob.smat)]
+    for arr in (form.alphas, form.betas, form.basis):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    prob.hmat[0, 0] = prob.smat[0, 0] = 7.0
+    prob.provenance["n"] = 99
+    form.alphas = np.zeros(6)
+    again, again_prob = lanczos(h4_toy, v0, 6)
+    got = (again.alphas, again.betas, again.basis, again_prob.hmat, again_prob.smat)
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+    assert again_prob.provenance == {"method": "lanczos", "n": 6}
+    # the run is found by the start's amplitudes, not by the object
+    copy = FockVector(v0.sector, v0.amplitudes.copy())
+    assert lanczos(h4_toy, copy, 6)[0].basis.base is again.basis.base
+
+
+def test_lanczos_runs_are_freed_with_their_integrals():
+    ints = load_integrals("h4_toy")
+    form, prob = lanczos(ints, random_vector(ints, 42), 5)
+    run = weakref.ref(form.basis.base)
+    del form, prob, ints
+    gc.collect()
+    assert run() is None
+
+
 def test_variational_upper_bound_and_monotonicity(h3_plus):
     v0 = random_vector(h3_plus, 32)
     evals, _ = sector_fci(
@@ -268,6 +337,27 @@ def test_davidson_default_start_is_the_unit_vectors_on_the_lowest_diagonal(h3_pl
     np.testing.assert_allclose(first.eigenvalues, want, rtol=0, atol=1e-12)
     for v in first.eigenvectors:
         assert not np.delete(v.amplitudes, low).any()
+
+
+def test_convergence_error_carries_the_last_iterations_result(h4_toy):
+    # a run stopped by max_iter hands out the result of its last iteration:
+    # the result the same run returns when the tolerance is that
+    # iteration's residual
+    full = davidson(h4_toy, k=1, tol=1e-10, max_iter=100)
+    last = full.num_iterations - 1
+    assert last >= 2
+    with pytest.raises(ConvergenceError) as err:
+        davidson(h4_toy, k=1, tol=1e-10, max_iter=last + 1)
+    best = err.value.best
+    resid = best.residual_norms[0]
+    assert all(row[2] > resid for row in full.trace[:last])  # none converges earlier
+    want = davidson(h4_toy, k=1, tol=resid, max_iter=100)
+    assert best.num_iterations == want.num_iterations == last
+    assert best.trace == want.trace == full.trace[: last + 1]
+    for got, ref in ((best.eigenvalues, want.eigenvalues),
+                     (best.residual_norms, want.residual_norms),
+                     (best.eigenvectors[0].amplitudes, want.eigenvectors[0].amplitudes)):
+        assert np.array_equal(got, ref)
 
 
 def test_davidson_multiple_roots(h3_plus):
@@ -365,6 +455,17 @@ def test_bound_inapplicable_for_orthogonal_start(h2):
     v0 = spectrum.eigenvectors[1]
     rec = kaniel_paige_saad(h2, spectrum, v0, n=2, mu=0)
     assert not rec.applicable
+
+
+def test_bound_rejects_a_partial_spectrum(h4_toy):
+    # the top eigenvalue enters the bound: read off a k = 3 slice of the
+    # 36, the bound would be 2.1e-13 and not satisfied, where the whole
+    # spectrum gives 1.26e-4, satisfied
+    v0 = basis_vector(h4_toy.sector, reference_configuration(h4_toy))
+    with pytest.raises(ValidationError, match="36"):
+        kaniel_paige_saad(h4_toy, exact_eigenpairs(h4_toy, k=3), v0, 4)
+    rec = kaniel_paige_saad(h4_toy, exact_eigenpairs(h4_toy, k=36), v0, 4)
+    assert rec.satisfied and rec.bound == pytest.approx(1.26e-4, rel=0.01)
 
 
 def test_bound_argument_validation(h2):

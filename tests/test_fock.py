@@ -9,6 +9,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,6 +19,7 @@ import scipy.sparse
 
 import oracles
 from conftest import FIXTURE_NAMES, load_integrals, random_integrals, scan_integrals
+import qsubspace.fock as fock_module
 from qsubspace.errors import CapacityError, ValidationError
 from qsubspace.fock import (
     _ENTRY_CAP,
@@ -408,9 +410,11 @@ def test_one_block_sectors_skip_the_block_assembly_bit_for_bit(sector, monkeypat
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: scan_integrals(0.3), lambda: scan_integrals(1.3), lambda: scan_integrals(6.0),
+    [lambda: scan_integrals(0.3), lambda: scan_integrals(0.7), lambda: scan_integrals(1.3),
+     lambda: scan_integrals(6.0), lambda: load_integrals("h4_toy"),
      lambda: random_integrals(4, 2, 2, seed=5), lambda: random_integrals(5, 2, 2, seed=6)],
-    ids=["scan-0.3", "scan-1.3", "scan-6.0", "random-4-2-2", "random-5-2-2"],
+    ids=["scan-0.3", "scan-0.7", "scan-1.3", "scan-6.0", "h4_toy", "random-4-2-2",
+         "random-5-2-2"],
 )
 def test_concurrent_block_solves_match_the_serial_assembly_bit_for_bit(make):
     ints = make()
@@ -419,22 +423,52 @@ def test_concurrent_block_solves_match_the_serial_assembly_bit_for_bit(make):
 
 
 def test_odd_block_solves_on_the_worker_and_one_block_on_the_caller(monkeypatch):
-    threads = []
-    eigh = np.linalg.eigh
+    threads, built = [], []
+    eigh, build = np.linalg.eigh, fock_module._block_matrix
 
     def record(a):
         threads.append((a.shape[0], threading.current_thread()))
         return eigh(a)
 
+    def record_build(*args):
+        built.append((args[-1], threading.current_thread()))
+        return build(*args)
+
     monkeypatch.setattr(np.linalg, "eigh", record)
+    monkeypatch.setattr(fock_module, "_block_matrix", record_build)
     caller = threading.current_thread()
     _eigensystem(random_integrals(4, 2, 2, seed=3))  # even block 21, odd 15
     solved_on = dict(threads)
     assert solved_on.keys() == {21, 15}
     assert solved_on[21] is caller and solved_on[15] is not caller
+    assert dict(built) == solved_on  # each block is built where it is solved
     threads.clear()
     _eigensystem(random_integrals(4, 2, 1, seed=3))
     assert threads == [(24, caller)]
+
+
+@pytest.mark.parametrize("size", [21, 15], ids=["even-fails", "odd-fails"])
+def test_a_failed_block_solve_raises_and_leaves_the_worker_free(size, monkeypatch):
+    # the two threads wait on each other's eigenvalues; a failure on either
+    # side must reach the caller and must not leave the worker waiting
+    eigh = np.linalg.eigh
+
+    def refuse(a):
+        if a.shape[0] == size:
+            raise np.linalg.LinAlgError(f"refused block of {size}")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    pool = ThreadPoolExecutor(max_workers=1)  # so that a hang fails the test
+    try:
+        failed = pool.submit(_eigensystem, random_integrals(4, 2, 2, seed=7))  # blocks 21, 15
+        with pytest.raises(np.linalg.LinAlgError, match=f"refused block of {size}"):
+            failed.result(timeout=60)
+        monkeypatch.undo()
+        vals, _ = pool.submit(_eigensystem, random_integrals(4, 2, 2, seed=8)).result(timeout=60)
+    finally:
+        pool.shutdown(wait=False)
+    assert vals.size == 36
 
 
 def test_concurrent_callers_get_the_bits_of_one_at_a_time():
@@ -491,6 +525,29 @@ def test_exact_eigenpairs_own_their_amplitudes(h4_toy):
     for i, vec in enumerate(pairs):
         assert vec.amplitudes.flags.owndata
         assert np.array_equal(vec.amplitudes, vecs[:, i])
+
+
+def test_a_whole_spectrum_slice_copies_no_vector_up_front():
+    # copied up front, a k = dim slice of the 1225-dimensional scan molecule
+    # would hold 24.6 MB of complex vectors; each is copied when indexed
+    ints = scan_integrals(1.3)
+    dim = ints.sector_dimension
+    vals, vecs = _eigensystem(ints)  # warms the cache
+    tracemalloc.start()
+    try:
+        spec = exact_eigenpairs(ints, k=dim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert np.array_equal(spec.eigenvalues, vals) and len(spec.eigenvectors) == dim
+    last = spec.eigenvectors[-1]
+    assert last.amplitudes.flags.owndata and np.array_equal(last.amplitudes, vecs[:, -1])
+    assert [v.amplitudes[0] for v in spec.eigenvectors[2:5]] == list(vecs[0, 2:5])
+    with pytest.raises(TypeError):
+        spec.eigenvectors[0] = last
+    with pytest.raises(IndexError):
+        exact_eigenpairs(ints, k=3).eigenvectors[3]
 
 
 def test_apply_hamiltonian_on_random_vector(h4_toy):
