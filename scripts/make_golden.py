@@ -20,7 +20,9 @@ Run from the repository root:
 
 --check regenerates everything in memory, writes nothing, prints each
 field that differs from the committed files with its absolute and
-relative change, and exits 1 if any field differs.
+relative change, and exits 1 if any field differs. Its last line counts
+the fields only in the new output, those only in the committed files and
+those whose value changed.
 """
 
 from __future__ import annotations
@@ -151,28 +153,41 @@ def _number(value):
 
 
 def changes(old, new, path=""):
-    """Lines naming each leaf that differs between two JSON values."""
+    """(kind, line) naming each leaf that differs between two JSON values;
+    kind is "added" for a key only in new, "removed" for a key only in
+    old, and "changed" otherwise."""
     if isinstance(old, dict) and isinstance(new, dict):
         out = []
         for key in sorted(old.keys() | new.keys()):
-            if key not in old or key not in new:
-                out.append(f"{path}/{key}: only in {'new' if key in new else 'committed'}")
+            if key not in old:
+                out.append(("added", f"{path}/{key}: only in new"))
+            elif key not in new:
+                out.append(("removed", f"{path}/{key}: only in committed"))
             else:
                 out += changes(old[key], new[key], f"{path}/{key}")
         return out
     if isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
-            return [f"{path}: length {len(old)} -> {len(new)}"]
-        return [line for k, (a, b) in enumerate(zip(old, new))
-                for line in changes(a, b, f"{path}[{k}]")]
+            return [("changed", f"{path}: length {len(old)} -> {len(new)}")]
+        return [item for k, (a, b) in enumerate(zip(old, new))
+                for item in changes(a, b, f"{path}[{k}]")]
     if old == new:
         return []
     a, b = _number(old), _number(new)
     if a is None or b is None:
-        return [f"{path}: {old!r} -> {new!r}"]
+        return [("changed", f"{path}: {old!r} -> {new!r}")]
     diff = abs(b - a)
     rel = diff / abs(a) if a else float("inf")
-    return [f"{path}: {old!r} -> {new!r} (abs {diff:.3e}, rel {rel:.3e})"]
+    return [("changed", f"{path}: {old!r} -> {new!r} (abs {diff:.3e}, rel {rel:.3e})")]
+
+
+def summary(kinds) -> str:
+    """The --check summary line over the kinds of the differing fields."""
+    kinds = list(kinds)
+    counts = {k: kinds.count(k) for k in ("added", "removed", "changed")}
+    return (f"{len(kinds)} field(s) differ from the committed golden files: "
+            f"{counts['added']} only in new, {counts['removed']} only in committed, "
+            f"{counts['changed']} changed")
 
 
 def main(argv=None) -> int:
@@ -187,15 +202,14 @@ def main(argv=None) -> int:
             path.write_text(text)
             print(f"wrote {path.relative_to(ROOT)}")
         return 0
-    changed = 0
+    kinds = []
     for path, text in files.items():
         old = json.loads(path.read_text()) if path.exists() else None
-        lines = changes(old, json.loads(text))
-        changed += len(lines)
-        for line in lines:
+        for kind, line in changes(old, json.loads(text)):
+            kinds.append(kind)
             print(f"{path.relative_to(ROOT)}{line}")
-    print(f"{changed} field(s) differ from the committed golden files")
-    return 1 if changed else 0
+    print(summary(kinds))
+    return 1 if kinds else 0
 
 
 if __name__ == "__main__":

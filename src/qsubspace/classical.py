@@ -126,7 +126,10 @@ def _recurrence(ints: MolecularIntegrals, dtype: str, start: bytes, n: int) -> t
         raise ValidationError("start vector has zero norm")
     mat = sector_matrix(ints)
     dim = vec.size
-    basis = np.zeros((dim, n), dtype=vec.dtype)
+    # at least two columns: a one-column basis is contiguous, and np.vdot
+    # sums a contiguous column in another order than a strided one, so a
+    # one-step run would not give the bits of a longer run's first step
+    basis = np.zeros((dim, max(n, 2)), dtype=vec.dtype)
     basis[:, 0] = vec / norm
     alphas, betas = [], []
     prev = np.zeros(dim, dtype=vec.dtype)

@@ -8,8 +8,9 @@ Methods: fci, lanczos, davidson, power-krylov, chebyshev, gaussian-power,
 qse, qeom, qfd, qlanczos, spectrum, fastforward. Each is one MethodSpec
 entry of the `_SPECS` table: the parameters it accepts, how it runs, and,
 for the pencils solved by geev.solve, how the pair is built, its
-measurement recipe and its sweep bound. METHODS, the sampled methods and each method's sweep
-axes are read off that table.
+measurement recipe, its bounds and whether its basis is filtered. Every
+solved pencil is recorded by `_pencil`. METHODS, the sampled methods and
+each method's sweep axes are read off that table.
 
 Every setting is one row of the `_SETTINGS` table: its INI section ([run],
 [params], [shots] or [sweep]), cast, default, flag help and choices. The
@@ -39,7 +40,7 @@ import json
 import math
 import pathlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -150,8 +151,8 @@ _SETTINGS = {s.name: s for s in (
     Setting("out", "run", str, ".", "report directory (default .)"),
     Setting("jobs", "run", int, 1, "concurrent sweep points (default 1)"),
     Setting("n", "params", int, 4, "subspace dimension / grid points"),
-    # None: fci the sector dimension, davidson 1
-    Setting("k", "params", int, None, "eigenpairs to report (fci, davidson)"),
+    # fci's row defaults it to the sector dimension
+    Setting("k", "params", int, 1, "eigenpairs to report (fci, davidson)"),
     Setting("dt", "params", finite_float, 0.1, "real-time grid step (qfd, spectrum, fastforward)"),
     Setting("dtau", "params", finite_float, 0.2, "imaginary-time step (qlanczos)"),
     # None: default_threshold of the solver
@@ -192,9 +193,6 @@ class ShotsSection:
     eps_target: float | None
     grouping: str
 
-    def echo(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class RunConfig:
@@ -219,7 +217,7 @@ class RunConfig:
             "out": self.out,
             "jobs": self.jobs,
             "params": dict(self.params),
-            "shots": self.shots.echo(),
+            "shots": asdict(self.shots),
             "sweep": sweep,
         }
 
@@ -407,17 +405,9 @@ def resolve_config(cfg: RunConfig, ints: MolecularIntegrals, explicit: frozenset
 
     params = dict(cfg.params)
     for key in spec.params:
-        if key in params:
-            continue
-        if key == "k":
-            params[key] = ints.sector_dimension if cfg.method == "fci" else 1
-        elif key == "bounds":
-            energies, _ = spectral_measure(ints, _reference(ints))
-            lo, hi = float(energies[0]), float(energies[-1])
-            pad = 0.01 * max(hi - lo, 1.0)
-            params[key] = (lo - pad, hi + pad)
-        else:
-            params[key] = _SETTINGS[key].default
+        if key not in params:
+            default = spec.defaults.get(key)
+            params[key] = _SETTINGS[key].default if default is None else default(ints)
     return replace(cfg, params=params)
 
 
@@ -434,46 +424,62 @@ def _fci_ground(ints: MolecularIntegrals) -> float:
 
 
 def _grid(p: dict) -> QfdGrid:
-    return QfdGrid(p["dt"], p["n"], backend=p["backend"], substeps=p["substeps"])
+    """The qfd grid of p; spectrum and fastforward take no backend or
+    substeps and propagate exactly."""
+    return QfdGrid(p["dt"], p["n"], backend=p.get("backend", "exact"),
+                   substeps=p.get("substeps", 1))
 
 
-def _solved(cfg: RunConfig, ints: MolecularIntegrals, v0):
-    """Build the method's pair on v0 (from its recipe when sampling), solve
-    and summarise it: (problem, solution, report, ShotPlan or None)."""
-    spec, shots, plan = _SPECS[cfg.method], cfg.shots, None
+def _build_qfd(ints: MolecularIntegrals, v0, p: dict):
+    return qfd_build(v0, ints, _grid(p))
+
+
+def _padded_range(ints: MolecularIntegrals) -> tuple:
+    """The exact spectral range, padded by 1% of its width (at least 0.01)."""
+    energies, _ = spectral_measure(ints, _reference(ints))
+    lo, hi = float(energies[0]), float(energies[-1])
+    pad = 0.01 * max(hi - lo, 1.0)
+    return (lo - pad, hi + pad)
+
+
+def _pencil(cfg: RunConfig, ints: MolecularIntegrals, own_bounds: bool = True):
+    """Build the method's pair on the reference v0 (from its recipe when
+    sampling), solve it and record it: (problem, solution, record, ShotPlan
+    or None). The record is the solution report, with the row's own bounds
+    added unless own_bounds is false; an exact run's also holds each
+    eigenvalue's roundoff floor and, where the row is filtered, v0's ground
+    weight w0."""
+    spec, p, shots, plan = _SPECS[cfg.method], cfg.params, cfg.shots, None
+    v0 = _reference(ints)
     if not shots.enabled:
-        prob = spec.build(ints, v0, cfg.params)
+        prob = spec.build(ints, v0, p)
     else:
-        recipe = spec.recipe(ints, v0, cfg.params)
+        recipe = spec.recipe(ints, v0, p)
         if shots.eps_target is not None:
             plan = plan_from_target(recipe, shots.eps_target, shots.seed, mode=shots.grouping)
         else:
             groups = measurement_groups(recipe, mode=shots.grouping)
             plan = ShotPlan(shots.seed, (shots.shots,) * len(groups), mode=shots.grouping)
         prob = noisy_subspace(recipe, plan)
-    sol = solve(prob, cfg.params.get("eps"))
-    return prob, sol, solution_report(prob, sol), plan
+    sol = solve(prob, p.get("eps"))
+    record = solution_report(prob, sol)
+    if own_bounds:
+        record["bounds"].update(spec.bounds(ints, v0, p))
+    if not prob.noisy:  # a sampled run reports its std in bounds instead
+        record["eigenvalue_roundoff"] = [float(x) for x in eigenvalue_roundoff(prob, sol)]
+        if spec.filtered(p):
+            record["w0"] = float(spectral_measure(ints, v0)[1][0])
+    return prob, sol, record, plan
 
 
 def _run_subspace(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
-    v0 = _reference(ints)
-    prob, sol, report, plan = _solved(cfg, ints, v0)
-    if cfg.method == "qfd":
-        report["bounds"]["qfd_error_bound"] = epperly_qfd_bound(ints, v0, cfg.params["n"])
-    energy = float(sol.eigenvalues[0])
-    result = {
-        "kind": "subspace_solution",
-        **report,
-        "ground_energy": energy,
-        "error_vs_fci": energy - _fci_ground(ints),
-    }
-    if not prob.noisy:  # a sampled run reports its std in bounds instead
-        result["eigenvalue_roundoff"] = [float(x) for x in eigenvalue_roundoff(prob, sol)]
-        if _SPECS[cfg.method].filtered(cfg.params):
-            result["w0"] = float(spectral_measure(ints, v0)[1][0])
+    _, _, record, plan = _pencil(cfg, ints)
+    energy = record["eigenvalues"][0]
+    result = {"kind": "subspace_solution", **record, "ground_energy": energy,
+              "error_vs_fci": energy - _fci_ground(ints)}
     summary = (
         f"{cfg.method}: ground energy {energy:+.10f} hartree "
-        f"(kept {sol.retained_dim} of {prob.n}, eps {sol.eps:.3e})"
+        f"(kept {record['n_eps']} of {record['n']}, eps {record['eps']:.3e})"
     )
     return result, plan, summary, {}
 
@@ -544,19 +550,10 @@ def _probe_operator(spec: str, ints: MolecularIntegrals):
     raise ValidationError(f"probe operator must be occ:P or ham, got {spec!r}")
 
 
-def _qfd_solution(cfg: RunConfig, ints: MolecularIntegrals):
-    p = cfg.params
-    v0 = _reference(ints)
-    grid = QfdGrid(p["dt"], p["n"])
-    prob = qfd_build(v0, ints, grid)
-    sol = solve(prob, p.get("eps"))
-    basis = _snapshots(v0, ints, grid)
-    return prob, sol, basis, v0
-
-
 def _run_spectrum(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
     p = cfg.params
-    prob, sol, basis, _ = _qfd_solution(cfg, ints)
+    _, sol, record, _ = _pencil(cfg, ints)
+    basis = _snapshots(_reference(ints), ints, _grid(p))
     probe = _probe_operator(p["op"], ints)
     gaps, weights = spectral_weights(sol, basis, probe)
 
@@ -583,7 +580,7 @@ def _run_spectrum(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path
     result = {
         "kind": "spectrum",
         "op": p["op"],
-        "subspace": solution_report(prob, sol),
+        "subspace": record,
         "num_sticks": len(gaps),
         "sum_rule": {
             "weight_sum": weight_sum,
@@ -599,8 +596,9 @@ def _run_spectrum(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path
 
 
 def _run_fastforward(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
-    p = cfg.params
-    prob, sol, basis, v0 = _qfd_solution(cfg, ints)
+    p, v0 = cfg.params, _reference(ints)
+    _, sol, record, _ = _pencil(cfg, ints)
+    basis = _snapshots(v0, ints, _grid(p))
     res = fast_forward(sol, basis, v0, p["time"])
     want = evolve_real(ints, v0, p["time"])
     got_norm2 = float(np.vdot(res.state.amplitudes, res.state.amplitudes).real)
@@ -609,7 +607,7 @@ def _run_fastforward(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.P
     result = {
         "kind": "fastforward",
         "time": float(p["time"]),
-        "subspace": solution_report(prob, sol),
+        "subspace": record,
         "projection_weight": float(res.projection_weight),
         "low_weight": bool(res.low_weight),
         "fidelity": float(fidelity),
@@ -630,39 +628,46 @@ class MethodSpec:
     """Everything the command line knows about one method.
 
     params: the [params] rows of `_SETTINGS` it accepts; strays are
-    rejected. run(cfg, ints, outdir) -> (result, plan, summary, extra
-    files). For the pencils solved by geev.solve, with v0 the reference
-    determinant and p the resolved parameters: build(ints, v0, p) gives the
-    exact SubspaceProblem, recipe(ints, v0, p) the ExpectationRecipe where
-    the method can be sampled, and bound(ints, v0, p, report) the sweep
-    bound column of an exact run. filtered(p) is true where the pair spans
-    filtered states f_a(H) v0, whose error scales with 1/w0: an exact run
-    then reports w0, v0's weight on the sector ground state. The callables
-    look the library functions up as module globals when called, so
-    rebinding those names reaches them.
+    rejected. defaults maps those of them whose default depends on the
+    integrals to defaults[name](ints); the others take their row's default.
+    run(cfg, ints, outdir) -> (result, plan, summary, extra files). For the
+    pencils solved by geev.solve and recorded by `_pencil`, with v0 the
+    reference determinant and p the resolved parameters: build(ints, v0, p)
+    gives the exact SubspaceProblem, recipe(ints, v0, p) the
+    ExpectationRecipe where the method can be sampled, bounds(ints, v0, p)
+    the entries the method adds to its record's bounds, and bound(ints, v0,
+    p, record) the sweep bound column of an exact run. filtered(p) is true
+    where the pair spans filtered states f_a(H) v0, whose error scales with
+    1/w0: an exact record then holds w0, v0's weight on the sector ground
+    state. The callables look the library functions up as module globals
+    when called, so rebinding those names reaches them.
     """
 
     params: tuple
     run: Callable
+    defaults: dict = field(default_factory=dict)
     build: Callable | None = None
     recipe: Callable | None = None
-    bound: Callable | None = None
+    bounds: Callable = lambda ints, v0, p: {}
+    bound: Callable = lambda ints, v0, p, record: None
     filtered: Callable = lambda p: False
 
     @property
     def sweep_axes(self) -> tuple:
-        """The `_SWEEP_AXES` that apply: shots where the pair can be
-        sampled, the others where it is built and the parameter applies."""
-        return tuple(a for a in _SWEEP_AXES
-                     if (self.recipe if a == "shots" else self.build and a in self.params))
+        """The `_SWEEP_AXES` that apply where a run is one subspace
+        solution: shots where the pair can be sampled, the others where the
+        parameter applies."""
+        if self.run is not _run_subspace:
+            return ()
+        return tuple(a for a in _SWEEP_AXES if (self.recipe if a == "shots" else a in self.params))
 
 
 _SPECS = {
-    "fci": MethodSpec(("k",), _run_fci),
+    "fci": MethodSpec(("k",), _run_fci, defaults={"k": lambda ints: ints.sector_dimension}),
     "lanczos": MethodSpec(
         ("n", "eps"), _run_subspace,
         build=lambda ints, v0, p: lanczos(ints, v0, p["n"])[1],
-        bound=lambda ints, v0, p, report: kaniel_paige_saad(  # on the ground Ritz value
+        bound=lambda ints, v0, p, record: kaniel_paige_saad(  # on the ground Ritz value
             ints, exact_eigenpairs(ints, k=ints.sector_dimension), v0, p["n"]).bound,
         filtered=lambda p: True,
     ),
@@ -670,11 +675,12 @@ _SPECS = {
     "power-krylov": MethodSpec(
         ("n", "eps"), _run_subspace,
         build=lambda ints, v0, p: power_krylov(ints, v0, p["n"]),
-        bound=lambda ints, v0, p, report: report["bounds"].get("power_basis_cond_lower_bound"),
+        bound=lambda ints, v0, p, record: record["bounds"].get("power_basis_cond_lower_bound"),
         filtered=lambda p: True,
     ),
     "chebyshev": MethodSpec(
         ("n", "eps", "bounds"), _run_subspace,
+        defaults={"bounds": _padded_range},
         build=lambda ints, v0, p: chebyshev_krylov_build(v0, ints, p["n"], p["bounds"]),
         filtered=lambda p: True,
     ),
@@ -691,9 +697,10 @@ _SPECS = {
     "qeom": MethodSpec(("tda",), _run_qeom),
     "qfd": MethodSpec(
         ("n", "dt", "eps", "backend", "substeps"), _run_subspace,
-        build=lambda ints, v0, p: qfd_build(v0, ints, _grid(p)),
+        build=_build_qfd,
         recipe=lambda ints, v0, p: qfd_recipe(v0, ints, _grid(p)),
-        bound=lambda ints, v0, p, report: epperly_qfd_bound(ints, v0, p["n"])["bound"],
+        bounds=lambda ints, v0, p: {"qfd_error_bound": epperly_qfd_bound(ints, v0, p["n"])},
+        bound=lambda ints, v0, p, record: record["bounds"]["qfd_error_bound"]["bound"],
         filtered=lambda p: True,
     ),
     "qlanczos": MethodSpec(
@@ -701,10 +708,15 @@ _SPECS = {
         build=lambda ints, v0, p: qlanczos_build(v0, ints, p["dtau"], p["n"], mode=p["mode"]),
         filtered=lambda p: p["mode"] == "exact",
     ),
+    # the exact qfd pencil, without the qfd row's bound: that bound is
+    # evaluated at its own step, not at the run's dt
     "spectrum": MethodSpec(
-        ("n", "dt", "eps", "op", "omega_min", "omega_max", "omega_points", "eta"), _run_spectrum
+        ("n", "dt", "eps", "op", "omega_min", "omega_max", "omega_points", "eta"), _run_spectrum,
+        build=_build_qfd, filtered=lambda p: True,
     ),
-    "fastforward": MethodSpec(("n", "dt", "eps", "time"), _run_fastforward),
+    "fastforward": MethodSpec(
+        ("n", "dt", "eps", "time"), _run_fastforward, build=_build_qfd, filtered=lambda p: True,
+    ),
 }
 
 METHODS = tuple(_SPECS)
@@ -725,25 +737,24 @@ def _point_config(cfg: RunConfig, value) -> RunConfig:
 
 def _sweep_point(cfg: RunConfig, ints: MolecularIntegrals, exact0: float, value):
     pcfg = _point_config(cfg, value)
-    v0 = _reference(ints)
-    prob, sol, report, _ = _solved(pcfg, ints, v0)
     # the bound column; a sampled row gets the arctangent perturbation bound
-    # of its own run, whatever the method
-    spec = _SPECS[cfg.method]
+    # of its own run, whatever the method, so its method's bounds are not
+    # evaluated
+    prob, _, record, _ = _pencil(pcfg, ints, own_bounds=not pcfg.shots.enabled)
     if prob.noisy:
-        bound = report["bounds"].get("arctangent_bound")
+        bound = record["bounds"].get("arctangent_bound")
     else:
-        bound = None if spec.bound is None else spec.bound(ints, v0, pcfg.params, report)
-    energy = float(sol.eigenvalues[0])
+        bound = _SPECS[cfg.method].bound(ints, _reference(ints), pcfg.params, record)
+    energy = record["eigenvalues"][0]
     return {
         "value": value,
         "energy": energy,
         "error_vs_fci": energy - exact0,
-        "cond_smat": sol.cond_smat_before,
-        "n_eps": sol.retained_dim,
+        "cond_smat": record["cond_before"],
+        "n_eps": record["n_eps"],
         "bound": bound,
         # the ground root's floor; a sampled row's error is its shot noise
-        "eigenvalue_roundoff": None if prob.noisy else float(eigenvalue_roundoff(prob, sol)[0]),
+        "eigenvalue_roundoff": record.get("eigenvalue_roundoff", [None])[0],
     }
 
 
@@ -751,32 +762,18 @@ def _run_sweep(cfg: RunConfig, ints: MolecularIntegrals, outdir: pathlib.Path):
     exact0 = _fci_ground(ints)
     # points are independent; report writing stays on this thread
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        rows = list(
-            pool.map(lambda v: _sweep_point(cfg, ints, exact0, v), cfg.sweep_values)
-        )
+        rows = [_jsonable(row) for row in
+                pool.map(lambda v: _sweep_point(cfg, ints, exact0, v), cfg.sweep_values)]
     path = outdir / "sweep.csv"
     columns = ("value", "energy", "error_vs_fci", "cond_smat", "n_eps", "bound",
                "eigenvalue_roundoff")
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                ["" if row[c] is None or _nonfinite(row[c]) else row[c] for c in columns]
-            )
-    result = {
-        "kind": "sweep",
-        "axis": cfg.sweep_axis,
-        "rows": [_jsonable(row) for row in rows],
-    }
-    summary = (
-        f"{cfg.method}: swept {cfg.sweep_axis} over {len(rows)} values -> {path.name}"
-    )
+        writer.writerows(["" if row[c] is None else row[c] for c in columns] for row in rows)
+    result = {"kind": "sweep", "axis": cfg.sweep_axis, "rows": rows}
+    summary = f"{cfg.method}: swept {cfg.sweep_axis} over {len(rows)} values -> {path.name}"
     return result, None, summary, {"sweep": path.name}
-
-
-def _nonfinite(value) -> bool:
-    return isinstance(value, float) and not math.isfinite(value)
 
 
 # ---------------------------------------------------------------------------

@@ -412,28 +412,23 @@ class _Block:
 @dataclass(eq=False)
 class _Compiled:
     """One recipe under one grouping mode: the groups, then on first
-    sampling which groups some entry reads, the blocks of their per-shape
-    stacks, and W's row blocks.  Group f's covariance is row-major in
-    slots[f]:slots[f + 1]."""
+    sampling the blocks of their per-shape stacks and W's row blocks.
+    Group f's covariance is row-major in slots[f]:slots[f + 1]."""
 
     groups: tuple
-    read: np.ndarray | None = None
     tables: tuple | None = None
     slots: np.ndarray | None = None
     weights: tuple | None = None
 
 
 def _tables(recipe: ExpectationRecipe, groups: tuple, cols: list):
-    """(read, blocks): whether some entry reads each group, and the groups
-    read as one stack per shape (m, 2^n), allocated block by block, so no
-    array is much larger than a block's temporaries.  The blocks are
-    allocated first, then each job's group models are one batch written
-    into them."""
-    hit = np.bincount(recipe.matrix.indices, minlength=recipe.matrix.shape[1]) > 0
-    read = np.array([hit[c].any() for c in cols], dtype=bool)
+    """The groups as one stack per shape (m, 2^n), allocated block by
+    block, so no array is much larger than a block's temporaries.  The
+    blocks are allocated first, then each job's group models are one batch
+    written into them."""
     shapes = {}
-    for f in np.flatnonzero(read).tolist():
-        size = recipe.jobs[groups[f].job].state.amplitudes.size
+    for f, g in enumerate(groups):
+        size = recipe.jobs[g.job].state.amplitudes.size
         shapes.setdefault((cols[f].size, size), []).append(f)
     blocks, probs, values = [], [None] * len(groups), [None] * len(groups)
     for (m, size), picked in shapes.items():
@@ -448,11 +443,11 @@ def _tables(recipe: ExpectationRecipe, groups: tuple, cols: list):
                 probs[f], values[f] = p, v
             blocks.append(block)
     for j, job in enumerate(recipe.jobs):
-        picked = [f for f, g in enumerate(groups) if g.job == j and read[f]]
+        picked = [f for f, g in enumerate(groups) if g.job == j]
         _group_models(job.state, job.strings.x, job.strings.z,
                       [cols[f] - recipe._offsets[j] for f in picked],
                       [probs[f] for f in picked], [values[f] for f in picked])
-    return read, tuple(blocks)
+    return tuple(blocks)
 
 
 def _compile(recipe: ExpectationRecipe, mode: str, sampling: bool = True) -> _Compiled:
@@ -465,10 +460,10 @@ def _compile(recipe: ExpectationRecipe, mode: str, sampling: bool = True) -> _Co
     if sampling and compiled.tables is None:
         cols = [recipe._offsets[g.job] + np.array(g.members, dtype=np.intp)
                 for g in compiled.groups]
-        read, tables = _tables(recipe, compiled.groups, cols)
+        tables = _tables(recipe, compiled.groups, cols)
         compiled.slots = np.cumsum([0] + [c.size**2 for c in cols], dtype=np.int64)
         compiled.weights = _pair_weights(recipe.matrix, cols, compiled.slots)
-        compiled.read, compiled.tables = read, tables
+        compiled.tables = tables
     return compiled
 
 
@@ -522,9 +517,9 @@ def _pair_weights(matrix: scipy.sparse.csr_array, cols: list, slots: np.ndarray)
 def _sample(recipe: ExpectationRecipe, compiled: _Compiled, counts, seed: int, first: int = 0,
             of_means: bool = False):
     """String means in recipe column order and the flat single-shot
-    covariances of the groups that rows read, or with of_means those
-    of their means (divided by the shots), group f from counts[f] shots
-    drawn in stream (seed, first + f), one block at a time."""
+    covariances of the groups, or with of_means those of their means
+    (divided by the shots), group f from counts[f] shots drawn in stream
+    (seed, first + f), one block at a time."""
     stream, slots = _streams(seed), compiled.slots
     means, cov = np.zeros(recipe.matrix.shape[1]), np.zeros(int(slots[-1]))
     for block in compiled.tables:
@@ -594,12 +589,12 @@ def pilot_variances(recipe: ExpectationRecipe, groups, seed: int) -> np.ndarray:
 
 def plan_from_target(recipe: ExpectationRecipe, eps_target: float, seed: int,
                      mode: str = "qubitwise") -> ShotPlan:
-    """Pilot round plus allocation in one step: every group that some row
-    reads gets the uniform count M = ceil(max_d sum_f Var[A_d^(f)] / eps^2),
-    from the pilot's single-shot variances, also when its pilot saw no
-    variance: a finite pilot can miss a rare outcome, and a single shot
-    would leave that group's error out of every entry std.  Groups that no
-    row reads keep one shot.  An M above SHOT_LIMIT is a CapacityError."""
+    """Pilot round plus allocation in one step: every group gets the
+    uniform count M = ceil(max_d sum_f Var[A_d^(f)] / eps^2), from the
+    pilot's single-shot variances, also when its pilot saw no variance: a
+    finite pilot can miss a rare outcome, and a single shot would leave
+    that group's error out of every entry std.  An M above SHOT_LIMIT is a
+    CapacityError."""
     if not eps_target > 0.0:
         raise ValidationError("eps_target must be positive")
     compiled = _compile(recipe, mode)
@@ -610,8 +605,7 @@ def plan_from_target(recipe: ExpectationRecipe, eps_target: float, seed: int,
     if total > SHOT_LIMIT * eps_target**2:
         raise CapacityError(f"eps_target {eps_target:g} needs more than 2^53 shots per group")
     m = max(1, math.ceil(total / eps_target**2)) if total > 0.0 else 1
-    counts = tuple(np.where(compiled.read, m, 1).tolist())
-    return ShotPlan(seed, counts, eps_target=eps_target, mode=mode)
+    return ShotPlan(seed, (m,) * len(compiled.groups), eps_target=eps_target, mode=mode)
 
 
 def noisy_subspace(recipe: ExpectationRecipe, plan: ShotPlan) -> SubspaceProblem:

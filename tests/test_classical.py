@@ -130,6 +130,18 @@ def test_lanczos_single_step_rayleigh(h2):
     assert prob.smat.shape == (1, 1)
 
 
+@pytest.mark.parametrize("name", ["h4_toy", "h3_plus"])
+def test_one_lanczos_step_gives_the_first_step_of_a_longer_run(name):
+    # a one-step run must not sum its start in another order than a longer
+    # run does; a reference determinant has one nonzero term and cannot tell
+    ints = load_integrals(name)
+    for seed in range(1, 9):
+        v0 = random_vector(ints, seed)
+        one, five = lanczos(ints, v0, 1)[0], lanczos(ints, v0, 5)[0]
+        assert one.alphas.tolist() == five.alphas[:1].tolist(), seed
+        assert one.basis.tolist() == five.basis[:, :1].tolist(), seed
+
+
 def test_lanczos_agrees_with_power_krylov(h3_plus):
     # Same start vector spans the same subspace, so the thresholded moment
     # problem and the tridiagonal form share their Ritz values.

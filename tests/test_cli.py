@@ -17,7 +17,7 @@ import pytest
 from conftest import fixture_path, load_integrals, random_integrals, scan_integrals
 
 import qsubspace.qubits as qubits_module
-from qsubspace.classical import kaniel_paige_saad, power_krylov
+from qsubspace.classical import kaniel_paige_saad, lanczos, power_krylov
 from qsubspace.cli import (
     _SETTINGS,
     _SPECS,
@@ -29,14 +29,23 @@ from qsubspace.cli import (
     merge_config,
     resolve_config,
 )
-from qsubspace.engine import Statevector
+from qsubspace.engine import Statevector, statevector_from_fock
 from qsubspace.fock import (
     basis_vector,
     exact_eigenpairs,
     reference_configuration,
     spectral_measure,
 )
+from qsubspace.geev import eigenvalue_roundoff, solve
 from qsubspace.integrals import serialize_fcidump
+from qsubspace.quantum import (
+    QfdGrid,
+    chebyshev_krylov_build,
+    gaussian_power_build,
+    qfd_build,
+    qlanczos_build,
+    qse_build,
+)
 
 H2 = str(fixture_path("h2_sto3g"))
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -739,6 +748,71 @@ PARAM_FLAGS = {
     "eta": ("--eta", "0.1"),
 }
 SWEEP_VALUES = {"n": "n=2,3", "dt": "dt=0.2", "eps": "eps=1e-6", "shots": "shots=100"}
+
+
+# Each exact pencil the command line solves, rebuilt through the library
+# from the resolved parameters p, and whether its basis is filtered (its
+# record then holds w0). Written out here, not read from the method table.
+PENCILS = {
+    "lanczos": (lambda ints, v0, p: lanczos(ints, v0, p["n"])[1], True),
+    "power-krylov": (lambda ints, v0, p: power_krylov(ints, v0, p["n"]), True),
+    "chebyshev": (lambda ints, v0, p: chebyshev_krylov_build(v0, ints, p["n"],
+                                                             tuple(p["bounds"])), True),
+    "gaussian-power": (lambda ints, v0, p: gaussian_power_build(v0, ints, p["n"], p["tau"]),
+                       True),
+    "qse": (lambda ints, v0, p: qse_build(statevector_from_fock(v0), ints, level=p["level"]),
+            False),
+    "qfd": (lambda ints, v0, p: qfd_build(v0, ints, QfdGrid(p["dt"], p["n"], p["backend"],
+                                                            p["substeps"])), True),
+    "qlanczos": (lambda ints, v0, p: qlanczos_build(v0, ints, p["dtau"], p["n"],
+                                                    mode=p["mode"]), True),
+    "spectrum": (lambda ints, v0, p: qfd_build(v0, ints, QfdGrid(p["dt"], p["n"])), True),
+    "fastforward": (lambda ints, v0, p: qfd_build(v0, ints, QfdGrid(p["dt"], p["n"])), True),
+}
+
+
+class TestPencilRecord:
+    """Every exactly solved pencil is recorded alike: each eigenvalue's
+    roundoff floor, and w0 exactly where the basis is filtered."""
+
+    @staticmethod
+    def rebuilt(name, method, params, eps=None):
+        ints = load_integrals(name)
+        v0 = basis_vector(ints.sector, reference_configuration(ints))
+        prob = PENCILS[method][0](ints, v0, params)
+        return ints, v0, prob, solve(prob, eps)
+
+    def test_table_covers_every_built_pencil(self):
+        assert set(PENCILS) == {m for m, spec in _SPECS.items() if spec.build is not None}
+
+    @pytest.mark.parametrize("name", ["h2_sto3g", "h4_toy"])
+    @pytest.mark.parametrize("method", tuple(PENCILS))
+    def test_record_floor_and_ground_weight(self, tmp_path, name, method):
+        code, report, _ = run_cli(tmp_path, method, "--input", str(fixture_path(name)))
+        assert code == 0
+        VALIDATOR.validate(report)
+        result = report["result"]
+        record = result.get("subspace", result)
+        ints, v0, prob, sol = self.rebuilt(name, method, report["config"]["params"],
+                                           record["eps"])
+        assert len(record["eigenvalue_roundoff"]) == len(record["eigenvalues"])
+        assert record["eigenvalue_roundoff"] == eigenvalue_roundoff(prob, sol).tolist()
+        if PENCILS[method][1]:
+            assert record["w0"] == spectral_measure(ints, v0)[1][0]
+        else:
+            assert "w0" not in record
+        # the qfd filter bound is evaluated at its own step, not the run's dt
+        assert ("qfd_error_bound" in record["bounds"]) == (method == "qfd")
+
+    @pytest.mark.parametrize("name", ["h2_sto3g", "h4_toy"])
+    def test_exact_sweep_row_floor(self, tmp_path, name):
+        code, report, _ = run_cli(tmp_path, "gaussian-power", "--input", str(fixture_path(name)),
+                                  "--sweep", "n=2,3")
+        assert code == 0
+        for row in report["result"]["rows"]:
+            params = {**report["config"]["params"], "n": row["value"]}
+            _, _, prob, sol = self.rebuilt(name, "gaussian-power", params)
+            assert row["eigenvalue_roundoff"] == eigenvalue_roundoff(prob, sol)[0]
 
 
 class TestRejectionMatrix:

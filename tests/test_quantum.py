@@ -422,7 +422,7 @@ class TestRealPencils:
         cfg, explicit = cli.merge_config(args, {})
         ints = load_integrals(name)
         cfg = cli.resolve_config(cfg, ints, explicit)
-        return cli._solved(cfg, ints, cli._reference(ints))[:2]
+        return cli._pencil(cfg, ints, own_bounds=False)[:2]
 
     @staticmethod
     def complex_twin(prob):
