@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
             "column holds the Kaniel-Paige value for lanczos, the power-basis\n"
             "cond(S) lower bound for power-krylov, the uniform-grid filter\n"
             "bound for qfd, and the arctangent perturbation bound for\n"
-            "sampled runs.\n\n"
+            "sampled runs; blank when no bound applies.\n\n"
             "errors print {\"error\": {\"exit_code\", \"type\", \"message\"}} to stdout."
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -442,13 +442,12 @@ def _padded_range(ints: MolecularIntegrals) -> tuple:
     return (lo - pad, hi + pad)
 
 
-def _pencil(cfg: RunConfig, ints: MolecularIntegrals, own_bounds: bool = True):
+def _pencil(cfg: RunConfig, ints: MolecularIntegrals):
     """Build the method's pair on the reference v0 (from its recipe when
     sampling), solve it and record it: (problem, solution, record, ShotPlan
-    or None). The record is the solution report, with the row's own bounds
-    added unless own_bounds is false; an exact run's also holds each
-    eigenvalue's roundoff floor and, where the row is filtered, v0's ground
-    weight w0."""
+    or None). The record is the solution report; an exact run's also holds
+    the row's own a-priori bounds, each eigenvalue's roundoff floor and,
+    where the row is filtered, v0's ground weight w0."""
     spec, p, shots, plan = _SPECS[cfg.method], cfg.params, cfg.shots, None
     v0 = _reference(ints)
     if not shots.enabled:
@@ -463,9 +462,8 @@ def _pencil(cfg: RunConfig, ints: MolecularIntegrals, own_bounds: bool = True):
         prob = noisy_subspace(recipe, plan)
     sol = solve(prob, p.get("eps"))
     record = solution_report(prob, sol)
-    if own_bounds:
+    if not prob.noisy:  # a sampled run reports its noise bounds instead
         record["bounds"].update(spec.bounds(ints, v0, p))
-    if not prob.noisy:  # a sampled run reports its std in bounds instead
         record["eigenvalue_roundoff"] = [float(x) for x in eigenvalue_roundoff(prob, sol)]
         if spec.filtered(p):
             record["w0"] = float(spectral_measure(ints, v0)[1][0])
@@ -635,12 +633,13 @@ class MethodSpec:
     reference determinant and p the resolved parameters: build(ints, v0, p)
     gives the exact SubspaceProblem, recipe(ints, v0, p) the
     ExpectationRecipe where the method can be sampled, bounds(ints, v0, p)
-    the entries the method adds to its record's bounds, and bound(ints, v0,
-    p, record) the sweep bound column of an exact run. filtered(p) is true
-    where the pair spans filtered states f_a(H) v0, whose error scales with
-    1/w0: an exact record then holds w0, v0's weight on the sector ground
-    state. The callables look the library functions up as module globals
-    when called, so rebinding those names reaches them.
+    the a-priori entries an exact run adds to its record's bounds, and
+    bound(ints, v0, p, record) an exact run's sweep bound column, None where
+    no bound applies. filtered(p) is true where the pair spans filtered
+    states f_a(H) v0, whose error scales with 1/w0: an exact record then
+    holds w0, v0's weight on the sector ground state. The callables look the
+    library functions up as module globals when called, so rebinding those
+    names reaches them.
     """
 
     params: tuple
@@ -668,7 +667,8 @@ _SPECS = {
         ("n", "eps"), _run_subspace,
         build=lambda ints, v0, p: lanczos(ints, v0, p["n"])[1],
         bound=lambda ints, v0, p, record: kaniel_paige_saad(  # on the ground Ritz value
-            ints, exact_eigenpairs(ints, k=ints.sector_dimension), v0, p["n"]).bound,
+            ints, exact_eigenpairs(ints, k=ints.sector_dimension), v0, p["n"]).bound
+        if ints.sector_dimension > 1 else None,  # one state: no gap for the bound
         filtered=lambda p: True,
     ),
     "davidson": MethodSpec(("k",), _run_davidson),
@@ -699,8 +699,9 @@ _SPECS = {
         ("n", "dt", "eps", "backend", "substeps"), _run_subspace,
         build=_build_qfd,
         recipe=lambda ints, v0, p: qfd_recipe(v0, ints, _grid(p)),
-        bounds=lambda ints, v0, p: {"qfd_error_bound": epperly_qfd_bound(ints, v0, p["n"])},
-        bound=lambda ints, v0, p, record: record["bounds"]["qfd_error_bound"]["bound"],
+        bounds=lambda ints, v0, p: {"qfd_error_bound": epperly_qfd_bound(ints, v0, p["n"])}
+        if ints.sector_dimension > 1 else {},  # one state: no excited level sets dt
+        bound=lambda ints, v0, p, record: record["bounds"].get("qfd_error_bound", {}).get("bound"),
         filtered=lambda p: True,
     ),
     "qlanczos": MethodSpec(
@@ -737,10 +738,8 @@ def _point_config(cfg: RunConfig, value) -> RunConfig:
 
 def _sweep_point(cfg: RunConfig, ints: MolecularIntegrals, exact0: float, value):
     pcfg = _point_config(cfg, value)
-    # the bound column; a sampled row gets the arctangent perturbation bound
-    # of its own run, whatever the method, so its method's bounds are not
-    # evaluated
-    prob, _, record, _ = _pencil(pcfg, ints, own_bounds=not pcfg.shots.enabled)
+    prob, _, record, _ = _pencil(pcfg, ints)
+    # a sampled row's bound is its own run's arctangent perturbation bound
     if prob.noisy:
         bound = record["bounds"].get("arctangent_bound")
     else:

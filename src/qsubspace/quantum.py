@@ -642,8 +642,9 @@ def epperly_qfd_bound(
     if num_points < 1:
         raise ValidationError("need at least one grid point")
     dim = ints.sector_dimension
-    if l_index is None:
-        l_index = dim - 1
+    if dim == 1:
+        raise ValidationError("the sector has one state, so no excited level can set dt")
+    l_index = dim - 1 if l_index is None else l_index
     if not 1 <= l_index <= dim - 1:
         raise ValidationError(f"l_index={l_index} outside 1..{dim - 1}")
     energies, weights = spectral_measure(ints, v0)

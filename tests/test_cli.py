@@ -14,7 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import fixture_path, load_integrals, random_integrals, scan_integrals
+from conftest import FIXTURE_NAMES, fixture_path, load_integrals, random_integrals, scan_integrals
 
 import qsubspace.qubits as qubits_module
 from qsubspace.classical import kaniel_paige_saad, lanczos, power_krylov
@@ -30,6 +30,7 @@ from qsubspace.cli import (
     resolve_config,
 )
 from qsubspace.engine import Statevector, statevector_from_fock
+from qsubspace.errors import ValidationError
 from qsubspace.fock import (
     basis_vector,
     exact_eigenpairs,
@@ -41,6 +42,7 @@ from qsubspace.integrals import serialize_fcidump
 from qsubspace.quantum import (
     QfdGrid,
     chebyshev_krylov_build,
+    epperly_qfd_bound,
     gaussian_power_build,
     qfd_build,
     qlanczos_build,
@@ -813,6 +815,93 @@ class TestPencilRecord:
             params = {**report["config"]["params"], "n": row["value"]}
             _, _, prob, sol = self.rebuilt(name, "gaussian-power", params)
             assert row["eigenvalue_roundoff"] == eigenvalue_roundoff(prob, sol)[0]
+
+    def test_own_bounds_on_exact_runs_only(self, tmp_path):
+        # a method's a-priori bounds describe the noise-free pencil; a
+        # sampled run records its noise bounds only
+        code, exact, _ = run_cli(tmp_path / "exact", "qfd", "--input", H2)
+        assert code == 0
+        assert "qfd_error_bound" in exact["result"]["bounds"]
+        code, sampled, _ = run_cli(tmp_path / "sampled", "qfd", "--input", H2, "--shots", "200")
+        assert code == 0
+        VALIDATOR.validate(sampled)
+        bounds = sampled["result"]["bounds"]
+        assert "qfd_error_bound" not in bounds and "arctangent_bound" in bounds
+
+    def test_one_state_sector_records_no_gap_bound(self, tmp_path):
+        # he_minimal has one state: neither the qfd filter bound nor the
+        # Kaniel-Paige-Saad bound has a gap to read
+        path = str(fixture_path("he_minimal"))
+        code, report, _ = run_cli(tmp_path / "single", "qfd", "--input", path)
+        assert code == 0
+        VALIDATOR.validate(report)
+        assert "qfd_error_bound" not in report["result"]["bounds"]
+        assert len(report["result"]["eigenvalue_roundoff"]) == 1
+        for method in ("qfd", "lanczos"):
+            code, report, out = run_cli(tmp_path / method, method, "--input", path,
+                                        "--sweep", "n=2,3")
+            assert code == 0, method
+            VALIDATOR.validate(report)
+            assert [row["bound"] for row in read_rows(out / "sweep.csv")] == ["", ""], method
+        # the library functions keep refusing such a sector
+        ints = load_integrals("he_minimal")
+        v0 = basis_vector(ints.sector, reference_configuration(ints))
+        with pytest.raises(ValidationError, match="one state"):
+            epperly_qfd_bound(ints, v0, 4)
+        with pytest.raises(ValidationError, match="non-top"):
+            kaniel_paige_saad(ints, exact_eigenpairs(ints, k=1), v0, 2)
+
+
+# The fixture x method guard: one sweep per axis, and the calls that exit
+# nonzero, pinned as they are, (fixture, method, flags...) -> (exit code,
+# reason).
+GUARD_SWEEPS = {"n": "n=2,3", "dt": "dt=0.2,0.4", "shots": "shots=100,200",
+                "eps": "eps=1e-8,1e-6"}
+GUARD_EXITS = {
+    **{(name, "qse", *flags): (3, "the default SD recipe exceeds the 50M Pauli product budget")
+       for name in ("h3_plus", "h4_toy")
+       for flags in (("--shots", "200"), ("--eps-target", "1e-2"),
+                     ("--sweep", "shots=100,200"))},
+    ("h2_stretched", "qeom"): (5, "the sector ground state is a triplet, and no direction "
+                                  "of its excitation metric is significant (ROADMAP item 20)"),
+    ("he_minimal", "qeom"): (2, "one orbital gives an empty excitation pool"),
+}
+
+
+def guard_calls():
+    """Each method's default run, qse and qfd sampled with --shots and with
+    --eps-target, and one sweep per axis of each method."""
+    for method in ACCEPTED_PARAMS:
+        yield (method,)
+        if method in SAMPLED:
+            yield method, "--shots", "200"
+            yield method, "--eps-target", "1e-2"
+        for axis in SWEEP_AXES[method]:
+            yield method, "--sweep", GUARD_SWEEPS[axis]
+
+
+class TestFixtureMatrix:
+    """Every method runs on every committed fixture, sampled and swept, and
+    exits 0 with a report that validates, except where GUARD_EXITS says why
+    not; a failing call prints the error JSON of its exit code."""
+
+    def test_table_names_only_guarded_calls(self):
+        calls = {(name, *call) for name in FIXTURE_NAMES for call in guard_calls()}
+        assert len(calls) == 192
+        assert set(GUARD_EXITS) <= calls
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_every_call_exits_as_pinned(self, capsys, tmp_path, name):
+        path = str(fixture_path(name))
+        for k, call in enumerate(guard_calls()):
+            code = main([*call, "--input", path, "--out", str(tmp_path / str(k))])
+            out = capsys.readouterr().out
+            want, reason = GUARD_EXITS.get((name, *call), (0, None))
+            assert code == want, (call, reason, out)
+            if code:
+                assert json.loads(out)["error"]["exit_code"] == code, call
+            else:
+                VALIDATOR.validate(json.loads((tmp_path / str(k) / "result.json").read_text()))
 
 
 class TestRejectionMatrix:

@@ -422,7 +422,7 @@ class TestRealPencils:
         cfg, explicit = cli.merge_config(args, {})
         ints = load_integrals(name)
         cfg = cli.resolve_config(cfg, ints, explicit)
-        return cli._pencil(cfg, ints, own_bounds=False)[:2]
+        return cli._pencil(cfg, ints)[:2]
 
     @staticmethod
     def complex_twin(prob):
@@ -726,6 +726,17 @@ class TestQfd:
         spec = full_spectrum(h2)
         gap = spec.eigenvalues[dim - 1] - spec.eigenvalues[0]
         assert abs(report["dt"] - math.pi / gap) < 1e-12
+
+    def test_bound_on_a_one_state_sector_names_the_sector(self):
+        # no excited level can set dt; the message must not name an
+        # l_index the caller never gave
+        ints = load_integrals("he_minimal")
+        assert ints.sector_dimension == 1
+        v0 = basis_vector(ints.sector, reference_configuration(ints))
+        for l_index in (None, 1):
+            with pytest.raises(ValidationError) as err:
+                epperly_qfd_bound(ints, v0, 4, l_index)
+            assert str(err.value) == "the sector has one state, so no excited level can set dt"
 
 
 # ---------------------------------------------------------------------------
