@@ -63,7 +63,6 @@ from .engine import (
     apply_pauli_sum,
     expectation,
     fock_from_statevector,
-    gather_rows,
     inner,
     pauli_rows,
     statevector_from_fock,
@@ -440,7 +439,7 @@ def qeom_build(v0: FockVector, ints: MolecularIntegrals, tda: bool = False):
     phi = v0.normalized()
     pool = qeom_pool(ints.num_orbitals)
     if not pool:
-        raise ValidationError("empty excitation pool")
+        raise DataError("empty excitation pool: one orbital has no excitation")
     ham = sector_matrix(ints)
     # rows: Phi and H Phi, so each monomial gives F Phi and F H Phi at once
     pair = np.stack([phi.amplitudes, matvec(ham, phi.amplitudes)])
@@ -709,8 +708,9 @@ def qite_step(
 
         A_mn = <Phi| {G_m, G_n} |Phi>    b_m = -i dtau <Phi| [H, G_m] |Phi>
 
-    (Tikhonov damping 1e-8), then applies prod_m exp(i theta_m G_m). A step
-    whose energy rises by more than 1e-8 is rejected (StepError). Returns
+    (Tikhonov damping 1e-8, Cholesky solve), then applies prod_m
+    exp(i theta_m G_m). A step whose energy rises by more than 1e-8 is
+    rejected (StepError); an empty pool is a ValidationError. Returns
     (state, energy, norm factor) where the norm factor
     sqrt(1 - 2 dtau <H> + 2 dtau^2 <H^2>) is the second-order estimate of
     the decay of the unnormalized imaginary-time state.
@@ -725,25 +725,40 @@ def qite_step(
     phi = state.normalized()
     hphi = apply_pauli_sum(ham, phi)
     e_old = float(inner(phi, hphi).real)
-    # one table for the pool: P_m phi for the gradient, then each rotation
+    # one table for the pool: P_m phi for the gradient, then each rotation, all
+    # gathered from one buffer (s, -s) whose halves the rotations update in place
     src, phase = pauli_rows(phi.num_qubits, [p.x for p in pool], [p.z for p in pool])
-    rotated = gather_rows(src, phase, phi.amplitudes)
-    amat = 2.0 * np.real(rotated.conj() @ rotated.T)
+    signed = np.concatenate([phi.amplitudes, -phi.amplitudes])
+    amp, flipped = np.split(signed, 2)
+    rotated = signed.take(src)
+    np.multiply(phase, rotated, out=rotated)
     bvec = 2.0 * delta_tau * np.imag(rotated @ np.conj(hphi.amplitudes))
+    # A = 2 Re(R* R^T) is one real product over the interleaved (Re, Im) columns
+    parts = rotated.view(float)
+    amat = parts @ parts.T
+    del rotated, parts
+    amat *= 2.0
+    amat.flat[::len(pool) + 1] += 1e-8
     try:
-        theta = scipy.linalg.solve(
-            amat + 1e-8 * np.eye(len(pool)), bvec, assume_a="pos"
-        )
+        # A is symmetric, so A^T is the Fortran-order array LAPACK factors in place
+        chol = scipy.linalg.cho_factor(amat.T, overwrite_a=True, check_finite=False)
+        theta = scipy.linalg.cho_solve(chol, bvec, check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - damped solve
         raise StepError(f"rotation solve failed: {exc}") from exc
+    del amat, chol
     if not np.all(np.isfinite(theta)):
         raise StepError("rotation solve produced non-finite angles")
-    amp = phi.amplitudes
+    turned = np.empty_like(amp)
     for row, ph, angle in zip(src, phase, theta):
-        # exp(i angle P) = R_P(-2 angle), as apply_pauli_exponential applies it
+        # exp(i angle P) = R_P(-2 angle), as apply_pauli_exponential applies it:
+        # amp <- cos amp - i sin P amp, in place with gather_rows' operations
         rot = -2.0 * float(angle)
-        amp = math.cos(rot / 2) * amp - 1j * math.sin(rot / 2) * gather_rows(row, ph, amp)
-    new = Statevector(phi.num_qubits, amp)
+        np.multiply(ph, signed.take(row, out=turned), out=turned)
+        np.multiply(1j * math.sin(rot / 2), turned, out=turned)
+        np.multiply(math.cos(rot / 2), amp, out=amp)
+        np.subtract(amp, turned, out=amp)
+        np.negative(amp, out=flipped)
+    new = Statevector(phi.num_qubits, amp.copy())
     e_new = float(expectation(ham, new).real)
     if e_new > e_old + 1e-8:
         raise StepError(
@@ -796,6 +811,8 @@ def qlanczos_build(
         norms = np.ones(num_half + 1)
         rayleigh = np.empty(num_half + 1)
         pool = qite_pool(ints)
+        if not pool:
+            raise DataError("empty rotation pool: one orbital has no excitation")
         ham = jordan_wigner(ints)
         cur = statevector_from_fock(v0.normalized())
         rayleigh[0] = float(expectation(ham, cur).real)

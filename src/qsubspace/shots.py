@@ -453,9 +453,12 @@ def _tables(recipe: ExpectationRecipe, groups: tuple, cols: list):
 def _compile(recipe: ExpectationRecipe, mode: str, sampling: bool = True) -> _Compiled:
     compiled = recipe._compiled.get(mode)
     if compiled is None:
+        # job strings have unit coefficients, so a table's groups follow from its keys
+        tables = {job.strings.keys.tobytes(): job.strings for job in recipe.jobs}
+        grouped = {key: group_commuting(s, mode).groups for key, s in tables.items()}
         groups = tuple(MeasurementGroup(j, tuple(sorted(members)))
                        for j, job in enumerate(recipe.jobs)
-                       for members in group_commuting(job.strings, mode).groups)
+                       for members in grouped[job.strings.keys.tobytes()])
         compiled = recipe._compiled[mode] = _Compiled(groups)
     if sampling and compiled.tables is None:
         cols = [recipe._offsets[g.job] + np.array(g.members, dtype=np.intp)

@@ -19,6 +19,7 @@ Conventions (fixed once, used consistently package-side and oracle-side):
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -236,3 +237,46 @@ def qubitwise_model(amplitudes: np.ndarray, x, z):
     odd = np.bitwise_count(np.arange(amps.size, dtype=np.uint64) & (x | z)[:, None]) & 1
     probs = np.clip(np.abs(amps) ** 2, 0.0, None)
     return probs / probs.sum(), 1 - 2 * odd.astype(np.int8)
+
+
+# ---------------------------------------------------------------------------
+# the QITE step before it formed its Gram matrix in real arithmetic, kept as
+# a reference: a complex Gram product, a general positive-definite solve and
+# a fresh gather per rotation
+
+
+def _pauli_rows(num_qubits: int, x, z):
+    """Gather indices and phases: (P_k s)[j] = phase_k (s, -s)[src_k[j]]."""
+    x, z = (np.asarray(v, dtype=np.int64)[:, None] for v in (x, z))
+    src = np.arange(1 << num_qubits) ^ x
+    src |= (np.bitwise_count(src & z) & 1).astype(np.int64) << num_qubits
+    return src, np.array([1, 1j, -1, -1j])[np.bitwise_count(x & z) & 3]
+
+
+def _gather_rows(src, phase, amplitudes: np.ndarray) -> np.ndarray:
+    return phase * np.concatenate([amplitudes, -amplitudes]).take(src)
+
+
+def reference_qite_step(amplitudes: np.ndarray, ham, pool, delta_tau: float):
+    """One unitary imaginary-time step on the full register: solve A theta
+    = b with A = 2 Re(R* R^T) + 1e-8 and b = 2 dtau Im(R conj(H phi)) over
+    the pool rows R_m = P_m phi, then apply exp(i theta_m P_m) in pool
+    order. ham is (x, z, coeffs) and pool (x, z) mask arrays. Returns
+    (amplitudes, energy, norm factor); the energy-rise check is left out."""
+    nq = amplitudes.size.bit_length() - 1
+    phi = amplitudes / float(np.linalg.norm(amplitudes))
+    hphi = apply_pauli_terms(*ham, phi)
+    e_old = float(np.vdot(phi, hphi).real)
+    src, phase = _pauli_rows(nq, *pool)
+    rotated = _gather_rows(src, phase, phi)
+    amat = 2.0 * np.real(rotated.conj() @ rotated.T)
+    bvec = 2.0 * delta_tau * np.imag(rotated @ np.conj(hphi))
+    theta = scipy.linalg.solve(amat + 1e-8 * np.eye(len(src)), bvec, assume_a="pos")
+    amp = phi
+    for row, ph, angle in zip(src, phase, theta):
+        rot = -2.0 * float(angle)
+        amp = math.cos(rot / 2) * amp - 1j * math.sin(rot / 2) * _gather_rows(row, ph, amp)
+    e_new = float(np.vdot(amp, apply_pauli_terms(*ham, amp)).real)
+    h2 = float(np.vdot(hphi, hphi).real)
+    factor = math.sqrt(max(1.0 - 2.0 * delta_tau * e_old + 2.0 * delta_tau**2 * h2, 0.0))
+    return amp, e_new, factor

@@ -864,13 +864,19 @@ GUARD_EXITS = {
                      ("--sweep", "shots=100,200"))},
     ("h2_stretched", "qeom"): (5, "the sector ground state is a triplet, and no direction "
                                   "of its excitation metric is significant (ROADMAP item 20)"),
-    ("he_minimal", "qeom"): (2, "one orbital gives an empty excitation pool"),
+    ("he_minimal", "qeom"): (5, "one orbital gives an empty excitation pool"),
+    **{(name, "qlanczos", "--mode", "qite"): (
+        5, "the QITE overlap is not a Gram matrix and has an eigenvalue below "
+           "the -1e-8 floor (ROADMAP item 1)")
+       for name in ("h2_sto3g", "h2_stretched", "heh_like")},
+    ("he_minimal", "qlanczos", "--mode", "qite"): (5, "one orbital gives an empty rotation pool"),
 }
 
 
 def guard_calls():
     """Each method's default run, qse and qfd sampled with --shots and with
-    --eps-target, and one sweep per axis of each method."""
+    --eps-target, one sweep per axis of each method, and qlanczos in QITE
+    mode."""
     for method in ACCEPTED_PARAMS:
         yield (method,)
         if method in SAMPLED:
@@ -878,6 +884,7 @@ def guard_calls():
             yield method, "--eps-target", "1e-2"
         for axis in SWEEP_AXES[method]:
             yield method, "--sweep", GUARD_SWEEPS[axis]
+    yield "qlanczos", "--mode", "qite"
 
 
 class TestFixtureMatrix:
@@ -887,7 +894,7 @@ class TestFixtureMatrix:
 
     def test_table_names_only_guarded_calls(self):
         calls = {(name, *call) for name in FIXTURE_NAMES for call in guard_calls()}
-        assert len(calls) == 192
+        assert len(calls) == 198
         assert set(GUARD_EXITS) <= calls
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -20,11 +20,13 @@ import qsubspace.qubits as qubits_module
 from qsubspace import cli
 from conftest import FIXTURE_NAMES, fixture_path, load_integrals, scan_integrals
 from oracles import (
+    apply_pauli_terms,
     dense_pauli_sum,
     evolve_dense,
     full_hamiltonian,
     imaginary_evolve_dense,
     ladder_matrix,
+    reference_qite_step,
     sector_hamiltonian,
     sector_words,
 )
@@ -872,6 +874,79 @@ class TestQite:
         state = statevector_from_fock(FockVector(ints.sector, amp / np.linalg.norm(amp)))
         with pytest.raises(StepError, match="energy rose"):
             qite_step(state, ints, 4.0)
+
+    @staticmethod
+    def reference_inputs(ints):
+        # the Hamiltonian's and the pool's masks, as reference_qite_step reads them
+        ham, pool = jordan_wigner(ints), qite_pool(ints)
+        return (ham.x, ham.z, ham.coeffs), ([p.x for p in pool], [p.z for p in pool])
+
+    # From the real reference determinant every pool row P_m phi is
+    # imaginary, so the real and the complex Gram products add the same
+    # numbers. From a complex start they round differently, and the damped
+    # solve (condition number about 1e9 on these fixtures) carries that into
+    # the state: up to 5e-10 after three steps, as far as the complex Gram's
+    # own answer lies from one with an extended-precision Gram.
+    @pytest.mark.parametrize("name", ["h2_sto3g", "h3_plus", "h4_toy"])
+    @pytest.mark.parametrize("start, tol", [("reference", 1e-13), ("random", 2e-9)])
+    def test_steps_match_the_complex_gram_reference(self, name, start, tol):
+        ints = load_integrals(name)
+        if start == "reference":
+            v0 = basis_vector(ints.sector, reference_configuration(ints))
+        else:
+            rng = np.random.default_rng(7)
+            dim = ints.sector_dimension
+            amp = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            v0 = FockVector(ints.sector, amp / np.linalg.norm(amp))
+        terms, masks = self.reference_inputs(ints)
+        state = statevector_from_fock(v0)
+        want = state.amplitudes
+        for _ in range(3):
+            state, energy, factor = qite_step(state, ints, 0.1)
+            want, want_energy, want_factor = reference_qite_step(want, terms, masks, 0.1)
+            assert np.max(np.abs(state.amplitudes - want)) <= tol
+            assert abs(energy - want_energy) <= tol
+            assert abs(factor - want_factor) <= tol
+
+    @pytest.mark.parametrize("name", ["h2_sto3g", "h3_plus", "h4_toy"])
+    def test_qite_pencil_matches_the_complex_gram_reference(self, name):
+        # norms and energies at the half steps, as qlanczos_build records them
+        ints = load_integrals(name)
+        v0 = basis_vector(ints.sector, reference_configuration(ints))
+        terms, masks = self.reference_inputs(ints)
+        dtau, amp = 0.2, statevector_from_fock(v0).amplitudes
+        norms, rayleigh = [1.0], [float(np.vdot(amp, apply_pauli_terms(*terms, amp)).real)]
+        for _ in range(6):
+            amp, energy, factor = reference_qite_step(amp, terms, masks, dtau / 2)
+            norms.append(norms[-1] * factor)
+            rayleigh.append(energy)
+        norms, rayleigh = np.array(norms), np.array(rayleigh)
+        for n in (2, 3, 4):
+            idx = np.add.outer(np.arange(n), np.arange(n))
+            full = norms[2 * np.arange(n)]
+            smat = norms[idx] ** 2 / np.outer(full, full)
+            if np.linalg.eigvalsh(smat)[0] < -1e-8:
+                # on h2_sto3g the overlap is not a Gram matrix (ROADMAP item 1)
+                with pytest.raises(DataError, match="overlap matrix has eigenvalue"):
+                    qlanczos_build(v0, ints, dtau, n, mode="qite")
+                continue
+            prob = qlanczos_build(v0, ints, dtau, n, mode="qite")
+            assert np.max(np.abs(prob.smat - smat)) <= 1e-13, n
+            assert np.max(np.abs(prob.hmat - smat * rayleigh[idx])) <= 1e-13, n
+            got = np.array(prob.provenance["norms"])
+            assert np.max(np.abs(got - norms[:2 * n - 1])) <= 1e-13, n
+
+    def test_one_orbital_gives_empty_pools(self):
+        # no excitation exists: empty results (DataError), not a bad argument;
+        # an empty pool handed to qite_step is still one
+        ints = load_integrals("he_minimal")
+        v0 = basis_vector(ints.sector, reference_configuration(ints))
+        with pytest.raises(DataError, match="empty excitation pool"):
+            qeom_build(v0, ints)
+        with pytest.raises(DataError, match="empty rotation pool"):
+            qlanczos_build(v0, ints, 0.2, 2, mode="qite")
+        with pytest.raises(ValidationError, match="empty rotation pool"):
+            qite_step(statevector_from_fock(v0), ints, 0.1, ())
 
     def test_norm_factor_tracks_ite_norm(self, h2):
         v0 = random_vector(h2, 7)

@@ -595,6 +595,27 @@ class TestCompiledRecipe:
             seen += block.nnz
         assert seen == weights.nnz
 
+    @pytest.mark.parametrize("mode", ["qubitwise", "full"])
+    def test_each_distinct_table_is_grouped_once(self, h4_toy, mode, monkeypatch):
+        # qfd's three Hadamard-test jobs share one string table
+        v0 = basis_vector(h4_toy.sector, reference_configuration(h4_toy))
+        recipe = qfd_recipe(v0, h4_toy, QfdGrid(dt=0.4, n=4))
+        tables = {job.strings.keys.tobytes() for job in recipe.jobs}
+        assert (len(recipe.jobs), len(tables)) == (4, 2)
+        calls = []
+
+        def counted(h, how):
+            calls.append(how)
+            return group_commuting(h, how)
+
+        monkeypatch.setattr(shots, "group_commuting", counted)
+        groups = measurement_groups(recipe, mode)
+        assert calls == [mode, mode]
+        alone = tuple(shots.MeasurementGroup(j, tuple(sorted(members)))
+                      for j, job in enumerate(recipe.jobs)
+                      for members in group_commuting(job.strings, mode).groups)
+        assert groups == alone
+
     @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
     @pytest.mark.parametrize("method", ["qse-S", "qfd"])
     def test_group_models_equal_the_per_group_oracle(self, method, fixture):
