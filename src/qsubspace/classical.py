@@ -215,6 +215,8 @@ def davidson(
     dim = sector_dimension(*sector)
     if not 1 <= k <= dim:
         raise ValidationError(f"need 1 <= k <= {dim}")
+    if not tol > 0:
+        raise ValidationError("tol must be positive")
     mat = sector_matrix(ints)
     diag = hamiltonian_diagonal(ints)
 

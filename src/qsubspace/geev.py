@@ -143,7 +143,7 @@ def solve(prob: SubspaceProblem, eps: float | None = None) -> GEEVSolution:
     """Threshold, whiten, and solve the reduced Hermitian problem."""
     if eps is None:
         eps = default_threshold(prob)
-    if eps < 0:
+    if not eps >= 0:
         raise ValidationError("eps must be non-negative")
     w, v = prob.overlap_spectrum
     keep = w > eps

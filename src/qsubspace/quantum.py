@@ -894,7 +894,7 @@ def gaussian_power_build(
     """
     if n < 1:
         raise ValidationError("need at least one basis vector")
-    if tau < 0:
+    if not tau >= 0:
         raise ValidationError("tau must be non-negative")
     energies, weights = spectral_measure(ints, v0)
     e0 = float(weights @ energies)

@@ -3,8 +3,8 @@
 Expectation values are estimated by drawing computational-basis samples
 after a Clifford circuit that diagonalizes a commuting group, found from
 the x and z mask arrays of its strings alone: single-qubit basis changes
-where all its letters agree, batched as gather layers over bounded blocks
-of a job's groups, then, for a group that is not qubitwise, the CNOT and
+where all its letters agree, batched as gather layers over the groups of
+one sampling block, then, for a group that is not qubitwise, the CNOT and
 single-qubit gates of Gaussian elimination on its tableau.  Each string
 reads a signed parity of the outcome, so a group of m strings on n qubits
 becomes an outcome distribution and an (m, 2^n) +-1 value table V, with
@@ -19,7 +19,8 @@ are const + matrix @ expectations.  A recipe is frozen; per grouping mode
 its groups, their distributions and tables, and a sparse pair-weight
 matrix W (rows x the groups' m^2 covariance slots) are computed on first
 use and kept on it.  The distributions and tables sit in one stack per
-shape (m strings, 2^n outcomes), cut into blocks of bounded size.  A seed draws each group's
+shape (m strings, 2^n outcomes), cut into blocks of bounded size, each
+built in one batch from its groups' start states.  A seed draws each group's
 outcome counts c once, in its own stream, into its block's count rows;
 then per block the integer sums h = V c and G = V diag(c) V^T are one
 stacked product each, O(m^2 2^n) per group and exact in float64 below the
@@ -172,89 +173,57 @@ def _eliminate(amps: np.ndarray, x: np.ndarray, z: np.ndarray):
     return (zs.astype(np.uint64) << shift).sum(axis=1, dtype=np.uint64), sign
 
 
-def _group_block(amps: np.ndarray, x: np.ndarray, z: np.ndarray, px: np.ndarray,
-                 start: np.ndarray, probs: list, values: list):
-    """Fill in the outcome distributions probs[g] and value tables values[g]
-    of commuting groups x[start[g]:start[g + 1]] on normalized amplitudes.
-    A group turns the X/Y letters px on its pure qubits to Z one qubit at a
-    time, by first appearance and then index (Y-to-Z gate where the letter
-    is Y, else Hadamard).  Gate step s is one gather layer over the groups
-    with an s-th gate, stacked longest first: a qubit's amplitude pairs
-    (a0, a1) become (r a0 + g a1, r a0 - g a1), the einsum's products and
-    sums.  `_eliminate` clears the X parts left; string k then reads
+def _group_block(states: list, job: list, x: np.ndarray, z: np.ndarray):
+    """(probs, values) of g commuting groups of m strings each: (g, 2^n)
+    outcome distributions and (g, m, 2^n) int8 value tables.  Group r has
+    the masks x[r], z[r] and is measured on the normalized amplitudes
+    states[job[r]].  A qubit is pure in a group when every member with a
+    letter there has the same letter, X or Y; a qubitwise group has only
+    pure qubits and Z letters.  A group turns the letters on its pure
+    qubits to Z one qubit at a time, by first appearance and then index
+    (Y-to-Z gate where the letter is Y, else Hadamard).  Gate step s is one
+    gather layer over the groups with an s-th gate: a qubit's amplitude
+    pairs (a0, a1) become (r a0 + g a1, r a0 - g a1).  `_eliminate` clears
+    the X parts left; string k then reads
     (-1)^(sign_k + popcount(outcome & z_k))."""
-    nq, size, sizes = amps.size.bit_length() - 1, amps.size, np.diff(start)
-    bits = ((px[:, None] >> np.arange(nq, dtype=np.uint64)) & np.uint64(1)).astype(bool)
-    pos = np.arange(x.size) - np.repeat(start[:-1], sizes)
-    first = np.minimum.reduceat(np.where(bits, pos[:, None], x.size), start[:-1], axis=0)
-    qubits = np.argsort(first * nq + np.arange(nq), axis=1)  # gate order, untouched last
-    first = np.take_along_axis(first, qubits, axis=1)
-    letter = z[start[:-1, None] + np.minimum(first, sizes[:, None] - 1)]  # at first appearance
+    work = np.array([states[j] for j in job])
+    (g, m), size = x.shape, work.shape[1]
+    nq = size.bit_length() - 1
+    ox, oz = (np.bitwise_or.reduce(v, axis=1)[:, None] for v in (x, z))
+    # a member's letters that differ from the ones its group merges
+    clash = ((x ^ ox) | (z ^ oz)) & (x | z)
+    px = x & (ox & ~np.bitwise_or.reduce(clash, axis=1, keepdims=True))  # on pure qubits
+    bits = ((px[:, :, None] >> np.arange(nq, dtype=np.uint64)) & np.uint64(1)).astype(bool)
+    first = np.where(bits, np.arange(m)[:, None], m).min(axis=1)
+    key = np.sort(first * nq + np.arange(nq), axis=1)  # gate order, untouched last
+    qubits, first = key % nq, key // nq
+    letter = z[np.arange(g)[:, None], np.minimum(first, m - 1)]  # at first appearance
     gate = np.where((letter >> qubits.astype(np.uint64)) & np.uint64(1), _Y_TO_Z[0, 1],
                     _HADAMARD[0, 1])
-    count = (first < x.size).sum(axis=1)
-    rank = np.argsort(-count, kind="stable")
-    work, pair = np.repeat(amps[None], rank.size, axis=0), np.arange(size // 2)
-    low = np.array([(pair >> q << (q + 1)) | (pair & ((1 << q) - 1)) for q in range(nq)])
-    for step in range(int(count.max(initial=0))):
-        rows = rank[:np.count_nonzero(count > step)]
-        q, flat = qubits[rows, step], work[:rows.size].reshape(-1)
-        at = low[q] + size * np.arange(rows.size)[:, None]
-        partner = at + (1 << q)[:, None]
-        r, h = _HADAMARD[0, 0] * flat.take(at), gate[rows, step, None] * flat.take(partner)
+    count = (first < m).sum(axis=1)
+    rank = np.argsort(-count, kind="stable")  # longest first: step s runs on a prefix
+    qubits, gate, offset = qubits[rank], gate[rank], size * rank[:, None]
+    flat, pair, q = work.reshape(-1), np.arange(size // 2), np.arange(nq)[:, None]
+    low = (pair >> q << (q + 1)) | (pair & ((1 << q) - 1))
+    for step, k in enumerate((count > np.arange(count.max(initial=0))[:, None]).sum(axis=1)):
+        at = low[qubits[:k, step]] + offset[:k]
+        partner = at + (1 << qubits[:k, step, None])
+        r, h = _HADAMARD[0, 0] * flat.take(at), gate[:k, step, None] * flat.take(partner)
         flat[at], flat[partner] = r + h, r - h
-    row = np.argsort(rank)
-    zf, sign = z | px, np.zeros(x.size, bool)
-    for g in np.flatnonzero(np.bitwise_or.reduceat(x ^ px, start[:-1])):
-        lo, hi = start[g], start[g + 1]
-        zf[lo:hi], sign[lo:hi] = _eliminate(work[row[g]], x[lo:hi] ^ px[lo:hi], zf[lo:hi])
-    p = np.clip(np.abs(work) ** 2, 0.0, None)
-    p /= p.sum(axis=1, keepdims=True)
-    odd = _popcount(np.arange(size, dtype=np.uint64) & zf[:, None]) & 1
-    odd ^= sign[:, None]
-    v = 1 - 2 * odd.astype(np.int8)
-    for g, at in enumerate(row):
-        probs[g][:], values[g][:] = p[at], v[start[g]:start[g + 1]]
-
-
-# group models are built in blocks of about this many amplitudes and
-# value-table entries, and sampled in blocks of about this many float
-# temporaries
-_BLOCK = 1 << 15
-
-
-def _group_models(state: Statevector, x: np.ndarray, z: np.ndarray, groups: list,
-                  probs: list, values: list):
-    """Write the normalized outcome distribution of each group, an index
-    array into the masks x, z, into probs[g] and its (strings, outcomes)
-    int8 +-1 value table into values[g], built in blocks by `_group_block`.
-    A qubit is pure in a group when every member with a letter there has
-    the same letter, X or Y; a qubitwise group has only pure qubits and Z
-    letters.  The destinations are allocated by the caller, before the
-    blocks' temporaries, since they outlive them."""
-    amps = state.normalized().amplitudes
-    sizes = np.array([len(m) for m in groups], dtype=np.intp)
-    start, owner = np.cumsum(np.r_[0, sizes]), np.repeat(np.arange(sizes.size), sizes)
-    mx, mz = (v[np.concatenate([np.zeros(0, np.intp), *groups])] for v in (x, z))
-    ox, oz = (np.bitwise_or.reduceat(v, start[:-1]) for v in (mx, mz))
-    # a member's letters that differ from the ones its group merges
-    clash = ((mx ^ ox[owner]) | (mz ^ oz[owner])) & (mx | mz)
-    px = mx & (ox & ~np.bitwise_or.reduceat(clash, start[:-1]))[owner]  # on pure qubits
-    cost = np.cumsum((1 + sizes) * amps.size)
-    cuts = np.r_[0, np.flatnonzero(np.diff(cost // _BLOCK)) + 1, sizes.size]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi > lo:
-            rows = slice(start[lo], start[hi])
-            _group_block(amps, mx[rows], mz[rows], px[rows], start[lo:hi + 1] - start[lo],
-                         probs[lo:hi], values[lo:hi])
+    zf, sign = z | px, np.zeros((g, m), bool)
+    for r in np.flatnonzero((x ^ px).any(axis=1)):
+        zf[r], sign[r] = _eliminate(work[r], x[r] ^ px[r], zf[r])
+    probs = np.clip(np.abs(work) ** 2, 0.0, None)
+    probs /= probs.sum(axis=1, keepdims=True)
+    odd = _popcount(np.arange(size, dtype=np.uint64) & zf[:, :, None]) & 1
+    odd ^= sign[:, :, None]
+    return probs, 1 - 2 * odd.astype(np.int8)
 
 
 def _group_model(state: Statevector, x: np.ndarray, z: np.ndarray):
     """(probabilities, value table) of the one group of all strings x, z."""
-    size = state.amplitudes.size
-    probs, values = np.empty(size), np.empty((x.size, size), np.int8)
-    _group_models(state, x, z, [np.arange(x.size)], [probs], [values])
-    return probs, values
+    probs, values = _group_block([state.normalized().amplitudes], [0], x[None], z[None])
+    return probs[0], values[0]
 
 
 def _draw(stream, index: int, n: int, probs: np.ndarray) -> np.ndarray:
@@ -288,7 +257,7 @@ def _moments(stream, index: list, shots: np.ndarray, probs: np.ndarray, values: 
 
 def sample_group(state, group, n_shots: int, seed: int, group_index: int = 0):
     """Joint measurement of one commuting group, qubitwise or not, after its
-    diagonalizing Clifford circuit (see `_group_models`).  All strings are
+    diagonalizing Clifford circuit (see `_group_block`).  All strings are
     read off the same n_shots samples, so the estimates are correlated
     exactly as they would be on hardware.  Accepts bare PauliStrings or
     (coefficient, PauliString) pairs; the coefficients are ignored.  A
@@ -421,32 +390,30 @@ class _Compiled:
     weights: tuple | None = None
 
 
+# a block holds _BLOCK // ((1 + 2m) 2^n) groups of m strings over 2^n
+# outcomes, at least one, so its float temporaries (a count row and two
+# float copies of each value table while sampled, fewer while built) hold
+# about this many entries
+_BLOCK = 1 << 15
+
+
 def _tables(recipe: ExpectationRecipe, groups: tuple, cols: list):
-    """The groups as one stack per shape (m, 2^n), allocated block by
-    block, so no array is much larger than a block's temporaries.  The
-    blocks are allocated first, then each job's group models are one batch
-    written into them."""
+    """The groups as one stack per shape (m, 2^n), cut into blocks, each
+    built by one `_group_block` call, so no array is much larger than a
+    block's temporaries."""
+    states = [job.state.normalized().amplitudes for job in recipe.jobs]
+    x, z = (np.concatenate([getattr(job.strings, a) for job in recipe.jobs]) for a in "xz")
     shapes = {}
     for f, g in enumerate(groups):
-        size = recipe.jobs[g.job].state.amplitudes.size
-        shapes.setdefault((cols[f].size, size), []).append(f)
-    blocks, probs, values = [], [None] * len(groups), [None] * len(groups)
+        shapes.setdefault((cols[f].size, states[g.job].size), []).append(f)
+    blocks = []
     for (m, size), picked in shapes.items():
-        # sampling a block keeps its counts and two float copies of its
-        # value tables, about _BLOCK entries in all
         step = max(1, _BLOCK // ((1 + 2 * m) * size))
         for lo in range(0, len(picked), step):
             rows = picked[lo:lo + step]
-            block = _Block(np.array(rows, dtype=np.intp), np.array([cols[f] for f in rows]),
-                           np.empty((len(rows), size)), np.empty((len(rows), m, size), np.int8))
-            for f, p, v in zip(rows, block.probs, block.values):
-                probs[f], values[f] = p, v
-            blocks.append(block)
-    for j, job in enumerate(recipe.jobs):
-        picked = [f for f, g in enumerate(groups) if g.job == j]
-        _group_models(job.state, job.strings.x, job.strings.z,
-                      [cols[f] - recipe._offsets[j] for f in picked],
-                      [probs[f] for f in picked], [values[f] for f in picked])
+            c = np.array([cols[f] for f in rows])
+            models = _group_block(states, [groups[f].job for f in rows], x[c], z[c])
+            blocks.append(_Block(np.array(rows, dtype=np.intp), c, *models))
     return tuple(blocks)
 
 
@@ -517,20 +484,16 @@ def _pair_weights(matrix: scipy.sparse.csr_array, cols: list, slots: np.ndarray)
     return tuple(blocks)
 
 
-def _sample(recipe: ExpectationRecipe, compiled: _Compiled, counts, seed: int, first: int = 0,
-            of_means: bool = False):
+def _sample(recipe: ExpectationRecipe, compiled: _Compiled, counts, seed: int, first: int = 0):
     """String means in recipe column order and the flat single-shot
-    covariances of the groups, or with of_means those of their means
-    (divided by the shots), group f from counts[f] shots drawn in stream
-    (seed, first + f), one block at a time."""
+    covariances of the groups, group f from counts[f] shots drawn in
+    stream (seed, first + f), one block at a time."""
     stream, slots = _streams(seed), compiled.slots
     means, cov = np.zeros(recipe.matrix.shape[1]), np.zeros(int(slots[-1]))
     for block in compiled.tables:
         groups = block.groups.tolist()
         n = np.array([counts[f] for f in groups])
         mean, c = _moments(stream, [first + f for f in groups], n, block.probs, block.values)
-        if of_means:
-            c /= n[:, None, None]
         means[block.cols] = mean
         cov[slots[block.groups, None] + np.arange(c[0].size)] = c.reshape(len(c), -1)
         del mean, c  # not kept while the next block is sampled
@@ -620,7 +583,8 @@ def noisy_subspace(recipe: ExpectationRecipe, plan: ShotPlan) -> SubspaceProblem
     if len(compiled.groups) != len(plan.counts):
         raise ValidationError(
             f"plan has {len(plan.counts)} counts for {len(compiled.groups)} groups")
-    means, cov = _sample(recipe, compiled, plan.counts, plan.seed, of_means=True)
+    means, cov = _sample(recipe, compiled, plan.counts, plan.seed)
+    cov /= np.repeat(np.array(plan.counts, dtype=float), np.diff(compiled.slots))
     values = recipe.const + recipe.matrix @ means
     var = np.concatenate([np.zeros(0), *(block @ cov for block in compiled.weights)])
     prob = _assemble(recipe, values, np.sqrt(np.maximum(var, 0.0)))

@@ -431,6 +431,12 @@ def test_davidson_converges_when_the_root_is_poorly_separated():
     assert result.num_iterations < 180  # real margin below max_iter
 
 
+@pytest.mark.parametrize("tol", [0.0, math.nan])
+def test_davidson_tolerance_must_be_positive(h2, tol):
+    with pytest.raises(ValidationError, match="tol"):
+        davidson(h2, tol=tol)
+
+
 def test_davidson_domain_and_convergence_errors(h2, h4_toy):
     with pytest.raises(ValidationError):
         davidson(h2, k=5)

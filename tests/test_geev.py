@@ -96,6 +96,12 @@ def test_empty_subspace_raises():
         solve(prob, eps=1.0)
 
 
+@pytest.mark.parametrize("eps", [-1e-12, math.nan])
+def test_threshold_must_be_a_non_negative_number(eps):
+    with pytest.raises(ValidationError, match="eps"):
+        solve(SubspaceProblem(np.eye(3), np.eye(3)), eps)
+
+
 def test_validation_and_psd_guard():
     with pytest.raises(ValidationError):
         SubspaceProblem(np.eye(3), np.eye(4))

@@ -1037,6 +1037,11 @@ class TestGaussianPower:
         bound = ((n - 1) / (math.e * tau**2)) ** ((n - 1) / 2)
         assert prob.provenance["basis_norms"][-1] <= bound + 1e-12
 
+    @pytest.mark.parametrize("tau", [-0.5, math.nan])
+    def test_width_must_be_a_non_negative_number(self, h2, tau):
+        with pytest.raises(ValidationError, match="tau"):
+            gaussian_power_build(random_vector(h2, 7), h2, 3, tau)
+
     def test_default_shift_is_rayleigh(self, h2):
         v0 = random_vector(h2, 7)
         ray = float(

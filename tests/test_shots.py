@@ -486,9 +486,9 @@ class TestRecipes:
 def checked_recipe(name):
     method, fixture = name.split()
     ints = load_integrals(fixture)
-    if method == "qfd":
+    if method in ("qfd", "qfd-trotter"):
         v0 = basis_vector(ints.sector, reference_configuration(ints))
-        return qfd_recipe(v0, ints, QfdGrid(dt=0.4, n=4))
+        return qfd_recipe(v0, ints, QfdGrid(dt=0.4, n=4, backend=method[4:] or "exact"))
     return qse_recipe(hf_statevector(ints), ints, level=method.removeprefix("qse-"))
 
 
@@ -617,25 +617,29 @@ class TestCompiledRecipe:
         assert groups == alone
 
     @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
-    @pytest.mark.parametrize("method", ["qse-S", "qfd"])
+    @pytest.mark.parametrize("method", ["qse-S", "qfd", "qfd-trotter"])
     def test_group_models_equal_the_per_group_oracle(self, method, fixture):
-        # every group model of a job is built in one batch; a qubitwise one
-        # must be the one-group einsum rotation bit for bit, any other must
+        # the group models of a block are built together, yet each must be
+        # its group's model built alone, bit for bit; a qubitwise one must
+        # also be the one-group einsum rotation bit for bit, any other must
         # give each string's exact expectation
         recipe = checked_recipe(f"{method} {fixture}")
         exact = []
         for job in recipe.jobs:
             s = job.state.normalized()
             exact.append(np.array([inner(s, apply_pauli(p, s)).real for p in job.strings.strings]))
-        checked = {"qubitwise": 0, "mixed": 0}
+        checked = {"qubitwise": 0, "mixed": 0, "shared": 0}
         for mode in ("qubitwise", "full"):
             compiled = shots._compile(recipe, mode)
             tables = [row for block in compiled.tables
                       for row in zip(block.groups, block.probs, block.values)]
+            checked["shared"] += sum(b.groups.size for b in compiled.tables if b.groups.size > 1)
             for f, table_probs, table_values in tables:
                 g = compiled.groups[f]
                 job, m = recipe.jobs[g.job], list(g.members)
                 x, z = job.strings.x[m], job.strings.z[m]
+                probs, values = shots._group_model(job.state, x, z)
+                assert same_bits(table_probs, probs) and same_bits(table_values, values)
                 if ((x[:, None] & z) ^ (z[:, None] & x)).any():
                     assert np.all(np.abs(table_values @ table_probs - exact[g.job][m]) <= 1e-12)
                     checked["mixed"] += 1
@@ -645,6 +649,7 @@ class TestCompiledRecipe:
                 checked["qubitwise"] += 1
         assert checked["qubitwise"] > 0
         assert checked["mixed"] > 0 or fixture == "he_minimal"
+        assert checked["shared"] > 0 or (method, fixture) == ("qse-S", "he_minimal")
 
     @pytest.mark.parametrize(
         "name, before, slack",
@@ -654,9 +659,9 @@ class TestCompiledRecipe:
         # tracemalloc peak of compiling the recipe in a fresh interpreter;
         # `before` is the lowest of three peaks measured before the qubitwise
         # group models were built in batches.  The qfd recipe keeps only
-        # 4.5 MB, so an oversized batch shows: one batch per job raised its
-        # peak by 3.3 MB.  Its slack covers the few KiB by which the array
-        # headers the tables keep may differ.
+        # 4.5 MB, so an oversized batch shows: building all of a job's groups
+        # in one batch raised its peak by 3.3 MB.  Its slack covers the few
+        # KiB by which the array headers the tables keep may differ.
         root = pathlib.Path(__file__).resolve().parent.parent
         code = textwrap.dedent(f"""
             import sys, tracemalloc
