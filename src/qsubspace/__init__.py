@@ -2,7 +2,7 @@
 
 Subpackages are organized by representation:
 
-  integrals   molecular integral containers, FCIDUMP I/O, active space, ERI Cholesky
+  integrals   molecular integral containers, FCIDUMP I/O, ERI Cholesky
   fock        configuration bases, sparse Hamiltonians, exact spectra and propagators
   qubits      Pauli algebra, Jordan-Wigner images, commutation grouping
   engine      statevector simulation, string-space Trotter steps

@@ -15,17 +15,20 @@ on the full register.
 The sparse sector Hamiltonian is built string-driven (Knowles & Handy 1984;
 Olsen et al. 1988). _replacements tabulates once per (m, k) every single
 replacement i -> a and same-spin double (i<j) -> (a<b) of every k-electron
-spin string: source and target ranks, orbitals and sign. The up-spin count
-cancels from every sign, so couplings take products of per-spin signs, and
-every block (diagonal, singles, same-spin doubles broadcast over the other
-spin, opposite-spin doubles as the outer product of the two single tables)
-is one array expression; no loop runs over determinants. Doubles that are
-exactly zero are dropped. The build is capped at 12,000,000 stored entries,
-counted from the table lengths before anything is allocated (m = 9 (4,4)
-stores 8.9M; m = 10 (4,4) would store 35.5M). Dense spectra and propagators
-are capped at dimension 4096. string_operator reads one spin's block of a
-spin-free one-body operator off the same singles table; engine's Trotter
-step exponentiates it.
+spin string: source and target ranks, orbitals, sign and reverse row. The
+up-spin count cancels from every sign, so couplings take products of
+per-spin signs, and every block (diagonal, singles, same-spin doubles
+broadcast over the other spin, opposite-spin doubles as the outer product
+of the two single tables) is one array expression, symmetrized with the
+reverse rows where it is computed; no loop runs over determinants. A
+double that is exactly zero, with its reverse, is dropped. The CSR pattern
+is cached per sector and zero pattern: a geometry scan sorts once, and each
+later build is one gather. The build is capped at 12,000,000 candidate
+entries, counted from the table lengths before anything is allocated
+(m = 9 (4,4) stores 8.9M; m = 10 (4,4) would store 35.5M).
+Dense spectra and propagators are capped at dimension 4096. string_operator
+reads one spin's block of a spin-free one-body operator off the same
+singles table; engine's Trotter step exponentiates it.
 
 The dense eigensystem takes one eigh per spin-flip block. When n_up =
 n_down, swapping the two spin strings P (the transpose of the (down, up)
@@ -243,13 +246,15 @@ def apply_ladders(modes, create: tuple, sector: tuple, amplitudes: np.ndarray):
 class _Replacements(NamedTuple):
     """Every replacement of `order` occupied orbitals of every k-electron
     spin string, one row each: source and target string ranks, holes i < j,
-    particles a < b, and the sign of a_a^+ a_i or a_a^+ a_b^+ a_j a_i."""
+    particles a < b, the sign of a_a^+ a_i or a_a^+ a_b^+ a_j a_i, and rev,
+    the adjoint row (target to source, holes and particles swapped, one sign)."""
 
     src: np.ndarray
     tgt: np.ndarray
     holes: np.ndarray
     particles: np.ndarray
     sign: np.ndarray
+    rev: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -269,7 +274,10 @@ def _replacements(m: int, k: int, order: int) -> _Replacements:
         sign *= _ladder_sign(word, mode)
         word = word ^ (np.int64(1) << mode)
     rank = np.searchsorted(words, word).astype(np.int32)  # < C(32, 16) < 2^31
-    table = _Replacements(src.astype(np.int32), rank, holes, particles, sign)
+    # rows ascend in (src, hole, particle); the reverse row swaps all three
+    n = len(combos)
+    rev = np.searchsorted((src * n + hole) * n + particle, (rank * n + particle) * n + hole)
+    table = _Replacements(src.astype(np.int32), rank, holes, particles, sign, rev.astype(np.int32))
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -289,7 +297,7 @@ def string_operator(mat: np.ndarray, k: int) -> np.ndarray:
 
 
 def _entry_count(m: int, n_up: int, n_down: int) -> int:
-    """Entries the sector build stores before it drops zero doubles:
+    """Candidate entries of the sector build, the set its keep masks filter:
     dim + n_down L_up + n_up L_down + n_down D_up + n_up D_down + L_up L_down,
     where n counts a spin's strings, L its singles and D its doubles."""
     n_u, n_d = math.comb(m, n_up), math.comb(m, n_down)
@@ -299,8 +307,50 @@ def _entry_count(m: int, n_up: int, n_down: int) -> int:
     return n_u * n_d + n_d * (l_u + d_u) + n_u * (l_d + d_d) + l_u * l_d
 
 
-def _sector_entries(ints: MolecularIntegrals, sector: tuple):
-    """The sector Hamiltonian's entries, one block per excitation class."""
+_PATTERNS = 4  # CSR patterns kept, least recently used dropped first
+
+
+@lru_cache(maxsize=_PATTERNS)
+def _pattern(sector: tuple, masks: bytes) -> tuple:
+    """CSR indices, indptr and the order that gathers build-order values into
+    them (int32, read-only), for the keep masks of the up, down and
+    opposite-spin doubles packed in masks. No integral value enters."""
+    m, *counts = sector
+    n_ups, dim = math.comb(m, counts[0]), sector_dimension(*sector)
+    (up, down), doubles = ([_replacements(m, k, order) for k in counts] for order in (1, 2))
+    ends = np.cumsum([doubles[0].src.size, doubles[1].src.size, up.src.size * down.src.size])
+    keep = np.unpackbits(np.frombuffer(masks, np.uint8), count=ends[2]).view(bool)
+    *same, pairs = np.split(keep, ends[:2])
+    rows, cols = [np.arange(dim, dtype=np.int32)], [np.arange(dim, dtype=np.int32)]
+    for spin, (t, d, kept) in enumerate(zip((up, down), doubles, same)):
+        other = np.arange(math.comb(m, counts[1 - spin]), dtype=np.int32)[:, None]
+        for src, tgt in ((t.src, t.tgt), (d.src[kept], d.tgt[kept])):
+            for out, rank in ((rows, tgt), (cols, src)):
+                out.append((rank * n_ups + other if spin else other * n_ups + rank).ravel())
+    p, q = np.divmod(np.flatnonzero(pairs), down.src.size)
+    rows.append(down.tgt[q] * n_ups + up.tgt[p])
+    cols.append(down.src[q] * n_ups + up.src[p])
+    del p, q
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # the CSR conversion sorts each entry's int32 build position along with it
+    position = np.arange(rows.size, dtype=np.int32)
+    found = scipy.sparse.coo_matrix((position, (rows, cols)), shape=(dim, dim)).tocsr()
+    for arr in (found.indices, found.indptr, found.data):
+        arr.setflags(write=False)
+    return found.indices, found.indptr, found.data
+
+
+@cached_per_integrals
+def _sector_matrix(ints: MolecularIntegrals, sector: tuple):
+    """Sparse CSR Hamiltonian on the sector basis (real symmetric). Each
+    block is symmetrized where it is computed, sign * (v + v[rev]) (d + d on
+    the diagonal): the bits of a sparse mat + mat.T of the raw entries, as
+    IEEE addition commutes. A double is kept when it or its reverse is
+    nonzero; sums of exactly 0 are dropped, as a sparse sum drops them, and
+    the rest halved. The CSR structure is _pattern's, shared read-only."""
+    entries = _entry_count(*sector)
+    if entries > _ENTRY_CAP:
+        raise CapacityError(f"sector {sector} stores {entries} entries > {_ENTRY_CAP}")
     m, *counts = sector
     h, g = ints.one_body, ints.two_body
     jmat, kmat = np.einsum("ppqq->pq", g), np.einsum("pqqp->pq", g)
@@ -308,18 +358,6 @@ def _sector_entries(ints: MolecularIntegrals, sector: tuple):
     bits = np.arange(m)
     occ = [((_spin_words(m, k)[:, None] >> bits) & 1).astype(float) for k in counts]
     n_ups = len(occ[0])
-    rows, cols, vals = [], [], []
-
-    def spin_block(spin, src, tgt, values):
-        """One spin's replacements on every string of the other spin;
-        values has the other spin's strings on its first axis."""
-        other = np.arange(len(occ[1 - spin]), dtype=np.int32)[:, None]
-        if spin:
-            block = (tgt * n_ups + other, src * n_ups + other, values)
-        else:
-            block = (other * n_ups + tgt, other * n_ups + src, values)
-        for out, arr in zip((rows, cols, vals), np.broadcast_arrays(*block)):
-            out.append(arr.ravel())
 
     # diagonal: index = down rank * n_ups + up rank
     ntot = (occ[1][:, None, :] + occ[0][None, :, :]).reshape(-1, m)
@@ -327,9 +365,7 @@ def _sector_entries(ints: MolecularIntegrals, sector: tuple):
     coulomb = ((ntot @ jmat) * ntot).sum(1).reshape(-1, n_ups)
     diag = ints.e_nuc + ntot @ np.diag(h)
     diag += 0.5 * (coulomb - spin_k[0][None, :] - spin_k[1][:, None]).ravel()
-    rows.append(np.arange(diag.size, dtype=np.int32))
-    cols.append(rows[0])
-    vals.append(diag)
+    sums, keeps = [diag + diag], []
 
     singles = [_replacements(m, k, 1) for k in counts]
     for spin, t in enumerate(singles):
@@ -341,38 +377,42 @@ def _sector_entries(ints: MolecularIntegrals, sector: tuple):
         for p in range(m):
             coul = coul + gj[a, i, p] * (spect[:, p] + occ[1 - spin][:, p, None])
             exch = exch + gk[a, i, p] * spect[:, p]
-        spin_block(spin, t.src, t.tgt, t.sign * (h[a, i] + (coul - exch)))
+        val = h[a, i] + (coul - exch)  # other spin's strings on the first axis
+        sums.append((t.sign * (val + val[:, t.rev])).ravel())
 
         d = _replacements(m, counts[spin], 2)
         (i, j), (a, b) = d.holes.T, d.particles.T
         val = g[a, i, b, j] - g[a, j, b, i]
         keep = val != 0.0
-        spin_block(spin, d.src[keep], d.tgt[keep], (d.sign * val)[keep])
+        keep |= keep[d.rev]
+        keeps.append(keep)
+        sums.append(np.tile((d.sign * (val + val[d.rev]))[keep], len(occ[1 - spin])))
 
     # opposite-spin doubles: one up and one down single at once
     up, down = singles
-    i, a, j, b = up.holes, up.particles, down.holes[:, 0], down.particles[:, 0]
-    val = g[a, i, b, j]
-    p, q = np.nonzero(val)
-    rows.append(down.tgt[q] * n_ups + up.tgt[p])
-    cols.append(down.src[q] * n_ups + up.src[p])
-    vals.append(up.sign[p] * down.sign[q] * val[p, q])
+    gpair = g.reshape(m * m, m * m)  # val[p, q] = g[a_p, i_p, b_q, j_q]
+    ai, bj = (t.particles[:, 0] * m + t.holes[:, 0] for t in singles)
+    val = gpair[ai][:, bj]
+    keep = val != 0.0
+    keep |= keep[up.rev][:, down.rev]
+    keeps.append(keep.ravel())
+    val += gpair[ai[up.rev]][:, bj[down.rev]]
+    val *= up.sign[:, None]
+    val *= down.sign
+    sums.append(val[keep])
+    del val
 
-    return scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(diag.size, diag.size),
-    )
-
-
-@cached_per_integrals
-def _sector_matrix(ints: MolecularIntegrals, sector: tuple):
-    """Sparse CSR Hamiltonian on the sector basis (real symmetric)."""
-    entries = _entry_count(*sector)
-    if entries > _ENTRY_CAP:
-        raise CapacityError(f"sector {sector} stores {entries} entries > {_ENTRY_CAP}")
-    mat = _sector_entries(ints, sector).tocsr()
-    # element formulas are symmetric; average away summation-order roundoff
-    return (mat + mat.T) * 0.5
+    indices, indptr, order = _pattern(sector, np.packbits(np.concatenate(keeps)).tobytes())
+    sums = np.concatenate(sums)  # frees the blocks
+    data = sums[order]
+    kept = data != 0.0
+    if not kept.all():
+        indptr = np.insert(np.cumsum(kept, dtype=np.int32), 0, 0)[indptr]
+        indices, data = indices[kept], data[kept]
+    data *= 0.5
+    mat = scipy.sparse.csr_matrix((data, indices, indptr), shape=(diag.size, diag.size))
+    mat.has_canonical_format = True  # so scipy never sorts the shared indices
+    return mat
 
 
 def sector_matrix(ints: MolecularIntegrals) -> scipy.sparse.csr_matrix:
@@ -475,7 +515,7 @@ def _eigensystem(ints: MolecularIntegrals):
     if len(blocks) == 1:  # the block is the matrix itself
         vals, vecs = np.linalg.eigh(mat.toarray())
         return vals, np.asfortranarray(vecs)
-    rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
+    rows = np.repeat(np.arange(dim, dtype=np.int32), np.diff(mat.indptr))
     found = (Future(), Future())
     odd = _FLIP_WORKER.submit(_solve_block, mat, rows, blocks, 1, found)
     try:

@@ -226,49 +226,6 @@ def serialize_fcidump(ints: MolecularIntegrals) -> str:
     return "\n".join(out) + "\n"
 
 
-def restrict_active_space(ints, core, active) -> MolecularIntegrals:
-    """Fold doubly occupied core orbitals into constants and keep `active`.
-
-    Core orbitals contribute e_core = 2 sum_i h_ii + sum_ij [2(ii|jj)-(ij|ji)]
-    plus a mean-field shift of the active one-body block; orbitals in neither
-    list are discarded along with their (empty) occupations.
-    """
-    core = list(core)
-    active = list(active)
-    m = ints.num_orbitals
-    both = core + active
-    if len(set(both)) != len(both):
-        raise ValidationError("core and active lists overlap or repeat")
-    if both and not all(0 <= p < m for p in both):
-        raise ValidationError(f"orbital indices must lie in 0..{m - 1}")
-    if not active:
-        raise ValidationError("active space is empty")
-    ncore = len(core)
-    new_up = ints.num_up - ncore
-    new_down = ints.num_down - ncore
-    if min(new_up, new_down) < 0:
-        raise ValidationError("core orbitals exceed electron pairs")
-    if max(new_up, new_down) > len(active):
-        raise ValidationError("active space too small for remaining electrons")
-
-    h = ints.one_body
-    g = ints.two_body
-    e_core = ints.e_nuc
-    for i in core:
-        e_core += 2.0 * h[i, i]
-        for j in core:
-            e_core += 2.0 * g[i, i, j, j] - g[i, j, j, i]
-    h_eff = h[np.ix_(active, active)].copy()
-    for a, t in enumerate(active):
-        for b, u in enumerate(active):
-            for i in core:
-                h_eff[a, b] += 2.0 * g[t, u, i, i] - g[t, i, i, u]
-    g_act = g[np.ix_(active, active, active, active)]
-    return MolecularIntegrals(
-        len(active), new_up, new_down, e_core, h_eff, g_act
-    )
-
-
 @dataclass(frozen=True)
 class CholeskyFactors:
     """Symmetric factors L^g with (pr|qs)/2 = sum_g L^g_pr L^g_qs."""

@@ -1,7 +1,8 @@
 """Independent dense-algebra oracles used to derive test expectations.
 
 Everything here is built from first principles with dense numpy/scipy
-routines and deliberately shares no code with src/qsubspace. The package
+routines and deliberately shares no code with src/qsubspace, apart from
+two references moved out of it (at the end of the file). The package
 implements sparse Slater-Condon assembly, bit-twiddled Pauli algebra, and
 statevector kernels; the oracles build the same objects as explicit dense
 matrices on the full Fock space, so any convention slip shows up as a
@@ -23,6 +24,11 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+
+from qsubspace.errors import ValidationError
+from qsubspace.fock import _replacements, _spin_words
+from qsubspace.integrals import MolecularIntegrals
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +286,125 @@ def reference_qite_step(amplitudes: np.ndarray, ham, pool, delta_tau: float):
     h2 = float(np.vdot(hphi, hphi).real)
     factor = math.sqrt(max(1.0 - 2.0 * delta_tau * e_old + 2.0 * delta_tau**2 * h2, 0.0))
     return amp, e_new, factor
+
+
+# ---------------------------------------------------------------------------
+# references moved out of the package: the sector matrix assembled as a COO
+# and symmetrized by a sparse sum (the build before its cached CSR pattern),
+# and the frozen-core active-space restriction. They read the package's
+# replacement tables and integral container.
+
+
+def _sector_entries(ints, sector: tuple):
+    """The sector Hamiltonian's entries, one block per excitation class."""
+    m, *counts = sector
+    h, g = ints.one_body, ints.two_body
+    jmat, kmat = np.einsum("ppqq->pq", g), np.einsum("pqqp->pq", g)
+    gj, gk = np.einsum("aiqq->aiq", g), np.einsum("aqqi->aiq", g)
+    bits = np.arange(m)
+    occ = [((_spin_words(m, k)[:, None] >> bits) & 1).astype(float) for k in counts]
+    n_ups = len(occ[0])
+    rows, cols, vals = [], [], []
+
+    def spin_block(spin, src, tgt, values):
+        """One spin's replacements on every string of the other spin;
+        values has the other spin's strings on its first axis."""
+        other = np.arange(len(occ[1 - spin]), dtype=np.int32)[:, None]
+        if spin:
+            block = (tgt * n_ups + other, src * n_ups + other, values)
+        else:
+            block = (other * n_ups + tgt, other * n_ups + src, values)
+        for out, arr in zip((rows, cols, vals), np.broadcast_arrays(*block)):
+            out.append(arr.ravel())
+
+    # diagonal: index = down rank * n_ups + up rank
+    ntot = (occ[1][:, None, :] + occ[0][None, :, :]).reshape(-1, m)
+    spin_k = [((o @ kmat) * o).sum(1) for o in occ]
+    coulomb = ((ntot @ jmat) * ntot).sum(1).reshape(-1, n_ups)
+    diag = ints.e_nuc + ntot @ np.diag(h)
+    diag += 0.5 * (coulomb - spin_k[0][None, :] - spin_k[1][:, None]).ravel()
+    rows.append(np.arange(diag.size, dtype=np.int32))
+    cols.append(rows[0])
+    vals.append(diag)
+
+    singles = [_replacements(m, k, 1) for k in counts]
+    for spin, t in enumerate(singles):
+        # spectators: the source string minus the hole, plus the other spin;
+        # sums run in orbital order, like a per-determinant dot product
+        i, a = t.holes[:, 0], t.particles[:, 0]
+        spect = occ[spin][t.src] - (bits == i[:, None])
+        coul = exch = 0.0
+        for p in range(m):
+            coul = coul + gj[a, i, p] * (spect[:, p] + occ[1 - spin][:, p, None])
+            exch = exch + gk[a, i, p] * spect[:, p]
+        spin_block(spin, t.src, t.tgt, t.sign * (h[a, i] + (coul - exch)))
+
+        d = _replacements(m, counts[spin], 2)
+        (i, j), (a, b) = d.holes.T, d.particles.T
+        val = g[a, i, b, j] - g[a, j, b, i]
+        keep = val != 0.0
+        spin_block(spin, d.src[keep], d.tgt[keep], (d.sign * val)[keep])
+
+    # opposite-spin doubles: one up and one down single at once
+    up, down = singles
+    i, a, j, b = up.holes, up.particles, down.holes[:, 0], down.particles[:, 0]
+    val = g[a, i, b, j]
+    p, q = np.nonzero(val)
+    rows.append(down.tgt[q] * n_ups + up.tgt[p])
+    cols.append(down.src[q] * n_ups + up.src[p])
+    vals.append(up.sign[p] * down.sign[q] * val[p, q])
+
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(diag.size, diag.size),
+    )
+
+
+def sector_matrix_reference(ints) -> scipy.sparse.csr_matrix:
+    """The sector matrix as the COO build made it: every block's raw
+    entries, converted to CSR and averaged with their transpose."""
+    mat = _sector_entries(ints, ints.sector).tocsr()
+    return (mat + mat.T) * 0.5
+
+
+def restrict_active_space(ints, core, active) -> MolecularIntegrals:
+    """Fold doubly occupied core orbitals into constants and keep `active`.
+
+    Core orbitals contribute e_core = 2 sum_i h_ii + sum_ij [2(ii|jj)-(ij|ji)]
+    plus a mean-field shift of the active one-body block; orbitals in neither
+    list are discarded along with their (empty) occupations.
+    """
+    core = list(core)
+    active = list(active)
+    m = ints.num_orbitals
+    both = core + active
+    if len(set(both)) != len(both):
+        raise ValidationError("core and active lists overlap or repeat")
+    if both and not all(0 <= p < m for p in both):
+        raise ValidationError(f"orbital indices must lie in 0..{m - 1}")
+    if not active:
+        raise ValidationError("active space is empty")
+    ncore = len(core)
+    new_up = ints.num_up - ncore
+    new_down = ints.num_down - ncore
+    if min(new_up, new_down) < 0:
+        raise ValidationError("core orbitals exceed electron pairs")
+    if max(new_up, new_down) > len(active):
+        raise ValidationError("active space too small for remaining electrons")
+
+    h = ints.one_body
+    g = ints.two_body
+    e_core = ints.e_nuc
+    for i in core:
+        e_core += 2.0 * h[i, i]
+        for j in core:
+            e_core += 2.0 * g[i, i, j, j] - g[i, j, j, i]
+    h_eff = h[np.ix_(active, active)].copy()
+    for a, t in enumerate(active):
+        for b, u in enumerate(active):
+            for i in core:
+                h_eff[a, b] += 2.0 * g[t, u, i, i] - g[t, i, i, u]
+    g_act = g[np.ix_(active, active, active, active)]
+    return MolecularIntegrals(
+        len(active), new_up, new_down, e_core, h_eff, g_act
+    )

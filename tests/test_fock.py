@@ -5,8 +5,11 @@ import gc
 import itertools
 import math
 import os
+import pathlib
 import signal
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -27,7 +30,6 @@ from qsubspace.fock import (
     _flip_blocks,
     _entry_count,
     _replacements,
-    _sector_entries,
     _spin_words,
     Configuration,
     FockVector,
@@ -238,10 +240,46 @@ def test_exact_zero_doubles_are_dropped():
     np.testing.assert_array_equal(ours.indptr, ref.indptr)
     np.testing.assert_array_equal(ours.indices, ref.indices)
     np.testing.assert_allclose(ours.data, ref.data, rtol=0, atol=1e-13)
-    # the symmetrizing sum drops zeros anyway; the build must not store them
-    entries = _sector_entries(ints, ints.sector)
-    assert entries.nnz < _entry_count(*ints.sector)
-    assert not np.any(entries.data == 0.0)
+    # zero doubles are not candidates, and no stored entry is 0.0
+    assert ours.nnz < _entry_count(*ints.sector)
+    assert not np.any(ours.data == 0.0)
+
+
+def _repeat_build_peak(first: str, second: str) -> int:
+    """tracemalloc peak of building `second` in a fresh interpreter, after a
+    first build of `first`, which has the same sector and zeros."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = textwrap.dedent(f"""
+        import sys, tracemalloc
+        sys.path[:0] = [{str(root / "src")!r}, {str(root / "tests")!r}]
+        from conftest import random_integrals, scan_integrals
+        from qsubspace.fock import sector_matrix
+        from qsubspace.integrals import MolecularIntegrals
+        first = {first}
+        sector_matrix(first)
+        second = {second}
+        tracemalloc.start()
+        sector_matrix(second)
+        print(tracemalloc.get_traced_memory()[1])
+    """)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    return int(run.stdout)
+
+
+def test_a_repeat_build_keeps_the_dense_peak():
+    # the COO build peaked at 12.5 MB on the scan molecule, m = 7 (3,3)
+    assert _repeat_build_peak("scan_integrals(1.0)", "scan_integrals(1.2)") <= 12_500_000
+
+
+def test_a_repeat_build_keeps_the_sparse_peak():
+    # the COO build peaked at 2.74 MB here; symmetrizing the opposite-spin
+    # doubles may hold one more (L_up, L_down) = (420, 420) float array
+    peak = _repeat_build_peak(
+        "random_integrals(7, 3, 3, seed=13, zero_share=0.5)",
+        "MolecularIntegrals(7, 3, 3, 0.7, 1.25 * first.one_body, 1.25 * first.two_body)",
+    )
+    assert peak <= 2_740_000 + 420 * 420 * 8
 
 
 @pytest.mark.parametrize("name", ["h2_sto3g", "h2_stretched"])
@@ -252,6 +290,92 @@ def test_sector_matrix_is_bit_identical_on_h2(name):
     assert np.array_equal(ours.indptr, ref.indptr)
     assert np.array_equal(ours.indices, ref.indices)
     assert ours.data.tobytes() == ref.data.tobytes()
+
+
+def _noisy_integrals():
+    """Random (6,3,2) integrals with 1e-13 noise: symmetric only to within
+    the container's tolerance, so almost every raw entry differs from its
+    transpose and the symmetrizing sum sees both."""
+    ints = random_integrals(6, 3, 2, seed=11)
+    rng = np.random.default_rng(1)
+    return MolecularIntegrals(
+        6, 3, 2, ints.e_nuc, ints.one_body + 1e-13 * rng.standard_normal((6, 6)),
+        ints.two_body + 1e-13 * rng.standard_normal((6,) * 4),
+    )
+
+
+REFERENCE_CASES = {
+    **{_case_id(case): (lambda case=case: _case_integrals(case))
+       for case in SECTOR_CASES + SYNTHETIC_SECTORS},
+    "zeros-0.5": lambda: random_integrals(7, 3, 3, seed=13, zero_share=0.5),
+    "zeros-0.8": lambda: random_integrals(7, 3, 3, seed=13, zero_share=0.8),
+    "scan-7-3-3": lambda: scan_integrals(1.0),
+    "scan-7-4-3": lambda: scan_integrals(1.0, 7, 4, 3),
+    "scan-8-4-4": lambda: scan_integrals(1.0, 8, 4, 4),
+    "noisy-6-3-2": _noisy_integrals,
+}
+
+
+def _copy(ints, scale=1.0):
+    return MolecularIntegrals(*ints.sector, ints.e_nuc, scale * ints.one_body,
+                              scale * ints.two_body)
+
+
+def assert_same_matrix(got, want):
+    assert got.shape == want.shape and got.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_sector_matrix_is_bit_identical_to_the_sparse_sum_reference(name):
+    ints = REFERENCE_CASES[name]()
+    want = oracles.sector_matrix_reference(ints)
+    fock_module._pattern.cache_clear()
+    assert_same_matrix(sector_matrix(ints), want)  # cold: the pattern is sorted
+    assert_same_matrix(sector_matrix(_copy(ints)), want)  # warm: one gather
+    # another integral set of the sector, with other zeros, takes a second pattern
+    sector_matrix(random_integrals(*ints.sector, seed=2, zero_share=0.5))
+    assert_same_matrix(sector_matrix(_copy(ints)), want)
+    if name == "noisy-6-3-2":  # symmetrizing with v alone must not pass
+        raw = oracles._sector_entries(ints, ints.sector).tocsr()
+        assert (raw != raw.T).nnz > 30_000
+
+
+def test_reverse_rows_are_the_adjoint_replacements():
+    for m, k, order in ((5, 2, 1), (5, 2, 2), (6, 3, 2), (7, 3, 1), (4, 4, 1)):
+        t = _replacements(m, k, order)
+        assert t.rev.dtype == np.int32
+        assert np.array_equal(t.rev[t.rev], np.arange(t.src.size))
+        assert np.array_equal(t.src[t.rev], t.tgt) and np.array_equal(t.tgt[t.rev], t.src)
+        assert np.array_equal(t.holes[t.rev], t.particles)
+        assert np.array_equal(t.particles[t.rev], t.holes)
+        assert np.array_equal(t.sign[t.rev], t.sign)
+
+
+def test_concurrent_builds_of_a_new_sector_match_the_reference():
+    # cli --jobs sweeps build sector matrices from pool threads; more
+    # builders than cores race on one new pattern
+    made = [scan_integrals(s) for s in (0.3, 0.7, 1.3, 6.0)]
+    want = [oracles.sector_matrix_reference(ints) for ints in made]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            fock_module._pattern.cache_clear()
+            fresh = [_copy(ints) for ints in made]
+            start = threading.Barrier(len(fresh))
+
+            def build(ints):
+                start.wait(timeout=60)
+                return sector_matrix(ints)
+
+            with ThreadPoolExecutor(max_workers=len(fresh)) as pool:
+                together = list(pool.map(build, fresh, timeout=60))
+            for got, ref in zip(together, want, strict=True):
+                assert_same_matrix(got, ref)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_replacement_tables_are_read_only():
@@ -655,7 +779,14 @@ def test_apply_ladders_rejects_empty_targets():
         apply_ladders(np.zeros((1, 0)), (), (2, 1, 0), np.ones(3))
 
 
-def test_caches_die_with_their_integrals():
+def test_caches_die_with_their_integrals(monkeypatch):
+    patterns, cached = [], fock_module._pattern
+
+    def pattern(sector, masks):
+        patterns.append(((sector, masks), cached(sector, masks)))
+        return patterns[-1][1]
+
+    monkeypatch.setattr(fock_module, "_pattern", pattern)
     ints = load_integrals("h2_sto3g")
     mat = sector_matrix(ints)
     assert sector_matrix(ints) is mat
@@ -665,3 +796,30 @@ def test_caches_die_with_their_integrals():
     del ints
     gc.collect()
     assert alive() is None
+    # the pattern cache is keyed by the sector and the mask bytes, and
+    # holds int arrays only: nothing of the integral values
+    [((sector, masks), found)] = patterns
+    assert sector == (2, 1, 1) and type(masks) is bytes
+    assert all(arr.dtype == np.int32 and not arr.flags.writeable for arr in found)
+
+
+def test_matrices_share_their_pattern_read_only():
+    ints = scan_integrals(0.9)
+    mat, again = sector_matrix(ints), sector_matrix(_copy(ints, 1.1))
+    assert np.shares_memory(mat.indices, again.indices)
+    assert not np.shares_memory(mat.data, again.data)
+    with pytest.raises(ValueError):
+        mat.indices[0] = mat.indices[0]
+    with pytest.raises(ValueError):
+        mat.indptr[0] = mat.indptr[0]
+    # canonical flags: scipy never sorts or merges the shared indices in place
+    assert mat.has_sorted_indices and mat.has_canonical_format
+    dense = oracles.sector_matrix_reference(ints).toarray()
+    v = np.random.default_rng(3).standard_normal(mat.shape[0])
+    assert np.array_equal(mat.toarray(), dense)
+    assert np.array_equal(mat.T.toarray(), dense.T)
+    assert np.array_equal(mat.diagonal(), np.diag(dense))
+    np.testing.assert_allclose(mat @ v, dense @ v, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mat.T @ v, dense @ v, rtol=0, atol=1e-12)
+    vals, _ = _eigensystem(ints)  # the two flip blocks read the shared indices
+    np.testing.assert_allclose(vals, np.linalg.eigvalsh(dense), rtol=0, atol=1e-10)

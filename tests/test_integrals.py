@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import restrict_active_space
 from conftest import FIXTURE_NAMES, load_integrals
 from qsubspace.errors import DecompositionError, ParseError, ValidationError
 from qsubspace.integrals import (
@@ -11,7 +12,6 @@ from qsubspace.integrals import (
     cholesky_decompose_eri,
     effective_one_body,
     parse_fcidump,
-    restrict_active_space,
     serialize_fcidump,
 )
 
